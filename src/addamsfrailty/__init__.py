@@ -56,7 +56,7 @@ from .hazard import (
     stratum_frailty_params,
     unit_cumulative_hazard,
 )
-from .likelihood import LikelihoodWorkspace, cluster_loglik, numeric_gradient, total_loglik
+from .likelihood import LikelihoodWorkspace, cluster_loglik, total_loglik
 from .simulate import MonitoringLaw, SimConfig, generate, sample_event_time, sample_frailty
 
 __version__ = "0.1.0"

@@ -4,8 +4,11 @@ A :class:`ParameterLayout` flattens a ModelSpec into one optimization
 vector (baseline parameters on the log scale, link coefficients
 untransformed) with a pin mask; pinned entries never move.  Fitting is
 quasi-Newton (BFGS with Wolfe line search) on the negated log-likelihood,
-standard errors come from a Richardson-extrapolated numerical Hessian,
-and confidence intervals use ln / ln(-ln) transforms as appropriate.
+with the exact analytic score of ``LikelihoodWorkspace.loglik_and_score``
+as its gradient.  Standard errors come from the Hessian taken as the
+Richardson-extrapolated central-difference Jacobian of that score (4p
+score passes for p free parameters), and confidence intervals use
+ln / ln(-ln) transforms as appropriate.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .errors import (
     NumericalDomain,
 )
 from .hazard import ModelSpec
-from .likelihood import LikelihoodWorkspace, numeric_gradient
+from .likelihood import LikelihoodWorkspace
 
 __all__ = [
     "ParameterLayout",
@@ -48,6 +51,9 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _RATE_FLOOR = 1e-4
+# what the likelihood raises outside the feasible region
+_INFEASIBLE = (InvalidRegion, InvalidBinomial, NumericalDomain,
+               NonPositiveProbability, InvalidParameters, OverflowError)
 
 
 @dataclass(frozen=True)
@@ -64,7 +70,7 @@ class ParameterLayout:
     def __init__(self, spec: ModelSpec):
         self.spec0 = spec
         entries: List[_Entry] = []
-        self._baseline_slices: List[Tuple[object, slice]] = []
+        self.baseline_slices: Dict[object, slice] = {}
         pos = 0
         for key in self._baseline_keys(spec):
             baseline = spec.baselines[key]
@@ -72,16 +78,16 @@ class ParameterLayout:
             label = key if isinstance(key, str) else ":".join(key)
             for pname, value in zip(baseline.param_names, logs):
                 entries.append(_Entry(f"baseline[{label}].{pname}", float(value), True, "log"))
-            self._baseline_slices.append((key, slice(pos, pos + logs.size)))
+            self.baseline_slices[key] = slice(pos, pos + logs.size)
             pos += logs.size
-        self._beta_slices: Dict[str, slice] = {}
+        self.beta_slices: Dict[str, slice] = {}
         for unit in spec.units:
             pred = spec.predictors[unit]
             start = pos
             for name, value in zip(pred.covariate_names, pred.coefficients):
                 entries.append(_Entry(f"beta[{unit}].{name}", float(value), True, "identity"))
                 pos += 1
-            self._beta_slices[unit] = slice(start, pos)
+            self.beta_slices[unit] = slice(start, pos)
         link = spec.frailty_link
         any_free_regime = any(r.kind == "free" for r in spec.branch_regimes.values())
         self._beta0_slice = slice(pos, pos + len(link.beta0))
@@ -99,6 +105,9 @@ class ParameterLayout:
             entries.append(_Entry(f"kappa[{i}]", float(value), bool(free), "identity"))
             pos += 1
         self.entries = entries
+        self.link_slices = (
+            ("beta0", self._beta0_slice), ("zeta", self._zeta_slice), ("kappa", self._kappa_slice),
+        )
         self.free_mask = np.array([e.free for e in entries], dtype=bool)
         self.full0 = np.array([e.value for e in entries])
 
@@ -136,12 +145,12 @@ class ParameterLayout:
         """Spec with the free entries replaced by ``theta_free``."""
         full = self.full_from_free(theta_free)
         baselines = dict(self.spec0.baselines)
-        for key, sl in self._baseline_slices:
+        for key, sl in self.baseline_slices.items():
             baselines[key] = self.spec0.baselines[key].with_log_params(full[sl])
         predictors = {}
         for unit in self.spec0.units:
             pred = self.spec0.predictors[unit]
-            sl = self._beta_slices[unit]
+            sl = self.beta_slices[unit]
             predictors[unit] = pred.with_coefficients(full[sl]) if pred.covariate_names else pred
         link = replace(
             self.spec0.frailty_link,
@@ -162,7 +171,7 @@ class ParameterLayout:
         defaults (zeta intercept -0.1, kappa intercept ln 0.5, betas 0).
         """
         full = self.full0.copy()
-        for key, sl in self._baseline_slices:
+        for key, sl in self.baseline_slices.items():
             unit = key if isinstance(key, str) else key[1]
             level = None if isinstance(key, str) else key[0]
             obs = []
@@ -322,38 +331,27 @@ def fit(spec: ModelSpec, data: CurrentStatusDataset, init=None,
     def loglik(theta_free) -> float:
         try:
             return ws.total_loglik(layout.build_spec(theta_free))
-        except (InvalidRegion, InvalidBinomial, NumericalDomain,
-                NonPositiveProbability, InvalidParameters, OverflowError):
+        except _INFEASIBLE:
             return -math.inf
 
     def neg(theta_free) -> float:
         value = loglik(theta_free)
         return math.inf if not math.isfinite(value) else -value
 
+    def score(theta_free) -> np.ndarray:
+        try:
+            value, grad = ws.loglik_and_score(layout, theta_free)
+        except _INFEASIBLE as exc:
+            raise NonFiniteEvaluation(f"score outside the feasible region: {exc}") from exc
+        if not (math.isfinite(value) and np.all(np.isfinite(grad))):
+            raise NonFiniteEvaluation("non-finite score")
+        return grad
+
     def neg_grad(theta_free) -> np.ndarray:
-        # near the feasibility boundary a central difference may step into
-        # the invalid region; fall back to a one-sided difference there
-        theta_free = np.asarray(theta_free, dtype=float)
-        f0 = loglik(theta_free)
-        if not math.isfinite(f0):
-            return np.zeros(theta_free.size)
-        grad = np.empty(theta_free.size)
-        for k in range(theta_free.size):
-            h = max(1e-6, 1e-7 * abs(theta_free[k]))
-            hi = theta_free.copy()
-            lo = theta_free.copy()
-            hi[k] += h
-            lo[k] -= h
-            f_hi, f_lo = loglik(hi), loglik(lo)
-            if math.isfinite(f_hi) and math.isfinite(f_lo):
-                grad[k] = (f_hi - f_lo) / (2.0 * h)
-            elif math.isfinite(f_hi):
-                grad[k] = (f_hi - f0) / h
-            elif math.isfinite(f_lo):
-                grad[k] = (f0 - f_lo) / h
-            else:
-                grad[k] = 0.0
-        return -grad
+        try:
+            return -score(theta_free)
+        except NonFiniteEvaluation:
+            return np.zeros(np.size(theta_free))
 
     if init is None:
         theta0 = layout.default_init(data)
@@ -419,7 +417,7 @@ def fit(spec: ModelSpec, data: CurrentStatusDataset, init=None,
         gnorm < 1e-6 * max(1.0, abs(ll_hat)) or best.success
     )
     try:
-        hess = hessian(loglik, theta_hat)
+        hess = hessian(score, theta_hat, from_score=True)
         cov = _covariance_from_hessian(hess)
     except NonFiniteEvaluation:
         # solution on the feasibility boundary: curvature is one-sided
@@ -469,18 +467,38 @@ def _parameter_cis(layout, theta_hat, se, level=0.95):
     return ci
 
 
-def hessian(f, theta, base_step: float = 1e-4) -> np.ndarray:
+def hessian(f, theta, base_step: float = 1e-4, from_score: bool = False) -> np.ndarray:
     """Richardson-extrapolated central-difference Hessian.
 
-    Central second differences at steps h and h/2 are combined as
+    By default ``f`` is the scalar function and central second differences
+    are taken of it (2 d^2 evaluations per step for d parameters).  With
+    ``from_score`` set, ``f`` returns the gradient and the Hessian is its
+    central-difference Jacobian (2 d gradient evaluations per step).
+    Either way the estimates at steps h and h/2 are combined as
     (4 H(h/2) - H(h)) / 3 and symmetrized.
     """
     theta = np.asarray(theta, dtype=float)
     steps = base_step * np.maximum(1.0, np.abs(theta))
-    h_full = _central_hessian(f, theta, steps)
-    h_half = _central_hessian(f, theta, steps / 2.0)
+    difference = _central_jacobian if from_score else _central_hessian
+    h_full = difference(f, theta, steps)
+    h_half = difference(f, theta, steps / 2.0)
     combined = (4.0 * h_half - h_full) / 3.0
+    if not np.all(np.isfinite(combined)):
+        raise NonFiniteEvaluation("non-finite Hessian entries")
     return 0.5 * (combined + combined.T)
+
+
+def _central_jacobian(f, theta, steps) -> np.ndarray:
+    """Row i is (f(theta + h_i e_i) - f(theta - h_i e_i)) / (2 h_i)."""
+    rows = []
+    for i in range(theta.size):
+        hi = theta.copy()
+        lo = theta.copy()
+        hi[i] += steps[i]
+        lo[i] -= steps[i]
+        rows.append((np.asarray(f(hi), dtype=float) - np.asarray(f(lo), dtype=float))
+                    / (2.0 * steps[i]))
+    return np.array(rows)
 
 
 def _central_hessian(f, theta, steps) -> np.ndarray:
@@ -574,13 +592,6 @@ def delta_method_se(fn, theta, covariance, abs_step=1e-6, rel_step=1e-5) -> floa
     theta = np.asarray(theta, dtype=float)
     if theta.size == 0:
         return 0.0
-    grad = np.empty_like(theta)
-    for k in range(theta.size):
-        h = max(abs_step, rel_step * abs(theta[k]))
-        hi = theta.copy()
-        lo = theta.copy()
-        hi[k] += h
-        lo[k] -= h
-        grad[k] = (fn(hi) - fn(lo)) / (2.0 * h)
+    grad = _central_jacobian(fn, theta, np.maximum(abs_step, rel_step * np.abs(theta)))
     var = float(grad @ covariance @ grad)
     return math.sqrt(max(var, 0.0))

@@ -280,16 +280,34 @@ def laplace(p: AddamsParameters, s):
     return np.exp(log_laplace(p, s))
 
 
-def _h(p: AddamsParameters, s_arr: np.ndarray, log_l: np.ndarray) -> np.ndarray:
-    """exp(-alpha mu s) / A(s); the building block of the log-derivatives."""
+def _h(p: AddamsParameters, s_arr: np.ndarray) -> np.ndarray:
+    """exp(-alpha mu s) / A(s), so that d log L / ds = -mu h.
+
+    Written as 1 / (1 + (gamma/alpha) expm1(alpha mu s)), which never
+    subtracts nearly equal numbers: on the negative branch both terms of
+    the denominator are positive, and on the cure branches expm1 may
+    overflow to +inf, which gives the exact limit h = 0.  The alpha = 0
+    limit is 1 / (1 + gamma mu s), and alpha = gamma reduces to
+    exp(-gamma mu s).
+    """
     a, g, m = p.alpha, p.gamma, p.mu
-    case = _case(p)
-    if case == "gamma":
+    if _case(p) == "gamma":
         return 1.0 / (1.0 + g * m * s_arr)
-    if case == "poisson":
-        return np.exp(-g * m * s_arr)
-    # log A = log L * (alpha - gamma), stable in every general/guarded case
-    return np.exp(-a * m * s_arr - log_l * (a - g))
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + (g / a) * np.expm1(a * m * s_arr))
+
+
+def _conditional_var(p: AddamsParameters, s_arr: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Var(Z | survival to s) = d^2 log L / ds^2, free of cancellation.
+
+    mu^2 h (alpha - (alpha - gamma) h) cancels on the negative branch,
+    where h tends to alpha / (alpha - gamma); there the equal form
+    mu^2 h^2 gamma exp(alpha mu s) is used instead.
+    """
+    a, g, m = p.alpha, p.gamma, p.mu
+    if a <= 0.0:
+        return m * m * h * h * g * np.exp(a * m * s_arr)
+    return m * m * h * (a - (a - g) * h)
 
 
 def laplace_derivative(p: AddamsParameters, s, order: int = 1):
@@ -300,16 +318,13 @@ def laplace_derivative(p: AddamsParameters, s, order: int = 1):
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     s_arr = np.asarray(s, dtype=float)
-    log_l = np.asarray(log_laplace(p, s_arr), dtype=float)
-    a, g, m = p.alpha, p.gamma, p.mu
-    h = _h(p, s_arr, log_l)
-    l_val = np.exp(log_l)
-    g1 = -m * h
+    l_val = np.exp(np.asarray(log_laplace(p, s_arr), dtype=float))
+    h = _h(p, s_arr)
+    g1 = -p.mu * h
     if order == 1:
         out = l_val * g1
     else:
-        g2 = m * m * h * (a - (a - g) * h)
-        out = l_val * (g2 + g1 * g1)
+        out = l_val * (_conditional_var(p, s_arr, h) + g1 * g1)
     return float(out) if np.isscalar(s) or np.ndim(s) == 0 else out
 
 
@@ -318,17 +333,16 @@ def conditional_moments(p: AddamsParameters, cum_hazard):
 
     ``cum_hazard`` is the total conditioning cumulative hazard.  Returns
     ``(cond_mean, cond_var, rfv)`` with cond_mean = -L'(.)/L(.) and
-    rfv = cond_var / cond_mean^2.
+    rfv = cond_var / cond_mean^2 = gamma exp(alpha mu s), which is +inf
+    in the limit on the cure branches.
     """
     s_arr = np.asarray(cum_hazard, dtype=float)
     if np.any(s_arr < 0):
         raise InvalidParameters("cumulative hazard must be >= 0")
-    log_l = np.asarray(log_laplace(p, s_arr), dtype=float)
-    a, g, m = p.alpha, p.gamma, p.mu
-    h = _h(p, s_arr, log_l)
-    cond_mean = m * h
-    cond_var = m * m * h * (a - (a - g) * h)
-    rfv_val = cond_var / (cond_mean * cond_mean)
+    h = _h(p, s_arr)
+    cond_mean = p.mu * h
+    cond_var = _conditional_var(p, s_arr, h)
+    rfv_val = rfv(p, s_arr)
     if np.isscalar(cum_hazard) or np.ndim(cum_hazard) == 0:
         return float(cond_mean), float(cond_var), float(rfv_val)
     return cond_mean, cond_var, rfv_val
@@ -337,7 +351,8 @@ def conditional_moments(p: AddamsParameters, cum_hazard):
 def rfv(p: AddamsParameters, cum_hazard):
     """Closed-form relative frailty variance gamma * exp(alpha mu Lambda)."""
     s_arr = np.asarray(cum_hazard, dtype=float)
-    out = p.gamma * np.exp(p.alpha * p.mu * s_arr)
+    with np.errstate(over="ignore"):
+        out = p.gamma * np.exp(p.alpha * p.mu * s_arr)
     return float(out) if np.isscalar(cum_hazard) or np.ndim(cum_hazard) == 0 else out
 
 

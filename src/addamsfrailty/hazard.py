@@ -2,7 +2,11 @@
 
 Time is in years.  Baselines expose ``cumulative(t)`` (vectorized),
 ``invert(target)`` (the simulator's inverse transform) and a log-scale
-parameter vector used by the flat optimization layout.
+parameter vector used by the flat optimization layout.  Baselines that are
+linear in their rates (piecewise constant, exponential) also expose
+``exposure(t)``, the time spent in each rate interval, so that
+``cumulative(t) == exposure(t) @ rate_vector`` with the log-parameters
+being ``log(rate_vector)``.
 """
 
 from __future__ import annotations
@@ -92,6 +96,17 @@ class PiecewiseConstantBaseline:
         idx = np.clip(np.searchsorted(cuts, t_arr, side="right") - 1, 0, len(rates) - 1)
         return _as_output(t, knots[idx] + rates[idx] * (t_arr - cuts[idx]))
 
+    def exposure(self, t) -> np.ndarray:
+        """[n, intervals] time spent in each interval up to each of ``t``."""
+        t_arr = _check_times(np.atleast_1d(t))
+        cuts = np.asarray(self.cutpoints)
+        widths = np.append(np.diff(cuts), np.inf)
+        return np.clip(t_arr[:, None] - cuts[None, :], 0.0, widths[None, :])
+
+    @property
+    def rate_vector(self) -> np.ndarray:
+        return np.asarray(self.rates)
+
     def invert(self, target: float) -> float:
         if target < 0:
             raise InvalidParameters("cumulative hazard target must be >= 0")
@@ -123,6 +138,13 @@ class ExponentialBaseline:
     def cumulative(self, t):
         t_arr = _check_times(t)
         return _as_output(t, self.rate * t_arr)
+
+    def exposure(self, t) -> np.ndarray:
+        return _check_times(np.atleast_1d(t))[:, None]
+
+    @property
+    def rate_vector(self) -> np.ndarray:
+        return np.array([self.rate])
 
     def invert(self, target: float) -> float:
         return target / self.rate
@@ -416,9 +438,13 @@ class ModelSpec:
         key = (level, unit) if self.stratified_baselines else unit
         return self.baselines[key]
 
-    def frailty_params(self, level: str) -> AddamsParameters:
-        """Stratum frailty parameters with the branch regime applied."""
-        raw = stratum_frailty_params(self.frailty_link, level)
+    def frailty_params(self, level: str, link: Optional[FrailtyLink] = None) -> AddamsParameters:
+        """Stratum frailty parameters with the branch regime applied.
+
+        ``link`` replaces the spec's own frailty link, e.g. a link with one
+        coefficient perturbed; the regime pins still apply.
+        """
+        raw = stratum_frailty_params(link or self.frailty_link, level)
         regime = self.branch_regimes[level]
         if regime.kind == "free":
             return AddamsParameters(raw.alpha, raw.gamma, raw.mu, regime="free")

@@ -14,31 +14,53 @@ Two evaluation paths exist: :func:`cluster_loglik` is the scalar
 reference, and :class:`LikelihoodWorkspace` evaluates a whole dataset
 with vectorized numpy kernels, grouping clusters that share a stratum
 and event pattern.  Both must agree; the tests enforce it.
+
+The workspace also returns the exact score of the log-likelihood with
+respect to the free vector of an ``estimation.ParameterLayout``
+(:meth:`LikelihoodWorkspace.loglik_and_score`), in one pass that reuses
+the value's s-values and Laplace terms.  With T_A = L(s_A) and
+sign_A = (-1)^|A|, the derivative of P with respect to the cumulative
+hazard of an event unit j is sum_A sign_A L'(s_A) [j in A], and that of a
+non-event unit is sum_A sign_A L'(s_A); the chain rule then runs through
+the baselines (exactly for rate-linear baselines, by differencing
+``cumulative`` in the log-parameters otherwise) and the covariate
+effects.  Frailty-link coefficients are differenced in ``log_laplace`` at
+the cached s-values, with the regime pins applied to each perturbed link;
+a step that leaves the feasible region falls back to a one-sided
+difference.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .data import Cluster, CurrentStatusDataset
-from .errors import MissingCovariate, NonFiniteEvaluation, NonPositiveProbability
-from .family import log_laplace
+from .errors import (
+    InvalidBinomial,
+    InvalidParameters,
+    InvalidRegion,
+    MissingCovariate,
+    NonPositiveProbability,
+)
+from .family import AddamsParameters, _h, log_laplace
 from .hazard import ModelSpec
 
 __all__ = [
     "cluster_loglik",
     "total_loglik",
     "LikelihoodWorkspace",
-    "numeric_gradient",
     "diagnostics",
 ]
 
 _CLAMP_TOL = 1e-12
 _CLAMP_VALUE = 1e-300
+# relative step for differencing log_laplace in a link coefficient and a
+# parametric baseline's cumulative hazard in its log-parameters
+_SCORE_STEP = 1e-4
 
 
 class _Diagnostics:
@@ -114,6 +136,21 @@ class _Group:
     subset_matrix: np.ndarray   # [2^K, K] binary
     even_cols: np.ndarray
     odd_cols: np.ndarray
+    signs: np.ndarray           # [2^K] (-1)^|A|
+    # per unit slot: (grid key, [n, intervals] exposure) for rate-linear
+    # baselines, so their cumulative hazard is one matrix-vector product
+    exposures: List[Optional[Tuple[tuple, np.ndarray]]]
+
+    @property
+    def event_mask(self) -> np.ndarray:
+        return np.asarray(self.events, dtype=bool)
+
+
+def _grid_key(baseline) -> Optional[tuple]:
+    """Identifies a rate-linear baseline's exposure matrix; None otherwise."""
+    if not hasattr(baseline, "exposure"):
+        return None
+    return (type(baseline).__name__, getattr(baseline, "cutpoints", ()))
 
 
 class LikelihoodWorkspace:
@@ -121,7 +158,9 @@ class LikelihoodWorkspace:
 
     The grouping depends only on the data and the model structure (unit
     list, covariate names, stratum levels), never on parameter values, so
-    one workspace serves every optimizer iteration.
+    one workspace serves every optimizer iteration.  The exposure matrices
+    of rate-linear baselines depend on their cutpoints only; a spec with
+    other cutpoints falls back to the baseline's own ``cumulative``.
     """
 
     def __init__(self, spec: ModelSpec, data: CurrentStatusDataset):
@@ -161,6 +200,11 @@ class LikelihoodWorkspace:
                                     f"covariate {nm!r} missing"
                                 )
                             designs[j][row, col] = float(r.covariates[nm])
+            exposures: List[Optional[Tuple[tuple, np.ndarray]]] = []
+            for j, u in enumerate(units):
+                baseline = spec.baseline_for(level, u)
+                key = _grid_key(baseline)
+                exposures.append(None if key is None else (key, baseline.exposure(times[:, j])))
             k = sum(events)
             subsets = np.arange(1 << k)[:, None] >> np.arange(k)[None, :] & 1
             sizes = subsets.sum(axis=1)
@@ -177,35 +221,68 @@ class LikelihoodWorkspace:
                     subset_matrix=subsets.astype(float),
                     even_cols=np.where(sizes % 2 == 0)[0],
                     odd_cols=np.where(sizes % 2 == 1)[0],
+                    signs=np.where(sizes % 2 == 0, 1.0, -1.0),
+                    exposures=exposures,
                 )
             )
+        self.levels = tuple(dict.fromkeys(grp.level for grp in self.groups))
+
+    @staticmethod
+    def _exposure(grp: _Group, j: int, baseline) -> Optional[np.ndarray]:
+        cached = grp.exposures[j]
+        if cached is None or cached[0] != _grid_key(baseline):
+            return None
+        return cached[1]
+
+    def _hazards(self, grp: _Group, spec: ModelSpec):
+        """[n, m] cumulative hazards and the per-slot covariate multipliers."""
+        lam = np.empty_like(grp.times)
+        mults: List[Optional[np.ndarray]] = []
+        for j, unit in enumerate(grp.units):
+            baseline = spec.baseline_for(grp.level, unit)
+            exposure = self._exposure(grp, j, baseline)
+            if exposure is not None:
+                base = exposure @ baseline.rate_vector
+            else:
+                base = baseline.cumulative(grp.times[:, j])
+            mult = None
+            if grp.designs[j] is not None:
+                coefs = np.asarray(spec.predictors[unit].coefficients)
+                mult = np.exp(grp.designs[j] @ coefs)
+                base = base * mult
+            lam[:, j] = base
+            mults.append(mult)
+        return lam, mults
+
+    @staticmethod
+    def _probabilities(grp: _Group, params: AddamsParameters, lam: np.ndarray):
+        """s-values, log L(s), L(s) and the clamped cluster probabilities.
+
+        The last entry marks the clamped clusters, or is None when none is.
+        """
+        events = grp.event_mask
+        rest = lam[:, ~events].sum(axis=1)
+        svals = rest[:, None] + lam[:, events] @ grp.subset_matrix.T
+        log_l = log_laplace(params, svals)
+        terms = np.exp(log_l)
+        prob = terms[:, grp.even_cols].sum(axis=1) - terms[:, grp.odd_cols].sum(axis=1)
+        bad = prob <= 0.0
+        if not np.any(bad):
+            return svals, log_l, terms, prob, None
+        if np.any(prob <= -_CLAMP_TOL):
+            worst = int(np.argmin(prob))
+            raise NonPositiveProbability(
+                f"cluster {grp.cluster_ids[worst]!r}: "
+                f"inclusion-exclusion sum {prob[worst]}"
+            )
+        diagnostics.clamped_probabilities += int(bad.sum())
+        return svals, log_l, terms, np.where(bad, _CLAMP_VALUE, prob), bad
 
     def cluster_logliks(self, spec: ModelSpec) -> np.ndarray:
         out = np.empty(self.n_clusters)
         for grp in self.groups:
-            params = spec.frailty_params(grp.level)
-            lam = np.empty_like(grp.times)
-            for j, unit in enumerate(grp.units):
-                base = spec.baseline_for(grp.level, unit).cumulative(grp.times[:, j])
-                if grp.designs[j] is not None:
-                    coefs = np.asarray(spec.predictors[unit].coefficients)
-                    base = base * np.exp(grp.designs[j] @ coefs)
-                lam[:, j] = base
-            events = np.asarray(grp.events, dtype=bool)
-            rest = lam[:, ~events].sum(axis=1)
-            svals = rest[:, None] + lam[:, events] @ grp.subset_matrix.T
-            terms = np.exp(log_laplace(params, svals))
-            prob = terms[:, grp.even_cols].sum(axis=1) - terms[:, grp.odd_cols].sum(axis=1)
-            bad = prob <= 0.0
-            if np.any(bad):
-                if np.any(prob <= -_CLAMP_TOL):
-                    worst = int(np.argmin(prob))
-                    raise NonPositiveProbability(
-                        f"cluster {grp.cluster_ids[worst]!r}: "
-                        f"inclusion-exclusion sum {prob[worst]}"
-                    )
-                diagnostics.clamped_probabilities += int(bad.sum())
-                prob = np.where(bad, _CLAMP_VALUE, prob)
+            lam, _ = self._hazards(grp, spec)
+            prob = self._probabilities(grp, spec.frailty_params(grp.level), lam)[3]
             out[grp.cluster_idx] = np.log(prob)
         return out
 
@@ -213,6 +290,117 @@ class LikelihoodWorkspace:
         if self.n_clusters == 0:
             return 0.0
         return float(np.sum(self.weights * self.cluster_logliks(spec)))
+
+    def loglik_and_score(self, layout, theta_free) -> Tuple[float, np.ndarray]:
+        """Weighted log-likelihood at ``layout.build_spec(theta_free)`` and its
+        gradient with respect to ``theta_free``.
+
+        The value equals :meth:`total_loglik` at the same spec.  Clusters
+        whose probability was clamped contribute nothing to the score.
+        """
+        theta_free = np.asarray(theta_free, dtype=float)
+        spec = layout.build_spec(theta_free)
+        full = layout.full_from_free(theta_free)
+        grad = np.zeros(full.size)
+        out = np.empty(self.n_clusters)
+        stencils = _link_stencils(spec, layout, full, self.levels)
+        for grp in self.groups:
+            params = spec.frailty_params(grp.level)
+            lam, mults = self._hazards(grp, spec)
+            svals, log_l, terms, prob, bad = self._probabilities(grp, params, lam)
+            out[grp.cluster_idx] = np.log(prob)
+            # d log P = dP / P; dividing after the sums keeps a tiny P finite
+            weights = grp.weights if bad is None else np.where(bad, 0.0, grp.weights)
+            signed = terms * grp.signs
+            dp_ds = signed * (-params.mu * _h(params, svals))
+            events = grp.event_mask
+            dl_dlam = np.empty_like(lam)
+            dl_dlam[:, events] = (dp_ds @ grp.subset_matrix) / prob[:, None] * weights[:, None]
+            dl_dlam[:, ~events] = (dp_ds.sum(axis=1) / prob * weights)[:, None]
+            for j, unit in enumerate(grp.units):
+                dl_dbase = dl_dlam[:, j] if mults[j] is None else dl_dlam[:, j] * mults[j]
+                self._baseline_score(grp, j, spec, layout, dl_dbase, grad)
+                if grp.designs[j] is not None:
+                    grad[layout.beta_slices[unit]] += grp.designs[j].T @ (dl_dlam[:, j] * lam[:, j])
+            for pos, by_level in stencils:
+                stencil = by_level.get(grp.level)
+                if stencil is None:
+                    continue
+                dlog_l = sum(
+                    w * (log_l if p is None else log_laplace(p, svals)) for w, p in stencil
+                )
+                grad[pos] += weights @ ((signed * dlog_l).sum(axis=1) / prob)
+        return float(np.sum(self.weights * out)), grad[layout.free_mask]
+
+    def _baseline_score(self, grp: _Group, j: int, spec: ModelSpec, layout,
+                        dl_dbase: np.ndarray, grad: np.ndarray) -> None:
+        """Adds d loglik / d log-parameters of slot j's baseline to ``grad``."""
+        unit = grp.units[j]
+        key = (grp.level, unit) if spec.stratified_baselines else unit
+        start = layout.baseline_slices[key].start
+        baseline = spec.baseline_for(grp.level, unit)
+        exposure = self._exposure(grp, j, baseline)
+        if exposure is not None:
+            rates = baseline.rate_vector
+            grad[start:start + rates.size] += rates * (dl_dbase @ exposure)
+            return
+        t = grp.times[:, j]
+        log_params = baseline.log_params
+        for k, value in enumerate(log_params):
+            h = _SCORE_STEP * max(1.0, abs(value))
+            hi = log_params.copy()
+            lo = log_params.copy()
+            hi[k] += h
+            lo[k] -= h
+            diff = baseline.with_log_params(hi).cumulative(t) - baseline.with_log_params(lo).cumulative(t)
+            grad[start + k] += dl_dbase @ diff / (2.0 * h)
+
+
+def _link_stencils(spec: ModelSpec, layout, full: np.ndarray, levels):
+    """Difference stencils of log L in each free frailty-link coefficient.
+
+    Returns ``[(position, {level: [(weight, params), ...]})]``: the
+    derivative of log L(s) at a stratum level is sum(weight * log L_params(s)),
+    with params None standing for the unperturbed point.  Levels the
+    coefficient does not reach (zero design entry, or a regime pin that
+    absorbs it) are left out.  A step that leaves the feasible region is
+    replaced by a second-order one-sided difference on the other side; with
+    no feasible side the level is left out too.
+    """
+    link = spec.frailty_link
+    out = []
+    for name, sl in layout.link_slices:
+        for c in range(sl.stop - sl.start):
+            pos = sl.start + c
+            if not layout.free_mask[pos]:
+                continue
+            h = _SCORE_STEP * max(1.0, abs(full[pos]))
+
+            def perturbed(level, offset, name=name, c=c):
+                values = list(getattr(link, name))
+                values[c] += offset
+                try:
+                    return spec.frailty_params(level, replace(link, **{name: tuple(values)}))
+                except (InvalidRegion, InvalidBinomial, InvalidParameters, OverflowError):
+                    return None
+
+            by_level = {}
+            for level in levels:
+                base = spec.frailty_params(level)
+                plus, minus = perturbed(level, h), perturbed(level, -h)
+                if plus == base and minus == base:
+                    continue
+                if plus is not None and minus is not None:
+                    by_level[level] = [(0.5 / h, plus), (-0.5 / h, minus)]
+                    continue
+                sign, near = (1.0, plus) if plus is not None else (-1.0, minus)
+                far = None if near is None else perturbed(level, 2.0 * sign * h)
+                if far is not None:
+                    by_level[level] = [
+                        (-1.5 * sign / h, None), (2.0 * sign / h, near), (-0.5 * sign / h, far)
+                    ]
+            out.append((pos, by_level))
+    return out
 
 
 def total_loglik(spec: ModelSpec, data: CurrentStatusDataset,
@@ -227,24 +415,3 @@ def total_loglik(spec: ModelSpec, data: CurrentStatusDataset,
             raise ValueError("theta requires a layout")
         spec = layout.build_spec(np.asarray(theta, dtype=float))
     return LikelihoodWorkspace(spec, data).total_loglik(spec)
-
-
-def numeric_gradient(f, theta, abs_step=1e-6, rel_step=1e-7) -> np.ndarray:
-    """Central-difference gradient with per-coordinate step size.
-
-    Step rule: h_k = max(abs_step, rel_step * |theta_k|).
-    """
-    theta = np.asarray(theta, dtype=float)
-    grad = np.empty_like(theta)
-    for k in range(theta.size):
-        h = max(abs_step, rel_step * abs(theta[k]))
-        hi = theta.copy()
-        lo = theta.copy()
-        hi[k] += h
-        lo[k] -= h
-        f_hi = f(hi)
-        f_lo = f(lo)
-        if not (np.isfinite(f_hi) and np.isfinite(f_lo)):
-            raise NonFiniteEvaluation(f"non-finite objective at coordinate {k}")
-        grad[k] = (f_hi - f_lo) / (2.0 * h)
-    return grad

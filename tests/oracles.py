@@ -128,3 +128,27 @@ def finite_difference(f, x, h):
 
 def second_difference(f, x, h):
     return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
+
+
+def numeric_gradient(f, theta, abs_step=1e-6, rel_step=1e-7):
+    """Central-difference gradient with per-coordinate step size.
+
+    Step rule: h_k = max(abs_step, rel_step * |theta_k|).  Raises
+    NonFiniteEvaluation when a probe of ``f`` is not finite.
+    """
+    from addamsfrailty.errors import NonFiniteEvaluation
+
+    theta = np.asarray(theta, dtype=float)
+    grad = np.empty_like(theta)
+    for k in range(theta.size):
+        h = max(abs_step, rel_step * abs(theta[k]))
+        hi = theta.copy()
+        lo = theta.copy()
+        hi[k] += h
+        lo[k] -= h
+        f_hi = f(hi)
+        f_lo = f(lo)
+        if not (np.isfinite(f_hi) and np.isfinite(f_lo)):
+            raise NonFiniteEvaluation(f"non-finite objective at coordinate {k}")
+        grad[k] = (f_hi - f_lo) / (2.0 * h)
+    return grad

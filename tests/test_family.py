@@ -224,6 +224,45 @@ class TestDerivativesAndMoments:
             _, _, r = conditional_moments(p, float(v))
             assert r == pytest.approx(3.0 * math.exp(-0.9 * v), rel=1e-8)
 
+    @pytest.mark.parametrize("alpha,gamma", [
+        (-1.0, 5.0),            # negative branch
+        (0.0, 5.0),             # gamma limit
+        (2.0, 5.0),             # interior, cure fraction
+        (5.0, 5.0),             # Poisson
+        (5.5, 5.0),             # binomial
+        (-4e-7, 5.0),           # alpha ~ 0 guard band, both signs
+        (4e-7, 5.0),
+        (5.0 - 2e-6, 5.0),      # alpha ~ gamma guard band
+    ])
+    def test_moments_finite_up_to_huge_hazards(self, alpha, gamma):
+        p = AddamsParameters(alpha, gamma, 0.7)
+        s = np.logspace(-3, 300, 304)
+        mean, var, r = conditional_moments(p, s)
+        assert np.all(np.isfinite(mean)) and np.all(np.isfinite(var))
+        assert np.all(mean > 0) or alpha > 0
+        assert np.all(np.diff(mean) <= 0)
+        if alpha < 0:
+            # survivors sit at the lowest support point psi * nu
+            assert mean[-1] == pytest.approx(0.7 * alpha / (alpha - gamma), rel=1e-12)
+            assert r[-1] == 0.0
+        elif alpha == 0:
+            np.testing.assert_allclose(r, gamma, rtol=1e-15)
+        else:
+            # survivors are the cured: mean 0, RFV +inf
+            assert mean[-1] == 0.0 and var[-1] == 0.0
+            assert r[-1] == math.inf
+        if abs(alpha) >= 1e-6:
+            assert np.all(np.isfinite(laplace_derivative(p, s)))
+            assert np.all(np.isfinite(laplace_derivative(p, s, order=2)))
+
+    def test_negative_branch_mean_keeps_its_limit(self):
+        # mu / (1 - gamma / alpha) = 1/6; cancellation once gave 0.1353 at
+        # s = 1e16 and 1.0 from s = 1e17 on
+        p = AddamsParameters(-1.0, 5.0, 1.0)
+        for s in (1e12, 1e16, 1e17, 1e100, 1e300):
+            assert conditional_moments(p, s)[0] == pytest.approx(1.0 / 6.0, rel=1e-14)
+            assert -laplace_derivative(p, s) == 0.0
+
     def test_conditional_mean_limit_is_lowest_support_point(self):
         p = AddamsParameters(-1.0, 3.0, 2.0)
         branch = classify_branch(p)

@@ -1,5 +1,6 @@
 """Cluster marginal likelihood: closed forms, oracles, vectorized path."""
 
+import dataclasses
 import itertools
 import math
 
@@ -12,20 +13,24 @@ from addamsfrailty import (
     CurrentStatusDataset,
     ExponentialBaseline,
     FrailtyLink,
+    GeneralizedGammaBaseline,
     LikelihoodWorkspace,
     LinearPredictor,
     ModelSpec,
+    ParameterLayout,
     PiecewiseConstantBaseline,
     UnitRecord,
+    WeibullBaseline,
     cluster_loglik,
     laplace,
     total_loglik,
 )
-from addamsfrailty.likelihood import numeric_gradient
-from addamsfrailty.errors import NonFiniteEvaluation
+from addamsfrailty.hazard import BranchRegime
+from addamsfrailty import likelihood
+from addamsfrailty.errors import FrailtyModelError, NonFiniteEvaluation
 
 from conftest import random_triples
-from oracles import oracle_cluster_prob
+from oracles import numeric_gradient, oracle_cluster_prob
 
 # log P values recomputed by the series/quadrature cluster oracle and frozen;
 # configuration: rates below, J = 2, times (10, 25), events (1, 0)
@@ -235,6 +240,155 @@ class TestWorkspace:
         assert ws.total_loglik(spec) == pytest.approx(
             total_loglik(spec, data), rel=1e-14
         )
+
+
+def score_data(rng, n, strata=("s",), covariate=False):
+    """Random clusters of one to three units with weights and strata."""
+    clusters = []
+    for i in range(n):
+        units = [u for u in ("u1", "u2", "u3") if rng.random() < 0.7] or ["u1"]
+        records = tuple(
+            UnitRecord(u, float(rng.uniform(1.0, 70.0)), int(rng.random() < 0.45),
+                       {"x": float(rng.normal())} if covariate else {})
+            for u in units
+        )
+        clusters.append(Cluster(
+            cluster_id=f"c{i}", records=records,
+            stratum=strata[i % len(strata)], weight=float(rng.uniform(0.5, 2.0)),
+        ))
+    return CurrentStatusDataset(tuple(clusters))
+
+
+def score_spec(alpha=-1.0, gamma=3.0, regime="free", b=None, baseline=None,
+               covariate=False, strata=("s",), stratified=False):
+    units = ("u1", "u2", "u3")
+    if baseline is None:
+        baseline = lambda i: PiecewiseConstantBaseline((0.0, 20.0, 45.0), (0.02, 0.03 + 0.01 * i, 0.05))
+    # a pinned regime ignores zeta, but raw_params still validates it
+    zeta0 = alpha if regime == "free" else -0.1
+    link = FrailtyLink.for_factor(strata, zeta0=zeta0, kappa0=math.log(gamma))
+    if len(strata) > 1:
+        link = dataclasses.replace(link, zeta=(alpha, 0.3), kappa=(math.log(gamma), -0.2),
+                                   beta0=(0.0, -0.4))
+    if stratified:
+        link = dataclasses.replace(link, beta0_free=(False,) * len(strata))
+        baselines = {(lvl, u): baseline(i + k) for k, lvl in enumerate(strata)
+                     for i, u in enumerate(units)}
+    else:
+        baselines = {u: baseline(i) for i, u in enumerate(units)}
+    predictors = {"u2": LinearPredictor(("x",), (0.4,))} if covariate else {}
+    return ModelSpec(
+        units=units, baselines=baselines, frailty_link=link, predictors=predictors,
+        branch_regimes={lvl: BranchRegime(regime, b) for lvl in strata},
+        stratified_baselines=stratified,
+    )
+
+
+def richardson_gradient(f, theta, h=1e-4):
+    coarse = numeric_gradient(f, theta, abs_step=h, rel_step=0.0)
+    fine = numeric_gradient(f, theta, abs_step=h / 2.0, rel_step=0.0)
+    return (4.0 * fine - coarse) / 3.0
+
+
+class TestScore:
+    """The analytic score against Richardson central differences."""
+
+    def check(self, spec, data, theta=None):
+        layout = ParameterLayout(spec)
+        theta = layout.free_vector() if theta is None else theta
+        ws = LikelihoodWorkspace(spec, data)
+        value, score = ws.loglik_and_score(layout, theta)
+        assert value == ws.total_loglik(layout.build_spec(theta))
+        reference = richardson_gradient(
+            lambda th: ws.total_loglik(layout.build_spec(th)), theta)
+        np.testing.assert_allclose(score, reference, rtol=1e-6,
+                                   atol=1e-6 * np.abs(reference).max())
+        return score
+
+    @pytest.mark.parametrize("alpha,gamma,regime,b", [
+        (-1.0, 3.0, "free", None),        # negative branch
+        (0.0, 3.0, "gamma", None),        # gamma-pinned
+        (4e-7, 3.0, "free", None),        # inside the |alpha| < 1e-6 guard band
+        (1.2, 3.0, "free", None),         # interior, cure fraction
+        (3.0, 3.0, "poisson", None),      # poisson-pinned
+        (3.5, 3.0, "binomial", 2),        # binomial-pinned
+    ])
+    def test_every_regime(self, rng, alpha, gamma, regime, b):
+        spec = score_spec(alpha, gamma, regime, b)
+        self.check(spec, score_data(rng, 120))
+
+    @pytest.mark.parametrize("baseline", [
+        lambda i: PiecewiseConstantBaseline((0.0, 20.0, 45.0), (0.02, 0.03 + 0.01 * i, 0.05)),
+        lambda i: ExponentialBaseline(0.02 + 0.01 * i),
+        lambda i: WeibullBaseline(1.3 + 0.2 * i, 40.0),
+        lambda i: GeneralizedGammaBaseline(1.2, 0.8 + 0.3 * i, 30.0),
+    ], ids=["piecewise", "exponential", "weibull", "gengamma"])
+    def test_every_baseline_family(self, rng, baseline):
+        self.check(score_spec(baseline=baseline), score_data(rng, 120))
+
+    def test_covariates(self, rng):
+        self.check(score_spec(covariate=True), score_data(rng, 120, covariate=True))
+
+    def test_stratified_baselines(self, rng):
+        strata = ("f", "m")
+        spec = score_spec(strata=strata, stratified=True)
+        self.check(spec, score_data(rng, 160, strata=strata))
+
+    def test_two_stratum_factor_link(self, rng):
+        strata = ("f", "m")
+        spec = score_spec(strata=strata)
+        layout = ParameterLayout(spec)
+        score = self.check(spec, score_data(rng, 160, strata=strata))
+        free = dict(zip(layout.free_names, score))
+        assert {"zeta[1]", "kappa[1]", "beta0[1]"} <= set(free)
+
+    def test_clamped_cluster_contributes_nothing(self, rng):
+        # two events at hazards ~1e-10: 1 - L(a) - L(b) + L(a + b) is lost to
+        # round-off and clamped, while its derivatives are not zero
+        spec = score_spec(alpha=-1.0, gamma=3.0)
+        data = score_data(rng, 80)
+        layout = ParameterLayout(spec)
+        ws = LikelihoodWorkspace(spec, data)
+        clean = ws.loglik_and_score(layout, layout.free_vector())[1]
+        degenerate = Cluster("clamped", (UnitRecord("u1", 1e-8, 1), UnitRecord("u2", 1.7e-8, 1)))
+        ws = LikelihoodWorkspace(spec, CurrentStatusDataset(data.clusters + (degenerate,)))
+        before = likelihood.diagnostics.clamped_probabilities
+        value, score = ws.loglik_and_score(layout, layout.free_vector())
+        assert likelihood.diagnostics.clamped_probabilities > before
+        assert math.isfinite(value)
+        np.testing.assert_array_equal(score, clean)
+
+    def test_infeasible_link_step(self, rng):
+        # alpha sits 5e-5 below gamma = 0.01: a +h step on zeta leaves
+        # alpha < gamma, while (gamma - alpha) / gamma stays large enough
+        # for log L to keep its digits
+        gamma = 0.01
+        spec = score_spec(alpha=gamma - 5e-5, gamma=gamma)
+        layout = ParameterLayout(spec)
+        theta = layout.free_vector()
+        ws = LikelihoodWorkspace(spec, score_data(rng, 120))
+        zeta = layout.free_names.index("zeta[0]")
+        with pytest.raises(FrailtyModelError):
+            layout.build_spec(theta + 1e-4 * (np.arange(theta.size) == zeta)).frailty_params("s")
+        score = ws.loglik_and_score(layout, theta)[1]
+        f = lambda th: ws.total_loglik(layout.build_spec(th))
+        others = np.arange(theta.size) != zeta
+
+        def f_others(sub):
+            th = theta.copy()
+            th[others] = sub
+            return f(th)
+
+        def backward(h):
+            # f'(x) ~ (3 f(x) - 4 f(x - h) + f(x - 2h)) / (2h), error O(h^2)
+            step = h * (np.arange(theta.size) == zeta)
+            return (3.0 * f(theta) - 4.0 * f(theta - step) + f(theta - 2.0 * step)) / (2.0 * h)
+
+        reference = np.empty(theta.size)
+        reference[others] = richardson_gradient(f_others, theta[others])
+        reference[zeta] = (4.0 * backward(5e-4) - backward(1e-3)) / 3.0
+        np.testing.assert_allclose(score, reference, rtol=1e-6,
+                                   atol=1e-6 * np.abs(reference).max())
 
 
 class TestNumericGradient:
