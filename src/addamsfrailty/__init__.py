@@ -51,10 +51,7 @@ from .hazard import (
     ModelSpec,
     PiecewiseConstantBaseline,
     WeibullBaseline,
-    cumulative_baseline,
     parametric_baseline,
-    stratum_frailty_params,
-    unit_cumulative_hazard,
 )
 from .likelihood import LikelihoodWorkspace, cluster_loglik, total_loglik
 from .simulate import MonitoringLaw, SimConfig, generate, sample_event_time, sample_frailty

@@ -10,6 +10,18 @@ Infinite and undefined ratios are distinct: HR values may be ``inf``
 (one stratum's RC is non-susceptible) while the 0/0 case raises
 :class:`~addamsfrailty.errors.UndefinedRatio` and is reported as
 "undef" downstream, never as NaN.
+
+Confidence intervals: each table or curve function writes what it reports
+once, as ``quantities(spec) -> 1-D array`` holding every entry that gets
+a CI, with each stratum's branch classified once per call.  The reported
+values are ``quantities(fit.spec)``; all standard errors come from one
+central-difference Jacobian of ``quantities(fit.layout.build_spec(theta))``
+at the fitted theta, i.e. 2p spec builds for p free parameters.  Entries
+without a CI (an infinite or undefined HR, a zero support point, ``b``)
+are decided at ``fit.spec`` and kept out of the vector.  On the positive
+domain a value <= 0, and on the unit interval a value outside (0, 1), is
+its own interval (lo = hi = value).  A fully pinned result reports no CIs
+and builds no spec.
 """
 
 from __future__ import annotations
@@ -23,7 +35,6 @@ import numpy as np
 from .errors import ContinuousBranch, OutOfSupport, UndefinedRatio
 from .estimation import FitResult, delta_method_se, transformed_ci
 from .family import (
-    AddamsParameters,
     BranchKind,
     FrailtyBranch,
     classify_branch,
@@ -168,22 +179,52 @@ def hr_across_quantile_matched(branch_i: FrailtyBranch, branch_j: FrailtyBranch,
 
 
 # ---------------------------------------------------------------------------
-# Delta-method plumbing over a fitted model
+# Delta-method confidence intervals over a fitted model
 # ---------------------------------------------------------------------------
 
-def _branch_at(fit: FitResult, level: str, theta) -> FrailtyBranch:
-    return classify_branch(fit.layout.build_spec(theta).frailty_params(level))
+def _branches(spec, levels) -> Dict[str, FrailtyBranch]:
+    return {lvl: classify_branch(spec.frailty_params(lvl)) for lvl in levels}
 
 
-def _estimate(fit: FitResult, fn, value: float, domain: str) -> Estimate:
-    """Delta-method CI of fn(theta) around the fitted point."""
+def _n_points(branch: FrailtyBranch, k_max: int) -> int:
+    """Reported support points: k_max, capped by a binomial law's b + 1."""
+    return min(k_max, branch.b + 1) if branch.kind is BranchKind.SCALED_BINOMIAL else k_max
+
+
+def _standard_errors(fit: FitResult, quantities) -> Optional[np.ndarray]:
+    """SE of every entry of quantities(spec) from one Jacobian in theta.
+
+    None when nothing was estimated; otherwise 2p spec builds.
+    """
     if fit.n_free == 0:
-        return Estimate(value)       # no uncertainty available, no CI
-    se = delta_method_se(fn, fit.theta, fit.covariance)
-    if domain == "unit_interval" and not (0.0 < value < 1.0):
-        return Estimate(value, value, value)
-    lo, hi = transformed_ci(value, se, domain)
-    return Estimate(value, lo, hi)
+        return None
+    return delta_method_se(
+        lambda theta: quantities(fit.layout.build_spec(theta)), fit.theta, fit.covariance
+    )
+
+
+def _ci(value: float, se: float, domain: str) -> Tuple[float, float]:
+    """(lo, hi) of one entry; a value on its domain's boundary is its own interval."""
+    if (domain == "positive" and value <= 0) or (
+        domain == "unit_interval" and not 0.0 < value < 1.0
+    ):
+        return value, value
+    return transformed_ci(value, se, domain)
+
+
+def _estimates(fit: FitResult, entries: Dict[tuple, str], quantities) -> Dict[tuple, Estimate]:
+    """One Estimate per key of ``entries`` (key -> CI domain).
+
+    ``quantities(spec)`` returns the value of every key, in key order.
+    """
+    values = quantities(fit.spec).tolist()
+    se = _standard_errors(fit, quantities)
+    if se is None:
+        return {key: Estimate(value) for key, value in zip(entries, values)}
+    return {
+        key: Estimate(value, *_ci(value, s, domain))
+        for (key, domain), value, s in zip(entries.items(), values, se)
+    }
 
 
 def rc_table(fit: FitResult, strata: Optional[Sequence[str]] = None,
@@ -197,64 +238,58 @@ def rc_table(fit: FitResult, strata: Optional[Sequence[str]] = None,
     link = fit.spec.frailty_link
     strata = list(strata) if strata is not None else list(link.levels)
     reference = reference if reference is not None else link.reference
-    branches = {
-        lvl: classify_branch(fit.spec.frailty_params(lvl))
-        for lvl in dict.fromkeys(list(strata) + [reference])
-    }
-    rows: List[RCRow] = []
+    levels = list(dict.fromkeys(strata + [reference]))
+    branches = _branches(fit.spec, levels)
+    points = {lvl: support_and_pmf(branches[lvl], k_max) for lvl in strata}
+    compared = [lvl for lvl in strata if lvl != reference and branches[reference].is_discrete]
+    pair_keys = [(lvl, k) for lvl in compared
+                 for k in range(1, _n_points(branches[lvl], k_max) + 1)]
+
+    fixed: Dict[tuple, Optional[Estimate]] = {}   # entries without a CI
+    entries: Dict[tuple, str] = {}                # entries with a CI -> its domain
     for lvl in strata:
-        for point in support_and_pmf(branches[lvl], k_max):
-            k = point.k
-            z_est = (
-                _estimate(
-                    fit,
-                    lambda th, lvl=lvl, k=k: support_value(_branch_at(fit, lvl, th), k),
-                    point.z, "positive",
-                )
-                if point.z > 0 else Estimate(0.0, 0.0, 0.0)
-            )
-            cum_est = _estimate(
-                fit,
-                lambda th, lvl=lvl, k=k: float(
-                    count_distribution(_branch_at(fit, lvl, th)).cdf(k - 1)
-                ),
-                point.cum_prob, "unit_interval",
-            )
-            rows.append(RCRow(lvl, k, z_est, point.prob, cum_est))
-    pairs: List[RCPair] = []
-    for lvl in strata:
-        if lvl == reference or not branches[reference].is_discrete:
-            continue
-        for k in range(1, k_max + 1):
-            if branches[lvl].kind is BranchKind.SCALED_BINOMIAL and k > branches[lvl].b + 1:
-                break
-            cum_l = float(count_distribution(branches[lvl]).cdf(k - 1))
-            cum_r = float(count_distribution(branches[reference]).cdf(k - 1))
-            ratio = _estimate(
-                fit,
-                lambda th, lvl=lvl, k=k: float(
-                    count_distribution(_branch_at(fit, lvl, th)).cdf(k - 1)
-                ) / float(
-                    count_distribution(_branch_at(fit, reference, th)).cdf(k - 1)
-                ),
-                cum_l / cum_r, "positive",
-            )
-            try:
-                hr_value = hr_across(branches[lvl], branches[reference], k)
-            except UndefinedRatio:
-                hr_est = None
+        for point in points[lvl]:
+            if point.z > 0:
+                entries["z", lvl, point.k] = "positive"
             else:
-                if math.isinf(hr_value):
-                    hr_est = Estimate(math.inf)
-                else:
-                    hr_est = _estimate(
-                        fit,
-                        lambda th, lvl=lvl, k=k: hr_across(
-                            _branch_at(fit, lvl, th), _branch_at(fit, reference, th), k
-                        ),
-                        hr_value, "positive",
-                    )
-            pairs.append(RCPair(lvl, reference, k, ratio, hr_est))
+                fixed["z", lvl, point.k] = Estimate(0.0, 0.0, 0.0)
+            entries["cum", lvl, point.k] = "unit_interval"
+    for lvl, k in pair_keys:
+        entries["ratio", lvl, k] = "positive"
+        try:
+            hr_value = hr_across(branches[lvl], branches[reference], k)
+        except UndefinedRatio:
+            fixed["hr", lvl, k] = None
+        else:
+            if math.isinf(hr_value):
+                fixed["hr", lvl, k] = Estimate(math.inf)
+            else:
+                entries["hr", lvl, k] = "positive"
+
+    def quantities(spec) -> np.ndarray:
+        at = _branches(spec, levels)
+        cdf = {lvl: count_distribution(b).cdf for lvl, b in at.items() if b.is_discrete}
+
+        def value(kind, lvl, k):
+            if kind == "z":
+                return support_value(at[lvl], k)
+            if kind == "cum":
+                return cdf[lvl](k - 1)
+            if kind == "ratio":
+                return cdf[lvl](k - 1) / cdf[reference](k - 1)
+            return hr_across(at[lvl], at[reference], k)
+
+        return np.array([value(*key) for key in entries], dtype=float)
+
+    est = {**fixed, **_estimates(fit, entries, quantities)}
+    rows = [
+        RCRow(lvl, p.k, est["z", lvl, p.k], p.prob, est["cum", lvl, p.k])
+        for lvl in strata for p in points[lvl]
+    ]
+    pairs = [
+        RCPair(lvl, reference, k, est["ratio", lvl, k], est["hr", lvl, k])
+        for lvl, k in pair_keys
+    ]
     return RCTable(reference=reference, rows=tuple(rows), pairs=tuple(pairs))
 
 
@@ -267,26 +302,25 @@ def hr_within_table(fit: FitResult, strata: Optional[Sequence[str]] = None,
     """
     link = fit.spec.frailty_link
     strata = list(strata) if strata is not None else list(link.levels)
-    entries: List[Dict] = []
-    for lvl in strata:
-        branch = classify_branch(fit.spec.frailty_params(lvl))
-        if not branch.is_discrete:
-            continue
-        cap = branch.b + 1 if branch.kind is BranchKind.SCALED_BINOMIAL else None
-        for k in range(1, k_max):
-            if cap is not None and k + 1 > cap:
-                break
-            value = hr_within(branch, k)
-            if math.isinf(value):
-                est = Estimate(math.inf)
-            else:
-                est = _estimate(
-                    fit,
-                    lambda th, lvl=lvl, k=k: hr_within(_branch_at(fit, lvl, th), k),
-                    value, "positive",
-                )
-            entries.append({"stratum": lvl, "k": k, "hr": est})
-    return entries
+    branches = _branches(fit.spec, strata)
+    keys = [(lvl, k) for lvl in strata if branches[lvl].is_discrete
+            for k in range(1, _n_points(branches[lvl], k_max))]
+    fixed = {(lvl, k): Estimate(math.inf) for lvl, k in keys
+             if math.isinf(hr_within(branches[lvl], k))}
+    entries = {key: "positive" for key in keys if key not in fixed}
+
+    def quantities(spec) -> np.ndarray:
+        at = _branches(spec, strata)
+        return np.array([hr_within(at[lvl], k) for lvl, k in entries], dtype=float)
+
+    est = {**fixed, **_estimates(fit, entries, quantities)}
+    return [{"stratum": lvl, "k": k, "hr": est[lvl, k]} for lvl, k in keys]
+
+
+_RFV_DOMAINS = {
+    "alpha": "unconstrained", "gamma": "positive", "mu": "positive",
+    "psi": "positive", "nu": "positive", "pi": "unit_interval", "lambda_star": "positive",
+}
 
 
 def rfv_parameter_table(fit: FitResult,
@@ -300,46 +334,23 @@ def rfv_parameter_table(fit: FitResult,
     """
     link = fit.spec.frailty_link
     strata = list(strata) if strata is not None else list(link.levels)
+    branches = _branches(fit.spec, strata)
+    entries = {
+        (lvl, name): domain for lvl in strata for name, domain in _RFV_DOMAINS.items()
+        if getattr(branches[lvl], name) is not None
+    }
+
+    def quantities(spec) -> np.ndarray:
+        at = _branches(spec, strata)
+        return np.array([getattr(at[lvl], name) for lvl, name in entries], dtype=float)
+
+    est = _estimates(fit, entries, quantities)
     table: Dict[str, Dict[str, Optional[Estimate]]] = {}
-
-    def param_at(theta, lvl, name):
-        return getattr(fit.layout.build_spec(theta).frailty_params(lvl), name)
-
-    def derived_at(theta, lvl, name):
-        return getattr(classify_branch(fit.layout.build_spec(theta).frailty_params(lvl)), name)
-
     for lvl in strata:
-        params = fit.spec.frailty_params(lvl)
-        branch = classify_branch(params)
-        row: Dict[str, Optional[Estimate]] = {
-            "alpha": _estimate(fit, lambda th, lvl=lvl: param_at(th, lvl, "alpha"),
-                               params.alpha, "unconstrained"),
-            "gamma": _estimate(fit, lambda th, lvl=lvl: param_at(th, lvl, "gamma"),
-                               params.gamma, "positive"),
-            "mu": _estimate(fit, lambda th, lvl=lvl: param_at(th, lvl, "mu"),
-                            params.mu, "positive"),
-        }
-        for name, domain in (("psi", "positive"), ("nu", "positive"),
-                             ("pi", "unit_interval"), ("lambda_star", "positive")):
-            value = getattr(branch, name)
-            row[name] = (
-                _estimate(fit, lambda th, lvl=lvl, name=name: derived_at(th, lvl, name),
-                          value, domain)
-                if value is not None else None
-            )
-        row["b"] = Estimate(float(branch.b)) if branch.b is not None else None
-        table[lvl] = row
+        b = branches[lvl].b
+        table[lvl] = {name: est.get((lvl, name)) for name in _RFV_DOMAINS}
+        table[lvl]["b"] = Estimate(float(b)) if b is not None else None
     return table
-
-
-def _aggregate_hazard(fit: FitResult, theta, level: str, units: Sequence[str],
-                      profile: Dict[str, float], times: np.ndarray) -> np.ndarray:
-    spec = fit.layout.build_spec(theta)
-    total = np.zeros_like(times)
-    for unit in units:
-        lp = spec.predictors[unit].value(profile) if spec.predictors[unit].covariate_names else 0.0
-        total = total + math.exp(lp) * spec.baseline_for(level, unit).cumulative(times)
-    return total
 
 
 def trajectories(fit: FitResult, stratum: str, units: Optional[Sequence[str]] = None,
@@ -361,65 +372,28 @@ def trajectories(fit: FitResult, stratum: str, units: Optional[Sequence[str]] = 
     profile = dict.fromkeys(cov_names, 0.0)
     if covariate_profile:
         profile.update(covariate_profile)
-    params = fit.spec.frailty_params(stratum)
-    lam = _aggregate_hazard(fit, fit.theta, stratum, units, profile, grid)
+    kinds = [("rfv", None, "positive"), ("cond_mean", None, "positive")] + [
+        ("prevalence", unit, "unit_interval") for unit in units
+    ]
+
+    def quantities(spec) -> np.ndarray:
+        params = spec.frailty_params(stratum)
+        hazards = [spec.unit_cumulative_hazard(stratum, unit, profile, grid) for unit in units]
+        lam = sum(hazards, np.zeros_like(grid))
+        return np.concatenate(
+            [rfv(params, lam), conditional_moments(params, lam)[0]]
+            + [1.0 - laplace(params, lam_u) for lam_u in hazards]
+        )
+
+    values = quantities(fit.spec)
+    se = _standard_errors(fit, quantities) if with_ci else None
     curves: List[TrajectoryCurve] = []
-
-    def band(fn_of_theta, values, domain):
-        if not with_ci or fit.n_free == 0:
-            return None, None
-        lo = np.empty_like(values)
-        hi = np.empty_like(values)
-        for i, value in enumerate(values):
-            boundary = (
-                (domain == "positive" and value <= 0)
-                or (domain == "unit_interval" and not 0.0 < value < 1.0)
-            )
-            if boundary:
-                lo[i], hi[i] = value, value
-                continue
-            se = delta_method_se(lambda th, i=i: fn_of_theta(th, i), fit.theta, fit.covariance)
-            lo[i], hi[i] = transformed_ci(value, se, domain)
-        return lo, hi
-
-    rfv_values = rfv(params, lam)
-
-    def rfv_at(theta, i):
-        spec = fit.layout.build_spec(theta)
-        p = spec.frailty_params(stratum)
-        lam_i = _aggregate_hazard(fit, theta, stratum, units, profile, grid[i:i + 1])[0]
-        return rfv(p, lam_i)
-
-    lo, hi = band(rfv_at, rfv_values, "positive")
-    curves.append(TrajectoryCurve("rfv", stratum, None, grid, rfv_values, lo, hi))
-
-    cond_mean = conditional_moments(params, lam)[0]
-
-    def mean_at(theta, i):
-        spec = fit.layout.build_spec(theta)
-        p = spec.frailty_params(stratum)
-        lam_i = _aggregate_hazard(fit, theta, stratum, units, profile, grid[i:i + 1])[0]
-        return conditional_moments(p, lam_i)[0]
-
-    lo, hi = band(mean_at, cond_mean, "positive")
-    curves.append(TrajectoryCurve("cond_mean", stratum, None, grid, cond_mean, lo, hi))
-
-    for unit in units:
-        spec = fit.spec
-        lp = spec.predictors[unit].value(profile) if spec.predictors[unit].covariate_names else 0.0
-        lam_u = math.exp(lp) * spec.baseline_for(stratum, unit).cumulative(grid)
-        prevalence = 1.0 - laplace(params, lam_u)
-
-        def prev_at(theta, i, unit=unit):
-            spec_t = fit.layout.build_spec(theta)
-            p = spec_t.frailty_params(stratum)
-            lp_t = (
-                spec_t.predictors[unit].value(profile)
-                if spec_t.predictors[unit].covariate_names else 0.0
-            )
-            lam_i = math.exp(lp_t) * spec_t.baseline_for(stratum, unit).cumulative(grid[i])
-            return 1.0 - laplace(p, lam_i)
-
-        lo, hi = band(prev_at, prevalence, "unit_interval")
-        curves.append(TrajectoryCurve("prevalence", stratum, unit, grid, prevalence, lo, hi))
+    for i, (kind, unit, domain) in enumerate(kinds):
+        part = slice(i * grid.size, (i + 1) * grid.size)
+        lo = hi = None
+        if se is not None:
+            lo, hi = np.array(
+                [_ci(v, s, domain) for v, s in zip(values[part], se[part])]
+            ).reshape(-1, 2).T
+        curves.append(TrajectoryCurve(kind, stratum, unit, grid, values[part], lo, hi))
     return curves

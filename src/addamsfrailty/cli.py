@@ -8,17 +8,12 @@ diagnostics, and nothing is printed to stdout.
 
 Exit codes: 0 success, 1 malformed dataset, 2 non-convergence,
 3 configuration error.
-
-The ``ADDAMSFRAILTY_THREADS`` environment variable is accepted for
-interface compatibility; evaluation is deterministic regardless of its
-value.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -42,7 +37,7 @@ from .family import classify_branch
 from .likelihood import LikelihoodWorkspace
 from .simulate import SimConfig, generate
 
-__all__ = ["main", "ingest"]
+__all__ = ["main"]
 
 log = logging.getLogger("addamsfrailty")
 
@@ -52,11 +47,6 @@ EXIT_NONCONVERGENCE = 2
 EXIT_CONFIG = 3
 
 
-def ingest(path):
-    """Read and validate a dataset file; DatasetError lists every problem."""
-    return read_csv(path)
-
-
 def _load(args) -> RunConfig:
     return load_config(args.config, args.set or [])
 
@@ -64,7 +54,7 @@ def _load(args) -> RunConfig:
 def _read_data(config: RunConfig):
     if not config.data_path:
         raise ConfigError("[data] path is required for this command")
-    return ingest(config.data_path)
+    return read_csv(config.data_path)
 
 
 def _outdir(config: RunConfig) -> Path:
@@ -229,14 +219,6 @@ def main(argv=None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    threads = os.environ.get("ADDAMSFRAILTY_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            log.error("ADDAMSFRAILTY_THREADS must be a positive integer")
-            return EXIT_CONFIG
     try:
         return args.func(args)
     except DatasetError as exc:

@@ -111,6 +111,14 @@ class ParameterLayout:
         self.free_mask = np.array([e.free for e in entries], dtype=bool)
         self.full0 = np.array([e.value for e in entries])
 
+    @classmethod
+    def pinned(cls, spec: ModelSpec) -> "ParameterLayout":
+        """Layout of ``spec`` with every entry pinned: nothing is free."""
+        layout = cls(spec)
+        layout.entries = [replace(e, free=False) for e in layout.entries]
+        layout.free_mask = np.zeros(len(layout.entries), dtype=bool)
+        return layout
+
     @staticmethod
     def _baseline_keys(spec: ModelSpec):
         if spec.stratified_baselines:
@@ -263,24 +271,6 @@ class FitResult:
         return len(self.names)
 
 
-class _FrozenLayout:
-    """Zero-parameter layout: build_spec ignores theta."""
-
-    def __init__(self, spec: ModelSpec):
-        self.spec0 = spec
-        self.free_mask = np.zeros(0, dtype=bool)
-
-    n_free = 0
-    free_names: List[str] = []
-    free_transforms: List[str] = []
-
-    def free_vector(self) -> np.ndarray:
-        return np.zeros(0)
-
-    def build_spec(self, theta_free) -> ModelSpec:
-        return self.spec0
-
-
 def pinned_result(spec: ModelSpec, loglik: float = math.nan) -> FitResult:
     """FitResult wrapper around fully known parameters (nothing estimated).
 
@@ -291,7 +281,7 @@ def pinned_result(spec: ModelSpec, loglik: float = math.nan) -> FitResult:
     return FitResult(
         names=(), theta=np.zeros(0), loglik=loglik, covariance=empty,
         se=np.zeros(0), ci={}, aic=math.nan, converged=True, iterations=0,
-        gradient_norm=0.0, layout=_FrozenLayout(spec), spec=spec,
+        gradient_norm=0.0, layout=ParameterLayout.pinned(spec), spec=spec,
     )
 
 
@@ -363,15 +353,6 @@ def fit(spec: ModelSpec, data: CurrentStatusDataset, init=None,
             raise InvalidParameters(
                 f"init has {theta0.size} entries, layout has {layout.n_free} free"
             )
-
-    if layout.n_free == 0:
-        ll = ws.total_loglik(spec)
-        empty = np.zeros((0, 0))
-        return FitResult(
-            names=(), theta=np.zeros(0), loglik=ll, covariance=empty,
-            se=np.zeros(0), ci={}, aic=-2.0 * ll, converged=True, iterations=0,
-            gradient_norm=0.0, layout=layout, spec=spec,
-        )
 
     rng = np.random.default_rng(seed)
     best = None
@@ -587,11 +568,18 @@ def aic(fit_result: FitResult) -> float:
     return -2.0 * fit_result.loglik + 2.0 * fit_result.n_free
 
 
-def delta_method_se(fn, theta, covariance, abs_step=1e-6, rel_step=1e-5) -> float:
-    """First-order SE of a scalar reparameterization fn(theta)."""
+def delta_method_se(fn, theta, covariance, abs_step=1e-6, rel_step=1e-5):
+    """First-order SE of fn(theta): a float for a scalar fn, an array for a 1-D one.
+
+    One central-difference Jacobian serves every entry; each entry's
+    variance is g @ covariance @ g with g its own gradient.
+    """
     theta = np.asarray(theta, dtype=float)
     if theta.size == 0:
-        return 0.0
-    grad = _central_jacobian(fn, theta, np.maximum(abs_step, rel_step * np.abs(theta)))
-    var = float(grad @ covariance @ grad)
-    return math.sqrt(max(var, 0.0))
+        se = np.zeros(np.shape(fn(theta)))
+    else:
+        jac = _central_jacobian(fn, theta, np.maximum(abs_step, rel_step * np.abs(theta)))
+        grads = np.ascontiguousarray(jac.reshape(theta.size, -1).T)
+        se = np.array([math.sqrt(max(float(g @ covariance @ g), 0.0)) for g in grads])
+        se = se.reshape(jac.shape[1:])
+    return float(se) if se.ndim == 0 else se

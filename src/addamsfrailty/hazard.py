@@ -35,9 +35,6 @@ __all__ = [
     "FrailtyLink",
     "BranchRegime",
     "ModelSpec",
-    "cumulative_baseline",
-    "unit_cumulative_hazard",
-    "stratum_frailty_params",
     "parametric_baseline",
     "PIENTER2_CUTPOINTS",
 ]
@@ -243,11 +240,6 @@ def parametric_baseline(family: str, params):
     raise InvalidParameters(f"unknown baseline family {family!r}")
 
 
-def cumulative_baseline(baseline, t):
-    """Cumulative baseline hazard at time(s) ``t``."""
-    return baseline.cumulative(t)
-
-
 @dataclass(frozen=True)
 class LinearPredictor:
     """Proportional-hazards linear predictor x' beta for one unit."""
@@ -384,20 +376,18 @@ class FrailtyLink:
             raise UnknownStratum(f"stratum level {level!r} not in design")
         return np.asarray(self.design[level])
 
-    def raw_params(self, level: str) -> AddamsParameters:
-        """(alpha, gamma, mu) at a stratum level, before any regime pin."""
+    def raw_params(self, level: str) -> Tuple[float, float, float]:
+        """(alpha, gamma, mu) at a stratum level, before any regime pin.
+
+        Plain floats: whether they form a valid law depends on the pin.
+        """
         x = self.row(level)
         alpha = float(x @ np.asarray(self.zeta))
         gamma = float(np.exp(x @ np.asarray(self.kappa)))
         mu = float(np.exp(x @ np.asarray(self.beta0)))
         if self.pin_reference_mu and level == self.reference:
             mu = 1.0
-        return AddamsParameters(alpha=alpha, gamma=gamma, mu=mu)
-
-
-def stratum_frailty_params(link: FrailtyLink, level: str) -> AddamsParameters:
-    """Frailty parameters implied by the link at one stratum level."""
-    return link.raw_params(level)
+        return alpha, gamma, mu
 
 
 @dataclass(frozen=True)
@@ -444,17 +434,15 @@ class ModelSpec:
         ``link`` replaces the spec's own frailty link, e.g. a link with one
         coefficient perturbed; the regime pins still apply.
         """
-        raw = stratum_frailty_params(link or self.frailty_link, level)
+        alpha, gamma, mu = (link or self.frailty_link).raw_params(level)
         regime = self.branch_regimes[level]
-        if regime.kind == "free":
-            return AddamsParameters(raw.alpha, raw.gamma, raw.mu, regime="free")
         if regime.kind == "gamma":
-            return AddamsParameters(0.0, raw.gamma, raw.mu, regime="gamma")
-        if regime.kind == "poisson":
-            return AddamsParameters(raw.gamma, raw.gamma, raw.mu, regime="poisson")
-        return AddamsParameters(
-            raw.gamma + 1.0 / regime.b, raw.gamma, raw.mu, regime="binomial"
-        )
+            alpha = 0.0
+        elif regime.kind == "poisson":
+            alpha = gamma
+        elif regime.kind == "binomial":
+            alpha = gamma + 1.0 / regime.b
+        return AddamsParameters(alpha, gamma, mu, regime=regime.kind)
 
     def unit_cumulative_hazard(self, level: str, unit: str,
                                covariates: Mapping[str, float], t):
@@ -462,10 +450,3 @@ class ModelSpec:
         lp = self.predictors[unit].value(covariates)
         base = self.baseline_for(level, unit).cumulative(t)
         return math.exp(lp) * base
-
-
-def unit_cumulative_hazard(spec: ModelSpec, covariates, unit, t, level=None):
-    """Module-level convenience wrapper around ModelSpec.unit_cumulative_hazard."""
-    if level is None:
-        level = spec.frailty_link.reference
-    return spec.unit_cumulative_hazard(level, unit, covariates, t)

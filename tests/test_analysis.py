@@ -1,5 +1,6 @@
 """Risk-category tables, hazard ratios and trajectory curves."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from addamsfrailty import (
     ExponentialBaseline,
     FrailtyLink,
     ModelSpec,
+    ParameterLayout,
     classify_branch,
     conditional_moments,
     hr_across,
@@ -23,8 +25,10 @@ from addamsfrailty import (
     rfv_parameter_table,
     support_value,
     trajectories,
+    transformed_ci,
 )
 from addamsfrailty.errors import ContinuousBranch, OutOfSupport, UndefinedRatio
+from addamsfrailty.estimation import delta_method_se
 from addamsfrailty.family import count_distribution
 
 # published serological example: two strata, shifted scaled neg. binomial
@@ -32,11 +36,11 @@ MALE = AddamsParameters(-0.502, 83.447, 1.0)
 FEMALE = AddamsParameters(-2.882, 90.996, 0.328)
 
 
-def two_stratum_fit():
+def two_stratum_fit(alpha_f=-2.882, gamma_f=90.996):
     link = FrailtyLink(
         design={"m": (1.0, 0.0), "f": (1.0, 1.0)},
-        zeta=(-0.502, -2.882 + 0.502),
-        kappa=(math.log(83.447), math.log(90.996 / 83.447)),
+        zeta=(-0.502, alpha_f + 0.502),
+        kappa=(math.log(83.447), math.log(gamma_f / 83.447)),
         beta0=(0.0, math.log(0.328)),
         reference="m",
     )
@@ -46,6 +50,18 @@ def two_stratum_fit():
         frailty_link=link,
     )
     return pinned_result(spec)
+
+
+def with_covariance(result):
+    """``result`` with every layout entry free and a fixed covariance."""
+    layout = ParameterLayout(result.spec)
+    p = layout.n_free
+    a = np.random.default_rng(5).normal(scale=0.05, size=(p, p))
+    cov = a @ a.T + 1e-3 * np.eye(p)
+    return dataclasses.replace(
+        result, names=tuple(layout.free_names), theta=layout.free_vector(),
+        covariance=cov, se=np.sqrt(np.diag(cov)), layout=layout,
+    )
 
 
 class TestHrWithin:
@@ -227,3 +243,131 @@ class TestTrajectories:
     def test_grid_must_increase(self):
         with pytest.raises(ValueError):
             trajectories(two_stratum_fit(), "m", times=[0.0, 1.0, 1.0])
+
+
+class TestOneJacobian:
+    """Every SE comes from one Jacobian of the table's or curve's quantities."""
+
+    @staticmethod
+    def assert_ci(est_value, lo, hi, fit, closure, domain):
+        # the reference: scalar delta-method SE of this entry's own closure
+        se = delta_method_se(closure, fit.theta, fit.covariance)
+        expected = transformed_ci(est_value, se, domain)
+        assert (lo, hi) == pytest.approx(expected, rel=1e-12)
+
+    @staticmethod
+    def branch(fit, theta, level):
+        return classify_branch(fit.layout.build_spec(theta).frailty_params(level))
+
+    def test_rc_table_entries(self):
+        fit = with_covariance(two_stratum_fit())
+        table = rc_table(fit, k_max=4)
+        rows = {(r.stratum, r.k): r for r in table.rows}
+        pairs = {p.k: p for p in table.pairs}
+
+        def cdf(theta, level, k):
+            return float(count_distribution(self.branch(fit, theta, level)).cdf(k - 1))
+
+        z = rows["m", 2].z
+        self.assert_ci(z.value, z.lo, z.hi, fit,
+                       lambda th: support_value(self.branch(fit, th, "m"), 2), "positive")
+        cum = rows["f", 3].cum_prob
+        self.assert_ci(cum.value, cum.lo, cum.hi, fit,
+                       lambda th: cdf(th, "f", 3), "unit_interval")
+        ratio = pairs[2].cum_prob_ratio
+        self.assert_ci(ratio.value, ratio.lo, ratio.hi, fit,
+                       lambda th: cdf(th, "f", 2) / cdf(th, "m", 2), "positive")
+        hr = pairs[1].hr_across
+        self.assert_ci(hr.value, hr.lo, hr.hi, fit,
+                       lambda th: hr_across(self.branch(fit, th, "f"),
+                                            self.branch(fit, th, "m"), 1), "positive")
+
+    def test_hr_within_and_rfv_parameter_entries(self):
+        fit = with_covariance(two_stratum_fit())
+        hr = next(e["hr"] for e in hr_within_table(fit) if e["stratum"] == "f" and e["k"] == 2)
+        self.assert_ci(hr.value, hr.lo, hr.hi, fit,
+                       lambda th: hr_within(self.branch(fit, th, "f"), 2), "positive")
+        table = rfv_parameter_table(fit)
+        for level, name, domain in (("m", "alpha", "unconstrained"), ("f", "mu", "positive"),
+                                    ("f", "pi", "unit_interval"), ("m", "nu", "positive")):
+            est = table[level][name]
+            self.assert_ci(est.value, est.lo, est.hi, fit,
+                           lambda th: getattr(self.branch(fit, th, level), name), domain)
+
+    def test_trajectory_entries(self):
+        fit = with_covariance(two_stratum_fit())
+        times = np.array([0.0, 5.0, 20.0, 60.0])
+        curves = {(c.kind, c.unit): c for c in trajectories(fit, "f", times=times)}
+
+        def params_and_hazards(theta, i):
+            spec = fit.layout.build_spec(theta)
+            hazards = {u: spec.baseline_for("f", u).cumulative(times[i]) for u in spec.units}
+            return spec.frailty_params("f"), hazards
+
+        def rfv_at(theta, i):
+            params, hazards = params_and_hazards(theta, i)
+            return rfv(params, sum(hazards.values()))
+
+        def mean_at(theta, i):
+            params, hazards = params_and_hazards(theta, i)
+            return conditional_moments(params, sum(hazards.values()))[0]
+
+        def prevalence_at(theta, i):
+            params, hazards = params_and_hazards(theta, i)
+            return 1.0 - laplace(params, hazards["u2"])
+
+        for key, closure, domain in ((("rfv", None), rfv_at, "positive"),
+                                     (("cond_mean", None), mean_at, "positive"),
+                                     (("prevalence", "u2"), prevalence_at, "unit_interval")):
+            curve = curves[key]
+            for i in (1, 3):
+                self.assert_ci(curve.values[i], curve.lo[i], curve.hi[i], fit,
+                               lambda th: closure(th, i), domain)
+        # prevalence 0 at t = 0 sits on the boundary: its own interval
+        prev = curves["prevalence", "u2"]
+        assert prev.values[0] == prev.lo[0] == prev.hi[0] == 0.0
+
+    def test_zero_hazard_ratio_is_its_own_interval(self):
+        # f has a cure fraction (alpha > 0): its RC 1 is non-susceptible
+        fit = with_covariance(two_stratum_fit(alpha_f=1.0, gamma_f=2.0))
+        table = rc_table(fit, k_max=3)
+        hr = next(p.hr_across for p in table.pairs if p.k == 1)
+        assert (hr.value, hr.lo, hr.hi) == (0.0, 0.0, 0.0)
+        z = next(r.z for r in table.rows if r.stratum == "f" and r.k == 1)
+        assert (z.value, z.lo, z.hi) == (0.0, 0.0, 0.0)
+        assert hr_within_table(fit, strata=["f"])[0]["hr"].value == math.inf
+
+    @pytest.fixture
+    def build_spec_calls(self, monkeypatch):
+        calls = []
+        original = ParameterLayout.build_spec
+
+        def counting(layout, theta):
+            calls.append(1)
+            return original(layout, theta)
+
+        monkeypatch.setattr(ParameterLayout, "build_spec", counting)
+        return calls
+
+    @staticmethod
+    def analyses():
+        return (
+            lambda fit: rc_table(fit, k_max=5),
+            lambda fit: hr_within_table(fit, k_max=5),
+            lambda fit: rfv_parameter_table(fit),
+            lambda fit: trajectories(fit, "m", times=np.linspace(0.0, 80.0, 41)),
+        )
+
+    def test_two_p_spec_builds_per_table_or_curve_set(self, build_spec_calls):
+        fit = with_covariance(two_stratum_fit())
+        for analysis in self.analyses():
+            build_spec_calls.clear()
+            analysis(fit)
+            assert len(build_spec_calls) == 2 * fit.n_free
+
+    def test_pinned_result_builds_no_spec(self, build_spec_calls):
+        fit = two_stratum_fit()
+        assert fit.layout.n_free == fit.n_free == 0
+        for analysis in self.analyses():
+            analysis(fit)
+        assert build_spec_calls == []

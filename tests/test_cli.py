@@ -5,8 +5,9 @@ import os
 
 import pytest
 
-from addamsfrailty.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, ingest, main
+from addamsfrailty.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from addamsfrailty.config import load_config
+from addamsfrailty.data import read_csv
 from addamsfrailty.errors import ConfigError, DatasetError
 
 BASE_CONFIG = """\
@@ -94,7 +95,7 @@ class TestIngest:
             "c2,u1,5.0,yes\n"
         )
         with pytest.raises(DatasetError) as err:
-            ingest(bad)
+            read_csv(bad)
         lines = sorted(p.line for p in err.value.problems)
         assert lines == [3, 4]
 
@@ -121,7 +122,7 @@ def artifacts(tmp_path_factory):
 class TestPipeline:
     def test_simulate_writes_ingestible_data(self, artifacts):
         tmp_path, _ = artifacts
-        data = ingest(tmp_path / "data.csv")
+        data = read_csv(tmp_path / "data.csv")
         assert len(data) == 1200
         assert {r.unit for c in data.clusters for r in c.records} == {"u1", "u2"}
 

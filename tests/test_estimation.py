@@ -274,3 +274,22 @@ class TestDeltaMethod:
 
     def test_empty_theta(self):
         assert delta_method_se(lambda th: 1.0, np.zeros(0), np.zeros((0, 0))) == 0.0
+
+    def test_vector_function_matches_scalar_entries(self):
+        cov = np.array([[0.04, 0.01, 0.0], [0.01, 0.09, 0.02], [0.0, 0.02, 0.16]])
+        theta = np.array([1.0, -2.0, 0.5])
+        entries = (
+            lambda th: math.exp(th[0]) * th[1],
+            lambda th: th[2] ** 3 - th[0],
+            lambda th: math.sin(th[1] * th[2]),
+        )
+        se = delta_method_se(lambda th: np.array([f(th) for f in entries]), theta, cov)
+        assert se.shape == (3,)
+        for s, f in zip(se, entries):
+            scalar = delta_method_se(f, theta, cov)
+            assert isinstance(scalar, float)
+            assert s == scalar            # the same arithmetic per entry
+
+    def test_empty_theta_vector_function(self):
+        se = delta_method_se(lambda th: np.ones(4), np.zeros(0), np.zeros((0, 0)))
+        np.testing.assert_array_equal(se, np.zeros(4))

@@ -16,13 +16,11 @@ from addamsfrailty import (
     ModelSpec,
     PiecewiseConstantBaseline,
     WeibullBaseline,
-    cumulative_baseline,
     parametric_baseline,
-    stratum_frailty_params,
-    unit_cumulative_hazard,
 )
 from addamsfrailty.errors import (
     InvalidParameters,
+    InvalidRegion,
     MissingCovariate,
     NegativeTime,
     UnknownStratum,
@@ -129,10 +127,6 @@ class TestParametricBaselines:
         with pytest.raises(InvalidParameters):
             parametric_baseline("loglogistic", (1.0,))
 
-    def test_cumulative_baseline_wrapper(self):
-        base = ExponentialBaseline(0.25)
-        assert cumulative_baseline(base, 4.0) == pytest.approx(1.0)
-
 
 class TestLinearPredictor:
     def test_value_and_missing(self):
@@ -152,7 +146,6 @@ class TestLinearPredictor:
         lam0 = spec.unit_cumulative_hazard("a", "u", {"x": 0.0}, 5.0)
         lam1 = spec.unit_cumulative_hazard("a", "u", {"x": 1.0}, 5.0)
         assert lam1 / lam0 == pytest.approx(math.exp(0.7))
-        assert unit_cumulative_hazard(spec, {"x": 1.0}, "u", 5.0) == pytest.approx(lam1)
 
 
 class TestFrailtyLink:
@@ -165,14 +158,15 @@ class TestFrailtyLink:
 
     def test_reference_mu_pinned_to_one(self):
         link = FrailtyLink.for_factor(["m", "f"], reference="m")
-        assert stratum_frailty_params(link, "m").mu == 1.0
+        _, _, mu = link.raw_params("m")
+        assert mu == 1.0
 
     def test_link_scales(self):
         link = FrailtyLink.for_factor(["m", "f"], reference="m",
                                       zeta0=-0.5, kappa0=math.log(2.0))
-        p_m = stratum_frailty_params(link, "m")
-        assert p_m.alpha == pytest.approx(-0.5)      # identity link
-        assert p_m.gamma == pytest.approx(2.0)       # log link
+        alpha, gamma, _ = link.raw_params("m")
+        assert alpha == pytest.approx(-0.5)      # identity link
+        assert gamma == pytest.approx(2.0)       # log link
 
     def test_regime_pins_applied(self):
         link = FrailtyLink.for_factor(["a"], zeta0=-0.5, kappa0=math.log(2.0))
@@ -189,6 +183,22 @@ class TestFrailtyLink:
         assert p.alpha == p.gamma
         p = params(BranchRegime("binomial", b=4))
         assert p.alpha == pytest.approx(p.gamma + 0.25)
+
+    def test_pin_applies_before_validation(self):
+        # raw alpha 3.3 > gamma 3 is no binomial law (1/0.3 is not an
+        # integer); every pin discards it, so no pinned stratum may raise
+        link = FrailtyLink.for_factor(["a"], zeta0=3.3, kappa0=math.log(3.0))
+
+        def params(regime):
+            spec = ModelSpec(units=("u",), baselines={"u": ExponentialBaseline(0.1)},
+                             frailty_link=link, branch_regimes={"a": regime})
+            return spec.frailty_params("a")
+
+        assert params(BranchRegime("poisson")).alpha == pytest.approx(3.0)
+        assert params(BranchRegime("gamma")).alpha == 0.0
+        assert params(BranchRegime("binomial", b=2)).alpha == pytest.approx(3.5)
+        with pytest.raises(InvalidRegion):
+            params(BranchRegime("free"))      # free needs alpha < gamma
 
     def test_regime_validation(self):
         with pytest.raises(InvalidParameters):

@@ -264,7 +264,7 @@ def score_spec(alpha=-1.0, gamma=3.0, regime="free", b=None, baseline=None,
     units = ("u1", "u2", "u3")
     if baseline is None:
         baseline = lambda i: PiecewiseConstantBaseline((0.0, 20.0, 45.0), (0.02, 0.03 + 0.01 * i, 0.05))
-    # a pinned regime ignores zeta, but raw_params still validates it
+    # a pinned regime ignores zeta; keep the fit's default start there
     zeta0 = alpha if regime == "free" else -0.1
     link = FrailtyLink.for_factor(strata, zeta0=zeta0, kappa0=math.log(gamma))
     if len(strata) > 1:
