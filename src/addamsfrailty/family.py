@@ -67,6 +67,10 @@ REGIMES = ("auto", "free", "gamma", "poisson", "binomial")
 # guarded-evaluation thresholds for the removable singularities
 _ALPHA_ZERO_GUARD = 1e-6
 _ALPHA_GAMMA_GUARD = 1e-6
+# inside the alpha ~ 0 band, the expansion serves |alpha| mu s up to this;
+# its error grows like (alpha mu s)^2 and that of the closed form like
+# eps / (|alpha| mu s), and both stay near 1e-12 relative here
+_ALPHA_ZERO_SPAN = 1e-5
 _BINOMIAL_INT_TOL = 1e-9
 
 
@@ -238,11 +242,16 @@ def _log_laplace_general(a: float, g: float, m: float, s: np.ndarray) -> np.ndar
 
 
 def _log_laplace_near_zero(a: float, g: float, m: float, s: np.ndarray) -> np.ndarray:
-    # first-order expansion of log L in alpha around the gamma limit
-    u = m * s
+    # first-order expansion of log L in alpha around the gamma limit, where
+    # |alpha| mu s is small enough for it; the closed form elsewhere
+    small = abs(a) * m * s <= _ALPHA_ZERO_SPAN
+    u = m * np.where(small, s, 0.0)
     l0 = np.log1p(g * u)
     corr = -u * (1.0 + g * u / 2.0) / (1.0 + g * u) + l0 / g
-    return -(l0 + a * corr) / g
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # the entries left to the expansion may be out of the closed form's reach
+        general = _log_laplace_general(a, g, m, np.where(small, 0.0, s))
+    return np.where(small, -(l0 + a * corr) / g, general)
 
 
 def _log_laplace_near_gamma(a: float, g: float, m: float, s: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
@@ -79,7 +80,9 @@ class PiecewiseConstantBaseline:
         if any(r <= 0 or not math.isfinite(r) for r in rates):
             raise InvalidParameters("all rates must be > 0")
 
-    def _knot_cumulatives(self) -> np.ndarray:
+    @cached_property
+    def _knots(self) -> np.ndarray:
+        """Cumulative hazard at each cutpoint, computed once per baseline."""
         cuts = np.asarray(self.cutpoints)
         rates = np.asarray(self.rates)
         widths = np.diff(cuts)
@@ -89,9 +92,8 @@ class PiecewiseConstantBaseline:
         t_arr = _check_times(t)
         cuts = np.asarray(self.cutpoints)
         rates = np.asarray(self.rates)
-        knots = self._knot_cumulatives()
         idx = np.clip(np.searchsorted(cuts, t_arr, side="right") - 1, 0, len(rates) - 1)
-        return _as_output(t, knots[idx] + rates[idx] * (t_arr - cuts[idx]))
+        return _as_output(t, self._knots[idx] + rates[idx] * (t_arr - cuts[idx]))
 
     def exposure(self, t) -> np.ndarray:
         """[n, intervals] time spent in each interval up to each of ``t``."""
@@ -107,7 +109,7 @@ class PiecewiseConstantBaseline:
     def invert(self, target: float) -> float:
         if target < 0:
             raise InvalidParameters("cumulative hazard target must be >= 0")
-        knots = self._knot_cumulatives()
+        knots = self._knots
         idx = int(np.clip(np.searchsorted(knots, target, side="right") - 1, 0, len(self.rates) - 1))
         return self.cutpoints[idx] + (target - knots[idx]) / self.rates[idx]
 

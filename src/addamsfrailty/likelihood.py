@@ -12,8 +12,11 @@ round-off are clamped (counted in ``diagnostics``).
 
 Two evaluation paths exist: :func:`cluster_loglik` is the scalar
 reference, and :class:`LikelihoodWorkspace` evaluates a whole dataset
-with vectorized numpy kernels, grouping clusters that share a stratum
-and event pattern.  Both must agree; the tests enforce it.
+with vectorized numpy kernels, grouping clusters that share a stratum, a
+unit set and an event count, so the kernel runs once per event count
+whichever units had the events.  Each row of a group reaches its own
+event and non-event units through flat index arrays into the group's
+hazard matrix.  Both paths must agree; the tests enforce it.
 
 The workspace also returns the exact score of the log-likelihood with
 respect to the free vector of an ``estimation.ParameterLayout``
@@ -127,23 +130,22 @@ def cluster_loglik(spec: ModelSpec, cluster: Cluster) -> float:
 class _Group:
     level: str
     units: Tuple[str, ...]
-    events: Tuple[int, ...]
     times: np.ndarray           # [n, m]
     designs: List[Optional[np.ndarray]]  # per unit slot, [n, p] or None
     weights: np.ndarray         # [n]
     cluster_idx: np.ndarray     # positions in the original cluster order
     cluster_ids: List[str]
-    subset_matrix: np.ndarray   # [2^K, K] binary
+    # flat indices into the group's [n, m] hazard matrix, in unit order:
+    # each row's event slots and its non-event slots
+    event_cells: np.ndarray     # [n, k]
+    rest_cells: np.ndarray      # [n, m - k]
+    subset_matrix: np.ndarray   # [2^k, k] binary
     even_cols: np.ndarray
     odd_cols: np.ndarray
-    signs: np.ndarray           # [2^K] (-1)^|A|
+    signs: np.ndarray           # [2^k] (-1)^|A|
     # per unit slot: (grid key, [n, intervals] exposure) for rate-linear
     # baselines, so their cumulative hazard is one matrix-vector product
     exposures: List[Optional[Tuple[tuple, np.ndarray]]]
-
-    @property
-    def event_mask(self) -> np.ndarray:
-        return np.asarray(self.events, dtype=bool)
 
 
 def _grid_key(baseline) -> Optional[tuple]:
@@ -169,15 +171,16 @@ class LikelihoodWorkspace:
         for pos, cluster in enumerate(data.clusters):
             level = _cluster_level(spec, cluster)
             recs = sorted(cluster.records, key=lambda r: unit_order[r.unit])
-            key = (level, tuple(r.unit for r in recs), tuple(r.event for r in recs))
+            key = (level, tuple(r.unit for r in recs), sum(r.event for r in recs))
             buckets.setdefault(key, []).append((pos, cluster, recs))
         self.n_clusters = len(data.clusters)
         self.weights = np.array([c.weight for c in data.clusters])
         self.groups: List[_Group] = []
-        for (level, units, events), members in buckets.items():
+        for (level, units, k), members in buckets.items():
             n = len(members)
             m = len(units)
             times = np.empty((n, m))
+            events = np.empty((n, m), dtype=bool)
             designs: List[Optional[np.ndarray]] = []
             for j, u in enumerate(units):
                 names = spec.predictors[u].covariate_names
@@ -191,6 +194,7 @@ class LikelihoodWorkspace:
                 ids.append(cluster.cluster_id)
                 for j, r in enumerate(recs):
                     times[row, j] = r.time
+                    events[row, j] = r.event == 1
                     names = spec.predictors[r.unit].covariate_names
                     if names:
                         for col, nm in enumerate(names):
@@ -205,19 +209,20 @@ class LikelihoodWorkspace:
                 baseline = spec.baseline_for(level, u)
                 key = _grid_key(baseline)
                 exposures.append(None if key is None else (key, baseline.exposure(times[:, j])))
-            k = sum(events)
+            cells = np.arange(n * m).reshape(n, m)
             subsets = np.arange(1 << k)[:, None] >> np.arange(k)[None, :] & 1
             sizes = subsets.sum(axis=1)
             self.groups.append(
                 _Group(
                     level=level,
                     units=units,
-                    events=events,
                     times=times,
                     designs=designs,
                     weights=weights,
                     cluster_idx=idx,
                     cluster_ids=ids,
+                    event_cells=cells[events].reshape(n, k),
+                    rest_cells=cells[~events].reshape(n, m - k),
                     subset_matrix=subsets.astype(float),
                     even_cols=np.where(sizes % 2 == 0)[0],
                     odd_cols=np.where(sizes % 2 == 1)[0],
@@ -260,9 +265,9 @@ class LikelihoodWorkspace:
 
         The last entry marks the clamped clusters, or is None when none is.
         """
-        events = grp.event_mask
-        rest = lam[:, ~events].sum(axis=1)
-        svals = rest[:, None] + lam[:, events] @ grp.subset_matrix.T
+        flat = lam.ravel()
+        rest = flat[grp.rest_cells].sum(axis=1)
+        svals = rest[:, None] + flat[grp.event_cells] @ grp.subset_matrix.T
         log_l = log_laplace(params, svals)
         terms = np.exp(log_l)
         prob = terms[:, grp.even_cols].sum(axis=1) - terms[:, grp.odd_cols].sum(axis=1)
@@ -313,10 +318,10 @@ class LikelihoodWorkspace:
             weights = grp.weights if bad is None else np.where(bad, 0.0, grp.weights)
             signed = terms * grp.signs
             dp_ds = signed * (-params.mu * _h(params, svals))
-            events = grp.event_mask
             dl_dlam = np.empty_like(lam)
-            dl_dlam[:, events] = (dp_ds @ grp.subset_matrix) / prob[:, None] * weights[:, None]
-            dl_dlam[:, ~events] = (dp_ds.sum(axis=1) / prob * weights)[:, None]
+            flat = dl_dlam.ravel()
+            flat[grp.event_cells] = (dp_ds @ grp.subset_matrix) / prob[:, None] * weights[:, None]
+            flat[grp.rest_cells] = (dp_ds.sum(axis=1) / prob * weights)[:, None]
             for j, unit in enumerate(grp.units):
                 dl_dbase = dl_dlam[:, j] if mults[j] is None else dl_dlam[:, j] * mults[j]
                 self._baseline_score(grp, j, spec, layout, dl_dbase, grad)

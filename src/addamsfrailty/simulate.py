@@ -121,12 +121,12 @@ def generate(config: SimConfig) -> CurrentStatusDataset:
         probs = np.array([config.stratum_probs[lvl] for lvl in levels])
     else:
         probs = np.full(len(levels), 1.0 / len(levels))
+    branches = {lvl: classify_branch(spec.frailty_params(lvl)) for lvl in levels}
     clusters = []
     for i in range(config.n_clusters):
         rng = _cluster_rng(config.seed, i)
         level = levels[rng.choice(len(levels), p=probs)] if len(levels) > 1 else levels[0]
-        branch = classify_branch(spec.frailty_params(level))
-        z = sample_frailty(branch, rng)
+        z = sample_frailty(branches[level], rng)
         records = []
         for unit in spec.units:
             pred = spec.predictors[unit]

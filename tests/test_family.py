@@ -152,6 +152,20 @@ class TestLaplace:
             expected = naive_laplace_longdouble(alpha, gamma, mu, s)
             assert guarded == pytest.approx(expected, rel=1e-6)
 
+    @pytest.mark.parametrize("alpha", [1e-7, 4e-7, 9e-7, -1e-7, -4e-7, -9e-7])
+    def test_alpha_zero_band_at_large_hazards(self, alpha):
+        # the first-order expansion in alpha holds only while |alpha| mu s is
+        # small; it once gave log L = -1.13 for -3.27 at (4e-7, 5, 0.7) and
+        # s = 1e8, and +1.7e42 at (1e-7, 3, 1) and s = 1e50
+        for gamma in (0.5, 3.0, 5.0):
+            p = AddamsParameters(alpha, gamma, 0.7)
+            s = np.logspace(-3, 10, 131)
+            expected = [naive_laplace_longdouble(alpha, gamma, 0.7, v) for v in s]
+            np.testing.assert_allclose(log_laplace(p, s), expected, rtol=1e-8, atol=0.0)
+            values = log_laplace(p, np.logspace(-3, 300, 607))
+            assert np.all(values <= 0.0)
+            assert np.all(np.diff(values) <= 0.0)
+
     def test_large_argument_no_overflow(self):
         p = AddamsParameters(-3.0, 5.0, 1.0)
         value = log_laplace(p, 1e4)
@@ -251,9 +265,8 @@ class TestDerivativesAndMoments:
             # survivors are the cured: mean 0, RFV +inf
             assert mean[-1] == 0.0 and var[-1] == 0.0
             assert r[-1] == math.inf
-        if abs(alpha) >= 1e-6:
-            assert np.all(np.isfinite(laplace_derivative(p, s)))
-            assert np.all(np.isfinite(laplace_derivative(p, s, order=2)))
+        assert np.all(np.isfinite(laplace_derivative(p, s)))
+        assert np.all(np.isfinite(laplace_derivative(p, s, order=2)))
 
     def test_negative_branch_mean_keeps_its_limit(self):
         # mu / (1 - gamma / alpha) = 1/6; cancellation once gave 0.1353 at

@@ -391,6 +391,115 @@ class TestScore:
                                    atol=1e-6 * np.abs(reference).max())
 
 
+GROUPING_UNITS = ("u1", "u2", "u3", "u4", "u5")
+GROUPING_STRATA = ("f", "m")
+
+
+def grouping_spec():
+    """Five units, two frailty strata, a covariate on u2."""
+    link = FrailtyLink.for_factor(GROUPING_STRATA, zeta0=-0.8, kappa0=math.log(2.0))
+    link = dataclasses.replace(link, zeta=(-0.8, 0.4), kappa=(math.log(2.0), -0.3),
+                               beta0=(0.0, -0.3))
+    return ModelSpec(
+        units=GROUPING_UNITS,
+        baselines={u: PiecewiseConstantBaseline((0.0, 20.0, 45.0), (0.02, 0.02 + 0.005 * i, 0.03))
+                   for i, u in enumerate(GROUPING_UNITS)},
+        frailty_link=link,
+        predictors={"u2": LinearPredictor(("x",), (0.4,))},
+    )
+
+
+def grouping_data(rng, n=240):
+    """Clusters over two strata and three unit sets (all five units, no u5,
+    no u3), with event counts cycling through 0..|units| and random event
+    units, so each count holds several patterns."""
+    clusters = []
+    for i in range(n):
+        dropped = (None, "u5", "u3")[(i // 2) % 3]
+        units = [u for u in GROUPING_UNITS if u != dropped]
+        k = (i // 6) % (len(units) + 1)
+        event_units = set(rng.choice(units, size=k, replace=False))
+        records = tuple(
+            UnitRecord(u, float(rng.uniform(10.0, 70.0)), int(u in event_units),
+                       {"x": float(rng.normal())} if u == "u2" else {})
+            for u in units
+        )
+        clusters.append(Cluster(
+            cluster_id=f"c{i}", records=records, stratum=GROUPING_STRATA[i % 2],
+            weight=float(rng.uniform(0.5, 2.0)),
+        ))
+    return CurrentStatusDataset(tuple(clusters))
+
+
+class TestEventCountGrouping:
+    """The workspace groups by (stratum, unit set, event count); clusters of
+    one group differ in which units had the event."""
+
+    @staticmethod
+    def keys(data):
+        units = {(c.stratum, tuple(r.unit for r in c.records)) for c in data.clusters}
+        counts = {(c.stratum, tuple(r.unit for r in c.records), len(c.event_units))
+                  for c in data.clusters}
+        patterns = {(c.stratum, tuple(r.unit for r in c.records), c.event_units)
+                    for c in data.clusters}
+        return units, counts, patterns
+
+    def test_cluster_logliks_match_scalar(self, rng):
+        spec = grouping_spec()
+        data = grouping_data(rng)
+        got = LikelihoodWorkspace(spec, data).cluster_logliks(spec)
+        expected = [cluster_loglik(spec, c) for c in data.clusters]
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+    def test_score_matches_central_differences(self, rng):
+        TestScore().check(grouping_spec(), grouping_data(rng))
+
+    def test_clamped_cluster_contributes_nothing(self, rng):
+        # u1 and u2 have the event at hazards ~1e-10 and the other units
+        # none: the sum is lost to round-off and clamped; the cluster shares
+        # its group with the two-event clusters of the same unit set
+        spec = grouping_spec()
+        data = grouping_data(rng)
+        layout = ParameterLayout(spec)
+        theta = layout.free_vector()
+        clean = LikelihoodWorkspace(spec, data).loglik_and_score(layout, theta)[1]
+        degenerate = Cluster("clamped", tuple(
+            UnitRecord(u, t, int(u in ("u1", "u2")), {"x": 0.3} if u == "u2" else {})
+            for u, t in zip(GROUPING_UNITS, (1e-8, 1.7e-8, 1e-8, 2e-8, 1e-8))
+        ), stratum="f")
+        grown = CurrentStatusDataset(data.clusters + (degenerate,))
+        assert self.keys(grown)[1] == self.keys(data)[1]
+        ws = LikelihoodWorkspace(spec, grown)
+        before = likelihood.diagnostics.clamped_probabilities
+        value, score = ws.loglik_and_score(layout, theta)
+        assert likelihood.diagnostics.clamped_probabilities > before
+        assert math.isfinite(value)
+        np.testing.assert_allclose(score, clean, rtol=1e-13, atol=0.0)
+
+    def test_one_kernel_call_per_event_count(self, rng, monkeypatch):
+        spec = grouping_spec()
+        data = grouping_data(rng)
+        units, counts, patterns = self.keys(data)
+        assert len(units) == 6  # two strata x three unit sets
+        assert {k for _, _, k in counts} == set(range(len(GROUPING_UNITS) + 1))
+        for key in counts:
+            if 0 < key[2] < len(key[1]):
+                assert sum(p[:2] == key[:2] and len(p[2]) == key[2] for p in patterns) >= 2
+        bound = len(units) * (len(GROUPING_UNITS) + 1)
+        assert len(patterns) > bound  # a pattern-keyed workspace would exceed it
+        ws = LikelihoodWorkspace(spec, data)
+        calls = []
+        original = likelihood.log_laplace
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(likelihood, "log_laplace", counted)
+        ws.total_loglik(spec)
+        assert len(calls) <= bound
+
+
 class TestNumericGradient:
     def test_quadratic_exact(self):
         f = lambda x: -(x[0] - 1.0) ** 2 - 3.0 * (x[1] + 2.0) ** 2
