@@ -110,7 +110,7 @@ def cmd_simulate(args) -> int:
     target = Path(config.data_path) if config.data_path else out / "data.csv"
     target.parent.mkdir(parents=True, exist_ok=True)
     write_csv(data, target)
-    log.info("simulated %d clusters to %s", len(data.clusters), target)
+    log.info("simulated %d clusters to %s", len(data), target)
     return EXIT_OK
 
 

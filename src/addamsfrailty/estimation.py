@@ -179,18 +179,18 @@ class ParameterLayout:
         defaults (zeta intercept -0.1, kappa intercept ln 0.5, betas 0).
         """
         full = self.full0.copy()
+        reference = self.spec0.frailty_link.reference
+        # each stratum code's level, code -1 last; an empty stratum is the reference
+        labels = [s or reference for s in data.stratum_names] + [reference]
         for key, sl in self.baseline_slices.items():
             unit = key if isinstance(key, str) else key[1]
             level = None if isinstance(key, str) else key[0]
-            obs = []
-            for cluster in data.clusters:
-                if level is not None and (cluster.stratum or self.spec0.frailty_link.reference) != level:
-                    continue
-                for r in cluster.records:
-                    if r.unit == unit:
-                        obs.append((r.time, r.event))
+            code = data.unit_names.index(unit) if unit in data.unit_names else -1
+            sel = data.unit == code
+            if level is not None:
+                sel &= np.array([lab == level for lab in labels])[data.stratum][data.cluster]
             baseline = self.spec0.baselines[key]
-            full[sl] = _baseline_init(baseline, obs)
+            full[sl] = _baseline_init(baseline, data.time[sel], data.event[sel])
         link = self.spec0.frailty_link
         p = len(link.zeta)
         full[self._beta0_slice] = np.zeros(p)
@@ -211,9 +211,7 @@ def _cloglog_rate(times, events):
     return max(-math.log1p(-p_hat) / max(t_bar, 1e-8), _RATE_FLOOR)
 
 
-def _baseline_init(baseline, obs) -> np.ndarray:
-    times = [t for t, _ in obs]
-    events = [d for _, d in obs]
+def _baseline_init(baseline, times, events) -> np.ndarray:
     global_rate = _cloglog_rate(times, events)
     n_params = baseline.log_params.size
     if not hasattr(baseline, "cutpoints"):
@@ -315,7 +313,7 @@ def fit(spec: ModelSpec, data: CurrentStatusDataset, init=None,
     _check_identifiability(spec)
     layout = ParameterLayout(spec)
     ws = LikelihoodWorkspace(spec, data)
-    if len(data.clusters) == 0:
+    if len(data) == 0:
         raise InvalidParameters("cannot fit an empty dataset")
 
     def loglik(theta_free) -> float:

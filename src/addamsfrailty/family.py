@@ -64,13 +64,14 @@ __all__ = [
 #: use of published/known parameters.
 REGIMES = ("auto", "free", "gamma", "poisson", "binomial")
 
-# guarded-evaluation thresholds for the removable singularities
+# guarded-evaluation threshold for the removable singularity at alpha = 0
 _ALPHA_ZERO_GUARD = 1e-6
-_ALPHA_GAMMA_GUARD = 1e-6
 # inside the alpha ~ 0 band, the expansion serves |alpha| mu s up to this;
 # its error grows like (alpha mu s)^2 and that of the closed form like
 # eps / (|alpha| mu s), and both stay near 1e-12 relative here
 _ALPHA_ZERO_SPAN = 1e-5
+# the negative branch evaluates log(A) with log1p while |alpha| mu s is below this
+_NEGATIVE_LOG1P_SPAN = 1e-5
 _BINOMIAL_INT_TOL = 1e-9
 
 
@@ -209,35 +210,47 @@ def _case(p: AddamsParameters) -> str:
         return "poisson"
     if p.regime == "binomial":
         return "general"
-    # auto / free: exact hits use the limiting closed forms, neighbourhoods
-    # of the removable singularities use guarded series expansions
+    # auto / free: exact hits use the limiting closed forms; the alpha ~ 0
+    # band uses a guarded series expansion, while the closed form stays
+    # accurate up to alpha = gamma
     if p.alpha == 0.0:
         return "gamma"
     if p.alpha == p.gamma:
         return "poisson"
     if abs(p.alpha) < _ALPHA_ZERO_GUARD:
         return "near_zero"
-    if abs(p.alpha - p.gamma) < _ALPHA_GAMMA_GUARD * p.gamma:
-        return "near_gamma"
     return "general"
 
 
 def _log_laplace_general(a: float, g: float, m: float, s: np.ndarray) -> np.ndarray:
+    # A = 1 + ((a - g)/a) expm1(-x): where that correction is small, log1p
+    # keeps the digits that log(A) loses at small x and that the division
+    # by (a - g) exposes near a = g
     x = a * m * s
     if a < 0:
         # A = c1*exp(-x) + c2 with c1 = 1 - g/a > 1 and c2 = g/a < 0;
-        # exp(-x) may overflow, so keep it in log space
+        # exp(-x) may overflow, so keep it in log space.  That form is off by
+        # about eps / |x| relative, so log1p takes over for |x| below
+        # _NEGATIVE_LOG1P_SPAN
         c1 = 1.0 - g / a
         r = g / (a - g)  # = c2/c1, in (-1, 0)
         log_a_term = math.log(c1) - x + np.log1p(r * np.exp(x))
+        # (s = 0 needs neither: log_laplace sets L(0) = 1 exactly)
+        small = (x < 0.0) & (x > -_NEGATIVE_LOG1P_SPAN)
+        if np.any(small):
+            near = np.log1p(c1 * np.expm1(-np.where(small, x, 0.0)))
+            log_a_term = np.where(small, near, log_a_term)
     else:
-        # expm1 form avoids the (g/a)*(1 - exp(-x)) cancellation
-        bracket = np.exp(-x) - (g / a) * np.expm1(-x)
+        # log1p while |correction| < 0.5; beyond, the log of the sum of
+        # positive terms loses nothing
+        em1 = np.expm1(-x)
+        correction = ((a - g) / a) * em1
+        bracket = np.exp(-x) - (g / a) * em1
         if np.any(bracket <= 0):
             raise NumericalDomain(
                 "non-positive bracket in Laplace transform evaluation"
             )
-        log_a_term = np.log(bracket)
+        log_a_term = np.where(np.abs(correction) < 0.5, np.log1p(correction), np.log(bracket))
     return log_a_term / (a - g)
 
 
@@ -254,15 +267,6 @@ def _log_laplace_near_zero(a: float, g: float, m: float, s: np.ndarray) -> np.nd
     return np.where(small, -(l0 + a * corr) / g, general)
 
 
-def _log_laplace_near_gamma(a: float, g: float, m: float, s: np.ndarray) -> np.ndarray:
-    # first-order expansion of log L in (alpha - gamma) around the Poisson case
-    eps = a - g
-    e = np.exp(-g * m * s)
-    base = np.expm1(-g * m * s) / g
-    corr = (1.0 - e - e * g * m * s - 0.5 * (e - 1.0) ** 2) / (g * g)
-    return base + eps * corr
-
-
 def log_laplace(p: AddamsParameters, s):
     """log L(s) of the family, valid for scalar or array ``s >= 0``."""
     s_arr = np.asarray(s, dtype=float)
@@ -276,8 +280,6 @@ def log_laplace(p: AddamsParameters, s):
         out = np.expm1(-g * m * s_arr) / g
     elif case == "near_zero":
         out = _log_laplace_near_zero(a, g, m, s_arr)
-    elif case == "near_gamma":
-        out = _log_laplace_near_gamma(a, g, m, s_arr)
     else:
         out = _log_laplace_general(a, g, m, s_arr)
     out = np.where(s_arr == 0.0, 0.0, out)  # L(0) = 1 exactly

@@ -11,6 +11,7 @@ being ``log(rate_vector)``.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -88,6 +89,11 @@ class PiecewiseConstantBaseline:
         widths = np.diff(cuts)
         return np.concatenate([[0.0], np.cumsum(rates[:-1] * widths)])
 
+    @cached_property
+    def _knot_tuple(self) -> Tuple[float, ...]:
+        """The knots as Python floats, for the scalar ``invert``."""
+        return tuple(self._knots.tolist())
+
     def cumulative(self, t):
         t_arr = _check_times(t)
         cuts = np.asarray(self.cutpoints)
@@ -109,8 +115,8 @@ class PiecewiseConstantBaseline:
     def invert(self, target: float) -> float:
         if target < 0:
             raise InvalidParameters("cumulative hazard target must be >= 0")
-        knots = self._knots
-        idx = int(np.clip(np.searchsorted(knots, target, side="right") - 1, 0, len(self.rates) - 1))
+        knots = self._knot_tuple
+        idx = min(max(bisect.bisect_right(knots, target) - 1, 0), len(self.rates) - 1)
         return self.cutpoints[idx] + (target - knots[idx]) / self.rates[idx]
 
     # flat-layout interface -------------------------------------------------

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -155,6 +155,55 @@ def _grid_key(baseline) -> Optional[tuple]:
     return (type(baseline).__name__, getattr(baseline, "cutpoints", ()))
 
 
+def _slots_and_levels(spec: ModelSpec, data: CurrentStatusDataset):
+    """Each row's slot in ``spec.units``, the stratum levels, and each
+    cluster's level code; a cluster without a stratum is in the reference
+    level.  A unit the spec does not have raises KeyError, at its first row."""
+    unit_order = {u: i for i, u in enumerate(spec.units)}
+    slot_of = np.array([unit_order.get(u, -1) for u in data.unit_names], dtype=np.int64)
+    slot = slot_of[data.unit]
+    if np.any(slot < 0):
+        raise KeyError(data.unit_names[data.unit[np.argmax(slot < 0)]])
+    names = (spec.frailty_link.reference,) + data.stratum_names   # code -1 first
+    levels = list(dict.fromkeys(names))
+    level = np.array([levels.index(nm) for nm in names])[data.stratum + 1]
+    return slot, levels, level
+
+
+def _designs(spec: ModelSpec, data: CurrentStatusDataset, units, rows: np.ndarray,
+             ids: List[str]) -> List[Optional[np.ndarray]]:
+    """Per unit slot, the [n, p] covariate design of dataset rows ``rows``
+    [n, m], or None for a unit without covariates.
+
+    A missing covariate raises MissingCovariate for the first one in
+    (row, slot, covariate) order.
+    """
+    column = {nm: j for j, nm in enumerate(data.covariate_names)}
+    designs: List[Optional[np.ndarray]] = []
+    missing = []
+    for j, unit in enumerate(units):
+        names = spec.predictors[unit].covariate_names
+        if not names:
+            designs.append(None)
+            continue
+        cols = [column.get(nm) for nm in names]
+        at = rows[:, j]
+        have = np.column_stack([
+            np.zeros(len(at), dtype=bool) if c is None else data.present[at, c] for c in cols
+        ])
+        if have.all():
+            designs.append(data.covariates[np.ix_(at, cols)])
+        else:
+            row = int(np.argmin(have.all(axis=1)))
+            missing.append((row, j, names[int(np.argmin(have[row]))]))
+    if missing:
+        row, j, name = min(missing)
+        raise MissingCovariate(
+            f"cluster {ids[row]!r}, unit {units[j]!r}: covariate {name!r} missing"
+        )
+    return designs
+
+
 class LikelihoodWorkspace:
     """Dataset compiled for repeated likelihood evaluation.
 
@@ -166,59 +215,63 @@ class LikelihoodWorkspace:
     """
 
     def __init__(self, spec: ModelSpec, data: CurrentStatusDataset):
-        unit_order = {u: i for i, u in enumerate(spec.units)}
-        buckets: Dict[tuple, list] = {}
-        for pos, cluster in enumerate(data.clusters):
-            level = _cluster_level(spec, cluster)
-            recs = sorted(cluster.records, key=lambda r: unit_order[r.unit])
-            key = (level, tuple(r.unit for r in recs), sum(r.event for r in recs))
-            buckets.setdefault(key, []).append((pos, cluster, recs))
-        self.n_clusters = len(data.clusters)
-        self.weights = np.array([c.weight for c in data.clusters])
+        self.n_clusters = len(data)
+        self.weights = data.weight
         self.groups: List[_Group] = []
-        for (level, units, k), members in buckets.items():
-            n = len(members)
-            m = len(units)
-            times = np.empty((n, m))
-            events = np.empty((n, m), dtype=bool)
-            designs: List[Optional[np.ndarray]] = []
-            for j, u in enumerate(units):
-                names = spec.predictors[u].covariate_names
-                designs.append(np.empty((n, len(names))) if names else None)
-            weights = np.empty(n)
-            idx = np.empty(n, dtype=int)
-            ids = []
-            for row, (pos, cluster, recs) in enumerate(members):
-                idx[row] = pos
-                weights[row] = cluster.weight
-                ids.append(cluster.cluster_id)
-                for j, r in enumerate(recs):
-                    times[row, j] = r.time
-                    events[row, j] = r.event == 1
-                    names = spec.predictors[r.unit].covariate_names
-                    if names:
-                        for col, nm in enumerate(names):
-                            if nm not in r.covariates:
-                                raise MissingCovariate(
-                                    f"cluster {cluster.cluster_id!r}, unit {r.unit!r}: "
-                                    f"covariate {nm!r} missing"
-                                )
-                            designs[j][row, col] = float(r.covariates[nm])
+        self.levels: Tuple[str, ...] = ()
+        if self.n_clusters == 0:
+            return
+        slot, level_names, level = _slots_and_levels(spec, data)
+        starts = data.starts
+        # per cluster: its stratum level, event count and unit-set bitmask,
+        # packed into one key; groups keep the keys' order of first appearance
+        n_units = len(spec.units)
+        count_bits = n_units.bit_length()
+        if (len(level_names) - 1).bit_length() + count_bits + n_units > 63:
+            raise InvalidParameters(
+                f"{n_units} units over {len(level_names)} strata exceed the "
+                "workspace's 63-bit group key"
+            )
+        mask = np.bitwise_or.reduceat(np.left_shift(1, slot), starts[:-1])
+        count = np.add.reduceat(data.event.astype(np.int64), starts[:-1])
+        key = (level << count_bits | count) << n_units | mask
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        rank = np.empty(first.size, dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(first.size)
+        group_of = rank[inverse.ravel()]
+        members = np.argsort(group_of, kind="stable")
+        bounds = np.cumsum(np.bincount(group_of))
+        # rows in (cluster, spec unit) order: a cluster's rows start at the
+        # same offset as in the dataset and run in unit-slot order
+        by_slot = np.argsort(data.cluster * n_units + slot, kind="stable")
+        times_by_slot = data.time[by_slot]
+        events_by_slot = data.event[by_slot] == 1
+        for idx in np.split(members, bounds[:-1]):
+            head = by_slot[starts[idx[0]]:starts[idx[0] + 1]]
+            units = tuple(spec.units[j] for j in slot[head])
+            n, m = idx.size, head.size
+            rows = starts[idx][:, None] + np.arange(m)[None, :]
+            times = times_by_slot[rows]
+            events = events_by_slot[rows]
+            k = int(count[idx[0]])
+            lvl = level_names[level[idx[0]]]
+            ids = [data.cluster_ids[i] for i in idx.tolist()]
+            designs = _designs(spec, data, units, by_slot[rows], ids)
             exposures: List[Optional[Tuple[tuple, np.ndarray]]] = []
             for j, u in enumerate(units):
-                baseline = spec.baseline_for(level, u)
-                key = _grid_key(baseline)
-                exposures.append(None if key is None else (key, baseline.exposure(times[:, j])))
+                baseline = spec.baseline_for(lvl, u)
+                grid = _grid_key(baseline)
+                exposures.append(None if grid is None else (grid, baseline.exposure(times[:, j])))
             cells = np.arange(n * m).reshape(n, m)
             subsets = np.arange(1 << k)[:, None] >> np.arange(k)[None, :] & 1
             sizes = subsets.sum(axis=1)
             self.groups.append(
                 _Group(
-                    level=level,
+                    level=lvl,
                     units=units,
                     times=times,
                     designs=designs,
-                    weights=weights,
+                    weights=data.weight[idx],
                     cluster_idx=idx,
                     cluster_ids=ids,
                     event_cells=cells[events].reshape(n, k),

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
-from .data import Cluster, CurrentStatusDataset, UnitRecord
+from .data import CurrentStatusDataset
 from .errors import InvalidParameters
 from .family import BranchKind, FrailtyBranch, classify_branch
 from .hazard import ModelSpec
@@ -122,27 +122,29 @@ def generate(config: SimConfig) -> CurrentStatusDataset:
     else:
         probs = np.full(len(levels), 1.0 / len(levels))
     branches = {lvl: classify_branch(spec.frailty_params(lvl)) for lvl in levels}
-    clusters = []
+    names = list(dict.fromkeys(
+        nm for u in spec.units for nm in spec.predictors[u].covariate_names))
+    column = {nm: j for j, nm in enumerate(names)}
+    strata, times, events, cells = [], [], [], []
     for i in range(config.n_clusters):
         rng = _cluster_rng(config.seed, i)
         level = levels[rng.choice(len(levels), p=probs)] if len(levels) > 1 else levels[0]
         z = sample_frailty(branches[level], rng)
-        records = []
+        strata.append(level if len(levels) > 1 else None)
         for unit in spec.units:
             pred = spec.predictors[unit]
             covs = {name: float(rng.standard_normal()) for name in pred.covariate_names}
             factor = math.exp(pred.value(covs)) if pred.covariate_names else 1.0
             event_time = sample_event_time(z, spec.baseline_for(level, unit), factor, rng)
             monitor = config.monitoring.draw(rng)
-            records.append(
-                UnitRecord(unit, monitor, int(event_time <= monitor), covs)
-            )
-        clusters.append(
-            Cluster(
-                cluster_id=f"c{i + 1}",
-                records=tuple(records),
-                stratum=level if len(levels) > 1 else None,
-                weight=1.0,
-            )
-        )
-    return CurrentStatusDataset(tuple(clusters))
+            if covs:
+                cells.extend((len(times), column[nm], v) for nm, v in covs.items())
+            times.append(monitor)
+            events.append(event_time <= monitor)
+    n_units = len(spec.units)
+    return CurrentStatusDataset.from_rows(
+        [f"c{i + 1}" for i in range(config.n_clusters)], strata,
+        np.ones(config.n_clusters), np.repeat(np.arange(config.n_clusters), n_units),
+        spec.units, np.tile(np.arange(n_units), config.n_clusters), times, events,
+        names, cells,
+    )

@@ -152,3 +152,122 @@ def numeric_gradient(f, theta, abs_step=1e-6, rel_step=1e-7):
             raise NonFiniteEvaluation(f"non-finite objective at coordinate {k}")
         grad[k] = (f_hi - f_lo) / (2.0 * h)
     return grad
+
+
+def mp_log_laplace(alpha, gamma, mu, s, dps=50):
+    """log L(s) from the closed form in ``dps``-digit arithmetic.
+
+    The double inputs are taken exactly, so near alpha = 0 and alpha =
+    gamma the cancellations cost digits of the 50, not of the result;
+    expm1 and log1p keep the digits of tiny arguments.  The two limits use
+    their own closed forms.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        a, g, m, s = (mpmath.mpf(float(v)) for v in (alpha, gamma, mu, s))
+        if a == 0:
+            return float(-mpmath.log1p(g * m * s) / g)
+        if a == g:
+            return float(mpmath.expm1(-g * m * s) / g)
+        # bracket (1 - g/a) exp(-a m s) + g/a, less 1
+        excess = (1 - g / a) * mpmath.expm1(-a * m * s)
+        return float(mpmath.log1p(excess) / (a - g))
+
+
+def reference_read_csv(path):
+    """Row-by-row reader over ``csv.DictReader`` that builds Cluster and
+    UnitRecord objects; the library's columnar ``read_csv`` must accept,
+    reject and report exactly as this does."""
+    import csv
+
+    from addamsfrailty.data import (
+        REQUIRED_COLUMNS,
+        RESERVED_COLUMNS,
+        Cluster,
+        CurrentStatusDataset,
+        UnitRecord,
+    )
+    from addamsfrailty.errors import (
+        BadEventFlag,
+        DatasetError,
+        DuplicateUnit,
+        MalformedRow,
+        NegativeTimeRow,
+    )
+
+    problems = []
+    order = []
+    per_cluster = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        missing = [c for c in REQUIRED_COLUMNS if c not in header]
+        if missing:
+            raise DatasetError([MalformedRow(1, f"missing columns {missing}")])
+        covariate_cols = [c for c in header if c not in RESERVED_COLUMNS]
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                cid = (row["cluster_id"] or "").strip()
+                unit = (row["unit"] or "").strip()
+                if not cid or not unit:
+                    problems.append(MalformedRow(lineno, "(empty cluster_id or unit)"))
+                    continue
+                try:
+                    time = float(row["time"])
+                except (TypeError, ValueError):
+                    problems.append(MalformedRow(lineno, "(non-numeric time)"))
+                    continue
+                if time < 0:
+                    problems.append(NegativeTimeRow(lineno, time))
+                    continue
+                raw_event = (row["event"] or "").strip()
+                if raw_event not in ("0", "1"):
+                    problems.append(BadEventFlag(lineno, raw_event))
+                    continue
+                covs = {}
+                bad_cov = False
+                for c in covariate_cols:
+                    val = row.get(c)
+                    if val is None or val == "":
+                        continue
+                    try:
+                        covs[c] = float(val)
+                    except ValueError:
+                        problems.append(MalformedRow(lineno, f"(non-numeric {c!r})"))
+                        bad_cov = True
+                        break
+                if bad_cov:
+                    continue
+                stratum = (row.get("stratum") or "").strip() or None
+                weight = float(row["weight"]) if row.get("weight") not in (None, "") else 1.0
+                if cid not in per_cluster:
+                    order.append(cid)
+                    per_cluster[cid] = {
+                        "stratum": stratum, "weight": weight, "records": [], "units": set(),
+                    }
+                info = per_cluster[cid]
+                if unit in info["units"]:
+                    problems.append(DuplicateUnit(cid, unit, line=lineno))
+                    continue
+                if info["stratum"] != stratum or info["weight"] != weight:
+                    problems.append(
+                        MalformedRow(lineno, "(stratum/weight differ within cluster)")
+                    )
+                    continue
+                info["units"].add(unit)
+                info["records"].append(UnitRecord(unit, time, int(raw_event), covs))
+            except Exception as exc:  # safety net: a bad weight lands here
+                problems.append(MalformedRow(lineno, f"({exc})"))
+    if problems:
+        raise DatasetError(problems)
+    clusters = [
+        Cluster(
+            cluster_id=cid,
+            records=tuple(per_cluster[cid]["records"]),
+            stratum=per_cluster[cid]["stratum"],
+            weight=per_cluster[cid]["weight"],
+        )
+        for cid in order
+    ]
+    return CurrentStatusDataset(tuple(clusters))

@@ -29,7 +29,7 @@ from addamsfrailty.errors import (
 from addamsfrailty.family import count_distribution
 
 from conftest import random_triples
-from oracles import naive_laplace_longdouble, quad_laplace, series_laplace
+from oracles import mp_log_laplace, naive_laplace_longdouble, quad_laplace, series_laplace
 
 # L(s) values recomputed by series/quadrature oracles and frozen
 FROZEN_LAPLACE = [
@@ -160,11 +160,41 @@ class TestLaplace:
         for gamma in (0.5, 3.0, 5.0):
             p = AddamsParameters(alpha, gamma, 0.7)
             s = np.logspace(-3, 10, 131)
-            expected = [naive_laplace_longdouble(alpha, gamma, 0.7, v) for v in s]
-            np.testing.assert_allclose(log_laplace(p, s), expected, rtol=1e-8, atol=0.0)
+            expected = [mp_log_laplace(alpha, gamma, 0.7, v) for v in s]
+            np.testing.assert_allclose(log_laplace(p, s), expected, rtol=1e-11, atol=0.0)
             values = log_laplace(p, np.logspace(-3, 300, 607))
             assert np.all(values <= 0.0)
             assert np.all(np.diff(values) <= 0.0)
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.5, 3.0, 10.0])
+    def test_positive_alpha_matches_50_digit_closed_form(self, gamma):
+        # alpha just below gamma, scaled binomial alpha = gamma + 1/b and
+        # small alpha / gamma: the closed form loses no digits at either end
+        # (a first-order expansion near alpha = gamma once lost 7-8 digits
+        # just outside its band)
+        alphas = [gamma - d for d in np.logspace(-3, -12, 10)]
+        alphas += [gamma + 1.0 / b for b in (1, 2, 7, 100, 10**4, 10**6)]
+        alphas += [gamma * f for f in (1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 0.9)]
+        s = np.logspace(-6, 6, 25)
+        for alpha in alphas:
+            expected = [mp_log_laplace(alpha, gamma, 0.7, v) for v in s]
+            got = log_laplace(AddamsParameters(alpha, gamma, 0.7), s)
+            np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0,
+                                       err_msg=f"alpha={alpha!r}")
+
+    @pytest.mark.parametrize("alpha,gamma", [
+        (-0.125, 0.5), (-1.0, 5.0), (-0.25, 10.0), (-1e-4, 20.0), (-3.0, 0.2), (-10.0, 0.05),
+    ])
+    def test_negative_alpha_matches_50_digit_closed_form(self, alpha, gamma):
+        # the log-space form cancels to about eps * (1 - gamma/alpha) in
+        # log A at small s: it once gave L(5.6e-285) = 1 + 4e-16 at
+        # (-0.125, 0.5, 1) and a 5.6e-7 relative error at (-1e-4, 20, 0.7),
+        # s = 1e-6
+        s = np.logspace(-300, 3, 304)
+        expected = [mp_log_laplace(alpha, gamma, 0.7, v) for v in s]
+        got = log_laplace(AddamsParameters(alpha, gamma, 0.7), s)
+        np.testing.assert_allclose(got, expected, rtol=1e-11, atol=0.0)
+        assert laplace(AddamsParameters(alpha, gamma, 1.0), 5.617851874506707e-285) <= 1.0
 
     def test_large_argument_no_overflow(self):
         p = AddamsParameters(-3.0, 5.0, 1.0)

@@ -51,6 +51,17 @@ class TestPiecewiseConstant:
         for t in (0.0, 0.5, 2.0, 3.7, 5.0, 12.0):
             assert base.invert(float(base.cumulative(t))) == pytest.approx(t, abs=1e-12)
 
+    def test_invert_picks_interval_as_searchsorted(self):
+        # targets on the knots go to the interval the knot opens, as with
+        # numpy's searchsorted(side="right"), and the result is bit-equal
+        base = PiecewiseConstantBaseline((0.0, 2.0, 5.0, 9.0), (0.5, 0.2, 0.1, 0.3))
+        knots = base.cumulative(np.array(base.cutpoints))
+        targets = np.concatenate([knots, np.random.default_rng(3).uniform(0.0, 5.0, 500)])
+        for target in targets.tolist():
+            idx = int(np.clip(np.searchsorted(knots, target, side="right") - 1, 0, 3))
+            expected = base.cutpoints[idx] + (target - knots[idx]) / base.rates[idx]
+            assert base.invert(target) == expected
+
     def test_validation(self):
         with pytest.raises(InvalidParameters):
             PiecewiseConstantBaseline((1.0, 2.0), (0.1, 0.1))   # must start at 0

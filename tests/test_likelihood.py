@@ -23,11 +23,13 @@ from addamsfrailty import (
     WeibullBaseline,
     cluster_loglik,
     laplace,
+    read_csv,
     total_loglik,
+    write_csv,
 )
 from addamsfrailty.hazard import BranchRegime
 from addamsfrailty import likelihood
-from addamsfrailty.errors import FrailtyModelError, NonFiniteEvaluation
+from addamsfrailty.errors import FrailtyModelError, MissingCovariate, NonFiniteEvaluation
 
 from conftest import random_triples
 from oracles import numeric_gradient, oracle_cluster_prob
@@ -498,6 +500,94 @@ class TestEventCountGrouping:
         monkeypatch.setattr(likelihood, "log_laplace", counted)
         ws.total_loglik(spec)
         assert len(calls) <= bound
+
+
+def reference_grouping(spec, data):
+    """{(level, units, event count): [cluster positions]} built from the
+    cluster view, in order of first appearance; each member's records in
+    unit order."""
+    order = {u: i for i, u in enumerate(spec.units)}
+    buckets = {}
+    for pos, c in enumerate(data.clusters):
+        level = c.stratum if c.stratum is not None else spec.frailty_link.reference
+        recs = sorted(c.records, key=lambda r: order[r.unit])
+        key = (level, tuple(r.unit for r in recs), sum(r.event for r in recs))
+        buckets.setdefault(key, []).append((pos, recs))
+    return buckets
+
+
+class TestColumnarWorkspace:
+    """The workspace groups the dataset's columns as a loop over its
+    cluster view would, in the same order."""
+
+    @staticmethod
+    def check(spec, data):
+        ws = LikelihoodWorkspace(spec, data)
+        reference = reference_grouping(spec, data)
+        assert [(g.level, g.units, g.event_cells.shape[1]) for g in ws.groups] == list(reference)
+        for grp, members in zip(ws.groups, reference.values()):
+            assert grp.cluster_idx.tolist() == [pos for pos, _ in members]
+            assert grp.cluster_ids == [data.clusters[pos].cluster_id for pos, _ in members]
+            times = [[r.time for r in recs] for _, recs in members]
+            assert np.array_equal(grp.times, times)
+            events = np.zeros(grp.times.shape, dtype=bool)
+            events.flat[grp.event_cells.ravel()] = True
+            assert events.tolist() == [[r.event == 1 for r in recs] for _, recs in members]
+            for j, unit in enumerate(grp.units):
+                names = spec.predictors[unit].covariate_names
+                if names:
+                    expected = [[r.covariates[nm] for nm in names] for _, recs in members
+                                for r in recs[j:j + 1]]
+                    assert np.array_equal(grp.designs[j], expected)
+        return ws
+
+    def test_groups_match_reference(self, rng):
+        self.check(grouping_spec(), grouping_data(rng))
+
+    def test_interleaved_csv_rows(self, rng, tmp_path):
+        # rows of a cluster scattered over the file, units in random order
+        data = grouping_data(rng, n=60)
+        rows = [(c.cluster_id, r.unit, repr(r.time), str(r.event), c.stratum,
+                 repr(r.covariates["x"]) if "x" in r.covariates else "")
+                for c in data.clusters for r in c.records]
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        f = tmp_path / "d.csv"
+        f.write_text("cluster_id,unit,time,event,stratum,x\n"
+                     + "".join(",".join(row) + "\n" for row in rows))
+        ws = self.check(grouping_spec(), read_csv(f))
+        assert ws.n_clusters == len(data)
+
+    def test_missing_covariate_names_first_in_group_order(self):
+        # three clusters of one group: the first lacks nothing, the next two
+        # lack x on u2; the error names the first of those
+        spec = grouping_spec()
+
+        def cluster(cid, covs):
+            return Cluster(cid, tuple(UnitRecord(u, 10.0, 0, covs) for u in GROUPING_UNITS),
+                           stratum="f")
+
+        data = CurrentStatusDataset([cluster("c1", {"x": 1.0}), cluster("c7", {}),
+                                     cluster("c2", {})])
+        with pytest.raises(MissingCovariate, match="'c7', unit 'u2'"):
+            LikelihoodWorkspace(spec, data)
+
+    def test_fit_path_builds_no_cluster_view(self, rng, tmp_path, monkeypatch):
+        data = grouping_data(rng, n=40)
+        f = tmp_path / "d.csv"
+        write_csv(data, f)
+
+        def refuse(self):
+            raise AssertionError("cluster view built")
+
+        monkeypatch.setattr(CurrentStatusDataset, "_cluster_view", refuse)
+        spec = grouping_spec()
+        fresh = read_csv(f)
+        layout = ParameterLayout(spec)
+        layout.default_init(fresh)
+        ws = LikelihoodWorkspace(spec, fresh)
+        ws.loglik_and_score(layout, layout.free_vector())
+        write_csv(fresh, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == f.read_bytes()
 
 
 class TestNumericGradient:
