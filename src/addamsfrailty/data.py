@@ -3,7 +3,7 @@
 The on-disk format is long: one row per (cluster, unit) with required
 columns ``cluster_id, unit, time, event`` plus optional ``stratum`` and
 ``weight`` columns and arbitrary covariate columns.  ``weight`` and
-``stratum`` must be constant within a cluster.
+``stratum`` must be constant within a cluster, and ``weight`` > 0.
 
 In memory a :class:`CurrentStatusDataset` is a set of read-only numpy
 columns.  Row columns, one entry per (cluster, unit) record:
@@ -294,6 +294,9 @@ def read_csv(path) -> CurrentStatusDataset:
             except ValueError as exc:
                 problems.append(MalformedRow(lineno, f"({exc})"))
                 continue
+            if not weight > 0:
+                problems.append(MalformedRow(lineno, f"(weight {weight!r} must be > 0)"))
+                continue
             code = codes.get(cid)
             if code is None:
                 code = codes[cid] = len(strata)
@@ -317,9 +320,6 @@ def read_csv(path) -> CurrentStatusDataset:
             events.append(raw_event == "1")
     if problems:
         raise DatasetError(problems)
-    for cid, weight in zip(codes, weights):
-        if not weight > 0:
-            raise InvalidParameters(f"cluster {cid!r}: weight must be > 0")
     return CurrentStatusDataset.from_rows(
         list(codes), strata, weights, row_cluster, list(units), row_unit, times, events,
         [name for name, _ in covariate_cols], cells,

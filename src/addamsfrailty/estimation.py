@@ -3,12 +3,15 @@
 A :class:`ParameterLayout` flattens a ModelSpec into one optimization
 vector (baseline parameters on the log scale, link coefficients
 untransformed) with a pin mask; pinned entries never move.  Fitting is
-quasi-Newton (BFGS with Wolfe line search) on the negated log-likelihood,
-with the exact analytic score of ``LikelihoodWorkspace.loglik_and_score``
-as its gradient.  Standard errors come from the Hessian taken as the
-Richardson-extrapolated central-difference Jacobian of that score (4p
-score passes for p free parameters), and confidence intervals use
-ln / ln(-ln) transforms as appropriate.
+quasi-Newton (BFGS with Wolfe line search) on the negated log-likelihood;
+each point's value and exact analytic score come from one
+``LikelihoodWorkspace.loglik_and_score`` pass.  Standard errors come from
+the Hessian taken as the Richardson-extrapolated central-difference
+Jacobian of that score (4p score passes for p free parameters), and
+confidence intervals use ln / ln(-ln) transforms as appropriate.  One
+central-difference Jacobian serves every derivative taken here: the
+score's, a value-mode Hessian's (the Jacobian of a differenced gradient)
+and the delta method's.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ class ParameterLayout:
         entries: List[_Entry] = []
         self.baseline_slices: Dict[object, slice] = {}
         pos = 0
-        for key in self._baseline_keys(spec):
+        for key in spec._baseline_keys():
             baseline = spec.baselines[key]
             logs = baseline.log_params
             label = key if isinstance(key, str) else ":".join(key)
@@ -118,12 +121,6 @@ class ParameterLayout:
         layout.entries = [replace(e, free=False) for e in layout.entries]
         layout.free_mask = np.zeros(len(layout.entries), dtype=bool)
         return layout
-
-    @staticmethod
-    def _baseline_keys(spec: ModelSpec):
-        if spec.stratified_baselines:
-            return [(lvl, u) for lvl in spec.frailty_link.levels for u in spec.units]
-        return list(spec.units)
 
     @property
     def names(self) -> List[str]:
@@ -316,15 +313,17 @@ def fit(spec: ModelSpec, data: CurrentStatusDataset, init=None,
     if len(data) == 0:
         raise InvalidParameters("cannot fit an empty dataset")
 
-    def loglik(theta_free) -> float:
+    def objective(theta_free) -> Tuple[float, np.ndarray]:
+        """(-log L, -score) from one pass; off the feasible region or at a
+        non-finite value (inf, 0), and (-log L, 0) at a non-finite score."""
+        flat = np.zeros(np.size(theta_free))
         try:
-            return ws.total_loglik(layout.build_spec(theta_free))
+            value, grad = ws.loglik_and_score(layout, theta_free)
         except _INFEASIBLE:
-            return -math.inf
-
-    def neg(theta_free) -> float:
-        value = loglik(theta_free)
-        return math.inf if not math.isfinite(value) else -value
+            return math.inf, flat
+        if not math.isfinite(value):
+            return math.inf, flat
+        return -value, (-grad if np.all(np.isfinite(grad)) else flat)
 
     def score(theta_free) -> np.ndarray:
         try:
@@ -334,12 +333,6 @@ def fit(spec: ModelSpec, data: CurrentStatusDataset, init=None,
         if not (math.isfinite(value) and np.all(np.isfinite(grad))):
             raise NonFiniteEvaluation("non-finite score")
         return grad
-
-    def neg_grad(theta_free) -> np.ndarray:
-        try:
-            return -score(theta_free)
-        except NonFiniteEvaluation:
-            return np.zeros(np.size(theta_free))
 
     if init is None:
         theta0 = layout.default_init(data)
@@ -360,12 +353,12 @@ def fit(spec: ModelSpec, data: CurrentStatusDataset, init=None,
     while attempts <= max_restarts and polish_steps < 20:
         attempts += 1
         try:
-            ll_start = loglik(start)
-            if not math.isfinite(ll_start):
+            f_start = objective(start)[0]
+            if not math.isfinite(f_start):
                 raise NonFiniteEvaluation("objective non-finite at the start point")
-            gtol = 1e-6 * max(1.0, abs(ll_start))
+            gtol = 1e-6 * max(1.0, abs(f_start))
             res = optimize.minimize(
-                neg, start, jac=neg_grad, method="BFGS",
+                objective, start, jac=True, method="BFGS",
                 options={"gtol": gtol, "maxiter": maxiter},
             )
         except NonFiniteEvaluation:
@@ -449,18 +442,24 @@ def _parameter_cis(layout, theta_hat, se, level=0.95):
 def hessian(f, theta, base_step: float = 1e-4, from_score: bool = False) -> np.ndarray:
     """Richardson-extrapolated central-difference Hessian.
 
-    By default ``f`` is the scalar function and central second differences
-    are taken of it (2 d^2 evaluations per step for d parameters).  With
-    ``from_score`` set, ``f`` returns the gradient and the Hessian is its
-    central-difference Jacobian (2 d gradient evaluations per step).
-    Either way the estimates at steps h and h/2 are combined as
-    (4 H(h/2) - H(h)) / 3 and symmetrized.
+    With ``from_score`` set, ``f`` returns the gradient and the Hessian is
+    its central-difference Jacobian (2 d gradient evaluations per step for
+    d parameters).  By default ``f`` is the scalar function, and the
+    Hessian is the central-difference Jacobian of its central-difference
+    gradient at the same steps (4 d^2 evaluations per step).  Either way
+    the estimates at steps h and h/2 are combined as (4 H(h/2) - H(h)) / 3
+    and symmetrized.
     """
     theta = np.asarray(theta, dtype=float)
     steps = base_step * np.maximum(1.0, np.abs(theta))
-    difference = _central_jacobian if from_score else _central_hessian
-    h_full = difference(f, theta, steps)
-    h_half = difference(f, theta, steps / 2.0)
+
+    def difference(h):
+        if from_score:
+            return _central_jacobian(f, theta, h)
+        return _central_jacobian(lambda point: _central_jacobian(f, point, h), theta, h)
+
+    h_full = difference(steps)
+    h_half = difference(steps / 2.0)
     combined = (4.0 * h_half - h_full) / 3.0
     if not np.all(np.isfinite(combined)):
         raise NonFiniteEvaluation("non-finite Hessian entries")
@@ -478,35 +477,6 @@ def _central_jacobian(f, theta, steps) -> np.ndarray:
         rows.append((np.asarray(f(hi), dtype=float) - np.asarray(f(lo), dtype=float))
                     / (2.0 * steps[i]))
     return np.array(rows)
-
-
-def _central_hessian(f, theta, steps) -> np.ndarray:
-    d = theta.size
-    hess = np.empty((d, d))
-    f0 = f(theta)
-    if not np.isfinite(f0):
-        raise NonFiniteEvaluation("objective non-finite at the expansion point")
-
-    def at(offsets):
-        point = theta.copy()
-        for idx, mult in offsets:
-            point[idx] += mult * steps[idx]
-        value = f(point)
-        if not np.isfinite(value):
-            raise NonFiniteEvaluation(f"objective non-finite at offset {offsets}")
-        return value
-
-    for i in range(d):
-        hess[i, i] = (at([(i, 1)]) - 2.0 * f0 + at([(i, -1)])) / steps[i] ** 2
-    for i in range(d):
-        for j in range(i + 1, d):
-            mixed = (
-                at([(i, 1), (j, 1)]) - at([(i, 1), (j, -1)])
-                - at([(i, -1), (j, 1)]) + at([(i, -1), (j, -1)])
-            ) / (4.0 * steps[i] * steps[j])
-            hess[i, j] = mixed
-            hess[j, i] = mixed
-    return hess
 
 
 def transformed_ci(estimate: float, se: float, domain: str,

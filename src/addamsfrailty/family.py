@@ -70,8 +70,6 @@ _ALPHA_ZERO_GUARD = 1e-6
 # its error grows like (alpha mu s)^2 and that of the closed form like
 # eps / (|alpha| mu s), and both stay near 1e-12 relative here
 _ALPHA_ZERO_SPAN = 1e-5
-# the negative branch evaluates log(A) with log1p while |alpha| mu s is below this
-_NEGATIVE_LOG1P_SPAN = 1e-5
 _BINOMIAL_INT_TOL = 1e-9
 
 
@@ -228,18 +226,10 @@ def _log_laplace_general(a: float, g: float, m: float, s: np.ndarray) -> np.ndar
     # by (a - g) exposes near a = g
     x = a * m * s
     if a < 0:
-        # A = c1*exp(-x) + c2 with c1 = 1 - g/a > 1 and c2 = g/a < 0;
-        # exp(-x) may overflow, so keep it in log space.  That form is off by
-        # about eps / |x| relative, so log1p takes over for |x| below
-        # _NEGATIVE_LOG1P_SPAN
-        c1 = 1.0 - g / a
-        r = g / (a - g)  # = c2/c1, in (-1, 0)
-        log_a_term = math.log(c1) - x + np.log1p(r * np.exp(x))
-        # (s = 0 needs neither: log_laplace sets L(0) = 1 exactly)
-        small = (x < 0.0) & (x > -_NEGATIVE_LOG1P_SPAN)
-        if np.any(small):
-            near = np.log1p(c1 * np.expm1(-np.where(small, x, 0.0)))
-            log_a_term = np.where(small, near, log_a_term)
+        # A = exp(-x) (1 + (g/a) expm1(x)) with x <= 0: exp(-x) may overflow,
+        # so take log A = -x + log1p((g/a) expm1(x)), a sum of two terms >= 0
+        # that loses nothing at any x
+        log_a_term = -x + np.log1p((g / a) * np.expm1(x))
     else:
         # log1p while |correction| < 0.5; beyond, the log of the sum of
         # positive terms loses nothing

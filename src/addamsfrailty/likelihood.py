@@ -5,18 +5,17 @@ Lambda^(j), the cluster contribution is
 
     log sum_{A subset of d} (-1)^|A| L(Lambda^(A) + Lambda^(-d))
 
-with L the frailty Laplace transform.  The alternating sum is evaluated
-in Gray-code order with compensated summation grouped by subset parity;
-mathematically it is a probability in (0, 1], and tiny negatives from
-round-off are clamped (counted in ``diagnostics``).
+with L the frailty Laplace transform.  The alternating sum is
+mathematically a probability in (0, 1]; tiny negatives from round-off are
+clamped (counted in ``diagnostics``).
 
-Two evaluation paths exist: :func:`cluster_loglik` is the scalar
-reference, and :class:`LikelihoodWorkspace` evaluates a whole dataset
-with vectorized numpy kernels, grouping clusters that share a stratum, a
+:class:`LikelihoodWorkspace` is the one evaluator.  It compiles a dataset
+for vectorized numpy kernels, grouping clusters that share a stratum, a
 unit set and an event count, so the kernel runs once per event count
 whichever units had the events.  Each row of a group reaches its own
 event and non-event units through flat index arrays into the group's
-hazard matrix.  Both paths must agree; the tests enforce it.
+hazard matrix.  :func:`cluster_loglik` and :func:`total_loglik` are
+one-call wrappers around it.
 
 The workspace also returns the exact score of the log-likelihood with
 respect to the free vector of an ``estimation.ParameterLayout``
@@ -35,7 +34,6 @@ difference.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
@@ -77,53 +75,6 @@ class _Diagnostics:
 
 
 diagnostics = _Diagnostics()
-
-
-def _cluster_level(spec: ModelSpec, cluster: Cluster) -> str:
-    return cluster.stratum if cluster.stratum is not None else spec.frailty_link.reference
-
-
-def cluster_loglik(spec: ModelSpec, cluster: Cluster) -> float:
-    """Log-probability of one cluster's current-status outcome."""
-    level = _cluster_level(spec, cluster)
-    params = spec.frailty_params(level)
-    lam = [
-        spec.unit_cumulative_hazard(level, r.unit, r.covariates, r.time)
-        for r in cluster.records
-    ]
-    event_lams = [l for l, r in zip(lam, cluster.records) if r.event == 1]
-    rest = math.fsum(l for l, r in zip(lam, cluster.records) if r.event == 0)
-    k = len(event_lams)
-    even_terms: List[float] = []
-    odd_terms: List[float] = []
-    # Gray-code subset walk: one hazard add/subtract per step
-    lam_subset = 0.0
-    gray = 0
-    parity = 0
-    even_terms.append(math.exp(log_laplace(params, rest)))  # empty subset
-    for m in range(1, 1 << k):
-        new_gray = m ^ (m >> 1)
-        flipped = new_gray ^ gray
-        j = flipped.bit_length() - 1
-        if new_gray & flipped:
-            lam_subset += event_lams[j]
-            parity += 1
-        else:
-            lam_subset -= event_lams[j]
-            parity -= 1
-        gray = new_gray
-        value = math.exp(log_laplace(params, rest + lam_subset))
-        (odd_terms if parity % 2 else even_terms).append(value)
-    prob = math.fsum(even_terms) - math.fsum(odd_terms)
-    if prob <= 0.0:
-        if prob > -_CLAMP_TOL:
-            diagnostics.clamped_probabilities += 1
-            prob = _CLAMP_VALUE
-        else:
-            raise NonPositiveProbability(
-                f"cluster {cluster.cluster_id!r}: inclusion-exclusion sum {prob}"
-            )
-    return math.log(prob)
 
 
 @dataclass
@@ -461,15 +412,12 @@ def _link_stencils(spec: ModelSpec, layout, full: np.ndarray, levels):
     return out
 
 
-def total_loglik(spec: ModelSpec, data: CurrentStatusDataset,
-                 theta=None, layout=None) -> float:
-    """Weighted total log-likelihood.
+def cluster_loglik(spec: ModelSpec, cluster: Cluster) -> float:
+    """Log-probability of one cluster's current-status outcome."""
+    data = CurrentStatusDataset((cluster,))
+    return float(LikelihoodWorkspace(spec, data).cluster_logliks(spec)[0])
 
-    When ``theta`` is given, ``layout`` must map the flat vector back to a
-    parameterized spec (see estimation.ParameterLayout).
-    """
-    if theta is not None:
-        if layout is None:
-            raise ValueError("theta requires a layout")
-        spec = layout.build_spec(np.asarray(theta, dtype=float))
+
+def total_loglik(spec: ModelSpec, data: CurrentStatusDataset) -> float:
+    """Weighted total log-likelihood."""
     return LikelihoodWorkspace(spec, data).total_loglik(spec)

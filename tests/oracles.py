@@ -1,10 +1,13 @@
 """Independent reference implementations used to cross-check the library.
 
-Everything here is deliberately written from the distributional
+The probability oracles are deliberately written from the distributional
 definitions (series summation over the discrete support, adaptive
 quadrature over the gamma density) rather than from the closed-form
 Laplace transform, so agreement with the library is evidence and not
-tautology.
+tautology.  ``scalar_cluster_loglik`` is the exception: it walks the
+inclusion-exclusion sum one cluster at a time through the library's own
+``log_laplace``, so it checks the workspace's grouping, index arrays and
+scatter, not the transform.
 """
 
 import math
@@ -120,6 +123,50 @@ def oracle_cluster_prob(alpha, gamma, mu, lams, events):
     if alpha == 0.0:
         return quad_cluster_prob(gamma, mu, lams, events)
     return series_cluster_prob(alpha, gamma, mu, lams, events)
+
+
+def scalar_cluster_loglik(spec, cluster):
+    """Log-probability of one cluster's outcome: the inclusion-exclusion sum
+    walked in Gray-code order, one hazard added or removed per step, with
+    compensated summation grouped by subset parity.  Round-off negatives
+    above -1e-12 are clamped to 1e-300, as the workspace does."""
+    from addamsfrailty.errors import NonPositiveProbability
+    from addamsfrailty.family import log_laplace
+
+    level = cluster.stratum if cluster.stratum is not None else spec.frailty_link.reference
+    params = spec.frailty_params(level)
+    lam = [
+        spec.unit_cumulative_hazard(level, r.unit, r.covariates, r.time)
+        for r in cluster.records
+    ]
+    event_lams = [l for l, r in zip(lam, cluster.records) if r.event == 1]
+    rest = math.fsum(l for l, r in zip(lam, cluster.records) if r.event == 0)
+    even_terms = [math.exp(log_laplace(params, rest))]  # empty subset
+    odd_terms = []
+    lam_subset = 0.0
+    gray = 0
+    parity = 0
+    for m in range(1, 1 << len(event_lams)):
+        new_gray = m ^ (m >> 1)
+        flipped = new_gray ^ gray
+        j = flipped.bit_length() - 1
+        if new_gray & flipped:
+            lam_subset += event_lams[j]
+            parity += 1
+        else:
+            lam_subset -= event_lams[j]
+            parity -= 1
+        gray = new_gray
+        value = math.exp(log_laplace(params, rest + lam_subset))
+        (odd_terms if parity % 2 else even_terms).append(value)
+    prob = math.fsum(even_terms) - math.fsum(odd_terms)
+    if prob <= 0.0:
+        if prob <= -1e-12:
+            raise NonPositiveProbability(
+                f"cluster {cluster.cluster_id!r}: inclusion-exclusion sum {prob}"
+            )
+        prob = 1e-300
+    return math.log(prob)
 
 
 def finite_difference(f, x, h):
@@ -241,6 +288,9 @@ def reference_read_csv(path):
                     continue
                 stratum = (row.get("stratum") or "").strip() or None
                 weight = float(row["weight"]) if row.get("weight") not in (None, "") else 1.0
+                if not weight > 0:
+                    problems.append(MalformedRow(lineno, f"(weight {weight!r} must be > 0)"))
+                    continue
                 if cid not in per_cluster:
                     order.append(cid)
                     per_cluster[cid] = {
@@ -257,7 +307,7 @@ def reference_read_csv(path):
                     continue
                 info["units"].add(unit)
                 info["records"].append(UnitRecord(unit, time, int(raw_event), covs))
-            except Exception as exc:  # safety net: a bad weight lands here
+            except Exception as exc:  # safety net: a non-numeric weight lands here
                 problems.append(MalformedRow(lineno, f"({exc})"))
     if problems:
         raise DatasetError(problems)

@@ -109,6 +109,15 @@ class TestIngest:
         assert code == EXIT_DATA
         assert any("2" in rec.getMessage() for rec in caplog.records)
 
+    def test_bad_weight_is_a_dataset_problem(self, tmp_path, caplog):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("cluster_id,unit,time,event,weight\nc1,u1,5.0,1,1\nc2,u1,5.0,0,0\n")
+        cfg = write_config(tmp_path)
+        with caplog.at_level("ERROR", logger="addamsfrailty"):
+            code = main(["fit", "--config", str(cfg), "--set", f"data.path={bad}"])
+        assert code == EXIT_DATA
+        assert any("line 3" in rec.getMessage() for rec in caplog.records)
+
 
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):

@@ -327,8 +327,16 @@ class TestReaderEquivalence:
                        (DuplicateUnit, 9), (MalformedRow, 10)]
         assert _outcome(read_csv, f) == _outcome(reference_read_csv, f)
 
-    def test_non_positive_weight_rejected_after_rows(self, tmp_path):
+    def test_bad_weight_is_a_row_problem(self, tmp_path):
+        # each row with a weight <= 0 or nan is rejected at its own line,
+        # and a nan weight is not mistaken for a weight that changes
         f = tmp_path / "d.csv"
-        f.write_text("cluster_id,unit,time,event,weight\nc1,u1,1.0,0,1\nc2,u1,1.0,0,-2\n")
-        with pytest.raises(InvalidParameters, match="c2"):
+        f.write_text("cluster_id,unit,time,event,weight\n"
+                     "c1,u1,1.0,0,1\nc2,u1,1.0,0,-2\nc3,u1,1.0,0,nan\nc3,u2,1.0,1,nan\n"
+                     "c4,u1,1.0,0,0\n")
+        with pytest.raises(DatasetError) as err:
             read_csv(f)
+        got = [(type(p), p.line, str(p)) for p in err.value.problems]
+        assert [(kind, line) for kind, line, _ in got] == [(MalformedRow, n) for n in (3, 4, 5, 6)]
+        assert all("must be > 0" in message for _, _, message in got)
+        assert _outcome(read_csv, f) == _outcome(reference_read_csv, f)

@@ -11,6 +11,7 @@ from addamsfrailty import (
     CurrentStatusDataset,
     ExponentialBaseline,
     FrailtyLink,
+    LikelihoodWorkspace,
     LinearPredictor,
     ModelSpec,
     PiecewiseConstantBaseline,
@@ -29,6 +30,7 @@ from addamsfrailty.errors import (
     IdentifiabilityError,
     InvalidParameters,
     NegativeStatistic,
+    NonFiniteEvaluation,
 )
 from addamsfrailty.simulate import MonitoringLaw, SimConfig, generate
 
@@ -116,6 +118,21 @@ class TestHessian:
         f = lambda x: float(x[0] ** 4)
         h = hessian(f, np.array([1.0]))
         assert h[0, 0] == pytest.approx(12.0, rel=1e-7)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_value_mode_non_finite_probe_raises(self):
+        def f(x):
+            return math.inf if x[1] > 0.5 else float(x @ x)
+
+        with pytest.raises(NonFiniteEvaluation):
+            hessian(f, np.array([0.0, 0.5]))
+
+    def test_score_mode_non_finite_probe_raises(self):
+        def score(x):
+            return np.array([math.nan if x[0] < 0.0 else 2.0 * x[0], 2.0 * x[1]])
+
+        with pytest.raises(NonFiniteEvaluation):
+            hessian(score, np.array([0.0, 1.0]), from_score=True)
 
 
 class TestTransformedCi:
@@ -224,6 +241,20 @@ class TestFit:
         assert result.loglik == pytest.approx(
             total_loglik(result.spec, data), rel=1e-12
         )
+
+    def test_fit_takes_value_and_score_from_one_pass(self, monkeypatch):
+        calls = []
+        value_only = LikelihoodWorkspace.total_loglik
+
+        def counted(ws, spec):
+            calls.append(1)
+            return value_only(ws, spec)
+
+        monkeypatch.setattr(LikelihoodWorkspace, "total_loglik", counted)
+        spec = basic_spec()
+        result = fit(spec, simulated_data(spec, n=200, seed=4))
+        assert result.converged
+        assert calls == []
 
     def test_refit_from_solution_is_fixed_point(self):
         spec = basic_spec()

@@ -186,14 +186,14 @@ class TestLaplace:
         (-0.125, 0.5), (-1.0, 5.0), (-0.25, 10.0), (-1e-4, 20.0), (-3.0, 0.2), (-10.0, 0.05),
     ])
     def test_negative_alpha_matches_50_digit_closed_form(self, alpha, gamma):
-        # the log-space form cancels to about eps * (1 - gamma/alpha) in
-        # log A at small s: it once gave L(5.6e-285) = 1 + 4e-16 at
-        # (-0.125, 0.5, 1) and a 5.6e-7 relative error at (-1e-4, 20, 0.7),
-        # s = 1e-6
+        # a log-space form log(c1) - x + log1p(r e^x) cancels to about
+        # eps * (1 - gamma/alpha) in log A at small s: it once gave
+        # L(5.6e-285) = 1 + 4e-16 at (-0.125, 0.5, 1) and a 5.6e-7 relative
+        # error at (-1e-4, 20, 0.7), s = 1e-6
         s = np.logspace(-300, 3, 304)
         expected = [mp_log_laplace(alpha, gamma, 0.7, v) for v in s]
         got = log_laplace(AddamsParameters(alpha, gamma, 0.7), s)
-        np.testing.assert_allclose(got, expected, rtol=1e-11, atol=0.0)
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
         assert laplace(AddamsParameters(alpha, gamma, 1.0), 5.617851874506707e-285) <= 1.0
 
     def test_large_argument_no_overflow(self):

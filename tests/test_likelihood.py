@@ -32,7 +32,7 @@ from addamsfrailty import likelihood
 from addamsfrailty.errors import FrailtyModelError, MissingCovariate, NonFiniteEvaluation
 
 from conftest import random_triples
-from oracles import numeric_gradient, oracle_cluster_prob
+from oracles import numeric_gradient, oracle_cluster_prob, scalar_cluster_loglik
 
 # log P values recomputed by the series/quadrature cluster oracle and frozen;
 # configuration: rates below, J = 2, times (10, 25), events (1, 0)
@@ -211,7 +211,7 @@ class TestWorkspace:
         data = self.build_data(rng)
         ws = LikelihoodWorkspace(spec, data)
         scalar = sum(
-            c.weight * cluster_loglik(spec, c) for c in data.clusters
+            c.weight * scalar_cluster_loglik(spec, c) for c in data.clusters
         )
         assert ws.total_loglik(spec) == pytest.approx(scalar, rel=1e-12)
         assert total_loglik(spec, data) == pytest.approx(scalar, rel=1e-12)
@@ -450,7 +450,7 @@ class TestEventCountGrouping:
         spec = grouping_spec()
         data = grouping_data(rng)
         got = LikelihoodWorkspace(spec, data).cluster_logliks(spec)
-        expected = [cluster_loglik(spec, c) for c in data.clusters]
+        expected = [scalar_cluster_loglik(spec, c) for c in data.clusters]
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
     def test_score_matches_central_differences(self, rng):
