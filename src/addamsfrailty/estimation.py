@@ -353,12 +353,12 @@ def fit(spec: ModelSpec, data: CurrentStatusDataset, init=None,
     while attempts <= max_restarts and polish_steps < 20:
         attempts += 1
         try:
-            f_start = objective(start)[0]
-            if not math.isfinite(f_start):
+            checked = objective(start)
+            if not math.isfinite(checked[0]):
                 raise NonFiniteEvaluation("objective non-finite at the start point")
-            gtol = 1e-6 * max(1.0, abs(f_start))
+            gtol = 1e-6 * max(1.0, abs(checked[0]))
             res = optimize.minimize(
-                objective, start, jac=True, method="BFGS",
+                _first_call_from(objective, start, checked), start, jac=True, method="BFGS",
                 options={"gtol": gtol, "maxiter": maxiter},
             )
         except NonFiniteEvaluation:
@@ -413,6 +413,20 @@ def fit(spec: ModelSpec, data: CurrentStatusDataset, init=None,
         layout=fitted_layout,
         spec=fitted_spec,
     )
+
+
+def _first_call_from(objective, start: np.ndarray, result):
+    """``objective`` whose first call returns ``result`` when it is at ``start``,
+    where the start-point check already evaluated it."""
+    pending = [result]
+
+    def wrapped(theta):
+        if pending and np.array_equal(theta, start):
+            return pending.pop()
+        pending.clear()
+        return objective(theta)
+
+    return wrapped
 
 
 def _covariance_from_hessian(hess_loglik: np.ndarray) -> np.ndarray:

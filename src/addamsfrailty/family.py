@@ -20,7 +20,10 @@ The Laplace transform of the family is
 for ``alpha != 0, alpha != gamma``, with the gamma and Poisson cases as
 limits.  All evaluations here are log-space and guarded so an optimizer may
 wander arbitrarily close to the removable singularities at ``alpha = 0``
-and ``alpha = gamma`` without loss of accuracy.
+and ``alpha = gamma`` without loss of accuracy: near ``alpha = 0`` the
+value is a second-order expansion in alpha, and
+:func:`log_laplace_partials` gives the partials of log L in alpha, gamma,
+mu and s in one form that divides by neither alpha nor alpha - gamma.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ __all__ = [
     "classify_branch",
     "laplace",
     "log_laplace",
+    "log_laplace_partials",
     "laplace_derivative",
     "conditional_moments",
     "rfv",
@@ -66,9 +70,9 @@ REGIMES = ("auto", "free", "gamma", "poisson", "binomial")
 
 # guarded-evaluation threshold for the removable singularity at alpha = 0
 _ALPHA_ZERO_GUARD = 1e-6
-# inside the alpha ~ 0 band, the expansion serves |alpha| mu s up to this;
-# its error grows like (alpha mu s)^2 and that of the closed form like
-# eps / (|alpha| mu s), and both stay near 1e-12 relative here
+# inside the alpha ~ 0 band, the second-order expansion serves |alpha| mu s
+# up to this, where its error, which grows like (alpha mu s)^3, is about
+# 1e-15 relative; the closed form serves beyond
 _ALPHA_ZERO_SPAN = 1e-5
 _BINOMIAL_INT_TOL = 1e-9
 
@@ -245,16 +249,18 @@ def _log_laplace_general(a: float, g: float, m: float, s: np.ndarray) -> np.ndar
 
 
 def _log_laplace_near_zero(a: float, g: float, m: float, s: np.ndarray) -> np.ndarray:
-    # first-order expansion of log L in alpha around the gamma limit, where
+    # second-order expansion of log L in alpha around the gamma limit, where
     # |alpha| mu s is small enough for it; the closed form elsewhere
     small = abs(a) * m * s <= _ALPHA_ZERO_SPAN
     u = m * np.where(small, s, 0.0)
-    l0 = np.log1p(g * u)
-    corr = -u * (1.0 + g * u / 2.0) / (1.0 + g * u) + l0 / g
+    w = g * u
+    l0 = np.log1p(w)
+    corr = -u * (1.0 + w / 2.0) / (1.0 + w) + l0 / g
+    corr2 = (w * (24.0 + w * (36.0 + w * (8.0 - w))) / (24.0 * (1.0 + w) ** 2) - l0) / g ** 3
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # the entries left to the expansion may be out of the closed form's reach
         general = _log_laplace_general(a, g, m, np.where(small, 0.0, s))
-    return np.where(small, -(l0 + a * corr) / g, general)
+    return np.where(small, -(l0 + a * corr) / g + a * a * corr2, general)
 
 
 def log_laplace(p: AddamsParameters, s):
@@ -296,6 +302,148 @@ def _h(p: AddamsParameters, s_arr: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + g * m * s_arr)
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + (g / a) * np.expm1(a * m * s_arr))
+
+
+# below these arguments the removable cancellations of (expm1(x) - x) / x^2
+# and of (log1p(q) - q / (1 + q)) / q^2 are summed as Taylor series; at the
+# spans the closed forms lose about 8 and 5 bits, and the series' first
+# omitted terms are below 1e-16 relative
+_PHI2_SPAN = 0.01
+_PHI2_SERIES = np.array([1.0 / math.factorial(k + 2) for k in range(6)])
+_PSI_SPAN = 0.05
+_PSI_SERIES = np.array([(-1.0) ** n * (n - 1) / n for n in range(2, 16)])
+# d log L / d alpha is O((mu s)^3) while the two terms of its closed form are
+# O((mu s)^2) and cancel to a relative eps / (gamma mu s); while gamma mu s
+# and |alpha| mu s are below these spans it is summed as a power series in
+# mu s instead, whose terms fall geometrically in gamma mu s and
+# factorially in alpha mu s
+_ALPHA_SERIES_SPAN = 1e-2
+_ALPHA_SERIES_X_SPAN = 0.1
+_ALPHA_SERIES_TERMS = 10
+
+
+def _alpha_series(a: float, g: float) -> np.ndarray:
+    """c with d log L / d alpha = u^3 sum_n c_n u^n, u = mu s.
+
+    log L = -int_0^u h(v) dv with h = 1 / (1 + g e(v)) and e(v) =
+    expm1(a v) / a = sum_k a^(k-1) v^k / k!; the coefficients of h and of
+    its alpha derivative follow from the reciprocal series.
+    """
+    n_max = _ALPHA_SERIES_TERMS + 2
+    e = [0.0] + [a ** (k - 1) / math.factorial(k) for k in range(1, n_max + 1)]
+    e_a = [0.0, 0.0] + [(k - 1) * a ** (k - 2) / math.factorial(k) for k in range(2, n_max + 1)]
+    h, h_a = [1.0], [0.0]
+    for n in range(1, n_max + 1):
+        h.append(-g * sum(e[k] * h[n - k] for k in range(1, n + 1)))
+        h_a.append(-g * sum(e_a[k] * h[n - k] + e[k] * h_a[n - k] for k in range(1, n + 1)))
+    return np.array([-h_a[n] / (n + 1) for n in range(2, n_max + 1)])
+
+
+def _psi_limit(a: float, g: float) -> float:
+    """u below which |q| < _PSI_SPAN; |q| grows with u = mu s on every branch."""
+    d = a - g
+    if a == 0.0:
+        return _PSI_SPAN / g
+    if a < 0.0:
+        return math.log1p(_PSI_SPAN * a / d) / -a
+    # |q| = |D / alpha| (1 - exp(-alpha u)) < |D / alpha|
+    c = _PSI_SPAN * a / abs(d) if d else math.inf
+    return -math.log1p(-c) / a if c < 1.0 else math.inf
+
+
+def log_laplace_partials(p: AddamsParameters, s, log_l):
+    """Partials of log L(s) in alpha and gamma, and h, which gives those in mu and s.
+
+    Returns ``(d_alpha, d_gamma, h)`` shaped like ``s``, at
+    ``log_l = log_laplace(p, s)``: d log L / d mu = -s h and
+    d log L / ds = -mu h, with h as in :func:`_h`, which a caller folds into
+    its sums.  With u = mu s, x = alpha u, D = alpha - gamma,
+    r = expm1(-x) / alpha = -u expm1(-x) / (-x) and q = D r, the transform
+    is L = (1 + q)^(1/D), h = exp(-x) / (1 + q), and
+
+        d_gamma = (log L - q / ((1 + q) D)) / D = r^2 psi(q),
+                  psi(q) = (log1p(q) - q / (1 + q)) / q^2,
+        d_alpha = h (expm1(x) - x) / alpha^2 - d_gamma
+                = h u^2 phi2(x) - d_gamma,   phi2(x) = (expm1(x) - x) / x^2.
+
+    The r^2 psi(q) and u^2 phi2(x) forms divide by neither D nor alpha, so
+    one evaluation serves every case ``_case`` selects: the gamma limit
+    (alpha = 0) is r = -u, the Poisson limit q = 0, and the alpha ~ 0 band
+    needs no expansion.  Each sign of alpha takes the exponentials that
+    cannot overflow: q / (1 + q) = (-D / alpha) h expm1(x) for alpha < 0,
+    and h = exp(-x) / (exp(-x) - (gamma / alpha) expm1(-x)) for alpha > 0.
+    The quotient forms, cheaper, serve where they keep their digits; the
+    series serve where an entry needs them, each over an interval of u
+    from 0: psi where |q| < 0.05, phi2 where |x| < 0.01, and d_alpha, which
+    is O(u^3) while its two terms are O(u^2), as the power series of
+    :func:`_alpha_series` where gamma u <= 1e-2 and |alpha| u <= 0.1.
+    """
+    shape = np.shape(s)
+    s_arr = np.asarray(s, dtype=float).reshape(-1)
+    log_l = np.asarray(log_l, dtype=float).reshape(-1)
+    a, g, m = p.alpha, p.gamma, p.mu
+    d = a - g
+    # the series regions are s below a bound; at s = 0 the closed forms
+    # give the exact zeros, so only positive s can need a series
+    s_min = float(s_arr.min()) if s_arr.size else math.inf
+    if s_min == 0.0:
+        s_min = float(np.min(s_arr, where=s_arr > 0.0, initial=math.inf))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # lead = h (expm1(x) - x) / alpha^2 and t = -q / ((1 + q) D)
+        if a == 0.0:
+            u = m * s_arr
+            h = 1.0 / (1.0 + g * m * s_arr)
+            t = u * h
+            lead = 0.5 * u * t
+        else:
+            x = a * m * s_arr
+            if a < 0.0:
+                e = np.expm1(x)
+                h = (g / a) * e
+                h += 1.0
+                h = np.reciprocal(h, out=h)
+                t = e * h
+                t *= 1.0 / a
+                lead = e - x
+                lead *= h
+            else:
+                em = np.expm1(-x)
+                ex = np.exp(-x)
+                one_plus_q = ex - (g / a) * em     # a sum of two terms >= 0
+                h = ex / one_plus_q
+                t = em / one_plus_q
+                t *= -1.0 / a
+                # h (expm1(x) - x) = -(expm1(-x) + x exp(-x)) / (1 + q)
+                lead = x * ex
+                lead += em
+                lead /= one_plus_q
+                lead *= -1.0
+            lead *= 1.0 / (a * a)
+            limit = _PHI2_SPAN / abs(a) / m
+            if s_min < limit:
+                small = s_arr < limit
+                v = m * s_arr[small]
+                lead[small] = v * v * h[small] * np.polynomial.polynomial.polyval(
+                    a * v, _PHI2_SERIES)
+        if d:
+            d_gamma = log_l + t
+            d_gamma *= 1.0 / d
+        else:
+            d_gamma = np.empty_like(s_arr)
+        limit = _psi_limit(a, g) / m
+        if s_min < limit:
+            small = s_arr < limit
+            v = m * s_arr[small]
+            r = -v if a == 0.0 else np.expm1(-a * v) / a
+            d_gamma[small] = r * r * np.polynomial.polynomial.polyval(d * r, _PSI_SERIES)
+    d_alpha = lead
+    d_alpha -= d_gamma
+    limit = min(_ALPHA_SERIES_SPAN / g, _ALPHA_SERIES_X_SPAN / abs(a) if a else math.inf) / m
+    if s_min <= limit:
+        series = s_arr <= limit
+        v = m * s_arr[series]
+        d_alpha[series] = v ** 3 * np.polynomial.polynomial.polyval(v, _alpha_series(a, g))
+    return d_alpha.reshape(shape), d_gamma.reshape(shape), h.reshape(shape)
 
 
 def _conditional_var(p: AddamsParameters, s_arr: np.ndarray, h: np.ndarray) -> np.ndarray:

@@ -436,13 +436,9 @@ class ModelSpec:
         key = (level, unit) if self.stratified_baselines else unit
         return self.baselines[key]
 
-    def frailty_params(self, level: str, link: Optional[FrailtyLink] = None) -> AddamsParameters:
-        """Stratum frailty parameters with the branch regime applied.
-
-        ``link`` replaces the spec's own frailty link, e.g. a link with one
-        coefficient perturbed; the regime pins still apply.
-        """
-        alpha, gamma, mu = (link or self.frailty_link).raw_params(level)
+    def frailty_params(self, level: str) -> AddamsParameters:
+        """Stratum frailty parameters with the branch regime applied."""
+        alpha, gamma, mu = self.frailty_link.raw_params(level)
         regime = self.branch_regimes[level]
         if regime.kind == "gamma":
             alpha = 0.0
@@ -451,6 +447,27 @@ class ModelSpec:
         elif regime.kind == "binomial":
             alpha = gamma + 1.0 / regime.b
         return AddamsParameters(alpha, gamma, mu, regime=regime.kind)
+
+    def frailty_jacobian(self, level: str) -> Dict[str, np.ndarray]:
+        """d(alpha, gamma, mu) / d(beta0, zeta, kappa) of :meth:`frailty_params`.
+
+        One 3 x p block per coefficient vector, rows (alpha, gamma, mu).
+        The regime pins apply: a gamma pin holds alpha at 0, the Poisson
+        and binomial pins move alpha with gamma, and a pinned reference mu
+        moves with nothing.
+        """
+        link = self.frailty_link
+        x = link.row(level)
+        _, gamma, mu = link.raw_params(level)
+        kind = self.branch_regimes[level].kind
+        zero = np.zeros_like(x)
+        mu_pinned = link.pin_reference_mu and level == link.reference
+        return {
+            "beta0": np.array([zero, zero, zero if mu_pinned else mu * x]),
+            "zeta": np.array([x if kind == "free" else zero, zero, zero]),
+            "kappa": np.array([gamma * x if kind in ("poisson", "binomial") else zero,
+                               gamma * x, zero]),
+        }
 
     def unit_cumulative_hazard(self, level: str, unit: str,
                                covariates: Mapping[str, float], t):

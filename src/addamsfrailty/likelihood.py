@@ -26,28 +26,23 @@ hazard of an event unit j is sum_A sign_A L'(s_A) [j in A], and that of a
 non-event unit is sum_A sign_A L'(s_A); the chain rule then runs through
 the baselines (exactly for rate-linear baselines, by differencing
 ``cumulative`` in the log-parameters otherwise) and the covariate
-effects.  Frailty-link coefficients are differenced in ``log_laplace`` at
-the cached s-values, with the regime pins applied to each perturbed link;
-a step that leaves the feasible region falls back to a one-sided
-difference.
+effects.  The frailty-link coefficients take the closed-form partials of
+log L(s) in (alpha, gamma, mu) from ``family.log_laplace_partials`` at the
+same s-values, chained through each stratum's
+``ModelSpec.frailty_jacobian``, which applies the regime pins; a score
+pass makes one ``log_laplace`` call per group.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .data import Cluster, CurrentStatusDataset
-from .errors import (
-    InvalidBinomial,
-    InvalidParameters,
-    InvalidRegion,
-    MissingCovariate,
-    NonPositiveProbability,
-)
-from .family import AddamsParameters, _h, log_laplace
+from .errors import InvalidParameters, MissingCovariate, NonPositiveProbability
+from .family import AddamsParameters, log_laplace, log_laplace_partials
 from .hazard import ModelSpec
 
 __all__ = [
@@ -59,8 +54,9 @@ __all__ = [
 
 _CLAMP_TOL = 1e-12
 _CLAMP_VALUE = 1e-300
-# relative step for differencing log_laplace in a link coefficient and a
-# parametric baseline's cumulative hazard in its log-parameters
+# relative step for differencing a parametric (Weibull, generalized gamma)
+# baseline's cumulative hazard in its log-parameters; every other score
+# entry is exact
 _SCORE_STEP = 1e-4
 
 
@@ -309,36 +305,38 @@ class LikelihoodWorkspace:
         """
         theta_free = np.asarray(theta_free, dtype=float)
         spec = layout.build_spec(theta_free)
-        full = layout.full_from_free(theta_free)
-        grad = np.zeros(full.size)
+        grad = np.zeros(layout.free_mask.size)
         out = np.empty(self.n_clusters)
-        stencils = _link_stencils(spec, layout, full, self.levels)
+        jacobians = {level: spec.frailty_jacobian(level) for level in self.levels}
         for grp in self.groups:
             params = spec.frailty_params(grp.level)
             lam, mults = self._hazards(grp, spec)
             svals, log_l, terms, prob, bad = self._probabilities(grp, params, lam)
             out[grp.cluster_idx] = np.log(prob)
+            d_alpha, d_gamma, h = log_laplace_partials(params, svals, log_l)
             # d log P = dP / P; dividing after the sums keeps a tiny P finite
             weights = grp.weights if bad is None else np.where(bad, 0.0, grp.weights)
             signed = terms * grp.signs
-            dp_ds = signed * (-params.mu * _h(params, svals))
+            # d log L / ds = -mu h and d log L / d mu = -s h
+            signed_h = signed * h
             dl_dlam = np.empty_like(lam)
             flat = dl_dlam.ravel()
-            flat[grp.event_cells] = (dp_ds @ grp.subset_matrix) / prob[:, None] * weights[:, None]
-            flat[grp.rest_cells] = (dp_ds.sum(axis=1) / prob * weights)[:, None]
+            mu_weights = -params.mu * weights
+            flat[grp.event_cells] = (signed_h @ grp.subset_matrix) / prob[:, None] * mu_weights[:, None]
+            flat[grp.rest_cells] = (signed_h.sum(axis=1) / prob * mu_weights)[:, None]
             for j, unit in enumerate(grp.units):
                 dl_dbase = dl_dlam[:, j] if mults[j] is None else dl_dlam[:, j] * mults[j]
                 self._baseline_score(grp, j, spec, layout, dl_dbase, grad)
                 if grp.designs[j] is not None:
                     grad[layout.beta_slices[unit]] += grp.designs[j].T @ (dl_dlam[:, j] * lam[:, j])
-            for pos, by_level in stencils:
-                stencil = by_level.get(grp.level)
-                if stencil is None:
-                    continue
-                dlog_l = sum(
-                    w * (log_l if p is None else log_laplace(p, svals)) for w, p in stencil
-                )
-                grad[pos] += weights @ ((signed * dlog_l).sum(axis=1) / prob)
+            # d log P / d(alpha, gamma, mu), chained to the link coefficients
+            d_frailty = np.array([
+                weights @ (np.einsum("ij,ij->i", signed, d_alpha) / prob),
+                weights @ (np.einsum("ij,ij->i", signed, d_gamma) / prob),
+                -(weights @ (np.einsum("ij,ij->i", signed_h, svals) / prob)),
+            ])
+            for name, sl in layout.link_slices:
+                grad[sl] += d_frailty @ jacobians[grp.level][name]
         return float(np.sum(self.weights * out)), grad[layout.free_mask]
 
     def _baseline_score(self, grp: _Group, j: int, spec: ModelSpec, layout,
@@ -363,53 +361,6 @@ class LikelihoodWorkspace:
             lo[k] -= h
             diff = baseline.with_log_params(hi).cumulative(t) - baseline.with_log_params(lo).cumulative(t)
             grad[start + k] += dl_dbase @ diff / (2.0 * h)
-
-
-def _link_stencils(spec: ModelSpec, layout, full: np.ndarray, levels):
-    """Difference stencils of log L in each free frailty-link coefficient.
-
-    Returns ``[(position, {level: [(weight, params), ...]})]``: the
-    derivative of log L(s) at a stratum level is sum(weight * log L_params(s)),
-    with params None standing for the unperturbed point.  Levels the
-    coefficient does not reach (zero design entry, or a regime pin that
-    absorbs it) are left out.  A step that leaves the feasible region is
-    replaced by a second-order one-sided difference on the other side; with
-    no feasible side the level is left out too.
-    """
-    link = spec.frailty_link
-    out = []
-    for name, sl in layout.link_slices:
-        for c in range(sl.stop - sl.start):
-            pos = sl.start + c
-            if not layout.free_mask[pos]:
-                continue
-            h = _SCORE_STEP * max(1.0, abs(full[pos]))
-
-            def perturbed(level, offset, name=name, c=c):
-                values = list(getattr(link, name))
-                values[c] += offset
-                try:
-                    return spec.frailty_params(level, replace(link, **{name: tuple(values)}))
-                except (InvalidRegion, InvalidBinomial, InvalidParameters, OverflowError):
-                    return None
-
-            by_level = {}
-            for level in levels:
-                base = spec.frailty_params(level)
-                plus, minus = perturbed(level, h), perturbed(level, -h)
-                if plus == base and minus == base:
-                    continue
-                if plus is not None and minus is not None:
-                    by_level[level] = [(0.5 / h, plus), (-0.5 / h, minus)]
-                    continue
-                sign, near = (1.0, plus) if plus is not None else (-1.0, minus)
-                far = None if near is None else perturbed(level, 2.0 * sign * h)
-                if far is not None:
-                    by_level[level] = [
-                        (-1.5 * sign / h, None), (2.0 * sign / h, near), (-0.5 * sign / h, far)
-                    ]
-            out.append((pos, by_level))
-    return out
 
 
 def cluster_loglik(spec: ModelSpec, cluster: Cluster) -> float:

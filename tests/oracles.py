@@ -201,6 +201,19 @@ def numeric_gradient(f, theta, abs_step=1e-6, rel_step=1e-7):
     return grad
 
 
+def _mp_log_laplace(a, g, m, s):
+    """log L(s) of mpmath numbers: the closed form, or its gamma (a = 0) and
+    Poisson (a = g) limits."""
+    import mpmath
+
+    if a == 0:
+        return -mpmath.log1p(g * m * s) / g
+    if a == g:
+        return mpmath.expm1(-g * m * s) / g
+    # bracket (1 - g/a) exp(-a m s) + g/a, less 1
+    return mpmath.log1p((1 - g / a) * mpmath.expm1(-a * m * s)) / (a - g)
+
+
 def mp_log_laplace(alpha, gamma, mu, s, dps=50):
     """log L(s) from the closed form in ``dps``-digit arithmetic.
 
@@ -212,14 +225,51 @@ def mp_log_laplace(alpha, gamma, mu, s, dps=50):
     import mpmath
 
     with mpmath.workdps(dps):
+        return float(_mp_log_laplace(*(mpmath.mpf(float(v)) for v in (alpha, gamma, mu, s))))
+
+
+def _mp_derivative(f, x, dps):
+    """f'(x) to ``dps`` digits by a central difference at +-10^(-dps/2).
+
+    The difference is taken in enough digits that its O(h^2) error and its
+    rounding, which costs log10(|f| / (h |f'|)) digits, both stay below
+    ``dps`` digits; a derivative tiny beside the value (log L near its
+    cure-fraction limit) raises the working precision until it does.
+    """
+    import mpmath
+
+    h_digits = dps // 2
+    work = 2 * dps
+    while True:
+        with mpmath.workdps(work):
+            slope = mpmath.diff(f, x, h=mpmath.mpf(10) ** (-h_digits))
+            value = f(x)
+            if value == 0 or work > 64 * dps:
+                return slope
+            lost = work if slope == 0 else int(mpmath.log10(abs(value / slope))) + h_digits
+            if work - lost >= dps + 10:
+                return slope
+        work = max(2 * work, lost + dps + 20)
+
+
+def mp_log_laplace_partials(alpha, gamma, mu, s, dps=50):
+    """(d/dalpha, d/dgamma, d/dmu) of log L(s), each by a ``dps``-digit
+    central difference (:func:`_mp_derivative`) of the closed form in one
+    argument with the others held.
+
+    The stencil never lands on the removable singularities, so at alpha = 0
+    and alpha = gamma each partial is the limit of the closed form's, which
+    is the derivative of the gamma or Poisson limit along that argument.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
         a, g, m, s = (mpmath.mpf(float(v)) for v in (alpha, gamma, mu, s))
-        if a == 0:
-            return float(-mpmath.log1p(g * m * s) / g)
-        if a == g:
-            return float(mpmath.expm1(-g * m * s) / g)
-        # bracket (1 - g/a) exp(-a m s) + g/a, less 1
-        excess = (1 - g / a) * mpmath.expm1(-a * m * s)
-        return float(mpmath.log1p(excess) / (a - g))
+    return (
+        float(_mp_derivative(lambda t: _mp_log_laplace(t, g, m, s), a, dps)),
+        float(_mp_derivative(lambda t: _mp_log_laplace(a, t, m, s), g, dps)),
+        float(_mp_derivative(lambda t: _mp_log_laplace(a, g, t, s), m, dps)),
+    )
 
 
 def reference_read_csv(path):

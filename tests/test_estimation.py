@@ -256,6 +256,35 @@ class TestFit:
         assert result.converged
         assert calls == []
 
+    def test_start_point_check_feeds_the_first_bfgs_call(self, monkeypatch):
+        from addamsfrailty import estimation
+
+        passes = []
+        one_pass = LikelihoodWorkspace.loglik_and_score
+
+        def counted(ws, layout, theta):
+            passes.append(1)
+            return one_pass(ws, layout, theta)
+
+        attempts = []
+        minimize = estimation.optimize.minimize
+
+        def recorded(fun, x0, **kwargs):
+            before = len(passes)
+            res = minimize(fun, x0, **kwargs)
+            attempts.append((res.nfev, len(passes) - before))
+            return res
+
+        monkeypatch.setattr(LikelihoodWorkspace, "loglik_and_score", counted)
+        monkeypatch.setattr(estimation.optimize, "minimize", recorded)
+        spec = basic_spec()
+        result = fit(spec, simulated_data(spec, n=200, seed=4))
+        assert result.converged and attempts
+        # each attempt's start point is evaluated once, by the check
+        assert all(inside == nfev - 1 for nfev, inside in attempts)
+        hessian_passes = 4 * result.n_free
+        assert len(passes) == sum(nfev for nfev, _ in attempts) + hessian_passes
+
     def test_refit_from_solution_is_fixed_point(self):
         spec = basic_spec()
         data = simulated_data(spec, n=300, seed=9)

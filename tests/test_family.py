@@ -26,10 +26,16 @@ from addamsfrailty.errors import (
     InvalidRegion,
     OutOfSupport,
 )
-from addamsfrailty.family import count_distribution
+from addamsfrailty.family import count_distribution, log_laplace_partials
 
 from conftest import random_triples
-from oracles import mp_log_laplace, naive_laplace_longdouble, quad_laplace, series_laplace
+from oracles import (
+    mp_log_laplace,
+    mp_log_laplace_partials,
+    naive_laplace_longdouble,
+    quad_laplace,
+    series_laplace,
+)
 
 # L(s) values recomputed by series/quadrature oracles and frozen
 FROZEN_LAPLACE = [
@@ -154,14 +160,15 @@ class TestLaplace:
 
     @pytest.mark.parametrize("alpha", [1e-7, 4e-7, 9e-7, -1e-7, -4e-7, -9e-7])
     def test_alpha_zero_band_at_large_hazards(self, alpha):
-        # the first-order expansion in alpha holds only while |alpha| mu s is
-        # small; it once gave log L = -1.13 for -3.27 at (4e-7, 5, 0.7) and
-        # s = 1e8, and +1.7e42 at (1e-7, 3, 1) and s = 1e50
+        # the expansion in alpha holds only while |alpha| mu s is small; it
+        # once gave log L = -1.13 for -3.27 at (4e-7, 5, 0.7) and s = 1e8,
+        # and +1.7e42 at (1e-7, 3, 1) and s = 1e50; without its alpha^2 term
+        # it was off by 9e-13
         for gamma in (0.5, 3.0, 5.0):
             p = AddamsParameters(alpha, gamma, 0.7)
             s = np.logspace(-3, 10, 131)
             expected = [mp_log_laplace(alpha, gamma, 0.7, v) for v in s]
-            np.testing.assert_allclose(log_laplace(p, s), expected, rtol=1e-11, atol=0.0)
+            np.testing.assert_allclose(log_laplace(p, s), expected, rtol=1e-14, atol=0.0)
             values = log_laplace(p, np.logspace(-3, 300, 607))
             assert np.all(values <= 0.0)
             assert np.all(np.diff(values) <= 0.0)
@@ -311,6 +318,117 @@ class TestDerivativesAndMoments:
         branch = classify_branch(p)
         mean, _, _ = conditional_moments(p, 400.0)
         assert mean == pytest.approx(branch.psi * branch.nu, rel=1e-6)
+
+
+def partials(p, s):
+    """(d/dalpha, d/dgamma, d/dmu) of log L at ``s`` through the library."""
+    d_alpha, d_gamma, h = log_laplace_partials(p, s, log_laplace(p, s))
+    return np.array([d_alpha, d_gamma, -s * h])
+
+
+def complex_step_partials(alpha, gamma, mu, s, h=1e-30):
+    """(d/dalpha, d/dgamma, d/dmu, d/dalpha + d/dgamma) of the closed form and
+    its gamma and Poisson limits, each as Im f(x + ih) / h; numpy's log1p
+    and expm1 take complex arguments.  The last steps alpha and gamma
+    together, which at alpha = gamma stays on the Poisson limit."""
+    def log_l(a, g, m):
+        if a == 0:
+            return -np.log1p(g * m * s) / g
+        if a == g:
+            return np.expm1(-g * m * s) / g
+        return np.log1p((1 - g / a) * np.expm1(-a * m * s)) / (a - g)
+
+    return np.array([
+        log_l(alpha + 1j * h, gamma, mu).imag / h,
+        log_l(alpha, gamma + 1j * h, mu).imag / h,
+        log_l(alpha, gamma, mu + 1j * h).imag / h,
+        log_l(alpha + 1j * h, gamma + 1j * h, mu).imag / h,
+    ])
+
+
+# (alpha, gamma, regime): every case ``_case`` selects
+PARTIAL_CASES = [
+    (-10.0, 0.5, "auto"), (-1.0, 2.0, "auto"), (-0.25, 10.0, "auto"), (-1e-3, 0.1, "auto"),
+    (-4e-7, 3.0, "auto"), (-4e-7, 0.1, "free"),       # alpha ~ 0 band
+    (0.0, 3.0, "auto"), (0.0, 0.1, "free"), (0.0, 10.0, "gamma"),
+    (4e-7, 3.0, "auto"), (4e-7, 0.1, "free"),
+    (1e-3, 0.5, "auto"), (0.3, 0.5, "auto"), (1.2, 3.0, "free"), (9.0, 10.0, "free"),
+    (2.0, 2.0, "poisson"), (0.1, 0.1, "poisson"),
+    (2.5, 2.0, "binomial"), (3.0, 2.0, "binomial"), (1.1, 0.1, "binomial"),
+]
+
+
+class TestLaplacePartials:
+    """Partials of log L in alpha, gamma and mu against the 50-digit oracle."""
+
+    @pytest.mark.parametrize("alpha,gamma,regime", PARTIAL_CASES)
+    def test_match_50_digit_closed_form(self, alpha, gamma, regime):
+        # mu s from 1e-6 to 1e3; for the alpha ~ 0 band, both sides of
+        # |alpha| mu s = 1e-5, where the value leaves its expansion
+        mu = 0.7
+        u = np.logspace(-6, 3, 28)
+        if alpha != 0.0:
+            u = np.concatenate([u, 1e-5 / abs(alpha) * np.array([0.9, 1.1])])
+        u = u[np.abs(alpha) * u < 700.0]
+        p = AddamsParameters(alpha, gamma, mu, regime=regime)
+        got = partials(p, u / mu)
+        expected = np.array([mp_log_laplace_partials(alpha, gamma, mu, v / mu) for v in u]).T
+        np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("gamma", [0.1, 2.0, 10.0])
+    def test_seam_bound(self, gamma):
+        # within 1e-6 relative of alpha = gamma: 1e-9, plus 64 eps gamma /
+        # |alpha - gamma| for a form that would divide by alpha - gamma
+        mu = 1.3
+        u = np.logspace(-6, 3, 19)
+        u = u[gamma * u < 700.0]
+        for delta in (1e-6, 1e-8, 1e-10, 1e-12):
+            alpha = gamma * (1.0 - delta)
+            bound = 1e-9 + 64 * np.finfo(float).eps * gamma / (gamma - alpha)
+            got = partials(AddamsParameters(alpha, gamma, mu), u / mu)
+            expected = np.array([mp_log_laplace_partials(alpha, gamma, mu, v / mu) for v in u]).T
+            np.testing.assert_allclose(got, expected, rtol=bound, atol=0.0,
+                                       err_msg=f"alpha={alpha!r}")
+
+    @pytest.mark.parametrize("alpha,gamma,regime", PARTIAL_CASES)
+    def test_match_complex_step(self, alpha, gamma, regime):
+        # only where gamma mu s >= 0.05 and |alpha| mu s is 0 or >= 1e-5:
+        # below, the complex step sums the same O(mu s) terms as the closed
+        # form and cancels as it does, by up to eps / (alpha mu s gamma mu s)
+        mu = 1.3
+        u = np.logspace(-2, 2, 9)
+        au = np.abs(alpha) * u
+        u = u[(gamma * u >= 0.05) & ((au == 0.0) | (au >= 1e-5)) & (au < 700.0)]
+        d_alpha, d_gamma, d_mu = partials(AddamsParameters(alpha, gamma, mu, regime=regime), u / mu)
+        got = np.array([d_alpha, d_gamma, d_mu, d_alpha + d_gamma])
+        expected = np.array([complex_step_partials(alpha, gamma, mu, v / mu) for v in u]).T
+        # a step in alpha or gamma alone off alpha = gamma is a 0/0 that the
+        # complex step cannot resolve; the Poisson pin moves both together
+        rows = [2, 3] if alpha == gamma else [0, 1, 2, 3]
+        np.testing.assert_allclose(got[rows], expected[rows], rtol=1e-9, atol=0.0)
+
+    def test_h_and_zero(self):
+        # d log L / ds = -mu h
+        p = AddamsParameters(-0.7, 2.0, 1.3)
+        s = np.array([0.0, 0.4, 3.0])
+        d_alpha, d_gamma, h = log_laplace_partials(p, s, log_laplace(p, s))
+        np.testing.assert_allclose(-p.mu * h, laplace_derivative(p, s) / laplace(p, s),
+                                   rtol=1e-15)
+        assert d_alpha[0] == d_gamma[0] == 0.0
+        scalar = log_laplace_partials(p, 0.4, log_laplace(p, 0.4))
+        assert [float(v) for v in scalar] == [d_alpha[1], d_gamma[1], h[1]]
+        # an s = 0 entry (the empty subset of a cluster whose every unit had
+        # the event) leaves the series at the small positive s in place
+        s = np.logspace(-6, 1, 15)
+        with_zero = partials(p, np.concatenate([[0.0], s]))
+        np.testing.assert_array_equal(with_zero[:, 1:], partials(p, s))
+        assert np.all(with_zero[:, 0] == 0.0)
+
+    def test_finite_at_extreme_hazards(self):
+        s = np.logspace(-300, 300, 61)
+        for alpha, gamma, regime in PARTIAL_CASES:
+            p = AddamsParameters(alpha, gamma, 0.7, regime=regime)
+            assert np.all(np.isfinite(partials(p, s))), (alpha, gamma, regime)
 
 
 class TestSupport:
