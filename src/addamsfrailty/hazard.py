@@ -1,17 +1,16 @@
 """Baseline hazards, covariate effects and the frailty-parameter links.
 
-Time is in years.  Baselines expose ``cumulative(t)`` (vectorized),
-``invert(target)`` (the simulator's inverse transform) and a log-scale
-parameter vector used by the flat optimization layout.  Baselines that are
-linear in their rates (piecewise constant, exponential) also expose
-``exposure(t)``, the time spent in each rate interval, so that
+Time is in years.  Baselines expose ``cumulative(t)`` and its inverse
+``invert(target)`` (the simulator's inverse transform), both vectorized,
+and a log-scale parameter vector used by the flat optimization layout.
+Baselines that are linear in their rates (piecewise constant, exponential)
+also expose ``exposure(t)``, the time spent in each rate interval, so that
 ``cumulative(t) == exposure(t) @ rate_vector`` with the log-parameters
 being ``log(rate_vector)``.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -52,6 +51,13 @@ def _check_times(t):
     return t_arr
 
 
+def _check_targets(target):
+    x = np.asarray(target, dtype=float)
+    if np.any(x < 0):
+        raise InvalidParameters("cumulative hazard target must be >= 0")
+    return x
+
+
 def _as_output(t, values):
     return float(values) if np.ndim(t) == 0 else values
 
@@ -89,11 +95,6 @@ class PiecewiseConstantBaseline:
         widths = np.diff(cuts)
         return np.concatenate([[0.0], np.cumsum(rates[:-1] * widths)])
 
-    @cached_property
-    def _knot_tuple(self) -> Tuple[float, ...]:
-        """The knots as Python floats, for the scalar ``invert``."""
-        return tuple(self._knots.tolist())
-
     def cumulative(self, t):
         t_arr = _check_times(t)
         cuts = np.asarray(self.cutpoints)
@@ -112,12 +113,11 @@ class PiecewiseConstantBaseline:
     def rate_vector(self) -> np.ndarray:
         return np.asarray(self.rates)
 
-    def invert(self, target: float) -> float:
-        if target < 0:
-            raise InvalidParameters("cumulative hazard target must be >= 0")
-        knots = self._knot_tuple
-        idx = min(max(bisect.bisect_right(knots, target) - 1, 0), len(self.rates) - 1)
-        return self.cutpoints[idx] + (target - knots[idx]) / self.rates[idx]
+    def invert(self, target):
+        x = _check_targets(target)
+        knots, cuts, rates = self._knots, np.asarray(self.cutpoints), np.asarray(self.rates)
+        idx = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, len(rates) - 1)
+        return _as_output(target, cuts[idx] + (x - knots[idx]) / rates[idx])
 
     # flat-layout interface -------------------------------------------------
     @property
@@ -151,8 +151,8 @@ class ExponentialBaseline:
     def rate_vector(self) -> np.ndarray:
         return np.array([self.rate])
 
-    def invert(self, target: float) -> float:
-        return target / self.rate
+    def invert(self, target):
+        return _as_output(target, _check_targets(target) / self.rate)
 
     @property
     def log_params(self) -> np.ndarray:
@@ -179,8 +179,8 @@ class WeibullBaseline:
         t_arr = _check_times(t)
         return _as_output(t, (t_arr / self.scale) ** self.shape)
 
-    def invert(self, target: float) -> float:
-        return self.scale * target ** (1.0 / self.shape)
+    def invert(self, target):
+        return _as_output(target, self.scale * _check_targets(target) ** (1.0 / self.shape))
 
     @property
     def log_params(self) -> np.ndarray:
@@ -219,9 +219,9 @@ class GeneralizedGammaBaseline:
         surv = special.gammaincc(self.k, y)
         return _as_output(t, -np.log(surv))
 
-    def invert(self, target: float) -> float:
-        y = special.gammainccinv(self.k, math.exp(-target))
-        return self.scale * float(y) ** (1.0 / self.power)
+    def invert(self, target):
+        y = special.gammainccinv(self.k, np.exp(-_check_targets(target)))
+        return _as_output(target, self.scale * np.power(y, 1.0 / self.power))
 
     @property
     def log_params(self) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Seeded generator of synthetic clustered current-status datasets.
 
-Each cluster draws from its own RNG substream keyed by (seed, cluster
-index), so inserting or removing a cluster never shifts the draws of the
-others and generation order is irrelevant.  Substreams use numpy's
-PCG64 via SeedSequence spawning; reproducibility across implementations
-of this format is expected at the distributional (KS) level, not bit
-level.
+Clusters are drawn in blocks of ``_BLOCK``.  Block b draws a full block
+from its own PCG64 stream, SeedSequence([seed, b]), in a fixed order:
+stratum codes, each level's frailties, covariates, event-time uniforms,
+monitoring times.  The last block is cut to the cluster count, so cluster
+i depends only on (seed, i), never on how many clusters are generated.
+Reproducibility across implementations is expected at the distributional
+(KS) level, not bit level.
 """
 
 from __future__ import annotations
@@ -23,14 +24,13 @@ from .hazard import ModelSpec
 
 __all__ = ["MonitoringLaw", "SimConfig", "sample_frailty", "sample_event_time", "generate"]
 
+_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class MonitoringLaw:
-    """Law of the per-unit monitoring times.
-
-    kind "uniform" draws from [a, b); "grid" and "empirical" draw
-    uniformly from a fixed list of times.
-    """
+    """Law of the per-unit monitoring times: kind "uniform" draws from [a, b);
+    "grid" and "empirical" draw uniformly from a fixed list of times."""
 
     kind: str = "uniform"
     a: float = 1.0
@@ -49,10 +49,13 @@ class MonitoringLaw:
                 raise InvalidParameters("grid/empirical law needs non-negative times")
             object.__setattr__(self, "times", times)
 
-    def draw(self, rng: np.random.Generator) -> float:
+    def draw(self, rng: np.random.Generator, size=None):
+        """One time (``size=None``) or an array of ``size`` times."""
         if self.kind == "uniform":
-            return float(rng.uniform(self.a, self.b))
-        return float(self.times[rng.integers(len(self.times))])
+            t = rng.uniform(self.a, self.b, size)
+        else:
+            t = np.asarray(self.times)[rng.integers(len(self.times), size=size)]
+        return float(t) if size is None else t
 
 
 @dataclass(frozen=True)
@@ -71,80 +74,76 @@ class SimConfig:
             levels = set(self.spec.frailty_link.levels)
             if set(probs) != levels:
                 raise InvalidParameters("stratum_probs must cover exactly the design levels")
-            total = sum(probs.values())
-            if not math.isclose(total, 1.0, rel_tol=1e-9):
-                raise InvalidParameters("stratum probabilities must sum to 1")
+            if not (all(p >= 0 and math.isfinite(p) for p in probs.values())
+                    and math.isclose(sum(probs.values()), 1.0, rel_tol=1e-9)):
+                raise InvalidParameters("stratum probabilities must be finite, >= 0 and sum to 1")
             object.__setattr__(self, "stratum_probs", probs)
 
 
-def sample_frailty(branch: FrailtyBranch, rng: np.random.Generator) -> float:
-    """One draw from the exact branch law.
-
-    Negative binomial counts with fractional nu are drawn via the
-    gamma-Poisson mixture.
-    """
+def sample_frailty(branch: FrailtyBranch, rng: np.random.Generator, size=None):
+    """One draw (``size=None``) or ``size`` draws from the exact branch law; negative
+    binomial counts with fractional nu come from numpy's gamma-Poisson mixture."""
     kind = branch.kind
     if kind is BranchKind.GAMMA_LIMIT:
-        return float(rng.gamma(1.0 / branch.gamma, 1.0 / branch.gamma_star))
-    if kind is BranchKind.SCALED_POISSON:
-        return branch.psi * float(rng.poisson(branch.lambda_star))
-    if kind is BranchKind.SCALED_BINOMIAL:
-        return branch.psi * float(rng.binomial(branch.b, branch.pi))
-    lam = rng.gamma(branch.nu, (1.0 - branch.pi) / branch.pi)
-    m = float(rng.poisson(lam))
-    if kind is BranchKind.SHIFTED_SCALED_NEG_BINOMIAL:
-        return branch.psi * (branch.nu + m)
-    return branch.psi * m
+        z = rng.gamma(1.0 / branch.gamma, 1.0 / branch.gamma_star, size)
+    elif kind is BranchKind.SCALED_POISSON:
+        z = branch.psi * rng.poisson(branch.lambda_star, size)
+    elif kind is BranchKind.SCALED_BINOMIAL:
+        z = branch.psi * rng.binomial(branch.b, branch.pi, size)
+    else:
+        m = rng.negative_binomial(branch.nu, branch.pi, size)
+        shift = branch.nu if kind is BranchKind.SHIFTED_SCALED_NEG_BINOMIAL else 0.0
+        z = branch.psi * (shift + m)
+    return float(z) if size is None else z
 
 
-def sample_event_time(z: float, baseline, covariate_factor: float,
-                      rng: np.random.Generator) -> float:
-    """Inverse-transform draw of T solving z * factor * Lambda0(T) = -ln U."""
-    if z < 0:
+def sample_event_time(z, baseline, covariate_factor, rng: np.random.Generator):
+    """Inverse-transform draws of T solving z * factor * Lambda0(T) = -ln U, for
+    scalars or arrays that broadcast together; T is inf where z = 0."""
+    if np.any(np.asarray(z) < 0):
         raise InvalidParameters("frailty draw must be >= 0")
-    if z == 0.0:
-        return math.inf
-    u = 1.0 - rng.random()                # in (0, 1]
-    target = -math.log(u) / (z * covariate_factor)
-    return baseline.invert(target)
-
-
-def _cluster_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, index]))
+    rate = z * covariate_factor
+    u = 1.0 - rng.random(np.shape(rate) or None)      # in (0, 1]
+    t = np.where(rate > 0, baseline.invert(-np.log(u) / np.where(rate > 0, rate, 1.0)), math.inf)
+    return float(t) if t.ndim == 0 else t
 
 
 def generate(config: SimConfig) -> CurrentStatusDataset:
     """Simulate a dataset from the model; identical for identical configs."""
-    spec = config.spec
+    spec, n, n_units = config.spec, config.n_clusters, len(config.spec.units)
     levels = list(spec.frailty_link.levels)
-    if config.stratum_probs is not None:
-        probs = np.array([config.stratum_probs[lvl] for lvl in levels])
-    else:
-        probs = np.full(len(levels), 1.0 / len(levels))
-    branches = {lvl: classify_branch(spec.frailty_params(lvl)) for lvl in levels}
-    names = list(dict.fromkeys(
-        nm for u in spec.units for nm in spec.predictors[u].covariate_names))
-    column = {nm: j for j, nm in enumerate(names)}
-    strata, times, events, cells = [], [], [], []
-    for i in range(config.n_clusters):
-        rng = _cluster_rng(config.seed, i)
-        level = levels[rng.choice(len(levels), p=probs)] if len(levels) > 1 else levels[0]
-        z = sample_frailty(branches[level], rng)
-        strata.append(level if len(levels) > 1 else None)
-        for unit in spec.units:
-            pred = spec.predictors[unit]
-            covs = {name: float(rng.standard_normal()) for name in pred.covariate_names}
-            factor = math.exp(pred.value(covs)) if pred.covariate_names else 1.0
-            event_time = sample_event_time(z, spec.baseline_for(level, unit), factor, rng)
-            monitor = config.monitoring.draw(rng)
-            if covs:
-                cells.extend((len(times), column[nm], v) for nm, v in covs.items())
-            times.append(monitor)
-            events.append(event_time <= monitor)
-    n_units = len(spec.units)
+    probs = [config.stratum_probs[lvl] for lvl in levels] if config.stratum_probs else None
+    branches = [classify_branch(spec.frailty_params(lvl)) for lvl in levels]
+    preds = [spec.predictors[u] for u in spec.units]
+    names = list(dict.fromkeys(nm for pred in preds for nm in pred.covariate_names))
+    # [units, covariates] coefficients, 0 where a unit lacks the covariate
+    coef = np.array([[dict(zip(pred.covariate_names, pred.coefficients)).get(nm, 0.0)
+                      for nm in names] for pred in preds])
+    uses = np.array([[nm in pred.covariate_names for nm in names] for pred in preds], dtype=bool)
+    blocks = []
+    for b in range(-(-n // _BLOCK)):
+        rng = np.random.default_rng(np.random.SeedSequence([config.seed, b]))
+        code = rng.choice(len(levels), size=_BLOCK, p=probs)
+        z = np.empty(_BLOCK)
+        for k, branch in enumerate(branches):
+            z[code == k] = sample_frailty(branch, rng, int(np.count_nonzero(code == k)))
+        x = rng.standard_normal((_BLOCK, n_units, len(names)))
+        factor = np.exp(np.einsum("bup,up->bu", x, coef))
+        rows = ([code == k for k in range(len(levels))] if spec.stratified_baselines
+                else [slice(None)])
+        event_time = np.empty((_BLOCK, n_units))
+        for u, unit in enumerate(spec.units):
+            for k, r in enumerate(rows):
+                event_time[r, u] = sample_event_time(
+                    z[r], spec.baseline_for(levels[k], unit), factor[r, u], rng)
+        monitor = config.monitoring.draw(rng, (_BLOCK, n_units))
+        blocks.append((code, x, monitor, event_time <= monitor))
+    code, x, times, events = (np.concatenate(part)[:n] for part in zip(*blocks))
+    cells = [(i * n_units + u, j, v) for u, j in zip(*np.nonzero(uses))
+             for i, v in enumerate(x[:, u, j].tolist())]
+    strata = [levels[c] for c in code.tolist()] if len(levels) > 1 else [None] * n
     return CurrentStatusDataset.from_rows(
-        [f"c{i + 1}" for i in range(config.n_clusters)], strata,
-        np.ones(config.n_clusters), np.repeat(np.arange(config.n_clusters), n_units),
-        spec.units, np.tile(np.arange(n_units), config.n_clusters), times, events,
-        names, cells,
+        [f"c{i + 1}" for i in range(n)], strata, np.ones(n),
+        np.repeat(np.arange(n), n_units), spec.units, np.tile(np.arange(n_units), n),
+        times.ravel(), events.ravel(), names, cells,
     )

@@ -84,6 +84,27 @@ class TestConfig:
         p = spec.frailty_params("all")
         assert p.alpha == pytest.approx(p.gamma + 1.0 / 3.0)
 
+    def test_negative_stratum_probability_is_a_config_error(self, tmp_path):
+        # the probabilities sum to 1, but one is negative
+        cfg = tmp_path / "strata.ini"
+        cfg.write_text(
+            "[model]\n"
+            "units = u1\n"
+            "stratum_levels = a, b\n"
+            "baseline = exponential\n"
+            "[params]\n"
+            "params.u1 = 0.04\n"
+            "[simulate]\n"
+            "n_clusters = 20\n"
+            "stratum_probs = a:1.5, b:-0.5\n"
+            "[output]\n"
+            f"dir = {tmp_path / 'out'}\n"
+        )
+        assert main(["simulate", "--config", str(cfg)]) == EXIT_CONFIG
+        assert not (tmp_path / "out" / "data.csv").exists()
+        assert main(["simulate", "--config", str(cfg),
+                     "--set", "simulate.stratum_probs=a:0.25, b:0.75"]) == EXIT_OK
+
 
 class TestIngest:
     def test_reports_every_problem(self, tmp_path):

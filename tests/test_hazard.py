@@ -139,6 +139,39 @@ class TestParametricBaselines:
             parametric_baseline("loglogistic", (1.0,))
 
 
+EVERY_BASELINE = [
+    PiecewiseConstantBaseline((0.0, 2.0, 5.0, 9.0), (0.5, 0.2, 0.1, 0.3)),
+    ExponentialBaseline(0.04),
+    WeibullBaseline(1.5, 10.0),
+    GeneralizedGammaBaseline(1.2, 0.7, 3.0),
+]
+
+
+@pytest.mark.parametrize("base", EVERY_BASELINE, ids=lambda b: type(b).__name__)
+class TestInvert:
+    # cumulative-hazard targets over [0, 50], the knots included
+    TARGETS = np.concatenate([np.linspace(0.0, 50.0, 201), [1.0, 1.6, 2.1]])
+
+    def test_array_equals_elementwise_scalar(self, base):
+        inverted = base.invert(self.TARGETS)
+        assert isinstance(inverted, np.ndarray) and inverted.shape == self.TARGETS.shape
+        scalars = [base.invert(x) for x in self.TARGETS.tolist()]
+        assert all(isinstance(t, float) for t in scalars)
+        np.testing.assert_array_equal(inverted, scalars)
+        grid = self.TARGETS[:12].reshape(3, 4)
+        np.testing.assert_array_equal(base.invert(grid), inverted[:12].reshape(3, 4))
+
+    def test_cumulative_undoes_invert(self, base):
+        np.testing.assert_allclose(base.cumulative(base.invert(self.TARGETS)), self.TARGETS,
+                                   rtol=1e-12, atol=0.0)
+
+    def test_negative_target_rejected(self, base):
+        with pytest.raises(InvalidParameters):
+            base.invert(-1.0)
+        with pytest.raises(InvalidParameters):
+            base.invert(np.array([2.0, -1e-12, 3.0]))
+
+
 class TestLinearPredictor:
     def test_value_and_missing(self):
         pred = LinearPredictor(("age", "urban"), (0.02, -0.5))

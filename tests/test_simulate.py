@@ -10,6 +10,7 @@ from addamsfrailty import (
     AddamsParameters,
     ExponentialBaseline,
     FrailtyLink,
+    LinearPredictor,
     ModelSpec,
     MonitoringLaw,
     PiecewiseConstantBaseline,
@@ -81,6 +82,18 @@ class TestSampleEventTime:
         with pytest.raises(InvalidParameters):
             sample_event_time(-0.1, ExponentialBaseline(0.1), 1.0, rng)
 
+    def test_array_draws(self):
+        # one uniform per entry, inf exactly where the frailty is zero
+        z = np.array([0.0, 0.5, 0.0, 2.0])
+        factor = np.array([1.0, 1.0, 3.0, 0.5])
+        base = PiecewiseConstantBaseline((0.0, 10.0), (0.02, 0.2))
+        times = sample_event_time(z, base, factor, np.random.default_rng(5))
+        assert times.shape == (4,)
+        assert np.isinf(times[[0, 2]]).all() and np.isfinite(times[[1, 3]]).all()
+        u = 1.0 - np.random.default_rng(5).random(4)
+        np.testing.assert_allclose(base.cumulative(times[[1, 3]]) * z[[1, 3]] * factor[[1, 3]],
+                                   -np.log(u[[1, 3]]), rtol=1e-12)
+
     def test_conditional_law_kolmogorov_smirnov(self):
         # given z, T ~ survival exp(-z Lambda0(t)); exponential baseline
         rng = np.random.default_rng(42)
@@ -123,6 +136,55 @@ class TestGenerate:
         large = generate(SimConfig(n_clusters=200, **base))
         assert small.clusters == large.clusters[:50]
 
+    def test_substreams_stable_across_blocks(self):
+        # 1,000 and 2,600 clusters: the larger run crosses two block
+        # boundaries, and its first 1,000 clusters are the smaller run
+        link = FrailtyLink.for_factor(["a", "b"], zeta0=-1.0, kappa0=math.log(4.0))
+        spec = ModelSpec(units=("u1", "u2"),
+                         baselines={"u1": ExponentialBaseline(0.04),
+                                    "u2": PiecewiseConstantBaseline((0.0, 30.0), (0.03, 0.05))},
+                         frailty_link=link,
+                         predictors={"u2": LinearPredictor(("x",), (0.7,))})
+        base = dict(spec=spec, seed=21, stratum_probs={"a": 0.3, "b": 0.7},
+                    monitoring=MonitoringLaw("uniform", a=1.0, b=60.0))
+        small = generate(SimConfig(n_clusters=1000, **base))
+        large = generate(SimConfig(n_clusters=2600, **base))
+        rows = small.starts[-1]
+        assert small.cluster_ids == large.cluster_ids[:1000]
+        np.testing.assert_array_equal(np.take(small.stratum_names, small.stratum),
+                                      np.take(large.stratum_names, large.stratum[:1000]))
+        np.testing.assert_array_equal(small.cluster, large.cluster[:rows])
+        np.testing.assert_array_equal(small.unit, large.unit[:rows])
+        np.testing.assert_array_equal(small.time, large.time[:rows])
+        np.testing.assert_array_equal(small.event, large.event[:rows])
+        assert small.covariate_names == large.covariate_names == ("x",)
+        np.testing.assert_array_equal(small.covariates, large.covariates[:rows])
+        np.testing.assert_array_equal(small.present, large.present[:rows])
+        # both strata occur, and in the later blocks too
+        assert set(large.stratum[1000:].tolist()) == {0, 1}
+
+    def test_covariate_effect(self):
+        # x ~ N(0, 1), and P(event at t | x) = 1 - L(Lambda0(t) exp(0.7 x))
+        params = AddamsParameters(-1.0, 5.0)
+        rate, t_mon, beta = 0.04, 20.0, 0.7
+        link = FrailtyLink.for_factor(["s"], zeta0=-1.0, kappa0=math.log(5.0))
+        spec = ModelSpec(units=("u1",), baselines={"u1": ExponentialBaseline(rate)},
+                         frailty_link=link, predictors={"u1": LinearPredictor(("x",), (beta,))})
+        data = generate(SimConfig(spec=spec, n_clusters=20000, seed=8,
+                                  monitoring=MonitoringLaw("grid", times=(t_mon,))))
+        assert data.covariate_names == ("x",) and data.present.all()
+        x = data.covariates[:, 0]
+        _, p = stats.kstest(x, "norm")
+        assert p > 0.01
+        np.testing.assert_array_equal(data.time, t_mon)
+        prob = 1.0 - laplace(params, rate * t_mon * np.exp(beta * x))
+        edges = np.quantile(x, np.linspace(0.0, 1.0, 9))
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            in_bin = (x >= lo) & (x <= hi)
+            expected = prob[in_bin].mean()
+            se = math.sqrt(np.sum(prob[in_bin] * (1.0 - prob[in_bin]))) / in_bin.sum()
+            assert data.event[in_bin].mean() == pytest.approx(expected, abs=4 * se)
+
     def test_marginal_prevalence_matches_laplace(self):
         # empirical event fraction at fixed monitoring age vs 1 - L(Lambda(t))
         params = AddamsParameters(-1.0, 5.0)
@@ -151,6 +213,16 @@ class TestGenerate:
         assert share_a == pytest.approx(0.25, abs=0.03)
         with pytest.raises(InvalidParameters):
             SimConfig(spec=spec, n_clusters=10, stratum_probs={"a": 0.5, "b": 0.6})
+
+    @pytest.mark.parametrize("probs", [
+        {"a": 1.5, "b": -0.5}, {"a": math.nan, "b": 0.5}, {"a": math.inf, "b": -math.inf},
+    ])
+    def test_stratum_probabilities_must_be_finite_and_non_negative(self, probs):
+        link = FrailtyLink.for_factor(["a", "b"], zeta0=-1.0, kappa0=math.log(4.0))
+        spec = ModelSpec(units=("u1",), baselines={"u1": ExponentialBaseline(0.04)},
+                         frailty_link=link)
+        with pytest.raises(InvalidParameters):
+            SimConfig(spec=spec, n_clusters=10, stratum_probs=probs)
 
     def test_monitoring_law_validation(self):
         with pytest.raises(InvalidParameters):
