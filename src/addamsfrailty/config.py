@@ -2,7 +2,8 @@
 
 The format is INI-style (configparser).  Sections:
 
-``[data]``       dataset path, optional stratum/weight column presence.
+``[data]``       dataset path; the stratum and weight columns are read
+                 when the file has them.
 ``[model]``      units, stratum levels, baseline family and cutpoints,
                  per-stratum branch regimes, pins.
 ``[covariates]`` per-unit covariate column lists (main effects only).
@@ -23,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidParameters
 from .hazard import (
     PIENTER2_CUTPOINTS,
     BranchRegime,
@@ -150,14 +151,15 @@ class RunConfig:
         )
 
     def regimes_for(self, kind: str) -> Dict[str, BranchRegime]:
-        return {lvl: _parse_regime(kind) for lvl in self.stratum_levels}
+        return {lvl: _parse_regime(kind, "lrt") for lvl in self.stratum_levels}
 
 
-def _parse_regime(text: str) -> BranchRegime:
-    text = text.strip().lower()
-    if text.startswith("binomial:"):
-        return BranchRegime("binomial", b=int(text.split(":", 1)[1]))
-    return BranchRegime(text)
+def _parse_regime(text: str, key: str) -> BranchRegime:
+    kind, _, b = text.strip().lower().partition(":")
+    try:
+        return BranchRegime(kind, b=int(b) if b else None)
+    except (ValueError, InvalidParameters) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _parse_monitoring(text: str) -> MonitoringLaw:
@@ -212,9 +214,8 @@ def load_config(path, overrides: Optional[List[str]] = None) -> RunConfig:
         cutpoints = _PRESET_CUTPOINTS[preset]
     else:
         cutpoints = tuple(_floats(cut_text))
-    regimes = {}
-    for lvl in levels:
-        regimes[lvl] = _parse_regime(get("model", f"regime.{lvl}", "free"))
+    regimes = {lvl: _parse_regime(get("model", f"regime.{lvl}", "free"), f"model.regime.{lvl}")
+               for lvl in levels}
     covariates = {}
     if parser.has_section("covariates"):
         for unit, value in parser.items("covariates"):
@@ -236,7 +237,14 @@ def load_config(path, overrides: Optional[List[str]] = None) -> RunConfig:
         stratum_probs = {}
         for part in _split(probs_text):
             lvl, _, prob = part.partition(":")
-            stratum_probs[lvl.strip()] = float(prob)
+            try:
+                stratum_probs[lvl.strip()] = float(prob)
+            except ValueError as exc:
+                raise ConfigError(f"simulate.stratum_probs: {exc}") from exc
+    lrt_regimes = {key: get("lrt", key, default)
+                   for key, default in (("null_regime", "gamma"), ("alt_regime", "free"))}
+    for key, text in lrt_regimes.items():
+        _parse_regime(text, f"lrt.{key}")   # reject it before any fit runs
     try:
         return RunConfig(
             data_path=get("data", "path"),
@@ -260,8 +268,8 @@ def load_config(path, overrides: Optional[List[str]] = None) -> RunConfig:
             analyze_k_max=int(get("analyze", "k_max", "5")),
             analyze_time_grid=_parse_grid(get("analyze", "time_grid", "0:80:81")),
             analyze_units=tuple(_split(get("analyze", "units", ""))) or None,
-            lrt_null_regime=get("lrt", "null_regime", "gamma"),
-            lrt_alt_regime=get("lrt", "alt_regime", "free"),
+            lrt_null_regime=lrt_regimes["null_regime"],
+            lrt_alt_regime=lrt_regimes["alt_regime"],
             output_dir=get("output", "dir", "out"),
         )
     except ConfigError:

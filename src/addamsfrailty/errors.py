@@ -14,7 +14,7 @@ class InvalidBinomial(InvalidParameters):
 
 
 class InvalidRegion(FrailtyModelError):
-    """Free-regime likelihood queried at alpha >= gamma."""
+    """A free stratum at alpha >= gamma, which only the pins reach."""
 
 
 class ContinuousBranch(FrailtyModelError):

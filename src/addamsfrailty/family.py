@@ -2,8 +2,8 @@
 
 The family is parameterized by ``(alpha, gamma, mu)``: ``gamma`` is the
 relative frailty variance (RFV) at time zero, ``alpha`` the slope parameter
-of the log-RFV, and ``mu = E(Z)`` the frailty mean.  The sign of ``alpha``
-selects the member distribution:
+of the log-RFV, and ``mu = E(Z)`` the frailty mean.  The values of alpha
+and gamma alone select the member distribution:
 
 =====================  =======================================
 ``alpha < 0``          shifted, scaled negative binomial (no cure fraction)
@@ -18,10 +18,10 @@ The Laplace transform of the family is
     L(s) = ((1 - gamma/alpha) exp(-alpha mu s) + gamma/alpha)^(1/(alpha-gamma))
 
 for ``alpha != 0, alpha != gamma``, with the gamma and Poisson cases as
-limits.  All evaluations here are log-space and guarded so an optimizer may
-wander arbitrarily close to the removable singularities at ``alpha = 0``
-and ``alpha = gamma`` without loss of accuracy: near ``alpha = 0`` the
-value is a second-order expansion in alpha, and
+limits.  The limits are taken at exact values: alpha = gamma is the Poisson
+case, and alpha = 0, or an alpha so small that gamma/alpha overflows, the
+gamma case.  Every other alpha goes through one log-space closed form that
+keeps its digits up to both removable singularities, and
 :func:`log_laplace_partials` gives the partials of log L in alpha, gamma,
 mu and s in one form that divides by neither alpha nor alpha - gamma.
 """
@@ -40,7 +40,6 @@ from .errors import (
     ContinuousBranch,
     InvalidBinomial,
     InvalidParameters,
-    InvalidRegion,
     NumericalDomain,
     OutOfSupport,
 )
@@ -62,18 +61,6 @@ __all__ = [
     "count_distribution",
 ]
 
-#: Branch regimes.  Equality of alpha with 0 or gamma is never inferred from
-#: floating-point comparison during optimization; the model owner pins one of
-#: these instead.  "auto" classifies by exact values and is meant for direct
-#: use of published/known parameters.
-REGIMES = ("auto", "free", "gamma", "poisson", "binomial")
-
-# guarded-evaluation threshold for the removable singularity at alpha = 0
-_ALPHA_ZERO_GUARD = 1e-6
-# inside the alpha ~ 0 band, the second-order expansion serves |alpha| mu s
-# up to this, where its error, which grows like (alpha mu s)^3, is about
-# 1e-15 relative; the closed form serves beyond
-_ALPHA_ZERO_SPAN = 1e-5
 _BINOMIAL_INT_TOL = 1e-9
 
 
@@ -87,16 +74,11 @@ class BranchKind(Enum):
 
 @dataclass(frozen=True)
 class AddamsParameters:
-    """One stratum's frailty law.
-
-    ``regime`` pins the Laplace-transform case used for evaluation; see
-    :data:`REGIMES`.
-    """
+    """One stratum's frailty law; alpha and gamma select the member."""
 
     alpha: float
     gamma: float
     mu: float = 1.0
-    regime: str = "auto"
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha)):
@@ -105,18 +87,6 @@ class AddamsParameters:
             raise InvalidParameters(f"gamma must be > 0, got {self.gamma}")
         if not (self.mu > 0 and math.isfinite(self.mu)):
             raise InvalidParameters(f"mu must be > 0, got {self.mu}")
-        if self.regime not in REGIMES:
-            raise InvalidParameters(f"unknown regime {self.regime!r}")
-        if self.regime == "gamma" and self.alpha != 0.0:
-            raise InvalidParameters("gamma-pinned regime requires alpha = 0")
-        if self.regime == "poisson" and self.alpha != self.gamma:
-            raise InvalidParameters("poisson-pinned regime requires alpha = gamma")
-        if self.regime == "binomial" and not self.alpha > self.gamma:
-            raise InvalidParameters("binomial-pinned regime requires alpha > gamma")
-        if self.regime == "free" and self.alpha >= self.gamma:
-            raise InvalidRegion(
-                f"free regime requires alpha < gamma (alpha={self.alpha}, gamma={self.gamma})"
-            )
         if self.alpha > self.gamma:
             _integer_trials(self.alpha, self.gamma)  # raises InvalidBinomial
 
@@ -147,7 +117,7 @@ class FrailtyBranch:
     @property
     def has_cure_fraction(self) -> bool:
         """P(Z = 0) > 0, i.e. the lowest risk category is non-susceptible."""
-        return self.alpha > 0
+        return self.is_discrete and self.alpha > 0
 
 
 @dataclass(frozen=True)
@@ -170,16 +140,23 @@ def _integer_trials(alpha: float, gamma: float) -> int:
     return int(b)
 
 
+def _is_gamma_limit(a: float, g: float) -> bool:
+    """alpha = 0, or alpha so small that gamma / alpha overflows.
+
+    There the closed form cannot be evaluated, and the gamma limit is
+    within |alpha| mu s of log L.
+    """
+    return a == 0.0 or math.isinf(g / a)
+
+
 def classify_branch(p: AddamsParameters) -> FrailtyBranch:
     """Map (alpha, gamma, mu) to the family member it selects."""
     a, g, m = p.alpha, p.gamma, p.mu
-    if p.regime == "gamma" or (p.regime == "auto" and a == 0.0) or (
-        p.regime == "free" and a == 0.0
-    ):
+    if _is_gamma_limit(a, g):
         return FrailtyBranch(
             BranchKind.GAMMA_LIMIT, a, g, m, gamma_star=1.0 / (m * g)
         )
-    if p.regime == "poisson" or a == g:
+    if a == g:
         return FrailtyBranch(
             BranchKind.SCALED_POISSON, a, g, m, psi=m * g, lambda_star=1.0 / g
         )
@@ -205,25 +182,6 @@ def classify_branch(p: AddamsParameters) -> FrailtyBranch:
 # Laplace transform
 # ---------------------------------------------------------------------------
 
-def _case(p: AddamsParameters) -> str:
-    if p.regime == "gamma":
-        return "gamma"
-    if p.regime == "poisson":
-        return "poisson"
-    if p.regime == "binomial":
-        return "general"
-    # auto / free: exact hits use the limiting closed forms; the alpha ~ 0
-    # band uses a guarded series expansion, while the closed form stays
-    # accurate up to alpha = gamma
-    if p.alpha == 0.0:
-        return "gamma"
-    if p.alpha == p.gamma:
-        return "poisson"
-    if abs(p.alpha) < _ALPHA_ZERO_GUARD:
-        return "near_zero"
-    return "general"
-
-
 def _log_laplace_general(a: float, g: float, m: float, s: np.ndarray) -> np.ndarray:
     # A = 1 + ((a - g)/a) expm1(-x): where that correction is small, log1p
     # keeps the digits that log(A) loses at small x and that the division
@@ -248,34 +206,16 @@ def _log_laplace_general(a: float, g: float, m: float, s: np.ndarray) -> np.ndar
     return log_a_term / (a - g)
 
 
-def _log_laplace_near_zero(a: float, g: float, m: float, s: np.ndarray) -> np.ndarray:
-    # second-order expansion of log L in alpha around the gamma limit, where
-    # |alpha| mu s is small enough for it; the closed form elsewhere
-    small = abs(a) * m * s <= _ALPHA_ZERO_SPAN
-    u = m * np.where(small, s, 0.0)
-    w = g * u
-    l0 = np.log1p(w)
-    corr = -u * (1.0 + w / 2.0) / (1.0 + w) + l0 / g
-    corr2 = (w * (24.0 + w * (36.0 + w * (8.0 - w))) / (24.0 * (1.0 + w) ** 2) - l0) / g ** 3
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # the entries left to the expansion may be out of the closed form's reach
-        general = _log_laplace_general(a, g, m, np.where(small, 0.0, s))
-    return np.where(small, -(l0 + a * corr) / g + a * a * corr2, general)
-
-
 def log_laplace(p: AddamsParameters, s):
     """log L(s) of the family, valid for scalar or array ``s >= 0``."""
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr < 0):
         raise InvalidParameters("Laplace transform argument must be >= 0")
     a, g, m = p.alpha, p.gamma, p.mu
-    case = _case(p)
-    if case == "gamma":
+    if _is_gamma_limit(a, g):
         out = -np.log1p(g * m * s_arr) / g
-    elif case == "poisson":
+    elif a == g:
         out = np.expm1(-g * m * s_arr) / g
-    elif case == "near_zero":
-        out = _log_laplace_near_zero(a, g, m, s_arr)
     else:
         out = _log_laplace_general(a, g, m, s_arr)
     out = np.where(s_arr == 0.0, 0.0, out)  # L(0) = 1 exactly
@@ -298,7 +238,7 @@ def _h(p: AddamsParameters, s_arr: np.ndarray) -> np.ndarray:
     exp(-gamma mu s).
     """
     a, g, m = p.alpha, p.gamma, p.mu
-    if _case(p) == "gamma":
+    if _is_gamma_limit(a, g):
         return 1.0 / (1.0 + g * m * s_arr)
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + (g / a) * np.expm1(a * m * s_arr))
@@ -342,7 +282,7 @@ def _alpha_series(a: float, g: float) -> np.ndarray:
 def _psi_limit(a: float, g: float) -> float:
     """u below which |q| < _PSI_SPAN; |q| grows with u = mu s on every branch."""
     d = a - g
-    if a == 0.0:
+    if _is_gamma_limit(a, g):
         return _PSI_SPAN / g
     if a < 0.0:
         return math.log1p(_PSI_SPAN * a / d) / -a
@@ -367,10 +307,10 @@ def log_laplace_partials(p: AddamsParameters, s, log_l):
                 = h u^2 phi2(x) - d_gamma,   phi2(x) = (expm1(x) - x) / x^2.
 
     The r^2 psi(q) and u^2 phi2(x) forms divide by neither D nor alpha, so
-    one evaluation serves every case ``_case`` selects: the gamma limit
-    (alpha = 0) is r = -u, the Poisson limit q = 0, and the alpha ~ 0 band
-    needs no expansion.  Each sign of alpha takes the exponentials that
-    cannot overflow: q / (1 + q) = (-D / alpha) h expm1(x) for alpha < 0,
+    one evaluation serves every member: the gamma limit (alpha = 0, or
+    gamma / alpha overflows) is r = -u, the Poisson limit q = 0, and alpha
+    near 0 needs no expansion.  Each sign of alpha takes the exponentials
+    that cannot overflow: q / (1 + q) = (-D / alpha) h expm1(x) for alpha < 0,
     and h = exp(-x) / (exp(-x) - (gamma / alpha) expm1(-x)) for alpha > 0.
     The quotient forms, cheaper, serve where they keep their digits; the
     series serve where an entry needs them, each over an interval of u
@@ -383,6 +323,7 @@ def log_laplace_partials(p: AddamsParameters, s, log_l):
     log_l = np.asarray(log_l, dtype=float).reshape(-1)
     a, g, m = p.alpha, p.gamma, p.mu
     d = a - g
+    gamma_limit = _is_gamma_limit(a, g)
     # the series regions are s below a bound; at s = 0 the closed forms
     # give the exact zeros, so only positive s can need a series
     s_min = float(s_arr.min()) if s_arr.size else math.inf
@@ -390,7 +331,7 @@ def log_laplace_partials(p: AddamsParameters, s, log_l):
         s_min = float(np.min(s_arr, where=s_arr > 0.0, initial=math.inf))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # lead = h (expm1(x) - x) / alpha^2 and t = -q / ((1 + q) D)
-        if a == 0.0:
+        if gamma_limit:
             u = m * s_arr
             h = 1.0 / (1.0 + g * m * s_arr)
             t = u * h
@@ -434,7 +375,7 @@ def log_laplace_partials(p: AddamsParameters, s, log_l):
         if s_min < limit:
             small = s_arr < limit
             v = m * s_arr[small]
-            r = -v if a == 0.0 else np.expm1(-a * v) / a
+            r = -v if gamma_limit else np.expm1(-a * v) / a
             d_gamma[small] = r * r * np.polynomial.polynomial.polyval(d * r, _PSI_SERIES)
     d_alpha = lead
     d_alpha -= d_gamma

@@ -21,6 +21,7 @@ from scipy import special
 
 from .errors import (
     InvalidParameters,
+    InvalidRegion,
     MissingCovariate,
     NegativeTime,
     UnknownStratum,
@@ -437,7 +438,11 @@ class ModelSpec:
         return self.baselines[key]
 
     def frailty_params(self, level: str) -> AddamsParameters:
-        """Stratum frailty parameters with the branch regime applied."""
+        """Stratum frailty parameters with the branch regime applied.
+
+        A free stratum raises :class:`InvalidRegion` at alpha >= gamma,
+        which only the pins reach.
+        """
         alpha, gamma, mu = self.frailty_link.raw_params(level)
         regime = self.branch_regimes[level]
         if regime.kind == "gamma":
@@ -446,7 +451,11 @@ class ModelSpec:
             alpha = gamma
         elif regime.kind == "binomial":
             alpha = gamma + 1.0 / regime.b
-        return AddamsParameters(alpha, gamma, mu, regime=regime.kind)
+        elif alpha >= gamma:
+            raise InvalidRegion(
+                f"free regime requires alpha < gamma (alpha={alpha}, gamma={gamma})"
+            )
+        return AddamsParameters(alpha, gamma, mu)
 
     def frailty_jacobian(self, level: str) -> Dict[str, np.ndarray]:
         """d(alpha, gamma, mu) / d(beta0, zeta, kappa) of :meth:`frailty_params`.

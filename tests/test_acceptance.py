@@ -339,12 +339,8 @@ def test_criterion_8_simulator_marginals():
         spec=spec, n_clusters=100000, seed=17,
         monitoring=MonitoringLaw("grid", times=ages),
     ))
-    by_age = {t: [] for t in ages}
-    for cluster in data.clusters:
-        rec = cluster.records[0]
-        by_age[rec.time].append(rec.event)
     for t in ages:
-        events = np.array(by_age[t])
+        events = data.event[data.time == t]
         expected = 1.0 - laplace(params, rate * t)
         se = math.sqrt(expected * (1.0 - expected) / events.size)
         if abs(events.mean() - expected) > 3.0 * se:

@@ -45,6 +45,24 @@ def write_config(tmp_path, name="run.ini"):
     return cfg
 
 
+def write_strata_config(tmp_path, stratum_probs):
+    cfg = tmp_path / "strata.ini"
+    cfg.write_text(
+        "[model]\n"
+        "units = u1\n"
+        "stratum_levels = a, b\n"
+        "baseline = exponential\n"
+        "[params]\n"
+        "params.u1 = 0.04\n"
+        "[simulate]\n"
+        "n_clusters = 20\n"
+        f"stratum_probs = {stratum_probs}\n"
+        "[output]\n"
+        f"dir = {tmp_path / 'out'}\n"
+    )
+    return cfg
+
+
 class TestConfig:
     def test_parse_and_defaults(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -86,24 +104,25 @@ class TestConfig:
 
     def test_negative_stratum_probability_is_a_config_error(self, tmp_path):
         # the probabilities sum to 1, but one is negative
-        cfg = tmp_path / "strata.ini"
-        cfg.write_text(
-            "[model]\n"
-            "units = u1\n"
-            "stratum_levels = a, b\n"
-            "baseline = exponential\n"
-            "[params]\n"
-            "params.u1 = 0.04\n"
-            "[simulate]\n"
-            "n_clusters = 20\n"
-            "stratum_probs = a:1.5, b:-0.5\n"
-            "[output]\n"
-            f"dir = {tmp_path / 'out'}\n"
-        )
+        cfg = write_strata_config(tmp_path, "a:1.5, b:-0.5")
         assert main(["simulate", "--config", str(cfg)]) == EXIT_CONFIG
         assert not (tmp_path / "out" / "data.csv").exists()
         assert main(["simulate", "--config", str(cfg),
                      "--set", "simulate.stratum_probs=a:0.25, b:0.75"]) == EXIT_OK
+
+    @pytest.mark.parametrize("setting", [
+        "simulate.stratum_probs=a:x, b:0.5",
+        "model.regime.a=binomial:two",
+        "lrt.null_regime=binomial:two",
+    ])
+    def test_malformed_value_is_a_config_error(self, tmp_path, caplog, setting):
+        cfg = write_strata_config(tmp_path, "a:0.25, b:0.75")
+        with caplog.at_level("ERROR", logger="addamsfrailty"):
+            code = main(["simulate", "--config", str(cfg), "--set", setting])
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "out" / "data.csv").exists()
+        key = setting.split("=", 1)[0]
+        assert any(key in rec.getMessage() for rec in caplog.records)
 
 
 class TestIngest:

@@ -23,7 +23,6 @@ from addamsfrailty.errors import (
     ContinuousBranch,
     InvalidBinomial,
     InvalidParameters,
-    InvalidRegion,
     OutOfSupport,
 )
 from addamsfrailty.family import count_distribution, log_laplace_partials
@@ -69,15 +68,13 @@ class TestClassification:
         assert classify_branch(AddamsParameters(0.5, 2.0)).has_cure_fraction
         assert not classify_branch(AddamsParameters(-0.5, 2.0)).has_cure_fraction
         assert not classify_branch(AddamsParameters(0.0, 2.0)).has_cure_fraction
+        # gamma / alpha overflows: the gamma limit, whatever the sign
+        assert not classify_branch(AddamsParameters(5e-324, 2.0)).has_cure_fraction
 
     def test_binomial_needs_integer_trials(self):
         classify_branch(AddamsParameters(2.5, 2.0))   # b = 2, fine
         with pytest.raises(InvalidBinomial):
             AddamsParameters(2.7, 2.0)
-
-    def test_free_regime_rejects_upper_region(self):
-        with pytest.raises(InvalidRegion):
-            AddamsParameters(2.0, 1.0, regime="free")
 
     def test_invalid_scalars(self):
         with pytest.raises(InvalidParameters):
@@ -145,8 +142,8 @@ class TestLaplace:
             assert below == pytest.approx(at_gamma, abs=1e-5)
 
     def test_guard_matches_high_precision_closed_form(self):
-        # inside the guards the series expansions must agree with the naive
-        # closed form evaluated in extended precision
+        # near both removable singularities the closed form must agree
+        # with the naive closed form evaluated in extended precision
         gamma, mu, s = 3.0, 1.0, 1.2
         for alpha in (1e-8, -1e-8, 5e-7, -5e-7):
             guarded = log_laplace(AddamsParameters(alpha, gamma, mu), s)
@@ -160,18 +157,37 @@ class TestLaplace:
 
     @pytest.mark.parametrize("alpha", [1e-7, 4e-7, 9e-7, -1e-7, -4e-7, -9e-7])
     def test_alpha_zero_band_at_large_hazards(self, alpha):
-        # the expansion in alpha holds only while |alpha| mu s is small; it
-        # once gave log L = -1.13 for -3.27 at (4e-7, 5, 0.7) and s = 1e8,
-        # and +1.7e42 at (1e-7, 3, 1) and s = 1e50; without its alpha^2 term
-        # it was off by 9e-13
+        # the closed form serves alpha near 0 at every hazard; an expansion
+        # in alpha once served here and gave log L = -1.13 for -3.27 at
+        # (4e-7, 5, 0.7) and s = 1e8, and +1.7e42 at (1e-7, 3, 1) and s = 1e50
         for gamma in (0.5, 3.0, 5.0):
             p = AddamsParameters(alpha, gamma, 0.7)
-            s = np.logspace(-3, 10, 131)
+            s = np.logspace(-300, 300, 601)
             expected = [mp_log_laplace(alpha, gamma, 0.7, v) for v in s]
             np.testing.assert_allclose(log_laplace(p, s), expected, rtol=1e-14, atol=0.0)
             values = log_laplace(p, np.logspace(-3, 300, 607))
             assert np.all(values <= 0.0)
             assert np.all(np.diff(values) <= 0.0)
+
+    @pytest.mark.parametrize("alpha", [1e-100, -1e-100, 1e-300, 1e-310, -1e-310,
+                                       5e-324, -5e-324])
+    def test_tiny_and_subnormal_alpha(self, alpha):
+        # where gamma / alpha overflows the gamma limit serves, within
+        # |alpha| mu s of the law; an expansion in alpha once served here
+        # and gave NaN at alpha = 1e-300 and -inf at 1e-100 for s = 1e77
+        s = np.concatenate([[0.0], np.logspace(-300, 300, 601)])
+        x = abs(alpha) * 0.7 * s
+        for gamma in (0.5, 3.0, 20.0):
+            values = log_laplace(AddamsParameters(alpha, gamma, 0.7), s)
+            assert np.all(np.isfinite(values)) and np.all(values <= 0.0)
+            assert np.all(np.diff(values) <= 0.0)
+            expected = np.array([mp_log_laplace(alpha, gamma, 0.7, v) for v in s])
+            if math.isinf(gamma / alpha):
+                rtol, checked = x + 1e-14, s > 0.0
+            else:
+                rtol, checked = 1e-14, x >= np.finfo(float).tiny
+            error = np.abs(values - expected)[checked]
+            assert np.all(error <= (rtol * np.abs(expected))[checked]), (gamma, error.max())
 
     @pytest.mark.parametrize("gamma", [0.1, 0.5, 3.0, 10.0])
     def test_positive_alpha_matches_50_digit_closed_form(self, gamma):
@@ -281,9 +297,9 @@ class TestDerivativesAndMoments:
         (2.0, 5.0),             # interior, cure fraction
         (5.0, 5.0),             # Poisson
         (5.5, 5.0),             # binomial
-        (-4e-7, 5.0),           # alpha ~ 0 guard band, both signs
+        (-4e-7, 5.0),           # alpha near 0, both signs
         (4e-7, 5.0),
-        (5.0 - 2e-6, 5.0),      # alpha ~ gamma guard band
+        (5.0 - 2e-6, 5.0),      # alpha near gamma
     ])
     def test_moments_finite_up_to_huge_hazards(self, alpha, gamma):
         p = AddamsParameters(alpha, gamma, 0.7)
@@ -346,10 +362,13 @@ def complex_step_partials(alpha, gamma, mu, s, h=1e-30):
     ])
 
 
-# (alpha, gamma, regime): every case ``_case`` selects
+# (alpha, gamma, source): every member, and alpha near 0.  source names how
+# a model reaches the law, and the case in test ids: "free" an estimated
+# alpha, "gamma", "poisson" or "binomial" a pinned one, "auto" given values;
+# the law itself depends on alpha and gamma alone
 PARTIAL_CASES = [
     (-10.0, 0.5, "auto"), (-1.0, 2.0, "auto"), (-0.25, 10.0, "auto"), (-1e-3, 0.1, "auto"),
-    (-4e-7, 3.0, "auto"), (-4e-7, 0.1, "free"),       # alpha ~ 0 band
+    (-4e-7, 3.0, "auto"), (-4e-7, 0.1, "free"),       # alpha near 0
     (0.0, 3.0, "auto"), (0.0, 0.1, "free"), (0.0, 10.0, "gamma"),
     (4e-7, 3.0, "auto"), (4e-7, 0.1, "free"),
     (1e-3, 0.5, "auto"), (0.3, 0.5, "auto"), (1.2, 3.0, "free"), (9.0, 10.0, "free"),
@@ -361,16 +380,13 @@ PARTIAL_CASES = [
 class TestLaplacePartials:
     """Partials of log L in alpha, gamma and mu against the 50-digit oracle."""
 
-    @pytest.mark.parametrize("alpha,gamma,regime", PARTIAL_CASES)
-    def test_match_50_digit_closed_form(self, alpha, gamma, regime):
-        # mu s from 1e-6 to 1e3; for the alpha ~ 0 band, both sides of
-        # |alpha| mu s = 1e-5, where the value leaves its expansion
+    @pytest.mark.parametrize("alpha,gamma,source", PARTIAL_CASES)
+    def test_match_50_digit_closed_form(self, alpha, gamma, source):
+        # mu s from 1e-6 to 1e3
         mu = 0.7
         u = np.logspace(-6, 3, 28)
-        if alpha != 0.0:
-            u = np.concatenate([u, 1e-5 / abs(alpha) * np.array([0.9, 1.1])])
         u = u[np.abs(alpha) * u < 700.0]
-        p = AddamsParameters(alpha, gamma, mu, regime=regime)
+        p = AddamsParameters(alpha, gamma, mu)
         got = partials(p, u / mu)
         expected = np.array([mp_log_laplace_partials(alpha, gamma, mu, v / mu) for v in u]).T
         np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0.0)
@@ -390,8 +406,8 @@ class TestLaplacePartials:
             np.testing.assert_allclose(got, expected, rtol=bound, atol=0.0,
                                        err_msg=f"alpha={alpha!r}")
 
-    @pytest.mark.parametrize("alpha,gamma,regime", PARTIAL_CASES)
-    def test_match_complex_step(self, alpha, gamma, regime):
+    @pytest.mark.parametrize("alpha,gamma,source", PARTIAL_CASES)
+    def test_match_complex_step(self, alpha, gamma, source):
         # only where gamma mu s >= 0.05 and |alpha| mu s is 0 or >= 1e-5:
         # below, the complex step sums the same O(mu s) terms as the closed
         # form and cancels as it does, by up to eps / (alpha mu s gamma mu s)
@@ -399,7 +415,7 @@ class TestLaplacePartials:
         u = np.logspace(-2, 2, 9)
         au = np.abs(alpha) * u
         u = u[(gamma * u >= 0.05) & ((au == 0.0) | (au >= 1e-5)) & (au < 700.0)]
-        d_alpha, d_gamma, d_mu = partials(AddamsParameters(alpha, gamma, mu, regime=regime), u / mu)
+        d_alpha, d_gamma, d_mu = partials(AddamsParameters(alpha, gamma, mu), u / mu)
         got = np.array([d_alpha, d_gamma, d_mu, d_alpha + d_gamma])
         expected = np.array([complex_step_partials(alpha, gamma, mu, v / mu) for v in u]).T
         # a step in alpha or gamma alone off alpha = gamma is a 0/0 that the
@@ -426,9 +442,9 @@ class TestLaplacePartials:
 
     def test_finite_at_extreme_hazards(self):
         s = np.logspace(-300, 300, 61)
-        for alpha, gamma, regime in PARTIAL_CASES:
-            p = AddamsParameters(alpha, gamma, 0.7, regime=regime)
-            assert np.all(np.isfinite(partials(p, s))), (alpha, gamma, regime)
+        for alpha, gamma, _ in PARTIAL_CASES:
+            p = AddamsParameters(alpha, gamma, 0.7)
+            assert np.all(np.isfinite(partials(p, s))), (alpha, gamma)
 
 
 class TestSupport:

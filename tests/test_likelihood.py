@@ -310,7 +310,7 @@ class TestScore:
     @pytest.mark.parametrize("alpha,gamma,regime,b", [
         (-1.0, 3.0, "free", None),        # negative branch
         (0.0, 3.0, "gamma", None),        # gamma-pinned
-        (4e-7, 3.0, "free", None),        # inside the |alpha| < 1e-6 guard band
+        (4e-7, 3.0, "free", None),        # alpha near the gamma limit
         (1.2, 3.0, "free", None),         # interior, cure fraction
         (3.0, 3.0, "poisson", None),      # poisson-pinned
         (3.5, 3.0, "binomial", 2),        # binomial-pinned

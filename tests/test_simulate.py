@@ -194,9 +194,7 @@ class TestGenerate:
             monitoring=MonitoringLaw("grid", times=(t_mon,)),
         )
         data = generate(config)
-        events = np.array([
-            r.event for c in data.clusters for r in c.records if r.unit == "u1"
-        ])
+        events = data.event[data.unit == data.unit_names.index("u1")]
         expected = 1.0 - laplace(params, 0.04 * t_mon)
         se = math.sqrt(expected * (1 - expected) / events.size)
         assert events.mean() == pytest.approx(expected, abs=3.5 * se)
@@ -209,7 +207,7 @@ class TestGenerate:
         config = SimConfig(spec=spec, n_clusters=4000, seed=2,
                            stratum_probs={"a": 0.25, "b": 0.75})
         data = generate(config)
-        share_a = np.mean([c.stratum == "a" for c in data.clusters])
+        share_a = np.mean(data.stratum == data.stratum_names.index("a"))
         assert share_a == pytest.approx(0.25, abs=0.03)
         with pytest.raises(InvalidParameters):
             SimConfig(spec=spec, n_clusters=10, stratum_probs={"a": 0.5, "b": 0.6})
