@@ -108,19 +108,17 @@ class CurrentStatusDataset:
         ids = [c.cluster_id for c in clusters]
         if len(set(ids)) != len(ids):
             raise InvalidParameters("duplicate cluster ids in dataset")
-        units: Dict[str, int] = {}
-        names: Dict[str, int] = {}
-        row_cluster, row_unit, times, events, cells = [], [], [], [], []
-        for code, c in enumerate(clusters):
-            for r in c.records:
-                cells.extend((len(times), names.setdefault(k, len(names)), v)
-                             for k, v in r.covariates.items())
-                row_cluster.append(code)
-                row_unit.append(units.setdefault(r.unit, len(units)))
-                times.append(r.time)
-                events.append(r.event)
-        self._set_columns(ids, [c.stratum for c in clusters], [c.weight for c in clusters],
-                          row_cluster, list(units), row_unit, times, events, list(names), cells)
+        records = [r for c in clusters for r in c.records]
+        units = {u: code for code, u in enumerate(dict.fromkeys(r.unit for r in records))}
+        names = list(dict.fromkeys(k for r in records for k in r.covariates))
+        self._set_columns(
+            ids, [c.stratum for c in clusters], [c.weight for c in clusters],
+            [code for code, c in enumerate(clusters) for _ in c.records], list(units),
+            [units[r.unit] for r in records], [r.time for r in records],
+            [r.event for r in records], names,
+            [[r.covariates.get(k, 0.0) for k in names] for r in records],
+            [[k in r.covariates for k in names] for r in records],
+        )
         self._clusters = clusters
 
     @classmethod
@@ -128,23 +126,23 @@ class CurrentStatusDataset:
                   weights: Sequence[float], row_cluster: Sequence[int],
                   unit_names: Sequence[str], row_unit: Sequence[int],
                   times: Sequence[float], events: Sequence[int],
-                  covariate_names: Sequence[str] = (),
-                  cells: Sequence[Tuple[int, int, float]] = ()) -> "CurrentStatusDataset":
+                  covariate_names: Sequence[str], covariates,
+                  present) -> "CurrentStatusDataset":
         """Dataset from per-cluster and per-row columns, with no checks.
 
-        ``strata`` holds each cluster's stratum label or None, and ``cells``
-        the (row, covariate index, value) of every covariate cell that holds
-        a value.  Rows may come in any cluster order; they are stored
+        ``strata`` holds each cluster's stratum label or None, ``covariates``
+        the [rows, len(covariate_names)] values and ``present`` the cells that
+        hold one.  Rows may come in any cluster order; they are stored
         grouped by cluster code, keeping their order within a cluster.
         """
         self = cls.__new__(cls)
         self._set_columns(cluster_ids, strata, weights, row_cluster, unit_names, row_unit,
-                          times, events, covariate_names, cells)
+                          times, events, covariate_names, covariates, present)
         self._clusters = None
         return self
 
     def _set_columns(self, cluster_ids, strata, weights, row_cluster, unit_names,
-                     row_unit, times, events, covariate_names, cells):
+                     row_unit, times, events, covariate_names, covariates, present):
         cluster = np.asarray(row_cluster, dtype=np.int64)
         order = np.argsort(cluster, kind="stable")
         levels: Dict[str, int] = {}
@@ -158,13 +156,9 @@ class CurrentStatusDataset:
         self.unit = _frozen(np.asarray(row_unit, dtype=np.int64)[order], np.int64)
         self.time = _frozen(np.asarray(times, dtype=np.float64)[order], np.float64)
         self.event = _frozen(np.asarray(events, dtype=np.int8)[order], np.int8)
-        values = np.zeros((cluster.size, len(covariate_names)))
-        present = np.zeros(values.shape, dtype=bool)
-        if len(cells):
-            rows, cols, cell_values = zip(*cells)
-            values[rows, cols] = cell_values
-            present[rows, cols] = True
-        values, present = values[order], present[order]
+        shape = (cluster.size, len(covariate_names))
+        values = np.asarray(covariates, dtype=np.float64).reshape(shape)[order]
+        present = np.asarray(present, dtype=bool).reshape(shape)[order]
         # covariates that hold a value somewhere, by first appearance
         firsts = [np.flatnonzero(column) for column in present.T]
         cols = [j for _, j in sorted((hits[0], j) for j, hits in enumerate(firsts) if hits.size)]
@@ -213,14 +207,12 @@ class CurrentStatusDataset:
 
 
 def _covariate_cells(row, columns):
-    """([(covariate index, value)] of the non-empty cells, None), or
+    """(each covariate's value, None for an empty cell; None), or
     (None, name) at the first cell that is not a number."""
     cells = []
-    for j, (name, i) in enumerate(columns):
-        if row[i] == "":
-            continue
+    for name, i in columns:
         try:
-            cells.append((j, float(row[i])))
+            cells.append(float(row[i]) if row[i] != "" else None)
         except ValueError:
             return None, name
     return cells, None
@@ -245,7 +237,8 @@ def read_csv(path) -> CurrentStatusDataset:
     row_unit = array("q")
     times = array("d")
     events = array("b")
-    cells: List[Tuple[int, int, float]] = []   # (row, covariate, value)
+    values = array("d")                 # [rows, covariates], 0 where absent
+    present = array("b")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -313,7 +306,8 @@ def read_csv(path) -> CurrentStatusDataset:
                 continue
             seen.add((code, ucode))
             if covariate_cols:
-                cells.extend((len(times), j, value) for j, value in row_cells)
+                values.extend([0.0 if v is None else v for v in row_cells])
+                present.extend([v is not None for v in row_cells])
             row_cluster.append(code)
             row_unit.append(ucode)
             times.append(time)
@@ -322,7 +316,7 @@ def read_csv(path) -> CurrentStatusDataset:
         raise DatasetError(problems)
     return CurrentStatusDataset.from_rows(
         list(codes), strata, weights, row_cluster, list(units), row_unit, times, events,
-        [name for name, _ in covariate_cols], cells,
+        [name for name, _ in covariate_cols], values, present,
     )
 
 

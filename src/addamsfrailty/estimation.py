@@ -6,8 +6,8 @@ untransformed) with a pin mask; pinned entries never move.  Fitting is
 quasi-Newton (BFGS with Wolfe line search) on the negated log-likelihood;
 each point's value and exact analytic score come from one
 ``LikelihoodWorkspace.loglik_and_score`` pass.  Standard errors come from
-the Hessian taken as the Richardson-extrapolated central-difference
-Jacobian of that score (4p score passes for p free parameters), and
+the Hessian taken as the symmetrized central-difference Jacobian of that
+score at one step (2p score passes for p free parameters), and
 confidence intervals use ln / ln(-ln) transforms as appropriate.  One
 central-difference Jacobian serves every derivative taken here: the
 score's, a value-mode Hessian's (the Jacobian of a differenced gradient)
@@ -454,30 +454,29 @@ def _parameter_cis(layout, theta_hat, se, level=0.95):
 
 
 def hessian(f, theta, base_step: float = 1e-4, from_score: bool = False) -> np.ndarray:
-    """Richardson-extrapolated central-difference Hessian.
+    """Symmetrized central-difference Hessian at steps base_step * max(1, |theta_i|).
 
-    With ``from_score`` set, ``f`` returns the gradient and the Hessian is
-    its central-difference Jacobian (2 d gradient evaluations per step for
-    d parameters).  By default ``f`` is the scalar function, and the
+    With ``from_score`` set, ``f`` returns the exact gradient and the
+    Hessian is its central-difference Jacobian at that one step (2 d
+    gradient evaluations for d parameters), exact for a linear gradient
+    and O(h^2) otherwise.  By default ``f`` is the scalar function, and the
     Hessian is the central-difference Jacobian of its central-difference
-    gradient at the same steps (4 d^2 evaluations per step).  Either way
-    the estimates at steps h and h/2 are combined as (4 H(h/2) - H(h)) / 3
-    and symmetrized.
+    gradient, taken at steps h and h/2 and combined as
+    (4 H(h/2) - H(h)) / 3 (8 d^2 evaluations).
     """
     theta = np.asarray(theta, dtype=float)
     steps = base_step * np.maximum(1.0, np.abs(theta))
+    if from_score:
+        estimate = _central_jacobian(f, theta, steps)
+    else:
+        def difference(h):
+            return _central_jacobian(lambda point: _central_jacobian(f, point, h), theta, h)
 
-    def difference(h):
-        if from_score:
-            return _central_jacobian(f, theta, h)
-        return _central_jacobian(lambda point: _central_jacobian(f, point, h), theta, h)
-
-    h_full = difference(steps)
-    h_half = difference(steps / 2.0)
-    combined = (4.0 * h_half - h_full) / 3.0
-    if not np.all(np.isfinite(combined)):
+        h_full = difference(steps)
+        estimate = (4.0 * difference(steps / 2.0) - h_full) / 3.0
+    if not np.all(np.isfinite(estimate)):
         raise NonFiniteEvaluation("non-finite Hessian entries")
-    return 0.5 * (combined + combined.T)
+    return 0.5 * (estimate + estimate.T)
 
 
 def _central_jacobian(f, theta, steps) -> np.ndarray:

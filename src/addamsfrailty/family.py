@@ -183,7 +183,7 @@ def classify_branch(p: AddamsParameters) -> FrailtyBranch:
 # ---------------------------------------------------------------------------
 
 def _log_laplace_general(a: float, g: float, m: float, s: np.ndarray) -> np.ndarray:
-    # A = 1 + ((a - g)/a) expm1(-x): where that correction is small, log1p
+    # A = 1 + c with c = ((a - g)/a) expm1(-x): where c is small, log1p
     # keeps the digits that log(A) loses at small x and that the division
     # by (a - g) exposes near a = g
     x = a * m * s
@@ -191,19 +191,20 @@ def _log_laplace_general(a: float, g: float, m: float, s: np.ndarray) -> np.ndar
         # A = exp(-x) (1 + (g/a) expm1(x)) with x <= 0: exp(-x) may overflow,
         # so take log A = -x + log1p((g/a) expm1(x)), a sum of two terms >= 0
         # that loses nothing at any x
-        log_a_term = -x + np.log1p((g / a) * np.expm1(x))
-    else:
-        # log1p while |correction| < 0.5; beyond, the log of the sum of
-        # positive terms loses nothing
-        em1 = np.expm1(-x)
-        correction = ((a - g) / a) * em1
-        bracket = np.exp(-x) - (g / a) * em1
-        if np.any(bracket <= 0):
-            raise NumericalDomain(
-                "non-positive bracket in Laplace transform evaluation"
-            )
-        log_a_term = np.where(np.abs(correction) < 0.5, np.log1p(correction), np.log(bracket))
-    return log_a_term / (a - g)
+        return (-x + np.log1p((g / a) * np.expm1(x))) / (a - g)
+    em1 = np.expm1(-x)
+    correction = ((a - g) / a) * em1
+    bracket = np.exp(-x) - (g / a) * em1
+    if np.any(bracket <= 0):
+        raise NumericalDomain(
+            "non-positive bracket in Laplace transform evaluation"
+        )
+    # log1p while |c| < 0.5, as (log1p(c) - c) / (a - g) + expm1(-x) / a, so no
+    # subnormal c (near a = g at tiny s) is divided; beyond, the log of the
+    # sum of positive terms loses nothing
+    return np.where(np.abs(correction) < 0.5,
+                    (np.log1p(correction) - correction) / (a - g) + em1 / a,
+                    np.log(bracket) / (a - g))
 
 
 def log_laplace(p: AddamsParameters, s):
@@ -344,7 +345,7 @@ def log_laplace_partials(p: AddamsParameters, s, log_l):
                 h += 1.0
                 h = np.reciprocal(h, out=h)
                 t = e * h
-                t *= 1.0 / a
+                t /= a
                 lead = e - x
                 lead *= h
             else:
@@ -353,13 +354,14 @@ def log_laplace_partials(p: AddamsParameters, s, log_l):
                 one_plus_q = ex - (g / a) * em     # a sum of two terms >= 0
                 h = ex / one_plus_q
                 t = em / one_plus_q
-                t *= -1.0 / a
+                t /= -a
                 # h (expm1(x) - x) = -(expm1(-x) + x exp(-x)) / (1 + q)
                 lead = x * ex
                 lead += em
                 lead /= one_plus_q
                 lead *= -1.0
-            lead *= 1.0 / (a * a)
+            lead /= a       # twice: a * a underflows to 0 for |alpha| < 1.5e-154
+            lead /= a
             limit = _PHI2_SPAN / abs(a) / m
             if s_min < limit:
                 small = s_arr < limit

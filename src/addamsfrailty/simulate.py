@@ -139,11 +139,11 @@ def generate(config: SimConfig) -> CurrentStatusDataset:
         monitor = config.monitoring.draw(rng, (_BLOCK, n_units))
         blocks.append((code, x, monitor, event_time <= monitor))
     code, x, times, events = (np.concatenate(part)[:n] for part in zip(*blocks))
-    cells = [(i * n_units + u, j, v) for u, j in zip(*np.nonzero(uses))
-             for i, v in enumerate(x[:, u, j].tolist())]
     strata = [levels[c] for c in code.tolist()] if len(levels) > 1 else [None] * n
     return CurrentStatusDataset.from_rows(
         [f"c{i + 1}" for i in range(n)], strata, np.ones(n),
         np.repeat(np.arange(n), n_units), spec.units, np.tile(np.arange(n_units), n),
-        times.ravel(), events.ravel(), names, cells,
+        times.ravel(), events.ravel(), names,
+        np.where(uses, x, 0.0).reshape(n * n_units, len(names)),
+        np.broadcast_to(uses, x.shape).reshape(n * n_units, len(names)),
     )

@@ -119,6 +119,50 @@ class TestHessian:
         h = hessian(f, np.array([1.0]))
         assert h[0, 0] == pytest.approx(12.0, rel=1e-7)
 
+    def test_score_mode_exact_on_quadratic(self):
+        # the score of a quadratic is linear, so one central difference is
+        # exact up to rounding, from 2 score passes per parameter
+        a = np.array([[2.0, 0.5, -0.3], [0.5, 1.5, 0.2], [-0.3, 0.2, 4.0]])
+        calls = []
+
+        def score(x):
+            calls.append(1)
+            return -a @ x
+
+        h = hessian(score, np.array([0.3, -0.7, 12.0]), from_score=True)
+        np.testing.assert_allclose(h, -a, rtol=0.0, atol=1e-10)
+        np.testing.assert_array_equal(h, h.T)
+        assert len(calls) == 2 * 3
+
+    def test_score_mode_error_is_order_step_squared(self):
+        # f = x0^4 + x0 x1^3: a central difference of the score at step h is
+        # off by h^2/6 times its third derivative, 4 h0^2 in H00 and, after
+        # symmetrizing, h1^2 / 2 in H01
+        def score(x):
+            return np.array([4.0 * x[0] ** 3 + x[1] ** 3, 3.0 * x[0] * x[1] ** 2])
+
+        x = np.array([1.0, -3.0])
+        h0, h1 = 1e-4 * np.maximum(1.0, np.abs(x))
+        exact = np.array([[12.0 * x[0] ** 2, 3.0 * x[1] ** 2],
+                          [3.0 * x[1] ** 2, 6.0 * x[0] * x[1]]])
+        predicted = np.array([[4.0 * h0 ** 2, 0.5 * h1 ** 2], [0.5 * h1 ** 2, 0.0]])
+        error = hessian(score, x, from_score=True) - exact
+        assert np.all(np.abs(error - predicted) <= 1e-9)
+
+    def test_score_mode_covariance_matches_value_mode(self):
+        # the gate-5 seed-0 fit: SEs from the fit's score-mode Hessian and
+        # from the Richardson value-mode Hessian of the log-likelihood
+        from test_acceptance import recovery_spec, simulate_from
+
+        spec = recovery_spec()
+        data = simulate_from(spec, 3000, seed=0)
+        result = fit(spec, data)
+        layout = ParameterLayout(spec)
+        ws = LikelihoodWorkspace(spec, data)
+        rich = hessian(lambda th: ws.total_loglik(layout.build_spec(th)), result.theta)
+        se = np.sqrt(np.diag(np.linalg.inv(-rich)))
+        np.testing.assert_allclose(result.se, se, rtol=1e-4, atol=0.0)
+
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_value_mode_non_finite_probe_raises(self):
         def f(x):
@@ -282,7 +326,7 @@ class TestFit:
         assert result.converged and attempts
         # each attempt's start point is evaluated once, by the check
         assert all(inside == nfev - 1 for nfev, inside in attempts)
-        hessian_passes = 4 * result.n_free
+        hessian_passes = 2 * result.n_free
         assert len(passes) == sum(nfev for nfev, _ in attempts) + hessian_passes
 
     def test_refit_from_solution_is_fixed_point(self):

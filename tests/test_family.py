@@ -219,6 +219,19 @@ class TestLaplace:
         np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
         assert laplace(AddamsParameters(alpha, gamma, 1.0), 5.617851874506707e-285) <= 1.0
 
+    @pytest.mark.parametrize("gamma", [0.5, 3.0, 20.0])
+    def test_alpha_just_below_gamma_at_tiny_hazards(self, gamma):
+        # the correction ((alpha - gamma)/alpha) expm1(-x) is subnormal at
+        # s = 1e-300 and alpha = gamma (1 - 1e-12); divided by alpha - gamma
+        # it once gave 6.5e-12 relative at gamma = 0.5
+        s = np.logspace(-300, 3, 304)
+        for k in range(6, 15):
+            alpha = gamma * (1.0 - 10.0 ** -k)
+            expected = [mp_log_laplace(alpha, gamma, 0.7, v) for v in s]
+            got = log_laplace(AddamsParameters(alpha, gamma, 0.7), s)
+            np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0,
+                                       err_msg=f"alpha={alpha!r}")
+
     def test_large_argument_no_overflow(self):
         p = AddamsParameters(-3.0, 5.0, 1.0)
         value = log_laplace(p, 1e4)
@@ -439,6 +452,21 @@ class TestLaplacePartials:
         with_zero = partials(p, np.concatenate([[0.0], s]))
         np.testing.assert_array_equal(with_zero[:, 1:], partials(p, s))
         assert np.all(with_zero[:, 0] == 0.0)
+
+    @pytest.mark.parametrize("alpha,gamma", [
+        (1e-300, 3.0), (-1e-300, 3.0), (1e-200, 3.0), (-1e-200, 3.0), (1e-160, 3.0),
+        (-1e-160, 3.0), (3e-309, 1e-3), (-3e-309, 1e-3),
+    ])
+    def test_tiny_alpha_with_finite_gamma_over_alpha(self, alpha, gamma):
+        # gamma / alpha is finite, so the closed form serves, but alpha^2
+        # underflows below 1.5e-154 and 1 / alpha overflows below 5.6e-309:
+        # multiplying by them once raised ZeroDivisionError at alpha = 1e-300
+        # and gave infinite partials at alpha = 3e-309
+        mu = 0.7
+        s = np.array([1e-3, 1.0, 1e3])
+        got = partials(AddamsParameters(alpha, gamma, mu), s)
+        expected = np.array([mp_log_laplace_partials(alpha, gamma, mu, v) for v in s]).T
+        np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0.0)
 
     def test_finite_at_extreme_hazards(self):
         s = np.logspace(-300, 300, 61)

@@ -1,5 +1,6 @@
 """Synthetic data generator: laws, determinism, substream stability."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy import stats
 
 from addamsfrailty import (
     AddamsParameters,
+    CurrentStatusDataset,
     ExponentialBaseline,
     FrailtyLink,
     LinearPredictor,
@@ -162,6 +164,24 @@ class TestGenerate:
         np.testing.assert_array_equal(small.present, large.present[:rows])
         # both strata occur, and in the later blocks too
         assert set(large.stratum[1000:].tolist()) == {0, 1}
+
+    def test_covariate_columns_match_the_cluster_view(self):
+        # generate passes covariate columns straight to from_rows; rebuilding
+        # the dataset from its own Cluster objects gives the same columns,
+        # with the cells of a unit that lacks a covariate absent
+        spec = dataclasses.replace(spec_of(units=("u1", "u2", "u3")), predictors={
+            "u1": LinearPredictor(("x",), (0.5,)), "u3": LinearPredictor(("y", "x"), (0.7, -0.2)),
+        })
+        data = generate(SimConfig(spec=spec, n_clusters=1500, seed=5))
+        rebuilt = CurrentStatusDataset(data.clusters)
+        for column in ("cluster_ids", "stratum_names", "unit_names", "covariate_names"):
+            assert getattr(rebuilt, column) == getattr(data, column)
+        for column in ("stratum", "weight", "cluster", "unit", "time", "event",
+                       "covariates", "present"):
+            np.testing.assert_array_equal(getattr(rebuilt, column), getattr(data, column))
+        assert data.covariate_names == ("x", "y")
+        u2 = data.unit == data.unit_names.index("u2")
+        assert not data.present[u2].any() and data.present[~u2].sum() == 1500 * 3
 
     def test_covariate_effect(self):
         # x ~ N(0, 1), and P(event at t | x) = 1 - L(Lambda0(t) exp(0.7 x))
