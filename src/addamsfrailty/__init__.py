@@ -51,7 +51,6 @@ from .hazard import (
     ModelSpec,
     PiecewiseConstantBaseline,
     WeibullBaseline,
-    parametric_baseline,
 )
 from .likelihood import LikelihoodWorkspace, cluster_loglik, total_loglik
 from .simulate import MonitoringLaw, SimConfig, generate, sample_event_time, sample_frailty

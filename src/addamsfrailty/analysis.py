@@ -4,7 +4,8 @@ Risk category (RC) k of a stratum is the k-th ordered support point of
 its discrete frailty law.  Hazard ratios between adjacent RCs within a
 stratum (HR_W) and between strata at the same or quantile-matched RC
 (HR_A) are reported together with the RC probability distribution, RFV
-and conditional-mean trajectories, and marginal prevalence curves.
+and conditional-mean trajectories, and marginal prevalence curves; the
+curves are taken at the baseline hazards (every covariate at 0).
 
 Infinite and undefined ratios are distinct: HR values may be ``inf``
 (one stratum's RC is non-susceptible) while the 0/0 case raises
@@ -354,31 +355,24 @@ def rfv_parameter_table(fit: FitResult,
 
 
 def trajectories(fit: FitResult, stratum: str, units: Optional[Sequence[str]] = None,
-                 times: Optional[Sequence[float]] = None,
-                 covariate_profile: Optional[Dict[str, float]] = None,
-                 with_ci: bool = True) -> List[TrajectoryCurve]:
+                 times: Optional[Sequence[float]] = None) -> List[TrajectoryCurve]:
     """RFV, conditional-mean, and per-unit marginal prevalence curves.
 
-    The conditioning hazard is the covariate-free aggregate over ``units``
-    by default; pass ``covariate_profile`` to evaluate at a profile.
+    Each unit's hazard is its baseline cumulative hazard in ``stratum``
+    (every covariate at 0), and the conditioning hazard is their sum over
+    ``units``.
     """
     units = list(units) if units is not None else list(fit.spec.units)
     grid = np.asarray(times if times is not None else np.linspace(0.0, 80.0, 81), dtype=float)
     if np.any(np.diff(grid) <= 0):
         raise ValueError("time grid must be strictly increasing")
-    cov_names = sorted({
-        n for u in units for n in fit.spec.predictors[u].covariate_names
-    })
-    profile = dict.fromkeys(cov_names, 0.0)
-    if covariate_profile:
-        profile.update(covariate_profile)
     kinds = [("rfv", None, "positive"), ("cond_mean", None, "positive")] + [
         ("prevalence", unit, "unit_interval") for unit in units
     ]
 
     def quantities(spec) -> np.ndarray:
         params = spec.frailty_params(stratum)
-        hazards = [spec.unit_cumulative_hazard(stratum, unit, profile, grid) for unit in units]
+        hazards = [spec.baseline_for(stratum, unit).cumulative(grid) for unit in units]
         lam = sum(hazards, np.zeros_like(grid))
         return np.concatenate(
             [rfv(params, lam), conditional_moments(params, lam)[0]]
@@ -386,7 +380,7 @@ def trajectories(fit: FitResult, stratum: str, units: Optional[Sequence[str]] = 
         )
 
     values = quantities(fit.spec)
-    se = _standard_errors(fit, quantities) if with_ci else None
+    se = _standard_errors(fit, quantities)
     curves: List[TrajectoryCurve] = []
     for i, (kind, unit, domain) in enumerate(kinds):
         part = slice(i * grid.size, (i + 1) * grid.size)

@@ -9,8 +9,10 @@ The format is INI-style (configparser).  Sections:
 ``[covariates]`` per-unit covariate column lists (main effects only).
 ``[params]``     explicit parameter values; with ``pin_all = true`` the
                  model is fully pinned (analyze published values without
-                 fitting), otherwise they seed the optimizer.
-``[fit] [simulate] [analyze] [lrt] [output]`` command settings.
+                 fitting), otherwise they seed the optimizer.  Keys match
+                 unit and stratum names in any case, as in ``[covariates]``.
+``[fit] [simulate] [analyze] [lrt] [output]`` command settings; the
+                 ``[analyze]`` and ``[lrt]`` ones are checked before any fit.
 """
 
 from __future__ import annotations
@@ -92,10 +94,14 @@ class RunConfig:
     output_dir: str
 
     # ------------------------------------------------------------------
+    def _param(self, key: str, default: Optional[List[float]] = None) -> Optional[List[float]]:
+        """A ``[params]`` entry; configparser stores the keys lower-cased."""
+        return self.params.get(key.lower(), default)
+
     def _baseline(self, key_label: str):
         family = self.baseline_family
         if family == "piecewise":
-            rates = self.params.get(f"rates.{key_label}")
+            rates = self._param(f"rates.{key_label}")
             if rates is None:
                 rates = [_DEFAULT_RATE] * len(self.cutpoints)
             if len(rates) != len(self.cutpoints):
@@ -103,7 +109,7 @@ class RunConfig:
                     f"rates.{key_label} needs {len(self.cutpoints)} values"
                 )
             return PiecewiseConstantBaseline(self.cutpoints, tuple(rates))
-        values = self.params.get(f"params.{key_label}")
+        values = self._param(f"params.{key_label}")
         if family == "exponential":
             return ExponentialBaseline(*(values or [_DEFAULT_RATE]))
         if family == "weibull":
@@ -138,7 +144,7 @@ class RunConfig:
             baselines = {u: self._baseline(u) for u in self.units}
         predictors = {
             u: LinearPredictor(self.covariates.get(u, ()),
-                               self.params.get(f"beta.{u}", [0.0] * len(self.covariates.get(u, ()))))
+                               self._param(f"beta.{u}", [0.0] * len(self.covariates.get(u, ()))))
             for u in self.units
         }
         return ModelSpec(
@@ -176,9 +182,13 @@ def _parse_monitoring(text: str) -> MonitoringLaw:
 def _parse_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
-        raise ConfigError("time_grid must be start:stop:count")
-    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-    return np.linspace(start, stop, count)
+        raise ConfigError("analyze.time_grid must be start:stop:count")
+    grid = np.linspace(float(parts[0]), float(parts[1]), int(parts[2]))
+    if not (np.all(grid >= 0.0) and np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
+        raise ConfigError(
+            f"analyze.time_grid {text!r} must be finite, >= 0 and strictly increasing"
+        )
+    return grid
 
 
 def load_config(path, overrides: Optional[List[str]] = None) -> RunConfig:
@@ -245,6 +255,10 @@ def load_config(path, overrides: Optional[List[str]] = None) -> RunConfig:
                    for key, default in (("null_regime", "gamma"), ("alt_regime", "free"))}
     for key, text in lrt_regimes.items():
         _parse_regime(text, f"lrt.{key}")   # reject it before any fit runs
+    analyze_units = tuple(_split(get("analyze", "units", ""))) or None
+    for unit in analyze_units or ():
+        if unit not in units:
+            raise ConfigError(f"analyze.units: {unit!r} is not a declared unit")
     try:
         return RunConfig(
             data_path=get("data", "path"),
@@ -267,7 +281,7 @@ def load_config(path, overrides: Optional[List[str]] = None) -> RunConfig:
             sim_stratum_probs=stratum_probs,
             analyze_k_max=int(get("analyze", "k_max", "5")),
             analyze_time_grid=_parse_grid(get("analyze", "time_grid", "0:80:81")),
-            analyze_units=tuple(_split(get("analyze", "units", ""))) or None,
+            analyze_units=analyze_units,
             lrt_null_regime=lrt_regimes["null_regime"],
             lrt_alt_regime=lrt_regimes["alt_regime"],
             output_dir=get("output", "dir", "out"),

@@ -24,14 +24,15 @@ records in file order, so every sum over the rows runs in that order.
 
 ``clusters`` is a read-only view of the same data as :class:`Cluster` and
 :class:`UnitRecord` objects, built on first access.  The likelihood, the
-fit, the simulator and the CSV writer use the columns and never build it;
-``CurrentStatusDataset(clusters)`` still builds a dataset from such
-objects.
+fit, the simulator, the CSV writer and ``==`` use the columns and never
+build it; ``CurrentStatusDataset(clusters)`` still builds a dataset from
+such objects.  A monitoring time must be finite and >= 0.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import operator
 from array import array
 from dataclasses import dataclass, field
@@ -80,18 +81,15 @@ class Cluster:
         if not self.weight > 0:
             raise InvalidParameters(f"cluster {self.cluster_id!r}: weight must be > 0")
         for r in self.records:
-            if r.time < 0:
+            if not 0.0 <= r.time < math.inf:
                 raise InvalidParameters(
-                    f"cluster {self.cluster_id!r}: negative monitoring time"
+                    f"cluster {self.cluster_id!r}: monitoring time {r.time!r} "
+                    "must be finite and >= 0"
                 )
             if r.event not in (0, 1):
                 raise InvalidParameters(
                     f"cluster {self.cluster_id!r}: event must be 0 or 1"
                 )
-
-    @property
-    def event_units(self) -> Tuple[str, ...]:
-        return tuple(r.unit for r in self.records if r.event == 1)
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -170,9 +168,32 @@ class CurrentStatusDataset:
         return len(self.cluster_ids)
 
     def __eq__(self, other):
+        """Same cluster ids, stratum labels and weights; per row the same
+        cluster, unit name, time and event; the same covariates by name with
+        the same presence, a present nan equal to itself (so a dataset equals
+        its CSV round trip).  Compares the columns and builds no view."""
         if not isinstance(other, CurrentStatusDataset):
             return NotImplemented
-        return self.clusters == other.clusters
+        if (self.cluster_ids != other.cluster_ids
+                or self.stratum_names != other.stratum_names
+                or set(self.covariate_names) != set(other.covariate_names)):
+            return False
+        # other's unit and covariate codes in this dataset's numbering
+        own = {name: code for code, name in enumerate(self.unit_names)}
+        units = np.array([own.get(name, -1) for name in other.unit_names], dtype=np.int64)
+        cols = [other.covariate_names.index(name) for name in self.covariate_names]
+        present = other.present[:, cols]
+        return (
+            np.array_equal(self.stratum, other.stratum)
+            and np.array_equal(self.weight, other.weight)
+            and np.array_equal(self.cluster, other.cluster)
+            and np.array_equal(self.unit, units[other.unit])
+            and np.array_equal(self.time, other.time)
+            and np.array_equal(self.event, other.event)
+            and np.array_equal(self.present, present)
+            and np.array_equal(self.covariates[self.present],
+                               other.covariates[:, cols][present], equal_nan=True)
+        )
 
     @property
     def starts(self) -> np.ndarray:
@@ -253,6 +274,7 @@ def read_csv(path) -> CurrentStatusDataset:
         covariate_cols = [(c, col[c]) for c in dict.fromkeys(header)
                           if c not in RESERVED_COLUMNS]
         width = len(header)
+        inf = math.inf
         for lineno, row in enumerate(filter(None, reader), start=2):
             if len(row) < width:        # a short row's missing cells are empty
                 row += [""] * (width - len(row))
@@ -267,8 +289,9 @@ def read_csv(path) -> CurrentStatusDataset:
             except ValueError:
                 problems.append(MalformedRow(lineno, "(non-numeric time)"))
                 continue
-            if time < 0:
-                problems.append(NegativeTimeRow(lineno, time))
+            if not 0.0 <= time < inf:
+                problems.append(NegativeTimeRow(lineno, time) if time < 0
+                                else MalformedRow(lineno, f"(time {time!r} is not finite)"))
                 continue
             if raw_event != "0" and raw_event != "1":
                 raw_event = raw_event.strip()

@@ -54,6 +54,10 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _RATE_FLOOR = 1e-4
+# fit's restart limits: jittered restarts after an unproductive BFGS
+# attempt, and restarts from the best point after a productive stall
+_MAX_RESTARTS = 3
+_MAX_POLISH_STEPS = 20
 # what the likelihood raises outside the feasible region
 _INFEASIBLE = (InvalidRegion, InvalidBinomial, NumericalDomain,
                NonPositiveProbability, InvalidParameters, OverflowError)
@@ -93,24 +97,18 @@ class ParameterLayout:
             self.beta_slices[unit] = slice(start, pos)
         link = spec.frailty_link
         any_free_regime = any(r.kind == "free" for r in spec.branch_regimes.values())
-        self._beta0_slice = slice(pos, pos + len(link.beta0))
-        for i, (value, free) in enumerate(zip(link.beta0, link.beta0_free)):
-            entries.append(_Entry(f"beta0[{i}]", float(value), bool(free), "identity"))
-            pos += 1
-        self._zeta_slice = slice(pos, pos + len(link.zeta))
-        for i, (value, free) in enumerate(zip(link.zeta, link.zeta_free)):
-            entries.append(
-                _Entry(f"zeta[{i}]", float(value), bool(free) and any_free_regime, "identity")
-            )
-            pos += 1
-        self._kappa_slice = slice(pos, pos + len(link.kappa))
-        for i, (value, free) in enumerate(zip(link.kappa, link.kappa_free)):
-            entries.append(_Entry(f"kappa[{i}]", float(value), bool(free), "identity"))
-            pos += 1
+        self.link_slices: Dict[str, slice] = {}
+        for name in ("beta0", "zeta", "kappa"):
+            values = getattr(link, name)
+            # zeta moves only where some stratum leaves alpha free
+            movable = any_free_regime or name != "zeta"
+            for i, (value, free) in enumerate(zip(values, getattr(link, f"{name}_free"))):
+                entries.append(
+                    _Entry(f"{name}[{i}]", float(value), bool(free) and movable, "identity")
+                )
+            self.link_slices[name] = slice(pos, pos + len(values))
+            pos += len(values)
         self.entries = entries
-        self.link_slices = (
-            ("beta0", self._beta0_slice), ("zeta", self._zeta_slice), ("kappa", self._kappa_slice),
-        )
         self.free_mask = np.array([e.free for e in entries], dtype=bool)
         self.full0 = np.array([e.value for e in entries])
 
@@ -159,9 +157,7 @@ class ParameterLayout:
             predictors[unit] = pred.with_coefficients(full[sl]) if pred.covariate_names else pred
         link = replace(
             self.spec0.frailty_link,
-            beta0=tuple(full[self._beta0_slice]),
-            zeta=tuple(full[self._zeta_slice]),
-            kappa=tuple(full[self._kappa_slice]),
+            **{name: tuple(full[sl]) for name, sl in self.link_slices.items()},
         )
         return replace(
             self.spec0, baselines=baselines, predictors=predictors, frailty_link=link
@@ -190,9 +186,9 @@ class ParameterLayout:
             full[sl] = _baseline_init(baseline, data.time[sel], data.event[sel])
         link = self.spec0.frailty_link
         p = len(link.zeta)
-        full[self._beta0_slice] = np.zeros(p)
-        full[self._zeta_slice] = np.array([-0.1] + [0.0] * (p - 1))
-        full[self._kappa_slice] = np.array([math.log(0.5)] + [0.0] * (p - 1))
+        full[self.link_slices["beta0"]] = np.zeros(p)
+        full[self.link_slices["zeta"]] = np.array([-0.1] + [0.0] * (p - 1))
+        full[self.link_slices["kappa"]] = np.array([math.log(0.5)] + [0.0] * (p - 1))
         return full[self.free_mask]
 
 
@@ -298,14 +294,16 @@ def _check_identifiability(spec: ModelSpec) -> None:
 
 
 def fit(spec: ModelSpec, data: CurrentStatusDataset, init=None,
-        max_restarts: int = 3, maxiter: int = 500, seed: int = 0) -> FitResult:
+        maxiter: int = 500, seed: int = 0) -> FitResult:
     """Maximize the current-status log-likelihood.
 
     ``init`` may be a free-parameter vector, the string "spec" to start
     from the values already held by ``spec``, or None for the data-driven
-    defaults.  On line-search failure the start point is jittered up to
-    ``max_restarts`` times; the best point found is always returned, with
-    ``converged`` reporting whether the gradient criterion was met.
+    defaults.  A line-search stall that improved on the best point
+    restarts BFGS from there (at most ``_MAX_POLISH_STEPS`` times); any
+    other failure jitters the start point (at most ``_MAX_RESTARTS``
+    times).  The best point found is always returned, with ``converged``
+    reporting whether the gradient criterion was met.
     """
     _check_identifiability(spec)
     layout = ParameterLayout(spec)
@@ -350,7 +348,7 @@ def fit(spec: ModelSpec, data: CurrentStatusDataset, init=None,
     attempts = 0
     polish_steps = 0
     start = theta0
-    while attempts <= max_restarts and polish_steps < 20:
+    while attempts <= _MAX_RESTARTS and polish_steps < _MAX_POLISH_STEPS:
         attempts += 1
         try:
             checked = objective(start)

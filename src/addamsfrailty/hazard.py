@@ -22,7 +22,6 @@ from scipy import special
 from .errors import (
     InvalidParameters,
     InvalidRegion,
-    MissingCovariate,
     NegativeTime,
     UnknownStratum,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "FrailtyLink",
     "BranchRegime",
     "ModelSpec",
-    "parametric_baseline",
     "PIENTER2_CUTPOINTS",
 ]
 
@@ -237,18 +235,6 @@ class GeneralizedGammaBaseline:
         return ["power", "k", "scale"]
 
 
-def parametric_baseline(family: str, params):
-    """Factory for the parametric baseline families."""
-    family = family.lower()
-    if family == "exponential":
-        return ExponentialBaseline(*params)
-    if family == "weibull":
-        return WeibullBaseline(*params)
-    if family in ("gengamma", "generalizedgamma", "generalized-gamma"):
-        return GeneralizedGammaBaseline(*params)
-    raise InvalidParameters(f"unknown baseline family {family!r}")
-
-
 @dataclass(frozen=True)
 class LinearPredictor:
     """Proportional-hazards linear predictor x' beta for one unit."""
@@ -261,14 +247,6 @@ class LinearPredictor:
             raise InvalidParameters("covariate names and coefficients must align")
         object.__setattr__(self, "covariate_names", tuple(self.covariate_names))
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
-
-    def value(self, covariates: Mapping[str, float]) -> float:
-        total = 0.0
-        for name, coef in zip(self.covariate_names, self.coefficients):
-            if name not in covariates:
-                raise MissingCovariate(f"covariate {name!r} missing from record")
-            total += coef * float(covariates[name])
-        return total
 
     def with_coefficients(self, values) -> "LinearPredictor":
         return replace(self, coefficients=tuple(float(v) for v in values))
@@ -477,10 +455,3 @@ class ModelSpec:
             "kappa": np.array([gamma * x if kind in ("poisson", "binomial") else zero,
                                gamma * x, zero]),
         }
-
-    def unit_cumulative_hazard(self, level: str, unit: str,
-                               covariates: Mapping[str, float], t):
-        """exp(x' beta) * Lambda_0(t) for one unit of one cluster."""
-        lp = self.predictors[unit].value(covariates)
-        base = self.baseline_for(level, unit).cumulative(t)
-        return math.exp(lp) * base

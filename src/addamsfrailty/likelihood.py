@@ -66,9 +66,6 @@ class _Diagnostics:
     def __init__(self):
         self.clamped_probabilities = 0
 
-    def reset(self):
-        self.clamped_probabilities = 0
-
 
 diagnostics = _Diagnostics()
 
@@ -335,7 +332,7 @@ class LikelihoodWorkspace:
                 weights @ (np.einsum("ij,ij->i", signed, d_gamma) / prob),
                 -(weights @ (np.einsum("ij,ij->i", signed_h, svals) / prob)),
             ])
-            for name, sl in layout.link_slices:
+            for name, sl in layout.link_slices.items():
                 grad[sl] += d_frailty @ jacobians[grp.level][name]
         return float(np.sum(self.weights * out)), grad[layout.free_mask]
 

@@ -6,8 +6,9 @@ quadrature over the gamma density) rather than from the closed-form
 Laplace transform, so agreement with the library is evidence and not
 tautology.  ``scalar_cluster_loglik`` is the exception: it walks the
 inclusion-exclusion sum one cluster at a time through the library's own
-``log_laplace``, so it checks the workspace's grouping, index arrays and
-scatter, not the transform.
+``log_laplace``, with each record's hazard exp(x' beta) Lambda_0(t) from
+``unit_cumulative_hazard``, so it checks the workspace's hazards,
+grouping, index arrays and scatter, not the transform.
 """
 
 import math
@@ -125,6 +126,17 @@ def oracle_cluster_prob(alpha, gamma, mu, lams, events):
     return series_cluster_prob(alpha, gamma, mu, lams, events)
 
 
+def unit_cumulative_hazard(spec, level, unit, covariates, t):
+    """exp(x' beta) Lambda_0(t) of one unit record, x' beta summed in the
+    predictor's covariate order.  A covariate missing from ``covariates``
+    raises KeyError."""
+    predictor = spec.predictors[unit]
+    linear = 0.0
+    for name, coef in zip(predictor.covariate_names, predictor.coefficients):
+        linear += coef * float(covariates[name])
+    return math.exp(linear) * spec.baseline_for(level, unit).cumulative(t)
+
+
 def scalar_cluster_loglik(spec, cluster):
     """Log-probability of one cluster's outcome: the inclusion-exclusion sum
     walked in Gray-code order, one hazard added or removed per step, with
@@ -136,7 +148,7 @@ def scalar_cluster_loglik(spec, cluster):
     level = cluster.stratum if cluster.stratum is not None else spec.frailty_link.reference
     params = spec.frailty_params(level)
     lam = [
-        spec.unit_cumulative_hazard(level, r.unit, r.covariates, r.time)
+        unit_cumulative_hazard(spec, level, r.unit, r.covariates, r.time)
         for r in cluster.records
     ]
     event_lams = [l for l, r in zip(lam, cluster.records) if r.event == 1]
@@ -315,8 +327,11 @@ def reference_read_csv(path):
                 except (TypeError, ValueError):
                     problems.append(MalformedRow(lineno, "(non-numeric time)"))
                     continue
-                if time < 0:
-                    problems.append(NegativeTimeRow(lineno, time))
+                if not 0.0 <= time < math.inf:
+                    problems.append(
+                        NegativeTimeRow(lineno, time) if time < 0
+                        else MalformedRow(lineno, f"(time {time!r} is not finite)")
+                    )
                     continue
                 raw_event = (row["event"] or "").strip()
                 if raw_event not in ("0", "1"):

@@ -10,6 +10,7 @@ from addamsfrailty import (
     AddamsParameters,
     ExponentialBaseline,
     FrailtyLink,
+    LinearPredictor,
     ModelSpec,
     ParameterLayout,
     classify_branch,
@@ -217,7 +218,7 @@ class TestTrajectories:
     def test_rfv_curve_matches_closed_form(self):
         result = two_stratum_fit()
         times = np.linspace(0.0, 40.0, 9)
-        curves = trajectories(result, "m", times=times, with_ci=False)
+        curves = trajectories(result, "m", times=times)
         rfv_curve = next(c for c in curves if c.kind == "rfv")
         lam = 0.05 * times + 0.03 * times    # both exponential units aggregate
         np.testing.assert_allclose(rfv_curve.values, rfv(MALE, lam), rtol=1e-12)
@@ -225,7 +226,7 @@ class TestTrajectories:
     def test_prevalence_curve_matches_laplace(self):
         result = two_stratum_fit()
         times = np.linspace(0.0, 40.0, 9)
-        curves = trajectories(result, "f", times=times, with_ci=False)
+        curves = trajectories(result, "f", times=times)
         prev = next(c for c in curves if c.kind == "prevalence" and c.unit == "u1")
         np.testing.assert_allclose(
             prev.values, 1.0 - laplace(FEMALE, 0.05 * times), rtol=1e-12
@@ -234,11 +235,30 @@ class TestTrajectories:
     def test_cond_mean_curve(self):
         result = two_stratum_fit()
         times = np.array([0.0, 10.0])
-        curves = trajectories(result, "m", times=times, with_ci=False)
+        curves = trajectories(result, "m", times=times)
         mean = next(c for c in curves if c.kind == "cond_mean")
         assert mean.values[0] == pytest.approx(1.0)   # E(Z) = mu at t = 0
         expected, _, _ = conditional_moments(MALE, 0.08 * 10.0)
         assert mean.values[1] == pytest.approx(expected, rel=1e-10)
+
+    def test_units_with_covariates_use_baseline_hazards(self):
+        result = two_stratum_fit()
+        spec = dataclasses.replace(result.spec, predictors={
+            "u1": LinearPredictor(("x",), (0.8,)),
+            "u2": LinearPredictor(("x", "z"), (-0.4, 1.5)),
+        })
+        times = np.linspace(0.0, 40.0, 9)
+        # every layout entry free, the betas included, so the CI path runs too
+        fit = with_covariance(pinned_result(spec))
+        curves = {(c.kind, c.unit): c for c in trajectories(fit, "f", times=times)}
+        params = spec.frailty_params("f")
+        lam0 = {u: spec.baseline_for("f", u).cumulative(times) for u in spec.units}
+        for unit in spec.units:
+            np.testing.assert_array_equal(curves["prevalence", unit].values,
+                                          1.0 - laplace(params, lam0[unit]))
+        np.testing.assert_array_equal(curves["rfv", None].values,
+                                      rfv(params, lam0["u1"] + lam0["u2"]))
+        assert curves["prevalence", "u2"].lo is not None
 
     def test_grid_must_increase(self):
         with pytest.raises(ValueError):

@@ -124,6 +124,52 @@ class TestConfig:
         key = setting.split("=", 1)[0]
         assert any(key in rec.getMessage() for rec in caplog.records)
 
+    def test_params_keys_match_names_in_any_case(self, tmp_path):
+        cfg = tmp_path / "case.ini"
+        cfg.write_text(
+            "[model]\nunits = HepA, hepB\nbaseline = exponential\n"
+            "[covariates]\nHepA = Age\n"
+            "[params]\nparams.HepA = 0.07\nPARAMS.HEPB = 0.03\nbeta.HepA = 0.5\n"
+        )
+        spec = load_config(cfg).build_spec()
+        assert spec.baselines["HepA"].rate == 0.07
+        assert spec.baselines["hepB"].rate == 0.03
+        assert spec.predictors["HepA"].coefficients == (0.5,)
+        # configparser reads ":" in a file key as a delimiter, so these
+        # keys come as overrides
+        cfg.write_text(
+            "[model]\nunits = HepA\nstratum_levels = M, F\nstratified_baselines = true\n"
+            "cutpoints = 0, 40\n"
+        )
+        spec = load_config(cfg, ["params.rates.M:HepA=0.01, 0.02",
+                                 "params.rates.F:HepA=0.03, 0.04"]).build_spec()
+        assert spec.baselines["M", "HepA"].rates == (0.01, 0.02)
+        assert spec.baselines["F", "HepA"].rates == (0.03, 0.04)
+
+    @pytest.mark.parametrize("setting", [
+        "analyze.time_grid=80:0:5",
+        "analyze.time_grid=0:0:3",
+        "analyze.time_grid=-5:40:5",
+        "analyze.time_grid=0:nan:5",
+        "analyze.units=u1, u9",
+    ])
+    def test_analyze_values_checked_before_any_fit(self, tmp_path, caplog, monkeypatch,
+                                                   setting):
+        cfg = write_config(tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("fit ran")
+
+        monkeypatch.setattr("addamsfrailty.cli.ml_fit", refuse)
+        with pytest.raises(ConfigError):
+            load_config(cfg, [setting])
+        with caplog.at_level("ERROR", logger="addamsfrailty"):
+            code = main(["analyze", "--config", str(cfg), "--set", setting])
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "out" / "report.json").exists()
+        key = setting.split("=", 1)[0]
+        assert any(key in rec.getMessage() for rec in caplog.records)
+
 
 class TestIngest:
     def test_reports_every_problem(self, tmp_path):
@@ -148,6 +194,15 @@ class TestIngest:
                          "--set", f"data.path={bad}"])
         assert code == EXIT_DATA
         assert any("2" in rec.getMessage() for rec in caplog.records)
+
+    def test_non_finite_time_is_a_dataset_problem(self, tmp_path, caplog):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("cluster_id,unit,time,event\nc1,u1,5.0,1\nc2,u1,nan,0\n")
+        cfg = write_config(tmp_path)
+        with caplog.at_level("ERROR", logger="addamsfrailty"):
+            code = main(["fit", "--config", str(cfg), "--set", f"data.path={bad}"])
+        assert code == EXIT_DATA
+        assert any("line 3" in rec.getMessage() for rec in caplog.records)
 
     def test_bad_weight_is_a_dataset_problem(self, tmp_path, caplog):
         bad = tmp_path / "bad.csv"

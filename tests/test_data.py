@@ -36,9 +36,6 @@ def make_cluster(cid="c1", stratum=None, weight=1.0):
 
 
 class TestContainers:
-    def test_event_units(self):
-        assert make_cluster().event_units == ("u1",)
-
     def test_cluster_validation(self):
         with pytest.raises(InvalidParameters):
             Cluster("c", records=())
@@ -50,6 +47,11 @@ class TestContainers:
             Cluster("c", records=(UnitRecord("u", 1.0, 2),))
         with pytest.raises(InvalidParameters):
             make_cluster(weight=0.0)
+
+    @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, time):
+        with pytest.raises(InvalidParameters, match="must be finite"):
+            Cluster("c", records=(UnitRecord("u", 1.0, 0), UnitRecord("v", time, 1)))
 
     def test_dataset_unique_ids(self):
         with pytest.raises(InvalidParameters):
@@ -123,6 +125,19 @@ class TestReadCsv:
         with pytest.raises(DatasetError) as err:
             read_csv(f)
         assert len(err.value.problems) == 1
+
+    def test_non_finite_time_is_a_row_problem(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("cluster_id,unit,time,event\n"
+                     "c1,u1,1.0,0\nc1,u2,nan,1\nc2,u1,inf,0\nc3,u1,-inf,0\n"
+                     "c4,u1,Infinity,1\nc5,u1,80.0,1\n")
+        with pytest.raises(DatasetError) as err:
+            read_csv(f)
+        got = [(type(p), p.line) for p in err.value.problems]
+        assert got == [(MalformedRow, 3), (MalformedRow, 4), (NegativeTimeRow, 5),
+                       (MalformedRow, 6)]
+        assert "not finite" in str(err.value.problems[0])
+        assert _outcome(read_csv, f) == _outcome(reference_read_csv, f)
 
     def test_empty_cluster_id_rejected(self, tmp_path):
         f = tmp_path / "d.csv"
@@ -201,9 +216,96 @@ class TestColumns:
         assert read_csv(f).covariate_names == ("y", "x")
 
 
+def equality_dataset():
+    """Two strata and one cluster without; covariates x and y with absent
+    cells and a present nan; units met in a different order than numbered
+    by a file reader (c2 has u3 before u2)."""
+    nan = float("nan")
+    return CurrentStatusDataset((
+        Cluster("c1", (UnitRecord("u1", 5.0, 1, {"x": 0.5, "y": nan}),
+                       UnitRecord("u2", 7.0, 0, {"y": 2.0})), stratum="m", weight=2.0),
+        Cluster("c2", (UnitRecord("u3", 1.5, 0), UnitRecord("u2", 3.0, 1, {"x": -1.0})),
+                stratum="f"),
+        Cluster("c3", (UnitRecord("u1", 9.0, 0, {"x": 4.0}),)),
+    ))
+
+
+def with_changes(data, *changes):
+    """``data`` rebuilt from its columns, each (column, index, value) of
+    ``changes`` setting ``from_rows``'s argument ``column`` at ``index``."""
+    columns = dict(
+        cluster_ids=data.cluster_ids,
+        strata=[data.stratum_names[s] if s >= 0 else None for s in data.stratum.tolist()],
+        weights=np.array(data.weight), row_cluster=np.array(data.cluster),
+        unit_names=data.unit_names, row_unit=np.array(data.unit),
+        times=np.array(data.time), events=np.array(data.event),
+        covariate_names=data.covariate_names, covariates=np.array(data.covariates),
+        present=np.array(data.present),
+    )
+    for column, index, value in changes:
+        columns[column][index] = value
+    return CurrentStatusDataset.from_rows(**columns)
+
+
+class TestEquality:
+    """Dataset == compares the columns and never builds the cluster view."""
+
+    @pytest.fixture
+    def no_view(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("cluster view built")
+
+        monkeypatch.setattr(CurrentStatusDataset, "_cluster_view", refuse)
+
+    def test_equal_to_its_rebuilt_columns(self, no_view):
+        data = with_changes(equality_dataset())
+        assert data == with_changes(data)
+
+    @pytest.mark.parametrize("changes", [
+        [("times", 1, 7.25)],
+        [("events", 0, 0)],
+        [("weights", 2, 1.5)],
+        [("strata", 2, "m")],
+        [("strata", 0, "M")],
+        [("row_unit", 4, 1)],
+        [("row_cluster", 4, 1)],
+        [("covariates", (0, 0), 0.75)],
+        [("present", (1, 0), True)],
+        # x moves from row 3 to row 2: the present values, in row order, stay
+        [("present", (2, 0), True), ("covariates", (2, 0), -1.0), ("present", (3, 0), False)],
+    ], ids=lambda changes: "+".join(column for column, _, _ in changes))
+    def test_changed_entries_are_unequal(self, no_view, changes):
+        data = with_changes(equality_dataset())
+        assert data != with_changes(data, *changes)
+
+    def test_unit_and_covariate_numbering_does_not_matter(self, tmp_path, no_view):
+        original = equality_dataset()
+        f = tmp_path / "d.csv"
+        f.write_text("cluster_id,unit,time,event,stratum,weight,y,x\n"
+                     "c1,u1,5.0,1,m,2.0,nan,0.5\nc2,u3,1.5,0,f,,,\nc1,u2,7.0,0,m,2.0,2.0,\n"
+                     "c2,u2,3.0,1,f,,,-1.0\nc3,u1,9.0,0,,,,4.0\n")
+        back = read_csv(f)
+        assert back.unit_names != original.unit_names
+        assert back.covariate_names != original.covariate_names
+        assert back == original and original == back
+
+    def test_equal_to_its_view_and_csv_round_trip(self, tmp_path, monkeypatch):
+        data = with_changes(equality_dataset())
+        rebuilt = CurrentStatusDataset(data.clusters)
+        f = tmp_path / "d.csv"
+        write_csv(data, f)
+        monkeypatch.setattr(CurrentStatusDataset, "_cluster_view",
+                            lambda self: pytest.fail("cluster view built"))
+        back = read_csv(f)
+        assert math.isnan(back.covariates[0, back.covariate_names.index("y")])
+        assert data == rebuilt and rebuilt == data
+        assert data == back and back == rebuilt
+
+
 # the faults a generated row may carry
 _FAULTS = (
-    "empty_id", "empty_unit", "time_text", "time_negative", "event_bad", "event_padded",
+    "empty_id", "empty_unit", "time_text", "time_negative", "time_non_finite", "event_bad",
+    "event_padded",
     "cov_text", "cov_nan", "stratum_change", "weight_change", "weight_text", "weight_bad",
     "short", "blank_before", "padded_id",
 )
@@ -240,6 +342,8 @@ def csv_files(draw):
             cell["time"] = draw(st.sampled_from(["abc", "", "1,5"]))
         elif fault == "time_negative":
             cell["time"] = "-1.5"
+        elif fault == "time_non_finite":
+            cell["time"] = draw(st.sampled_from(["nan", "inf", "-inf", "Infinity"]))
         elif fault == "event_bad":
             cell["event"] = draw(st.sampled_from(["2", "", "yes", "1.0"]))
         elif fault == "event_padded":

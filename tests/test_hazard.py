@@ -16,8 +16,10 @@ from addamsfrailty import (
     ModelSpec,
     PiecewiseConstantBaseline,
     WeibullBaseline,
-    parametric_baseline,
+    cluster_loglik,
+    log_laplace,
 )
+from addamsfrailty.data import Cluster, UnitRecord
 from addamsfrailty.errors import (
     InvalidParameters,
     InvalidRegion,
@@ -132,12 +134,6 @@ class TestParametricBaselines:
         np.testing.assert_allclose(rebuilt.cumulative(ts), base.cumulative(ts))
         assert len(base.param_names) == base.log_params.size
 
-    def test_factory(self):
-        assert isinstance(parametric_baseline("weibull", (1.0, 2.0)), WeibullBaseline)
-        assert isinstance(parametric_baseline("exponential", (0.1,)), ExponentialBaseline)
-        with pytest.raises(InvalidParameters):
-            parametric_baseline("loglogistic", (1.0,))
-
 
 EVERY_BASELINE = [
     PiecewiseConstantBaseline((0.0, 2.0, 5.0, 9.0), (0.5, 0.2, 0.1, 0.3)),
@@ -173,23 +169,36 @@ class TestInvert:
 
 
 class TestLinearPredictor:
-    def test_value_and_missing(self):
-        pred = LinearPredictor(("age", "urban"), (0.02, -0.5))
-        assert pred.value({"age": 30.0, "urban": 1.0}) == pytest.approx(0.1)
-        with pytest.raises(MissingCovariate):
-            pred.value({"age": 30.0})
+    """The likelihood's unit hazard is exp(x' beta) Lambda_0(t): a lone
+    unit without an event has log-probability log L of it."""
 
-    def test_proportionality(self):
-        link = FrailtyLink.for_factor(["a"])
-        spec = ModelSpec(
+    @staticmethod
+    def spec(names, coefficients):
+        return ModelSpec(
             units=("u",),
             baselines={"u": ExponentialBaseline(0.1)},
-            frailty_link=link,
-            predictors={"u": LinearPredictor(("x",), (0.7,))},
+            frailty_link=FrailtyLink.for_factor(["a"]),
+            predictors={"u": LinearPredictor(names, coefficients)},
         )
-        lam0 = spec.unit_cumulative_hazard("a", "u", {"x": 0.0}, 5.0)
-        lam1 = spec.unit_cumulative_hazard("a", "u", {"x": 1.0}, 5.0)
-        assert lam1 / lam0 == pytest.approx(math.exp(0.7))
+
+    @staticmethod
+    def loglik(spec, covariates):
+        return cluster_loglik(spec, Cluster("c", (UnitRecord("u", 5.0, 0, covariates),)))
+
+    def test_value_and_missing(self):
+        spec = self.spec(("age", "urban"), (0.02, -0.5))
+        params = spec.frailty_params("a")
+        assert self.loglik(spec, {"age": 30.0, "urban": 1.0}) == pytest.approx(
+            log_laplace(params, math.exp(0.1) * 0.5), rel=1e-12)
+        with pytest.raises(MissingCovariate):
+            self.loglik(spec, {"age": 30.0})
+
+    def test_proportionality(self):
+        spec = self.spec(("x",), (0.7,))
+        params = spec.frailty_params("a")
+        for x in (0.0, 1.0):
+            assert self.loglik(spec, {"x": x}) == pytest.approx(
+                log_laplace(params, math.exp(0.7 * x) * 0.5), rel=1e-12)
 
 
 class TestFrailtyLink:

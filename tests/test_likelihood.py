@@ -483,9 +483,11 @@ class TestEventCountGrouping:
     @staticmethod
     def keys(data):
         units = {(c.stratum, tuple(r.unit for r in c.records)) for c in data.clusters}
-        counts = {(c.stratum, tuple(r.unit for r in c.records), len(c.event_units))
+        events = {c.cluster_id: tuple(r.unit for r in c.records if r.event == 1)
                   for c in data.clusters}
-        patterns = {(c.stratum, tuple(r.unit for r in c.records), c.event_units)
+        counts = {(c.stratum, tuple(r.unit for r in c.records), len(events[c.cluster_id]))
+                  for c in data.clusters}
+        patterns = {(c.stratum, tuple(r.unit for r in c.records), events[c.cluster_id])
                     for c in data.clusters}
         return units, counts, patterns
 
