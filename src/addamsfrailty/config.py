@@ -1,6 +1,7 @@
 """Run configuration: flat key-value file with per-unit blocks.
 
-The format is INI-style (configparser).  Sections:
+The format is INI-style (configparser): ``key = value`` lines, so a key
+may hold ``:``, and ``;`` after whitespace opens a comment.  Sections:
 
 ``[data]``       dataset path; the stratum and weight columns are read
                  when the file has them.
@@ -10,7 +11,8 @@ The format is INI-style (configparser).  Sections:
 ``[params]``     explicit parameter values; with ``pin_all = true`` the
                  model is fully pinned (analyze published values without
                  fitting), otherwise they seed the optimizer.  Keys match
-                 unit and stratum names in any case, as in ``[covariates]``.
+                 unit and stratum names in any case, as in ``[covariates]``;
+                 a key that matches no parameter is an error.
 ``[fit] [simulate] [analyze] [lrt] [output]`` command settings; the
                  ``[analyze]`` and ``[lrt]`` ones are checked before any fit.
 """
@@ -44,6 +46,8 @@ __all__ = ["RunConfig", "load_config"]
 
 _PRESET_CUTPOINTS = {"pienter2": PIENTER2_CUTPOINTS}
 _DEFAULT_RATE = 0.05
+# the [params] keys of the frailty link, one value per design row each
+_LINK_PARAMS = ("zeta", "kappa", "beta0")
 
 
 def _split(value: str) -> List[str]:
@@ -98,18 +102,32 @@ class RunConfig:
         """A ``[params]`` entry; configparser stores the keys lower-cased."""
         return self.params.get(key.lower(), default)
 
-    def _baseline(self, key_label: str):
+    def _baseline_keys(self) -> Dict[object, str]:
+        """Each baseline's ``ModelSpec`` key -> the ``[params]`` key of its values."""
+        prefix = "rates" if self.baseline_family == "piecewise" else "params"
+        if self.stratified_baselines:
+            return {(lvl, u): f"{prefix}.{lvl}:{u}"
+                    for lvl in self.stratum_levels for u in self.units}
+        return {u: f"{prefix}.{u}" for u in self.units}
+
+    def _beta_keys(self) -> Dict[str, str]:
+        """Each unit -> the ``[params]`` key of its covariate effects."""
+        return {u: f"beta.{u}" for u in self.units}
+
+    def _param_keys(self) -> set:
+        """The ``[params]`` keys ``build_spec`` reads, lower-cased."""
+        return {*_LINK_PARAMS, *(key.lower() for key in self._baseline_keys().values()),
+                *(key.lower() for key in self._beta_keys().values())}
+
+    def _baseline(self, key: str):
+        """The baseline whose values the ``[params]`` entry ``key`` holds."""
         family = self.baseline_family
+        values = self._param(key)
         if family == "piecewise":
-            rates = self._param(f"rates.{key_label}")
-            if rates is None:
-                rates = [_DEFAULT_RATE] * len(self.cutpoints)
+            rates = values if values is not None else [_DEFAULT_RATE] * len(self.cutpoints)
             if len(rates) != len(self.cutpoints):
-                raise ConfigError(
-                    f"rates.{key_label} needs {len(self.cutpoints)} values"
-                )
+                raise ConfigError(f"{key} needs {len(self.cutpoints)} values")
             return PiecewiseConstantBaseline(self.cutpoints, tuple(rates))
-        values = self._param(f"params.{key_label}")
         if family == "exponential":
             return ExponentialBaseline(*(values or [_DEFAULT_RATE]))
         if family == "weibull":
@@ -124,7 +142,7 @@ class RunConfig:
         )
         p = len(link.zeta)
         updates = {}
-        for name in ("zeta", "kappa", "beta0"):
+        for name in _LINK_PARAMS:
             if name in self.params:
                 values = self.params[name]
                 if len(values) != p:
@@ -135,17 +153,12 @@ class RunConfig:
             updates["zeta_free"] = (False,) * p if self.pin_all else link.zeta_free
             updates["kappa_free"] = (False,) * p if self.pin_all else link.kappa_free
         link = dataclasses.replace(link, **updates)
-        if self.stratified_baselines:
-            baselines = {
-                (lvl, u): self._baseline(f"{lvl}:{u}")
-                for lvl in self.stratum_levels for u in self.units
-            }
-        else:
-            baselines = {u: self._baseline(u) for u in self.units}
+        baselines = {spec_key: self._baseline(key)
+                     for spec_key, key in self._baseline_keys().items()}
         predictors = {
             u: LinearPredictor(self.covariates.get(u, ()),
-                               self._param(f"beta.{u}", [0.0] * len(self.covariates.get(u, ()))))
-            for u in self.units
+                               self._param(key, [0.0] * len(self.covariates.get(u, ()))))
+            for u, key in self._beta_keys().items()
         }
         return ModelSpec(
             units=self.units,
@@ -193,8 +206,11 @@ def _parse_grid(text: str) -> np.ndarray:
 
 def load_config(path, overrides: Optional[List[str]] = None) -> RunConfig:
     """Parse a config file; ``overrides`` are ``section.key=value`` strings."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    parser = configparser.ConfigParser(delimiters=("=",), inline_comment_prefixes=(";",))
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"config file {path!r}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file {path!r} not found")
     for item in overrides or []:
@@ -260,7 +276,7 @@ def load_config(path, overrides: Optional[List[str]] = None) -> RunConfig:
         if unit not in units:
             raise ConfigError(f"analyze.units: {unit!r} is not a declared unit")
     try:
-        return RunConfig(
+        config = RunConfig(
             data_path=get("data", "path"),
             units=units,
             stratum_levels=levels,
@@ -290,3 +306,7 @@ def load_config(path, overrides: Optional[List[str]] = None) -> RunConfig:
         raise
     except (ValueError, KeyError) as exc:
         raise ConfigError(str(exc)) from exc
+    unknown = sorted(set(params) - config._param_keys())
+    if unknown:
+        raise ConfigError(f"[params] {', '.join(map(repr, unknown))} match no parameter")
+    return config

@@ -239,6 +239,150 @@ def _covariate_cells(row, columns):
     return cells, None
 
 
+# bytes the block reader takes at a time, running on to the end of the
+# line; a block longer than csv's field size limit goes to the row loop
+_BLOCK_BYTES = 1 << 16
+# the ASCII characters other than line ends that str.strip removes
+_ASCII_SPACE = (" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+class _Fallback(Exception):
+    """The block reader leaves the file to the row loop."""
+
+
+def _text(raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise _Fallback from None
+
+
+def _floats(cells) -> np.ndarray:
+    try:
+        return np.fromiter(map(float, cells), np.float64, len(cells))
+    except ValueError:
+        raise _Fallback from None
+
+
+class _Codes(dict):
+    """Key -> code; a key not seen before takes the next code, so codes
+    follow first appearance."""
+
+    def __missing__(self, key):
+        code = self[key] = len(self)
+        return code
+
+
+def _codes(keys, table: _Codes) -> np.ndarray:
+    return np.fromiter(map(table.__getitem__, keys), np.int64, len(keys))
+
+
+def _columns(text: str, width: int) -> List[List[str]]:
+    """The cells of whole lines, one list per column; _Fallback unless
+    every non-blank line holds ``width`` cells that csv.reader would read
+    as they stand."""
+    # csv.reader rejects a cell over its field size limit
+    if '"' in text or "\x00" in text or len(text) > csv.field_size_limit():
+        raise _Fallback
+    text = text.removesuffix("\n").removesuffix("\r")
+    if not text:
+        return [[] for _ in range(width)]
+    if "\r" in text:
+        spread = text.replace("\r\n", ",\n")
+        if "\r" in spread:         # csv.reader also ends a line at a lone \r
+            raise _Fallback
+    else:
+        spread = text.replace("\n", ",\n")
+    cells = spread.split(",")
+    rows, extra = divmod(len(cells), width)
+    # a cell holds at most one line break, at its start: the lines hold
+    # width cells each when the first column holds every break
+    first = "".join(cells[::width]).split("\n")
+    if not extra and len(first) == rows and spread.count("\n") == rows - 1:
+        return [first] + [cells[j::width] for j in range(1, width)]
+    # blank lines, which csv.reader skips, or both kinds of line end
+    lines = "\n".join(filter(None, text.replace("\r\n", "\n").split("\n")))
+    if lines == text:
+        raise _Fallback
+    return _columns(lines, width)
+
+
+def _read_blocks(path) -> CurrentStatusDataset:
+    """:func:`read_csv` a block of lines at a time, checking each row
+    condition over whole columns; _Fallback when one fails."""
+    with open(path, "rb") as fh:
+        line = _text(fh.readline())
+        header = line.removesuffix("\n").removesuffix("\r")
+        if '"' in header or "\r" in header or "\x00" in header:
+            raise _Fallback
+        fields = header.split(",")
+        if any(c not in fields for c in REQUIRED_COLUMNS):
+            raise _Fallback
+        # a repeated column name reads its last occurrence
+        col = {name: i for i, name in enumerate(fields)}
+        i_cid, i_unit, i_time, i_event = (col[c] for c in REQUIRED_COLUMNS)
+        i_stratum = col.get("stratum")
+        i_weight = col.get("weight")
+        covariate_cols = [(c, col[c]) for c in dict.fromkeys(fields)
+                          if c not in RESERVED_COLUMNS]
+        codes, units = _Codes(), _Codes()   # cluster ids, unit names
+        levels = _Codes({"": 0})            # stratum labels, "" for none
+        blocks = []
+        while raw := fh.read(_BLOCK_BYTES):
+            text = _text(raw + fh.readline())
+            cells = _columns(text, len(fields))
+            rows = len(cells[0])
+            if not rows:                # blank lines only
+                continue
+            if not text.isascii() or any(c in text for c in _ASCII_SPACE):
+                for i in (i_cid, i_unit, i_event, i_stratum):
+                    if i is not None:
+                        cells[i] = list(map(str.strip, cells[i]))
+            ids, unit_names = cells[i_cid], cells[i_unit]
+            if "" in ids or "" in unit_names:
+                raise _Fallback
+            time = _floats(cells[i_time])
+            if not set(cells[i_event]) <= {"0", "1"}:
+                raise _Fallback
+            flags = "".join(cells[i_event])
+            weight = (np.ones(rows) if i_weight is None
+                      else _floats([w or "1" for w in cells[i_weight]]))
+            if not (np.all((time >= 0.0) & (time < math.inf)) and np.all(weight > 0)):
+                raise _Fallback
+            values = np.zeros((rows, len(covariate_cols)))
+            present = np.empty((rows, len(covariate_cols)), dtype=bool)
+            for k, (_, i) in enumerate(covariate_cols):
+                present[:, k] = np.fromiter(map(bool, cells[i]), bool, rows)
+                values[present[:, k], k] = _floats(list(filter(None, cells[i])))
+            blocks.append((
+                _codes(ids, codes), _codes(unit_names, units),
+                np.zeros(rows, np.int64) if i_stratum is None else _codes(cells[i_stratum], levels),
+                weight, time, np.frombuffer(flags.encode(), np.uint8) == ord("1"),
+                values, present,
+            ))
+    names = [name for name, _ in covariate_cols]
+    if not blocks:
+        return CurrentStatusDataset.from_rows([], [], [], [], [], [], [], [], names, [], [])
+    cluster, unit, stratum, weight, time, event, values, present = (
+        np.concatenate(column) for column in zip(*blocks))
+    del blocks                          # before from_rows copies the columns
+    # each cluster's first row: codes are given in order of first appearance
+    first = np.flatnonzero(np.concatenate(
+        [[True], cluster[1:] > np.maximum.accumulate(cluster)[:-1]]))
+    if not (np.array_equal(stratum[first][cluster], stratum)
+            and np.array_equal(weight[first][cluster], weight)):
+        raise _Fallback
+    # no (cluster, unit) pair twice
+    keys = np.sort(cluster * len(units) + unit)
+    if np.any(keys[1:] == keys[:-1]):
+        raise _Fallback
+    labels = [label or None for label in levels]
+    return CurrentStatusDataset.from_rows(
+        list(codes), list(map(labels.__getitem__, stratum[first].tolist())), weight[first], cluster,
+        list(units), unit, time, event, names, values, present,
+    )
+
+
 def read_csv(path) -> CurrentStatusDataset:
     """Parse a long-format dataset, reporting every rejected row at once.
 
@@ -246,7 +390,20 @@ def read_csv(path) -> CurrentStatusDataset:
     line number (counting the header as line 1 and skipping blank lines)
     and contributes nothing.  A cluster takes its stratum and weight from
     its first accepted row.
+
+    The file is read in blocks of columns (:func:`_read_blocks`).  When a
+    row check fails there, or the file quotes a cell, the row loop
+    (:func:`_read_rows`) reads it again from the start; it is the one
+    reader of quoted files and the one that builds the problem list.
     """
+    try:
+        return _read_blocks(path)
+    except _Fallback:
+        return _read_rows(path)
+
+
+def _read_rows(path) -> CurrentStatusDataset:
+    """:func:`read_csv`, one ``csv.reader`` row at a time."""
     problems: list = []
     codes: Dict[str, int] = {}          # cluster id -> code, by first appearance
     strata: List[Optional[str]] = []

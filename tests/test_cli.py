@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -135,8 +137,7 @@ class TestConfig:
         assert spec.baselines["HepA"].rate == 0.07
         assert spec.baselines["hepB"].rate == 0.03
         assert spec.predictors["HepA"].coefficients == (0.5,)
-        # configparser reads ":" in a file key as a delimiter, so these
-        # keys come as overrides
+        # overrides take the same keys
         cfg.write_text(
             "[model]\nunits = HepA\nstratum_levels = M, F\nstratified_baselines = true\n"
             "cutpoints = 0, 40\n"
@@ -145,6 +146,54 @@ class TestConfig:
                                  "params.rates.F:HepA=0.03, 0.04"]).build_spec()
         assert spec.baselines["M", "HepA"].rates == (0.01, 0.02)
         assert spec.baselines["F", "HepA"].rates == (0.03, 0.04)
+
+    def test_readme_example_config_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        cfg = tmp_path / "readme.ini"
+        cfg.write_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
+        rc = load_config(cfg)
+        spec = rc.build_spec()
+        # the inline comments are not part of the values
+        assert rc.baseline_family == "piecewise"
+        assert rc.cutpoints == (0.0, 20.0, 40.0)
+        assert rc.regimes["m"].kind == "free"
+        assert spec.baselines["u2"].rates == (0.03, 0.05, 0.08)
+
+    def test_stratified_rates_from_the_file(self, tmp_path):
+        # ":" is part of a key, not a delimiter
+        cfg = tmp_path / "strata.ini"
+        cfg.write_text(
+            "[model]\nunits = HepA\nstratum_levels = M, F\nstratified_baselines = true\n"
+            "cutpoints = 0, 40\n"
+            "[params]\nrates.M:HepA = 0.01, 0.02\nrates.f:hepa = 0.03, 0.04\n"
+        )
+        spec = load_config(cfg).build_spec()
+        assert spec.baselines["M", "HepA"].rates == (0.01, 0.02)
+        assert spec.baselines["F", "HepA"].rates == (0.03, 0.04)
+
+    @pytest.mark.parametrize("line, key", [
+        ("param.u1 = 0.2", "param.u1"),
+        ("params.u9 = 0.1", "params.u9"),
+        ("rates.u1 = 0.1", "rates.u1"),         # an exponential baseline has no rates
+    ])
+    def test_params_key_matching_nothing_is_a_config_error(self, tmp_path, caplog, line, key):
+        cfg = write_strata_config(tmp_path, "a:0.25, b:0.75")
+        cfg.write_text(cfg.read_text().replace("[params]\n", f"[params]\n{line}\n"))
+        with pytest.raises(ConfigError, match=re.escape(repr(key))):
+            load_config(cfg)
+        with caplog.at_level("ERROR", logger="addamsfrailty"):
+            assert main(["simulate", "--config", str(cfg)]) == EXIT_CONFIG
+        assert any(key in rec.getMessage() for rec in caplog.records)
+        assert not (tmp_path / "out" / "data.csv").exists()
+
+    def test_unreadable_file_and_unknown_family_are_config_errors(self, tmp_path):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("[model]\nunits: u1\n")     # "=" is the one delimiter
+        with pytest.raises(ConfigError):
+            load_config(cfg)
+        cfg.write_text("[model]\nunits = u1\nbaseline = magic\n")
+        with pytest.raises(ConfigError, match="unknown baseline family"):
+            load_config(cfg).build_spec()
 
     @pytest.mark.parametrize("setting", [
         "analyze.time_grid=80:0:5",

@@ -1,6 +1,7 @@
 """Dataset container and CSV ingestion/round-trip."""
 
 import csv
+import io
 import math
 import tempfile
 from pathlib import Path
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addamsfrailty import Cluster, CurrentStatusDataset, UnitRecord, read_csv, write_csv
+from addamsfrailty import data as data_module
 from addamsfrailty.errors import (
     BadEventFlag,
     DatasetError,
@@ -309,29 +311,46 @@ _FAULTS = (
     "cov_text", "cov_nan", "stratum_change", "weight_change", "weight_text", "weight_bad",
     "short", "blank_before", "padded_id",
 )
+# the whitespace padded cells carry; str.strip removes all of it
+_PADDING = (" ", "\t", "  ", "\x0c", "\xa0")
+
+
+def _pad(draw, cell):
+    return draw(st.sampled_from(_PADDING)) + cell + draw(st.sampled_from(_PADDING))
 
 
 @st.composite
-def csv_files(draw):
+def csv_files(draw, faults=_FAULTS, quoted=False, dense=False):
     """A header and rows of a long-format file: interleaved clusters with
-    strata, weights and covariates, and faults of every kind."""
-    extra = draw(st.lists(st.sampled_from(["stratum", "weight", "x", "y"]), unique=True))
+    strata, weights and covariates, and faults of every kind.  With
+    ``quoted``, a cluster id may hold a comma or a quote character.  With
+    ``dense``, the file has every optional column, and a cluster repeats a
+    unit only by the "duplicate" fault."""
+    optional = ["stratum", "weight", "x", "y"]
+    extra = optional if dense else draw(st.lists(st.sampled_from(optional), unique=True))
     header = draw(st.permutations(["cluster_id", "unit", "time", "event"] + extra))
     clusters = [
-        {"cluster_id": f"c{i}",
+        {"cluster_id": draw(st.sampled_from([f"c{i}", f"c,{i}", f'c"{i}']))
+                       if quoted else f"c{i}",
          "stratum": draw(st.sampled_from(["", "a", "b"])),
          "weight": draw(st.sampled_from(["", "1.0", "2.5", "0.5"]))}
         for i in range(draw(st.integers(1, 4)))
     ]
     lines = []
+    used = {c["cluster_id"]: [] for c in clusters}
     for _ in range(draw(st.integers(0, 14))):
         cell = dict(draw(st.sampled_from(clusters)))
-        cell["unit"] = draw(st.sampled_from(["u1", "u2", "u3"]))
+        if dense:
+            fresh = [u for u in ("u1", "u2", "u3", "u4") if u not in used[cell["cluster_id"]]]
+            cell["unit"] = draw(st.sampled_from(fresh)) if fresh else f"v{len(used[cell['cluster_id']])}"
+            used[cell["cluster_id"]].append(cell["unit"])
+        else:
+            cell["unit"] = draw(st.sampled_from(["u1", "u2", "u3"]))
         cell["time"] = repr(draw(st.floats(0.0, 80.0)))
         cell["event"] = draw(st.sampled_from(["0", "1"]))
         for name in ("x", "y"):
             cell[name] = draw(st.sampled_from(["", "0.5", "-1.25", "3"]))
-        fault = draw(st.sampled_from((None,) * 8 + _FAULTS))
+        fault = draw(st.sampled_from((None,) * 8 + faults))
         if fault == "empty_id":
             cell["cluster_id"] = ""
         elif fault == "empty_unit":
@@ -345,7 +364,7 @@ def csv_files(draw):
         elif fault == "time_non_finite":
             cell["time"] = draw(st.sampled_from(["nan", "inf", "-inf", "Infinity"]))
         elif fault == "event_bad":
-            cell["event"] = draw(st.sampled_from(["2", "", "yes", "1.0"]))
+            cell["event"] = draw(st.sampled_from(["2", "", "yes", "1.0", "01", "10", "11"]))
         elif fault == "event_padded":
             cell["event"] = " 1 "
         elif fault == "cov_text":
@@ -360,13 +379,46 @@ def csv_files(draw):
             cell["weight"] = "heavy"
         elif fault == "weight_bad":
             cell["weight"] = draw(st.sampled_from(["0", "-1", "nan"]))
+        elif fault == "duplicate":
+            cell["unit"] = used[cell["cluster_id"]][0]
+        elif fault == "padded_cells":
+            cell = {name: _pad(draw, value) if value else value
+                    for name, value in cell.items()}
         row = [cell[name] for name in header]
         if fault == "short":
             row = row[:draw(st.integers(1, len(row) - 1))]
+        elif fault == "long":
+            row = row + draw(st.lists(st.sampled_from(["", "9", "extra"]), min_size=1,
+                                      max_size=3))
         if fault == "blank_before":
             lines.append([])
         lines.append(row)
     return header, lines
+
+
+def _write(path, header, lines, terminator="\r\n", final_newline=True):
+    """Write a header and rows as csv.writer does, a blank line for an
+    empty row, with the given line end."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=terminator)
+    writer.writerow(header)
+    for line in lines:
+        if line:
+            writer.writerow(line)
+        else:
+            buf.write(terminator)
+    text = buf.getvalue()
+    path.write_text(text if final_newline else text.removesuffix(terminator),
+                    encoding="utf-8", newline="")
+
+
+def _plain(path, width):
+    """No quoted cell, and every non-blank line holds ``width`` cells: a
+    file the block reader reads without the row loop when no row check
+    fails."""
+    text = path.read_text(encoding="utf-8")     # both line ends read as \n
+    return '"' not in text and all(
+        line.count(",") == width - 1 for line in text.split("\n") if line)
 
 
 def _outcome(reader, path):
@@ -443,4 +495,180 @@ class TestReaderEquivalence:
         got = [(type(p), p.line, str(p)) for p in err.value.problems]
         assert [(kind, line) for kind, line, _ in got] == [(MalformedRow, n) for n in (3, 4, 5, 6)]
         assert all("must be > 0" in message for _, _, message in got)
+        assert _outcome(read_csv, f) == _outcome(reference_read_csv, f)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.tuples(st.sampled_from(_FAULTS + ("padded_cells", "long", "duplicate")),
+                     st.booleans()).flatmap(
+               lambda kind: csv_files(faults=kind[:1], quoted=kind[1], dense=True)),
+           st.sampled_from(["\n", "\r\n"]), st.booleans(), st.integers(1, 96))
+    def test_matches_reference_reader_in_any_layout(self, content, terminator,
+                                                    final_newline, block):
+        # quoted ids, padded cells, long rows, both line ends, a last line
+        # with or without its line end, and blocks of a line or a few; one
+        # kind of fault a file and no repeated unit but by that fault, so
+        # that most files reach the block reader's checks with one fault
+        # or none
+        header, lines = content
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data_module, "_BLOCK_BYTES", block)
+            path = Path(tmp) / "d.csv"
+            _write(path, header, lines, terminator, final_newline)
+            expected = _outcome(reference_read_csv, path)
+            assert _outcome(read_csv, path) == expected
+            if expected[0] == "read" and _plain(path, len(header)):
+                # accepted without the row loop
+                assert _outcome(data_module._read_blocks, path) == expected
+
+    def test_quoted_id_holding_a_comma(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text('cluster_id,unit,time,event\n"c,1",u1,1.5,0\n"c,1",u2,2.5,1\nc2,u1,3.0,1\n')
+        data = read_csv(f)
+        assert data.cluster_ids == ("c,1", "c2")
+        assert _outcome(read_csv, f) == _outcome(reference_read_csv, f)
+
+    @pytest.mark.parametrize("terminator", ["\n", "\r\n"])
+    @pytest.mark.parametrize("final_newline", [True, False])
+    def test_line_ends(self, tmp_path, terminator, final_newline):
+        f = tmp_path / "d.csv"
+        rows = [["c1", "u1", "1.5", "0", "a", "0.5"], ["c2", "u1", "2.5", "1", "", ""],
+                [], ["c1", "u2", "3.5", "1", "a", "-1"]]
+        _write(f, ["cluster_id", "unit", "time", "event", "stratum", "x"], rows,
+               terminator, final_newline)
+        expected = _outcome(reference_read_csv, f)
+        assert expected[0] == "read"
+        assert _outcome(data_module._read_blocks, f) == expected
+        assert _outcome(read_csv, f) == expected
+
+    @pytest.mark.parametrize("row, problem", [
+        (",u1,1.0,0,a,2.0,", MalformedRow),              # empty id
+        ("c1, ,1.0,0,a,2.0,", MalformedRow),             # empty unit
+        ("c1,u2,abc,0,a,2.0,", MalformedRow),            # non-numeric time
+        ("c1,u2,-1,0,a,2.0,", NegativeTimeRow),
+        ("c1,u2,nan,0,a,2.0,", MalformedRow),            # time not finite
+        ("c1,u2,1.0,2,a,2.0,", BadEventFlag),
+        ("c1,u2,1.0,,a,2.0,", BadEventFlag),
+        ("c1,u2,1.0,0,a,2.0,oops", MalformedRow),        # non-numeric covariate
+        ("c1,u2,1.0,0,a,heavy,", MalformedRow),          # non-numeric weight
+        ("c3,u2,1.0,0,a,-2,", MalformedRow),             # weight <= 0
+        ("c1,u1,1.0,0,a,2.0,", DuplicateUnit),
+        ("c1,u2,1.0,0,b,2.0,", MalformedRow),            # stratum differs
+        ("c1,u2,1.0,0,a,3.0,", MalformedRow),            # weight differs
+    ])
+    def test_one_bad_row_in_a_clean_file(self, tmp_path, row, problem):
+        # each row check of the block reader on its own; the row loop
+        # then reports the row
+        f = tmp_path / "d.csv"
+        f.write_text("cluster_id,unit,time,event,stratum,weight,x\n"
+                     "c1,u1,1.0,0,a,2.0,\nc2,u1,2.0,1,b,,0.5\n" + row + "\nc2,u2,3.0,0,b,,\n")
+        with pytest.raises(DatasetError) as err:
+            read_csv(f)
+        assert [(type(p), p.line) for p in err.value.problems] == [(problem, 4)]
+        assert _outcome(read_csv, f) == _outcome(reference_read_csv, f)
+
+    @pytest.mark.parametrize("pair", ["11", "01", "10", "00"])
+    def test_empty_flag_and_two_flag_cell_in_one_block(self, tmp_path, pair):
+        # the block's flags join to one character a row, but no cell is a
+        # flag: each cell is checked, not the totals
+        f = tmp_path / "d.csv"
+        f.write_text(f"cluster_id,unit,time,event\nc1,u1,1.0,\nc1,u2,2.0,{pair}\n")
+        with pytest.raises(DatasetError) as err:
+            read_csv(f)
+        assert [(type(p), p.line) for p in err.value.problems] == [(BadEventFlag, 2),
+                                                                  (BadEventFlag, 3)]
+        assert _outcome(read_csv, f) == _outcome(reference_read_csv, f)
+
+    @pytest.mark.parametrize("weight", ["0", "-1", "-0.0", "nan"])
+    def test_bad_weight_of_a_lone_row(self, tmp_path, weight):
+        # one row per cluster: no other row's weight can differ from it
+        f = tmp_path / "d.csv"
+        f.write_text(f"cluster_id,unit,time,event,weight\nc1,u1,1.0,0,1\nc2,u1,1.0,0,{weight}\n")
+        with pytest.raises(DatasetError) as err:
+            read_csv(f)
+        assert [(type(p), p.line) for p in err.value.problems] == [(MalformedRow, 3)]
+        assert _outcome(read_csv, f) == _outcome(reference_read_csv, f)
+
+    def test_short_rows_are_not_joined(self, tmp_path):
+        # two short rows hold the cells of one: each is padded and rejected
+        f = tmp_path / "d.csv"
+        f.write_text("cluster_id,unit,time,event\nc1,u1,1.0,0\nc2,u1\n2.0,0\nc3,u1,3.0,1\n")
+        with pytest.raises(DatasetError) as err:
+            read_csv(f)
+        assert [(type(p), p.line) for p in err.value.problems] == [(MalformedRow, 3),
+                                                                  (MalformedRow, 4)]
+        assert _outcome(read_csv, f) == _outcome(reference_read_csv, f)
+
+    @pytest.mark.parametrize("body", ["", "\r\n", "\n\n\n"])
+    def test_no_rows(self, tmp_path, body):
+        f = tmp_path / "d.csv"
+        f.write_text("cluster_id,unit,time,event,x" + "\n" + body, newline="")
+        assert len(data_module._read_blocks(f)) == 0
+        assert _outcome(read_csv, f) == _outcome(reference_read_csv, f)
+
+    def test_rows_longer_than_the_header(self, tmp_path):
+        # csv.reader's extra cells are ignored, by the row loop
+        f = tmp_path / "d.csv"
+        f.write_text("cluster_id,unit,time,event\nc1,u1,1.5,0,,extra\nc1,u2,2.5,1\n")
+        assert read_csv(f).time.tolist() == [1.5, 2.5]
+        assert _outcome(read_csv, f) == _outcome(reference_read_csv, f)
+
+    @pytest.mark.parametrize("pad", [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\xa0", "\u3000"])
+    def test_padded_cells(self, tmp_path, pad):
+        # the one kind of whitespace in the file, which str.strip removes
+        # from the labels (float() takes " 1.5 " but not "\x1c1.5")
+        f = tmp_path / "d.csv"
+        f.write_text(("cluster_id,unit,time,event,stratum,weight,x\n"
+                      "~c1~,~u1,1.5,~1~,~a~,2.0,0.5\n"
+                      "c1,u2~,2.5,0,a~,2,\n").replace("~", pad), encoding="utf-8")
+        data = data_module._read_blocks(f)
+        assert data.cluster_ids == ("c1",) and data.unit_names == ("u1", "u2")
+        assert data.stratum_names == ("a",) and data.weight.tolist() == [2.0]
+        assert data.event.tolist() == [1, 0]
+        assert _outcome(read_csv, f) == _outcome(reference_read_csv, f)
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 1000])
+    def test_files_of_many_blocks(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(data_module, "_BLOCK_BYTES", block)
+        f = tmp_path / "d.csv"
+        rng = np.random.default_rng(block)
+        rows = [[f"c{c}", f"u{u}", repr(float(rng.uniform(0, 80))), str(int(rng.integers(2))),
+                 "ab"[c % 2], "", repr(float(rng.normal())) if u else ""]
+                for c in range(60) for u in range(3)]
+        rows[10:10] = [[]]
+        rows.append(["c1", "u9", "1.0", "0", "b", "", "1.5"])    # c1 again, blocks later
+        _write(f, ["cluster_id", "unit", "time", "event", "stratum", "weight", "x"], rows)
+        expected = _outcome(reference_read_csv, f)
+        assert expected[0] == "read"
+        assert _outcome(data_module._read_blocks, f) == expected
+        # a check that fails in the last block falls back to the row loop
+        with open(f, "a", encoding="utf-8", newline="") as fh:
+            fh.write("c2,u9,1.0,0,b,,\r\n")
+        with pytest.raises(DatasetError) as err:
+            read_csv(f)
+        assert [(type(p), p.line) for p in err.value.problems] == [(MalformedRow, 183)]
+        assert _outcome(read_csv, f) == _outcome(reference_read_csv, f)
+
+    def test_large_file_with_strata_weights_and_a_covariate(self, tmp_path, monkeypatch):
+        # 20,000 clusters in 31 blocks: the block reader reads it alone
+        def refuse(path):
+            raise AssertionError("the row loop ran")
+
+        rng = np.random.default_rng(20)
+        n = 20_000
+        sizes = rng.integers(1, 4, n)
+        strata = rng.choice(["a", "b", ""], n)
+        weights = rng.choice(["", "1.0", "2.5", "0.75"], n)
+        f = tmp_path / "d.csv"
+        with open(f, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["cluster_id", "unit", "time", "event", "stratum", "weight", "x"])
+            for c in range(n):
+                for u in rng.permutation(3)[:sizes[c]]:
+                    x = repr(float(rng.normal())) if rng.random() < 0.7 else ""
+                    writer.writerow([f"k{c}", f"u{u}", repr(float(rng.uniform(0, 80))),
+                                     str(int(rng.integers(2))), strata[c], weights[c], x])
+        assert f.stat().st_size > 30 * data_module._BLOCK_BYTES
+        monkeypatch.setattr(data_module, "_read_rows", refuse)
+        data = read_csv(f)
+        assert len(data) == n and data.event.size == sizes.sum()
         assert _outcome(read_csv, f) == _outcome(reference_read_csv, f)
