@@ -6,8 +6,8 @@ fit or on fully pinned parameters), ``lrt`` (nested regime comparison).
 Reports are written to files under ``[output] dir``; stderr carries only
 diagnostics, and nothing is printed to stdout.
 
-Exit codes: 0 success, 1 malformed dataset, 2 non-convergence,
-3 configuration error.
+Exit codes: 0 success, 1 malformed dataset or a file that cannot be
+read or written, 2 non-convergence, 3 configuration error.
 """
 
 from __future__ import annotations
@@ -235,8 +235,8 @@ def main(argv=None) -> int:
     except (ConfigError, IdentifiabilityError, InvalidParameters) as exc:
         log.error("bad configuration: %s", exc)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        log.error("missing file: %s", exc)
+    except OSError as exc:
+        log.error("file error: %s", exc)
         return EXIT_DATA
     except FrailtyModelError as exc:
         log.error("%s", exc)

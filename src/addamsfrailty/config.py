@@ -306,6 +306,8 @@ def load_config(path, overrides: Optional[List[str]] = None) -> RunConfig:
         raise
     except (ValueError, KeyError) as exc:
         raise ConfigError(str(exc)) from exc
+    if config.analyze_k_max < 1:
+        raise ConfigError(f"analyze.k_max must be >= 1, got {config.analyze_k_max}")
     unknown = sorted(set(params) - config._param_keys())
     if unknown:
         raise ConfigError(f"[params] {', '.join(map(repr, unknown))} match no parameter")

@@ -3,7 +3,9 @@
 The on-disk format is long: one row per (cluster, unit) with required
 columns ``cluster_id, unit, time, event`` plus optional ``stratum`` and
 ``weight`` columns and arbitrary covariate columns.  ``weight`` and
-``stratum`` must be constant within a cluster, and ``weight`` > 0.
+``stratum`` must be constant within a cluster, and ``weight`` > 0.  The
+file is UTF-8, a leading byte-order mark skipped, and may quote cells as
+csv does.
 
 In memory a :class:`CurrentStatusDataset` is a set of read-only numpy
 columns.  Row columns, one entry per (cluster, unit) record:
@@ -32,9 +34,10 @@ such objects.  A monitoring time must be finite and >= 0.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import math
 import operator
-from array import array
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -227,41 +230,39 @@ class CurrentStatusDataset:
         )
 
 
-def _covariate_cells(row, columns):
-    """(each covariate's value, None for an empty cell; None), or
-    (None, name) at the first cell that is not a number."""
-    cells = []
-    for name, i in columns:
-        try:
-            cells.append(float(row[i]) if row[i] != "" else None)
-        except ValueError:
-            return None, name
-    return cells, None
-
-
-# bytes the block reader takes at a time, running on to the end of the
-# line; a block longer than csv's field size limit goes to the row loop
+# bytes the reader takes at a time, running on to the end of the line
 _BLOCK_BYTES = 1 << 16
 # the ASCII characters other than line ends that str.strip removes
 _ASCII_SPACE = (" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
-class _Fallback(Exception):
-    """The block reader leaves the file to the row loop."""
-
-
-def _text(raw: bytes) -> str:
+def _utf8(text: str) -> bool:
+    """Whether the text holds no lone surrogate, which is how the reader
+    decodes a byte that is not UTF-8."""
     try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError:
-        raise _Fallback from None
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
-def _floats(cells) -> np.ndarray:
+def _number(text: str):
+    """float(text), or the ValueError it raises."""
     try:
-        return np.fromiter(map(float, cells), np.float64, len(cells))
+        return float(text)
+    except ValueError as exc:
+        return exc
+
+
+def _numbers(cells):
+    """(the cells as floats, False), or when some cell is not a number,
+    (nan there, the mask of those cells)."""
+    try:
+        return np.fromiter(map(float, cells), np.float64, len(cells)), False
     except ValueError:
-        raise _Fallback from None
+        values = list(map(_number, cells))
+        bad = np.array([isinstance(v, ValueError) for v in values])
+        return np.array([math.nan if b else v for v, b in zip(values, bad)]), bad
 
 
 class _Codes(dict):
@@ -277,20 +278,20 @@ def _codes(keys, table: _Codes) -> np.ndarray:
     return np.fromiter(map(table.__getitem__, keys), np.int64, len(keys))
 
 
-def _columns(text: str, width: int) -> List[List[str]]:
-    """The cells of whole lines, one list per column; _Fallback unless
-    every non-blank line holds ``width`` cells that csv.reader would read
-    as they stand."""
-    # csv.reader rejects a cell over its field size limit
+def _columns(text: str, width: int) -> Optional[List[List[str]]]:
+    """The cells of whole lines, one list per column; None unless every
+    non-blank line holds ``width`` cells that csv.reader would read as
+    they stand."""
+    # csv.reader refuses a cell over its field size limit
     if '"' in text or "\x00" in text or len(text) > csv.field_size_limit():
-        raise _Fallback
+        return None
     text = text.removesuffix("\n").removesuffix("\r")
     if not text:
         return [[] for _ in range(width)]
     if "\r" in text:
         spread = text.replace("\r\n", ",\n")
         if "\r" in spread:         # csv.reader also ends a line at a lone \r
-            raise _Fallback
+            return None
     else:
         spread = text.replace("\n", ",\n")
     cells = spread.split(",")
@@ -303,200 +304,209 @@ def _columns(text: str, width: int) -> List[List[str]]:
     # blank lines, which csv.reader skips, or both kinds of line end
     lines = "\n".join(filter(None, text.replace("\r\n", "\n").split("\n")))
     if lines == text:
-        raise _Fallback
+        return None
     return _columns(lines, width)
 
 
-def _read_blocks(path) -> CurrentStatusDataset:
-    """:func:`read_csv` a block of lines at a time, checking each row
-    condition over whole columns; _Fallback when one fails."""
-    with open(path, "rb") as fh:
-        line = _text(fh.readline())
-        header = line.removesuffix("\n").removesuffix("\r")
-        if '"' in header or "\r" in header or "\x00" in header:
-            raise _Fallback
-        fields = header.split(",")
-        if any(c not in fields for c in REQUIRED_COLUMNS):
-            raise _Fallback
-        # a repeated column name reads its last occurrence
-        col = {name: i for i, name in enumerate(fields)}
-        i_cid, i_unit, i_time, i_event = (col[c] for c in REQUIRED_COLUMNS)
-        i_stratum = col.get("stratum")
-        i_weight = col.get("weight")
-        covariate_cols = [(c, col[c]) for c in dict.fromkeys(fields)
-                          if c not in RESERVED_COLUMNS]
-        codes, units = _Codes(), _Codes()   # cluster ids, unit names
-        levels = _Codes({"": 0})            # stratum labels, "" for none
-        blocks = []
+def _chunks(fh):
+    """The header's cells, then the rows below it a chunk at a time: each
+    chunk as (the cells of each header column, whether the chunk is
+    plain ASCII with no space to strip, {row: csv's message} for the rows
+    csv.reader refuses).  Blank rows are skipped.
+
+    A block of lines is split with one ``str.split``.  From the first
+    block that cannot be split so, which starts at a line boundary outside
+    any quoted cell, csv.reader reads to the end of the file; it pads a
+    short row with empty cells and cuts a long one to the header's width."""
+    # a UTF-8 byte-order mark, as Excel writes, is not part of the header
+    text = fh.readline().decode("utf-8", "surrogateescape").removeprefix("\ufeff")
+    line = text.removesuffix("\n").removesuffix("\r")
+    header = None if '"' in line or "\r" in line or "\x00" in line else line.split(",")
+    if header is not None:
+        yield header
         while raw := fh.read(_BLOCK_BYTES):
-            text = _text(raw + fh.readline())
-            cells = _columns(text, len(fields))
-            rows = len(cells[0])
-            if not rows:                # blank lines only
-                continue
-            if not text.isascii() or any(c in text for c in _ASCII_SPACE):
-                for i in (i_cid, i_unit, i_event, i_stratum):
-                    if i is not None:
-                        cells[i] = list(map(str.strip, cells[i]))
-            ids, unit_names = cells[i_cid], cells[i_unit]
-            if "" in ids or "" in unit_names:
-                raise _Fallback
-            time = _floats(cells[i_time])
-            if not set(cells[i_event]) <= {"0", "1"}:
-                raise _Fallback
-            flags = "".join(cells[i_event])
-            weight = (np.ones(rows) if i_weight is None
-                      else _floats([w or "1" for w in cells[i_weight]]))
-            if not (np.all((time >= 0.0) & (time < math.inf)) and np.all(weight > 0)):
-                raise _Fallback
-            values = np.zeros((rows, len(covariate_cols)))
-            present = np.empty((rows, len(covariate_cols)), dtype=bool)
-            for k, (_, i) in enumerate(covariate_cols):
-                present[:, k] = np.fromiter(map(bool, cells[i]), bool, rows)
-                values[present[:, k], k] = _floats(list(filter(None, cells[i])))
-            blocks.append((
-                _codes(ids, codes), _codes(unit_names, units),
-                np.zeros(rows, np.int64) if i_stratum is None else _codes(cells[i_stratum], levels),
-                weight, time, np.frombuffer(flags.encode(), np.uint8) == ord("1"),
-                values, present,
-            ))
-    names = [name for name, _ in covariate_cols]
-    if not blocks:
-        return CurrentStatusDataset.from_rows([], [], [], [], [], [], [], [], names, [], [])
-    cluster, unit, stratum, weight, time, event, values, present = (
-        np.concatenate(column) for column in zip(*blocks))
-    del blocks                          # before from_rows copies the columns
-    # each cluster's first row: codes are given in order of first appearance
-    first = np.flatnonzero(np.concatenate(
-        [[True], cluster[1:] > np.maximum.accumulate(cluster)[:-1]]))
-    if not (np.array_equal(stratum[first][cluster], stratum)
-            and np.array_equal(weight[first][cluster], weight)):
-        raise _Fallback
-    # no (cluster, unit) pair twice
-    keys = np.sort(cluster * len(units) + unit)
-    if np.any(keys[1:] == keys[:-1]):
-        raise _Fallback
-    labels = [label or None for label in levels]
-    return CurrentStatusDataset.from_rows(
-        list(codes), list(map(labels.__getitem__, stratum[first].tolist())), weight[first], cluster,
-        list(units), unit, time, event, names, values, present,
+            text = (raw + fh.readline()).decode("utf-8", "surrogateescape")
+            cells = _columns(text, len(header))
+            if cells is None:
+                break
+            yield cells, text.isascii() and not any(c in text for c in _ASCII_SPACE), {}
+        else:
+            return
+    reader = csv.reader(itertools.chain(
+        io.StringIO(text, newline=""),
+        io.TextIOWrapper(fh, "utf-8", "surrogateescape", newline="")))
+    if header is None:
+        header = next(reader, [])
+        yield header
+    width = len(header)
+    # a few hundred rows a chunk: the rows are lists, which the garbage
+    # collector's passes would scan over and over in a longer chunk
+    size = max(1, _BLOCK_BYTES >> 8)
+    rows, refused, rest = [], {}, filter(None, reader)
+    while True:
+        try:        # extend keeps the rows read before one csv.reader refuses
+            rows.extend(itertools.islice(rest, size - len(rows)))
+        except csv.Error as exc:        # a cell over csv's field size limit
+            refused[len(rows)] = str(exc)
+            rows.append([])
+            continue
+        if rows:
+            if set(map(len, rows)) != {width}:
+                rows = [(row + [""] * width)[:width] for row in rows]
+            yield list(zip(*rows)), False, refused
+        if len(rows) < size:
+            return
+        rows, refused = [], {}
+
+
+def _block(cells, plain, refused, col, covariates, tables, line):
+    """One chunk's rows (see :func:`_chunks`), its first at line ``line``,
+    checked by each row rule: its columns, and the problem of each row
+    that fails a rule, which is the first rule it fails."""
+    rows = len(cells[0])
+    codes, units, levels = tables
+    i_stratum, i_weight = col.get("stratum"), col.get("weight")
+    if not plain:
+        for i in (col["cluster_id"], col["unit"], col["event"], i_stratum):
+            if i is not None:
+                cells[i] = list(map(str.strip, cells[i]))
+    # each rule's mask of the rows that fail it, or False for none
+    not_utf8 = [[not _utf8(cell) for cell in column] for column in cells
+                if not (plain or _utf8("".join(column)))]
+    ids, names = cells[col["cluster_id"]], cells[col["unit"]]
+    empty = ("" in ids or "" in names) and np.array(
+        [not cid or not unit for cid, unit in zip(ids, names)])
+    time, time_text = _numbers(cells[col["time"]])
+    flags = cells[col["event"]]
+    bad_flag = False
+    if set(flags) <= {"0", "1"}:        # one character a flag
+        event = np.frombuffer("".join(flags).encode(), np.uint8) == ord("1")
+    else:
+        event = np.fromiter(map("1".__eq__, flags), bool, rows)
+        bad_flag = ~event & ~np.fromiter(map("0".__eq__, flags), bool, rows)
+    values = np.zeros((rows, len(covariates)))
+    present = np.empty((rows, len(covariates)), dtype=bool)
+    bad_cov = np.zeros((rows, len(covariates)), dtype=bool)
+    for k, (_, i) in enumerate(covariates):
+        present[:, k] = np.fromiter(map(bool, cells[i]), bool, rows)
+        values[present[:, k], k], bad_cov[present[:, k], k] = _numbers(
+            list(filter(None, cells[i])))
+    weight, weight_text = (np.ones(rows), False) if i_weight is None else _numbers(
+        [w or "1" for w in cells[i_weight]])
+    rules = [
+        (bool(refused) and np.isin(np.arange(rows), list(refused)),
+         lambda i: MalformedRow(line + i, f"({refused[i]})")),
+        (bool(not_utf8) and np.any(not_utf8, axis=0),
+         lambda i: MalformedRow(line + i, "(not UTF-8)")),
+        (empty, lambda i: MalformedRow(line + i, "(empty cluster_id or unit)")),
+        (time_text, lambda i: MalformedRow(line + i, "(non-numeric time)")),
+        (time < 0.0, lambda i: NegativeTimeRow(line + i, time[i].item())),
+        (~(time < math.inf),
+         lambda i: MalformedRow(line + i, f"(time {time[i].item()!r} is not finite)")),
+        (bad_flag, lambda i: BadEventFlag(line + i, flags[i])),
+        (bad_cov.any(axis=1), lambda i: MalformedRow(
+            line + i, f"(non-numeric {covariates[bad_cov[i].argmax()][0]!r})")),
+        (weight_text, lambda i: MalformedRow(line + i, f"({_number(cells[i_weight][i])})")),
+        (~(weight > 0),
+         lambda i: MalformedRow(line + i, f"(weight {weight[i].item()!r} must be > 0)")),
+    ]
+    rule = np.zeros(rows, np.int8)      # per row: 1 + the first rule it fails, 0 for none
+    for k, (mask, _) in reversed(list(enumerate(rules, 1))):
+        if mask is not False:
+            rule[mask] = k
+    columns = (
+        _codes(ids, codes), _codes(names, units),
+        np.zeros(rows, np.int64) if i_stratum is None else _codes(cells[i_stratum], levels),
+        weight, time, event, values, present,
     )
+    return columns, [rules[rule[i] - 1][1](i) for i in np.flatnonzero(rule).tolist()]
+
+
+def _cross_row(cluster, unit, stratum, weight, clusters: int, units: int):
+    """The rules across rows, over the rows that pass the row rules in file
+    order: each cluster's first row, and per row 0 if accepted, 1 if an
+    earlier accepted row holds its (cluster, unit) pair, 2 if its stratum
+    or weight differs from its cluster's first row; None for all accepted."""
+    first = np.full(clusters, cluster.size)
+    np.minimum.at(first, cluster, np.arange(cluster.size))
+    home = first[cluster]
+    match = (stratum == stratum[home]) & (weight == weight[home])
+    del home
+    keys = np.sort(cluster * units + unit)
+    if match.all() and np.all(keys[1:] != keys[:-1]):
+        return first, None
+    # a row is accepted when it is the first of its pair to match its cluster
+    _, pair = np.unique(cluster * units + unit, return_inverse=True)
+    rows = np.arange(cluster.size)
+    accepted = np.full(pair.max() + 1, cluster.size)
+    np.minimum.at(accepted, pair, np.where(match, rows, cluster.size))
+    taken = accepted[pair]
+    return first, np.where(taken == rows, 0, np.where(taken < rows, 1, 2))
 
 
 def read_csv(path) -> CurrentStatusDataset:
     """Parse a long-format dataset, reporting every rejected row at once.
 
-    Rows are checked in file order; a rejected row is reported with its
-    line number (counting the header as line 1 and skipping blank lines)
-    and contributes nothing.  A cluster takes its stratum and weight from
-    its first accepted row.
-
-    The file is read in blocks of columns (:func:`_read_blocks`).  When a
-    row check fails there, or the file quotes a cell, the row loop
-    (:func:`_read_rows`) reads it again from the start; it is the one
-    reader of quoted files and the one that builds the problem list.
+    The file is read once (see :func:`_chunks`).  Each row rule runs over
+    whole columns, in this order: csv.reader can read the row (no cell
+    over its field size limit), its bytes are UTF-8, the id and unit are
+    not empty, the time is a number, finite and >= 0, the event flag is 0
+    or 1, each covariate is a number or empty, the weight is a number and
+    > 0.  A row's problem is the first rule it fails, and a rejected row
+    is reported with its line number (counting the header as line 1 and
+    skipping blank lines).  Then, over the rows that pass: a cluster takes
+    its stratum and weight from its first such row, a row whose stratum
+    or weight differs is rejected, and so is a (cluster, unit) pair that
+    an earlier accepted row holds.
     """
-    try:
-        return _read_blocks(path)
-    except _Fallback:
-        return _read_rows(path)
-
-
-def _read_rows(path) -> CurrentStatusDataset:
-    """:func:`read_csv`, one ``csv.reader`` row at a time."""
-    problems: list = []
-    codes: Dict[str, int] = {}          # cluster id -> code, by first appearance
-    strata: List[Optional[str]] = []
-    weights: List[float] = []
-    seen = set()                        # (cluster code, unit code) of accepted rows
-    units: Dict[str, int] = {}
-    # typed arrays convert to numpy without a per-item pass
-    row_cluster = array("q")
-    row_unit = array("q")
-    times = array("d")
-    events = array("b")
-    values = array("d")                 # [rows, covariates], 0 where absent
-    present = array("b")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
+    with open(path, "rb") as fh:
+        chunks = _chunks(fh)
+        try:
+            header = next(chunks)
+        except csv.Error as exc:        # a cell over csv's field size limit
+            raise DatasetError([MalformedRow(1, f"({exc})")]) from None
+        if not _utf8(",".join(header)):
+            raise DatasetError([MalformedRow(1, "(not UTF-8)")])
         missing = [c for c in REQUIRED_COLUMNS if c not in header]
         if missing:
             raise DatasetError([MalformedRow(1, f"missing columns {missing}")])
         # a repeated column name reads its last occurrence
         col = {name: i for i, name in enumerate(header)}
-        required = operator.itemgetter(*(col[c] for c in REQUIRED_COLUMNS))
-        i_stratum = col.get("stratum")
-        i_weight = col.get("weight")
-        covariate_cols = [(c, col[c]) for c in dict.fromkeys(header)
-                          if c not in RESERVED_COLUMNS]
-        width = len(header)
-        inf = math.inf
-        for lineno, row in enumerate(filter(None, reader), start=2):
-            if len(row) < width:        # a short row's missing cells are empty
-                row += [""] * (width - len(row))
-            cid, unit, raw_time, raw_event = required(row)
-            cid = cid.strip()
-            unit = unit.strip()
-            if not cid or not unit:
-                problems.append(MalformedRow(lineno, "(empty cluster_id or unit)"))
-                continue
-            try:
-                time = float(raw_time)
-            except ValueError:
-                problems.append(MalformedRow(lineno, "(non-numeric time)"))
-                continue
-            if not 0.0 <= time < inf:
-                problems.append(NegativeTimeRow(lineno, time) if time < 0
-                                else MalformedRow(lineno, f"(time {time!r} is not finite)"))
-                continue
-            if raw_event != "0" and raw_event != "1":
-                raw_event = raw_event.strip()
-                if raw_event not in ("0", "1"):
-                    problems.append(BadEventFlag(lineno, raw_event))
-                    continue
-            if covariate_cols:
-                row_cells, bad = _covariate_cells(row, covariate_cols)
-                if bad is not None:
-                    problems.append(MalformedRow(lineno, f"(non-numeric {bad!r})"))
-                    continue
-            stratum = None if i_stratum is None else (row[i_stratum].strip() or None)
-            raw_weight = "" if i_weight is None else row[i_weight]
-            try:
-                weight = float(raw_weight) if raw_weight != "" else 1.0
-            except ValueError as exc:
-                problems.append(MalformedRow(lineno, f"({exc})"))
-                continue
-            if not weight > 0:
-                problems.append(MalformedRow(lineno, f"(weight {weight!r} must be > 0)"))
-                continue
-            code = codes.get(cid)
-            if code is None:
-                code = codes[cid] = len(strata)
-                strata.append(stratum)
-                weights.append(weight)
-            ucode = units.get(unit)
-            if ucode is None:
-                ucode = units[unit] = len(units)
-            if (code, ucode) in seen:
-                problems.append(DuplicateUnit(cid, unit, line=lineno))
-                continue
-            if strata[code] != stratum or weights[code] != weight:
-                problems.append(MalformedRow(lineno, "(stratum/weight differ within cluster)"))
-                continue
-            seen.add((code, ucode))
-            if covariate_cols:
-                values.extend([0.0 if v is None else v for v in row_cells])
-                present.extend([v is not None for v in row_cells])
-            row_cluster.append(code)
-            row_unit.append(ucode)
-            times.append(time)
-            events.append(raw_event == "1")
+        covariates = [(c, col[c]) for c in dict.fromkeys(header) if c not in RESERVED_COLUMNS]
+        # cluster ids, unit names, stratum labels ("" for none)
+        tables = codes, units, levels = _Codes(), _Codes(), _Codes({"": 0})
+        blocks, problems = [], []
+        line = 2
+        for cells, plain, refused in chunks:
+            if cells[0]:
+                columns, found = _block(cells, plain, refused, col, covariates, tables, line)
+                blocks.append(columns)
+                problems.extend(found)
+                line += len(cells[0])
+    names = [name for name, _ in covariates]
+    if not blocks:
+        return CurrentStatusDataset.from_rows([], [], [], [], [], [], [], [], names, [], [])
+    cluster, unit, stratum, weight, time, event, values, present = (
+        np.concatenate(column) for column in zip(*blocks))
+    del blocks                          # before from_rows copies the columns
+    rows = slice(None)                  # the rows that pass the row rules
+    if problems:                        # each at line 2 + its row
+        rows = np.delete(np.arange(cluster.size), [p.line - 2 for p in problems])
+    first, cross = _cross_row(cluster[rows], unit[rows], stratum[rows], weight[rows],
+                              len(codes), len(units))
+    if cross is not None:
+        ids, unit_names = list(codes), list(units)
+        at = np.arange(cluster.size)[rows]      # the file's row of each passing row
+        for r, kind in zip(at[cross > 0].tolist(), cross[cross > 0].tolist()):
+            problems.append(
+                DuplicateUnit(ids[cluster[r]], unit_names[unit[r]], line=2 + r) if kind == 1
+                else MalformedRow(2 + r, "(stratum/weight differ within cluster)"))
     if problems:
-        raise DatasetError(problems)
+        raise DatasetError(sorted(problems, key=operator.attrgetter("line")))
+    labels = [label or None for label in levels]
     return CurrentStatusDataset.from_rows(
-        list(codes), strata, weights, row_cluster, list(units), row_unit, times, events,
-        [name for name, _ in covariate_cols], values, present,
+        list(codes), list(map(labels.__getitem__, stratum[first].tolist())), weight[first], cluster,
+        list(units), unit, time, event, names, values, present,
     )
 
 

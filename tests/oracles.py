@@ -308,7 +308,7 @@ def reference_read_csv(path):
     problems = []
     order = []
     per_cluster = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         missing = [c for c in REQUIRED_COLUMNS if c not in header]

@@ -1,5 +1,6 @@
 """Command-line interface: config parsing, ingestion, reports, exit codes."""
 
+import csv
 import json
 import os
 import re
@@ -10,7 +11,7 @@ import pytest
 from addamsfrailty.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from addamsfrailty.config import load_config
 from addamsfrailty.data import read_csv
-from addamsfrailty.errors import ConfigError, DatasetError
+from addamsfrailty.errors import ConfigError, DatasetError, MalformedRow
 
 BASE_CONFIG = """\
 [data]
@@ -201,6 +202,7 @@ class TestConfig:
         "analyze.time_grid=-5:40:5",
         "analyze.time_grid=0:nan:5",
         "analyze.units=u1, u9",
+        "analyze.k_max=0",
     ])
     def test_analyze_values_checked_before_any_fit(self, tmp_path, caplog, monkeypatch,
                                                    setting):
@@ -252,6 +254,37 @@ class TestIngest:
             code = main(["fit", "--config", str(cfg), "--set", f"data.path={bad}"])
         assert code == EXIT_DATA
         assert any("line 3" in rec.getMessage() for rec in caplog.records)
+
+    @pytest.mark.parametrize("cell, message", [
+        (b"c\xff2", "(not UTF-8)"),
+        (b"x" * (csv.field_size_limit() + 1),
+         f"(field larger than field limit ({csv.field_size_limit()}))"),
+    ], ids=["not_utf8", "over_field_limit"])
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_unreadable_cell_is_a_dataset_problem(self, tmp_path, caplog, cell, message, quoted):
+        # listed with the file's other problems, without a traceback
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"cluster_id,unit,time,event\n" + (b'"c,1"' if quoted else b"c1")
+                        + b",u1,5.0,1\n" + cell + b",u1,5.0,0\nc3,u1,abc,0\n")
+        with pytest.raises(DatasetError) as err:
+            read_csv(bad)
+        assert [(type(p), p.line) for p in err.value.problems] == [(MalformedRow, 3),
+                                                                  (MalformedRow, 4)]
+        assert str(err.value.problems[0]) == f"line 3: malformed row {message}"
+        cfg = write_config(tmp_path)
+        with caplog.at_level("ERROR", logger="addamsfrailty"):
+            code = main(["fit", "--config", str(cfg), "--set", f"data.path={bad}"])
+        assert code == EXIT_DATA
+        messages = [rec.getMessage() for rec in caplog.records]
+        assert any("line 3" in m for m in messages) and any("line 4" in m for m in messages)
+
+    def test_data_path_that_is_a_directory(self, tmp_path, caplog):
+        cfg = write_config(tmp_path)
+        with caplog.at_level("ERROR", logger="addamsfrailty"):
+            code = main(["fit", "--config", str(cfg), "--set", f"data.path={tmp_path}"])
+        assert code == EXIT_DATA
+        assert [rec.getMessage() for rec in caplog.records] == [
+            f"file error: [Errno 21] Is a directory: {str(tmp_path)!r}"]
 
     def test_bad_weight_is_a_dataset_problem(self, tmp_path, caplog):
         bad = tmp_path / "bad.csv"

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from addamsfrailty import Cluster, CurrentStatusDataset, UnitRecord, read_csv, write_csv
@@ -323,14 +323,14 @@ def _pad(draw, cell):
 def csv_files(draw, faults=_FAULTS, quoted=False, dense=False):
     """A header and rows of a long-format file: interleaved clusters with
     strata, weights and covariates, and faults of every kind.  With
-    ``quoted``, a cluster id may hold a comma or a quote character.  With
-    ``dense``, the file has every optional column, and a cluster repeats a
-    unit only by the "duplicate" fault."""
+    ``quoted``, a cluster id may hold a comma, a quote character or a line
+    break.  With ``dense``, the file has every optional column, and a
+    cluster repeats a unit only by the "duplicate" fault."""
     optional = ["stratum", "weight", "x", "y"]
     extra = optional if dense else draw(st.lists(st.sampled_from(optional), unique=True))
     header = draw(st.permutations(["cluster_id", "unit", "time", "event"] + extra))
     clusters = [
-        {"cluster_id": draw(st.sampled_from([f"c{i}", f"c,{i}", f'c"{i}']))
+        {"cluster_id": draw(st.sampled_from([f"c{i}", f"c,{i}", f'c"{i}', f"c\n{i}"]))
                        if quoted else f"c{i}",
          "stratum": draw(st.sampled_from(["", "a", "b"])),
          "weight": draw(st.sampled_from(["", "1.0", "2.5", "0.5"]))}
@@ -414,11 +414,18 @@ def _write(path, header, lines, terminator="\r\n", final_newline=True):
 
 def _plain(path, width):
     """No quoted cell, and every non-blank line holds ``width`` cells: a
-    file the block reader reads without the row loop when no row check
-    fails."""
+    file read by ``str.split`` alone, without csv.reader."""
     text = path.read_text(encoding="utf-8")     # both line ends read as \n
     return '"' not in text and all(
         line.count(",") == width - 1 for line in text.split("\n") if line)
+
+
+def _refuse_csv_reader(mp):
+    """Make csv.reader raise, on the MonkeyPatch ``mp``."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv.reader ran")
+
+    mp.setattr(csv, "reader", refuse)
 
 
 def _outcome(reader, path):
@@ -502,13 +509,16 @@ class TestReaderEquivalence:
                      st.booleans()).flatmap(
                lambda kind: csv_files(faults=kind[:1], quoted=kind[1], dense=True)),
            st.sampled_from(["\n", "\r\n"]), st.booleans(), st.integers(1, 96))
+    @example((["cluster_id", "unit", "time", "event"],
+              [["c1", "u1", "1.0", "0"], ["c\n2", "u1", "2.0", "1"], ["c\n2", "u2", "2.5", "x"],
+               ["c3", "u1", "3.0", "0"]]), "\r\n", True, 2)
     def test_matches_reference_reader_in_any_layout(self, content, terminator,
                                                     final_newline, block):
         # quoted ids, padded cells, long rows, both line ends, a last line
         # with or without its line end, and blocks of a line or a few; one
         # kind of fault a file and no repeated unit but by that fault, so
-        # that most files reach the block reader's checks with one fault
-        # or none
+        # that most files reach the row rules with one fault or none; a
+        # quoted cell may hold a line break that spans blocks
         header, lines = content
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr(data_module, "_BLOCK_BYTES", block)
@@ -517,14 +527,37 @@ class TestReaderEquivalence:
             expected = _outcome(reference_read_csv, path)
             assert _outcome(read_csv, path) == expected
             if expected[0] == "read" and _plain(path, len(header)):
-                # accepted without the row loop
-                assert _outcome(data_module._read_blocks, path) == expected
+                # accepted without csv.reader
+                _refuse_csv_reader(mp)
+                assert _outcome(read_csv, path) == expected
 
     def test_quoted_id_holding_a_comma(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text('cluster_id,unit,time,event\n"c,1",u1,1.5,0\n"c,1",u2,2.5,1\nc2,u1,3.0,1\n')
         data = read_csv(f)
         assert data.cluster_ids == ("c,1", "c2")
+        assert _outcome(read_csv, f) == _outcome(reference_read_csv, f)
+
+    def test_faulty_rows_after_a_quoted_row(self, tmp_path):
+        # csv.reader reads from the quoted row on, and each rule still
+        # reports its row at its line
+        f = tmp_path / "d.csv"
+        f.write_text('cluster_id,unit,time,event\nc0,u1,0.5,1\n"c,1",u1,1.5,0\nc2,u1,abc,0\n'
+                     '"c,1",u1,2.5,1\nc2, ,1.0,1\n"c,1",u2,3.5,7\n')
+        with pytest.raises(DatasetError) as err:
+            read_csv(f)
+        assert [(type(p), p.line) for p in err.value.problems] == [
+            (MalformedRow, 4), (DuplicateUnit, 5), (MalformedRow, 6), (BadEventFlag, 7)]
+        assert _outcome(read_csv, f) == _outcome(reference_read_csv, f)
+
+    @pytest.mark.parametrize("header", ["cluster_id,unit,time,event",
+                                        '"cluster_id","unit","time","event"'])
+    def test_byte_order_mark(self, tmp_path, header):
+        # as a spreadsheet's "CSV UTF-8" export writes it
+        f = tmp_path / "d.csv"
+        f.write_text(header + "\nc1,u1,1.5,0\nc1,u2,2.5,1\n", encoding="utf-8-sig")
+        assert f.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert read_csv(f).cluster_ids == ("c1",)
         assert _outcome(read_csv, f) == _outcome(reference_read_csv, f)
 
     @pytest.mark.parametrize("terminator", ["\n", "\r\n"])
@@ -537,8 +570,10 @@ class TestReaderEquivalence:
                terminator, final_newline)
         expected = _outcome(reference_read_csv, f)
         assert expected[0] == "read"
-        assert _outcome(data_module._read_blocks, f) == expected
         assert _outcome(read_csv, f) == expected
+        with pytest.MonkeyPatch.context() as mp:
+            _refuse_csv_reader(mp)
+            assert _outcome(read_csv, f) == expected
 
     @pytest.mark.parametrize("row, problem", [
         (",u1,1.0,0,a,2.0,", MalformedRow),              # empty id
@@ -556,8 +591,7 @@ class TestReaderEquivalence:
         ("c1,u2,1.0,0,a,3.0,", MalformedRow),            # weight differs
     ])
     def test_one_bad_row_in_a_clean_file(self, tmp_path, row, problem):
-        # each row check of the block reader on its own; the row loop
-        # then reports the row
+        # each row rule on its own, in a file that str.split reads
         f = tmp_path / "d.csv"
         f.write_text("cluster_id,unit,time,event,stratum,weight,x\n"
                      "c1,u1,1.0,0,a,2.0,\nc2,u1,2.0,1,b,,0.5\n" + row + "\nc2,u2,3.0,0,b,,\n")
@@ -602,11 +636,13 @@ class TestReaderEquivalence:
     def test_no_rows(self, tmp_path, body):
         f = tmp_path / "d.csv"
         f.write_text("cluster_id,unit,time,event,x" + "\n" + body, newline="")
-        assert len(data_module._read_blocks(f)) == 0
+        with pytest.MonkeyPatch.context() as mp:
+            _refuse_csv_reader(mp)
+            assert len(read_csv(f)) == 0
         assert _outcome(read_csv, f) == _outcome(reference_read_csv, f)
 
     def test_rows_longer_than_the_header(self, tmp_path):
-        # csv.reader's extra cells are ignored, by the row loop
+        # csv.reader's extra cells are ignored
         f = tmp_path / "d.csv"
         f.write_text("cluster_id,unit,time,event\nc1,u1,1.5,0,,extra\nc1,u2,2.5,1\n")
         assert read_csv(f).time.tolist() == [1.5, 2.5]
@@ -620,7 +656,9 @@ class TestReaderEquivalence:
         f.write_text(("cluster_id,unit,time,event,stratum,weight,x\n"
                       "~c1~,~u1,1.5,~1~,~a~,2.0,0.5\n"
                       "c1,u2~,2.5,0,a~,2,\n").replace("~", pad), encoding="utf-8")
-        data = data_module._read_blocks(f)
+        with pytest.MonkeyPatch.context() as mp:
+            _refuse_csv_reader(mp)
+            data = read_csv(f)
         assert data.cluster_ids == ("c1",) and data.unit_names == ("u1", "u2")
         assert data.stratum_names == ("a",) and data.weight.tolist() == [2.0]
         assert data.event.tolist() == [1, 0]
@@ -639,8 +677,10 @@ class TestReaderEquivalence:
         _write(f, ["cluster_id", "unit", "time", "event", "stratum", "weight", "x"], rows)
         expected = _outcome(reference_read_csv, f)
         assert expected[0] == "read"
-        assert _outcome(data_module._read_blocks, f) == expected
-        # a check that fails in the last block falls back to the row loop
+        with pytest.MonkeyPatch.context() as mp:
+            _refuse_csv_reader(mp)
+            assert _outcome(read_csv, f) == expected
+        # a rule that fails in the last block
         with open(f, "a", encoding="utf-8", newline="") as fh:
             fh.write("c2,u9,1.0,0,b,,\r\n")
         with pytest.raises(DatasetError) as err:
@@ -649,10 +689,7 @@ class TestReaderEquivalence:
         assert _outcome(read_csv, f) == _outcome(reference_read_csv, f)
 
     def test_large_file_with_strata_weights_and_a_covariate(self, tmp_path, monkeypatch):
-        # 20,000 clusters in 31 blocks: the block reader reads it alone
-        def refuse(path):
-            raise AssertionError("the row loop ran")
-
+        # 20,000 clusters in 31 blocks: str.split reads it alone
         rng = np.random.default_rng(20)
         n = 20_000
         sizes = rng.integers(1, 4, n)
@@ -668,7 +705,8 @@ class TestReaderEquivalence:
                     writer.writerow([f"k{c}", f"u{u}", repr(float(rng.uniform(0, 80))),
                                      str(int(rng.integers(2))), strata[c], weights[c], x])
         assert f.stat().st_size > 30 * data_module._BLOCK_BYTES
-        monkeypatch.setattr(data_module, "_read_rows", refuse)
+        expected = _outcome(reference_read_csv, f)
+        _refuse_csv_reader(monkeypatch)
         data = read_csv(f)
         assert len(data) == n and data.event.size == sizes.sum()
-        assert _outcome(read_csv, f) == _outcome(reference_read_csv, f)
+        assert _outcome(read_csv, f) == expected
