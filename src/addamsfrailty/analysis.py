@@ -23,6 +23,12 @@ are decided at ``fit.spec`` and kept out of the vector.  On the positive
 domain a value <= 0, and on the unit interval a value outside (0, 1), is
 its own interval (lo = hi = value).  A fully pinned result reports no CIs
 and builds no spec.
+
+No scipy distribution is frozen: z comes from ``scipy.special.ndtri`` in
+``transformed_ci``, and the count law's cdf and ppf from the shared scipy
+generator with the branch's shape arguments (``family._count_law``).
+``rc_table`` takes each stratum's CDF at k = 0..k_max-1 in one call per
+spec, and every entry reads from it.
 """
 
 from __future__ import annotations
@@ -38,9 +44,9 @@ from .estimation import FitResult, delta_method_se, transformed_ci
 from .family import (
     BranchKind,
     FrailtyBranch,
+    _count_law,
     classify_branch,
     conditional_moments,
-    count_distribution,
     laplace,
     rfv,
     support_and_pmf,
@@ -150,25 +156,25 @@ def hr_across_quantile_matched(branch_i: FrailtyBranch, branch_j: FrailtyBranch,
         raise ContinuousBranch("quantile matching needs discrete branches")
     if k < 1:
         raise ValueError("k must be >= 1")
-    dist_i = count_distribution(branch_i)
-    dist_j = count_distribution(branch_j)
-    lo = 0.0 if k == 1 else float(dist_i.cdf(k - 2))
-    hi = float(dist_i.cdf(k - 1))
+    dist_i, args_i = _count_law(branch_i)
+    dist_j, args_j = _count_law(branch_j)
+    lo = 0.0 if k == 1 else float(dist_i.cdf(k - 2, *args_i))
+    hi = float(dist_i.cdf(k - 1, *args_i))
     k_cap = branch_j.b + 1 if branch_j.kind is BranchKind.SCALED_BINOMIAL else None
     if lo <= 0.0:
         k_prime = 1
     else:
-        k_prime = int(dist_j.ppf(lo)) + 1   # smallest k' with cdf(k'-1) >= lo
+        k_prime = int(dist_j.ppf(lo, *args_j)) + 1   # smallest k' with cdf(k'-1) >= lo
     if k_cap is not None:
         k_prime = min(k_prime, k_cap)
-    p = float(dist_j.cdf(k_prime - 1))
+    p = float(dist_j.cdf(k_prime - 1, *args_j))
     if not (lo <= p < hi):
         candidates = [(max(lo - p, 0.0) + max(p - hi, 0.0), k_prime)]
         if k_prime > 1:
-            p_prev = float(dist_j.cdf(k_prime - 2))
+            p_prev = float(dist_j.cdf(k_prime - 2, *args_j))
             candidates.append((max(lo - p_prev, 0.0) + max(p_prev - hi, 0.0), k_prime - 1))
         if k_cap is None or k_prime + 1 <= k_cap:
-            p_next = float(dist_j.cdf(k_prime))
+            p_next = float(dist_j.cdf(k_prime, *args_j))
             candidates.append((max(lo - p_next, 0.0) + max(p_next - hi, 0.0), k_prime + 1))
         candidates.sort(key=lambda c: (c[0], c[1]))
         k_prime = candidates[0][1]
@@ -269,15 +275,17 @@ def rc_table(fit: FitResult, strata: Optional[Sequence[str]] = None,
 
     def quantities(spec) -> np.ndarray:
         at = _branches(spec, levels)
-        cdf = {lvl: count_distribution(b).cdf for lvl, b in at.items() if b.is_discrete}
+        laws = {lvl: _count_law(b) for lvl, b in at.items() if b.is_discrete}
+        # P(M <= k - 1) for k = 1..k_max, one call per stratum
+        cdf = {lvl: dist.cdf(np.arange(k_max), *args) for lvl, (dist, args) in laws.items()}
 
         def value(kind, lvl, k):
             if kind == "z":
                 return support_value(at[lvl], k)
             if kind == "cum":
-                return cdf[lvl](k - 1)
+                return cdf[lvl][k - 1]
             if kind == "ratio":
-                return cdf[lvl](k - 1) / cdf[reference](k - 1)
+                return cdf[lvl][k - 1] / cdf[reference][k - 1]
             return hr_across(at[lvl], at[reference], k)
 
         return np.array([value(*key) for key in entries], dtype=float)

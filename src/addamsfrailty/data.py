@@ -234,6 +234,10 @@ class CurrentStatusDataset:
 _BLOCK_BYTES = 1 << 16
 # the ASCII characters other than line ends that str.strip removes
 _ASCII_SPACE = (" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
+# a NUL as the reader reads it: csv.reader refuses a NUL before Python 3.11,
+# but not this lone surrogate, which surrogateescape never decodes a byte to
+_NUL = "\udc00"
+_HIDE_NUL = operator.methodcaller("replace", "\x00", _NUL)
 
 
 def _utf8(text: str) -> bool:
@@ -283,7 +287,7 @@ def _columns(text: str, width: int) -> Optional[List[List[str]]]:
     non-blank line holds ``width`` cells that csv.reader would read as
     they stand."""
     # csv.reader refuses a cell over its field size limit
-    if '"' in text or "\x00" in text or len(text) > csv.field_size_limit():
+    if '"' in text or len(text) > csv.field_size_limit():
         return None
     text = text.removesuffix("\n").removesuffix("\r")
     if not text:
@@ -319,22 +323,21 @@ def _chunks(fh):
     any quoted cell, csv.reader reads to the end of the file; it pads a
     short row with empty cells and cuts a long one to the header's width."""
     # a UTF-8 byte-order mark, as Excel writes, is not part of the header
-    text = fh.readline().decode("utf-8", "surrogateescape").removeprefix("\ufeff")
+    text = _HIDE_NUL(fh.readline().decode("utf-8", "surrogateescape").removeprefix("\ufeff"))
     line = text.removesuffix("\n").removesuffix("\r")
-    header = None if '"' in line or "\r" in line or "\x00" in line else line.split(",")
+    header = None if '"' in line or "\r" in line else line.split(",")
     if header is not None:
         yield header
         while raw := fh.read(_BLOCK_BYTES):
-            text = (raw + fh.readline()).decode("utf-8", "surrogateescape")
+            text = _HIDE_NUL((raw + fh.readline()).decode("utf-8", "surrogateescape"))
             cells = _columns(text, len(header))
             if cells is None:
                 break
             yield cells, text.isascii() and not any(c in text for c in _ASCII_SPACE), {}
         else:
             return
-    reader = csv.reader(itertools.chain(
-        io.StringIO(text, newline=""),
-        io.TextIOWrapper(fh, "utf-8", "surrogateescape", newline="")))
+    reader = csv.reader(itertools.chain(io.StringIO(text, newline=""), map(
+        _HIDE_NUL, io.TextIOWrapper(fh, "utf-8", "surrogateescape", newline=""))))
     if header is None:
         header = next(reader, [])
         yield header
@@ -371,6 +374,8 @@ def _block(cells, plain, refused, col, covariates, tables, line):
             if i is not None:
                 cells[i] = list(map(str.strip, cells[i]))
     # each rule's mask of the rows that fail it, or False for none
+    nul = [[_NUL in cell for cell in column] for column in cells
+           if not plain and _NUL in "".join(column)]
     not_utf8 = [[not _utf8(cell) for cell in column] for column in cells
                 if not (plain or _utf8("".join(column)))]
     ids, names = cells[col["cluster_id"]], cells[col["unit"]]
@@ -396,6 +401,8 @@ def _block(cells, plain, refused, col, covariates, tables, line):
     rules = [
         (bool(refused) and np.isin(np.arange(rows), list(refused)),
          lambda i: MalformedRow(line + i, f"({refused[i]})")),
+        (bool(nul) and np.any(nul, axis=0),
+         lambda i: MalformedRow(line + i, "(line contains NUL)")),
         (bool(not_utf8) and np.any(not_utf8, axis=0),
          lambda i: MalformedRow(line + i, "(not UTF-8)")),
         (empty, lambda i: MalformedRow(line + i, "(empty cluster_id or unit)")),
@@ -449,12 +456,13 @@ def read_csv(path) -> CurrentStatusDataset:
 
     The file is read once (see :func:`_chunks`).  Each row rule runs over
     whole columns, in this order: csv.reader can read the row (no cell
-    over its field size limit), its bytes are UTF-8, the id and unit are
-    not empty, the time is a number, finite and >= 0, the event flag is 0
-    or 1, each covariate is a number or empty, the weight is a number and
-    > 0.  A row's problem is the first rule it fails, and a rejected row
-    is reported with its line number (counting the header as line 1 and
-    skipping blank lines).  Then, over the rows that pass: a cluster takes
+    over its field size limit), no cell holds a NUL, its bytes are UTF-8,
+    the id and unit are not empty, the time is a number, finite and >= 0,
+    the event flag is 0 or 1, each covariate is a number or empty, the
+    weight is a number and > 0.  A row's problem is the first rule it
+    fails, and a rejected row is reported with its line number (counting
+    the header as line 1 and skipping blank lines); a NUL in the header
+    rejects the file at line 1.  Then, over the rows that pass: a cluster takes
     its stratum and weight from its first such row, a row whose stratum
     or weight differs is rejected, and so is a (cluster, unit) pair that
     an earlier accepted row holds.
@@ -465,6 +473,8 @@ def read_csv(path) -> CurrentStatusDataset:
             header = next(chunks)
         except csv.Error as exc:        # a cell over csv's field size limit
             raise DatasetError([MalformedRow(1, f"({exc})")]) from None
+        if _NUL in "".join(header):
+            raise DatasetError([MalformedRow(1, "(line contains NUL)")])
         if not _utf8(",".join(header)):
             raise DatasetError([MalformedRow(1, "(not UTF-8)")])
         missing = [c for c in REQUIRED_COLUMNS if c not in header]

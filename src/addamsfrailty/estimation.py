@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import optimize, special, stats
 
 from .data import CurrentStatusDataset
 from .errors import (
@@ -499,7 +499,7 @@ def transformed_ci(estimate: float, se: float, domain: str,
     """
     if se < 0:
         raise DomainViolation("standard error must be >= 0")
-    z = stats.norm.ppf(0.5 + level / 2.0)
+    z = special.ndtri(0.5 + level / 2.0)    # the normal quantile, as scipy.stats computes it
     if domain == "unconstrained":
         return estimate - z * se, estimate + z * se
     if domain == "positive":

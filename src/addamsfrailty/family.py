@@ -58,7 +58,6 @@ __all__ = [
     "rfv",
     "support_value",
     "support_and_pmf",
-    "count_distribution",
 ]
 
 _BINOMIAL_INT_TOL = 1e-9
@@ -452,8 +451,10 @@ def rfv(p: AddamsParameters, cum_hazard):
 # Discrete support
 # ---------------------------------------------------------------------------
 
-def count_distribution(branch: FrailtyBranch):
-    """Frozen scipy distribution of the underlying count variable M.
+def _count_law(branch: FrailtyBranch):
+    """(scipy generator, shape arguments) of the underlying count variable
+    M: ``dist.cdf(k, *args)`` is the frozen ``dist(*args).cdf(k)`` bit for
+    bit, without the freeze, which rebuilds the generator's class.
 
     The frailty is ``psi * (nu + M)`` on the shifted branch and ``psi * M``
     otherwise.  The negative binomial convention is
@@ -461,14 +462,11 @@ def count_distribution(branch: FrailtyBranch):
     """
     if branch.kind is BranchKind.GAMMA_LIMIT:
         raise ContinuousBranch("gamma limit has no count distribution")
-    if branch.kind in (
-        BranchKind.SHIFTED_SCALED_NEG_BINOMIAL,
-        BranchKind.SCALED_NEG_BINOMIAL,
-    ):
-        return stats.nbinom(branch.nu, branch.pi)
+    if branch.kind in (BranchKind.SHIFTED_SCALED_NEG_BINOMIAL, BranchKind.SCALED_NEG_BINOMIAL):
+        return stats.nbinom, (branch.nu, branch.pi)
     if branch.kind is BranchKind.SCALED_POISSON:
-        return stats.poisson(branch.lambda_star)
-    return stats.binom(branch.b, branch.pi)
+        return stats.poisson, (branch.lambda_star,)
+    return stats.binom, (branch.b, branch.pi)
 
 
 def support_value(branch: FrailtyBranch, k: int) -> float:
@@ -492,10 +490,10 @@ def support_and_pmf(branch: FrailtyBranch, k_max: int):
         raise ValueError("k_max must be >= 1")
     if branch.kind is BranchKind.SCALED_BINOMIAL:
         k_max = min(k_max, branch.b + 1)
-    dist = count_distribution(branch)
+    dist, args = _count_law(branch)
     ms = np.arange(k_max)
-    probs = dist.pmf(ms)
-    cums = dist.cdf(ms)
+    probs = dist.pmf(ms, *args)
+    cums = dist.cdf(ms, *args)
     return [
         SupportPoint(
             k=int(m + 1),

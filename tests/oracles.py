@@ -33,6 +33,21 @@ def branch_pieces(alpha, gamma, mu):
     return stats.nbinom(nu, alpha / gamma), mu * alpha, 0.0
 
 
+def count_distribution(branch):
+    """Frozen scipy law of a discrete branch's count variable M: the
+    reference for the library's unfrozen ``family._count_law``."""
+    from addamsfrailty.errors import ContinuousBranch
+    from addamsfrailty.family import BranchKind
+
+    if branch.kind is BranchKind.GAMMA_LIMIT:
+        raise ContinuousBranch("gamma limit has no count distribution")
+    if branch.kind in (BranchKind.SHIFTED_SCALED_NEG_BINOMIAL, BranchKind.SCALED_NEG_BINOMIAL):
+        return stats.nbinom(branch.nu, branch.pi)
+    if branch.kind is BranchKind.SCALED_POISSON:
+        return stats.poisson(branch.lambda_star)
+    return stats.binom(branch.b, branch.pi)
+
+
 def _series_sum(dist, term_of_z, psi, shift, tol):
     """sum_m P(M=m) f(shift + psi m), truncated once the tail mass is gone."""
     total = 0.0
@@ -309,14 +324,22 @@ def reference_read_csv(path):
     order = []
     per_cluster = {}
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
+        # csv.reader refuses a line holding a NUL before Python 3.11, and
+        # reads a lone surrogate on every version
+        reader = csv.DictReader(line.replace("\x00", "\udc00") for line in fh)
         header = reader.fieldnames or []
+        if any("\udc00" in name for name in header):
+            raise DatasetError([MalformedRow(1, "(line contains NUL)")])
         missing = [c for c in REQUIRED_COLUMNS if c not in header]
         if missing:
             raise DatasetError([MalformedRow(1, f"missing columns {missing}")])
         covariate_cols = [c for c in header if c not in RESERVED_COLUMNS]
         for lineno, row in enumerate(reader, start=2):
             try:
+                # cells past the header's width (key None) are ignored
+                if any("\udc00" in cell for key, cell in row.items() if key is not None and cell):
+                    problems.append(MalformedRow(lineno, "(line contains NUL)"))
+                    continue
                 cid = (row["cluster_id"] or "").strip()
                 unit = (row["unit"] or "").strip()
                 if not cid or not unit:

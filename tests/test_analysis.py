@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from addamsfrailty import (
     AddamsParameters,
@@ -12,9 +13,12 @@ from addamsfrailty import (
     FrailtyLink,
     LinearPredictor,
     ModelSpec,
+    MonitoringLaw,
     ParameterLayout,
+    SimConfig,
     classify_branch,
     conditional_moments,
+    generate,
     hr_across,
     hr_across_quantile_matched,
     hr_within,
@@ -30,7 +34,9 @@ from addamsfrailty import (
 )
 from addamsfrailty.errors import ContinuousBranch, OutOfSupport, UndefinedRatio
 from addamsfrailty.estimation import delta_method_se
-from addamsfrailty.family import count_distribution
+from addamsfrailty.estimation import fit as ml_fit
+
+from oracles import count_distribution
 
 # published serological example: two strata, shifted scaled neg. binomial
 MALE = AddamsParameters(-0.502, 83.447, 1.0)
@@ -391,3 +397,40 @@ class TestOneJacobian:
         for analysis in self.analyses():
             analysis(fit)
         assert build_spec_calls == []
+
+
+class TestNoScipyDistributionObjects:
+    """Analysis and fit take z and the count laws without a frozen scipy
+    distribution or a ``stats.norm.ppf`` call: each costs far more than
+    its arithmetic."""
+
+    def test_fit_and_analyses_make_no_calls(self, monkeypatch):
+        link = FrailtyLink.for_factor(["m", "f"], zeta0=-1.0, kappa0=math.log(5.0))
+        spec = ModelSpec(
+            units=("u1", "u2"),
+            baselines={"u1": ExponentialBaseline(0.04), "u2": ExponentialBaseline(0.03)},
+            frailty_link=link,
+        )
+        data = generate(SimConfig(spec=spec, n_clusters=400, seed=3,
+                                  monitoring=MonitoringLaw("uniform", a=1.0, b=80.0),
+                                  stratum_probs={"m": 0.5, "f": 0.5}))
+        calls = []
+
+        def counting(name, method):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return method(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(stats.norm, "ppf", counting("norm.ppf", stats.norm.ppf))
+        for cls in (stats.rv_discrete, stats.rv_continuous):
+            monkeypatch.setattr(cls, "freeze", counting(f"{cls.__name__}.freeze", cls.freeze))
+        result = ml_fit(spec, data)
+        assert result.n_free > 0 and np.all(np.isfinite(result.se))
+        rc_table(result, k_max=5)
+        hr_within_table(result, k_max=5)
+        rfv_parameter_table(result)
+        trajectories(result, "f", times=np.linspace(0.0, 80.0, 9))
+        branches = [classify_branch(result.spec.frailty_params(lvl)) for lvl in ("m", "f")]
+        hr_across_quantile_matched(*branches, 3)
+        assert calls == []

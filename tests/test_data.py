@@ -560,6 +560,41 @@ class TestReaderEquivalence:
         assert read_csv(f).cluster_ids == ("c1",)
         assert _outcome(read_csv, f) == _outcome(reference_read_csv, f)
 
+    @pytest.mark.parametrize("body, lines", [
+        ("c\x001,u1,1.5,0,\nc2,u1,2.5,1,\n", [2]),               # str.split reads it
+        ("c1,u1,1.5,0,\nc2,u1,2.\x005,1,\nc3,u1,\x00,1,\n", [3, 4]),
+        ("c1,u1,1.5,0,\x00\n\x00\nc2,u1,2.5,1,\n", [2, 3]),       # a line of a NUL alone
+        ('"c\x00\n1",u1,1.5,0,\nc2,u1,abc,1,\n', [2]),            # csv.reader reads it
+        ('c1,u1,1.5,0,"\n\x00"\n"c,2",u1,2.5,1,\n', [2]),
+    ])
+    def test_nul_byte_is_a_row_problem(self, tmp_path, body, lines):
+        # on every Python version: csv.reader refuses a NUL before 3.11
+        f = tmp_path / "d.csv"
+        f.write_text("cluster_id,unit,time,event,x\n" + body, newline="")
+        with pytest.raises(DatasetError) as err:
+            read_csv(f)
+        nul = [p.line for p in err.value.problems if str(p).endswith("(line contains NUL)")]
+        assert nul == lines
+        assert _outcome(read_csv, f) == _outcome(reference_read_csv, f)
+
+    @pytest.mark.parametrize("header", ["cluster_id,unit,time,event,x\x00",
+                                        '"cluster_id\x00",unit,time,event'])
+    def test_nul_byte_in_the_header(self, tmp_path, header):
+        f = tmp_path / "d.csv"
+        f.write_text(header + "\nc1,u1,1.5,0,\n", newline="")
+        with pytest.raises(DatasetError) as err:
+            read_csv(f)
+        assert [(p.line, str(p)) for p in err.value.problems] == [
+            (1, str(MalformedRow(1, "(line contains NUL)")))]
+        assert _outcome(read_csv, f) == _outcome(reference_read_csv, f)
+
+    def test_nul_byte_past_the_header_width(self, tmp_path):
+        # cells past the header's width are ignored, a NUL in them too
+        f = tmp_path / "d.csv"
+        f.write_text("cluster_id,unit,time,event\nc1,u1,1.5,0,\x00\nc1,u2,2.5,1\n", newline="")
+        assert read_csv(f).time.tolist() == [1.5, 2.5]
+        assert _outcome(read_csv, f) == _outcome(reference_read_csv, f)
+
     @pytest.mark.parametrize("terminator", ["\n", "\r\n"])
     @pytest.mark.parametrize("final_newline", [True, False])
     def test_line_ends(self, tmp_path, terminator, final_newline):

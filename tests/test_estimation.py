@@ -185,6 +185,13 @@ class TestTransformedCi:
         assert lo == pytest.approx(1.0 - 1.959963984540054 * 0.5, rel=1e-12)
         assert hi == pytest.approx(1.0 + 1.959963984540054 * 0.5, rel=1e-12)
 
+    @pytest.mark.parametrize("level", [0.8, 0.9, 0.95, 0.99])
+    def test_z_is_the_normal_quantile_bit_for_bit(self, level):
+        z = stats.norm.ppf(0.5 + level / 2.0)
+        assert transformed_ci(0.0, 1.0, "unconstrained", level) == (-z, z)
+        est, se = 2.0, 0.4
+        assert transformed_ci(est, se, "positive", level)[1] == est * math.exp(z * se / est)
+
     def test_positive_log_interval(self):
         est, se = 2.0, 0.4
         lo, hi = transformed_ci(est, se, "positive")

@@ -25,10 +25,11 @@ from addamsfrailty.errors import (
     InvalidParameters,
     OutOfSupport,
 )
-from addamsfrailty.family import count_distribution, log_laplace_partials
+from addamsfrailty.family import _count_law, log_laplace_partials
 
 from conftest import random_triples
 from oracles import (
+    count_distribution,
     mp_log_laplace,
     mp_log_laplace_partials,
     naive_laplace_longdouble,
@@ -502,6 +503,25 @@ class TestSupport:
             assert pt.prob == pytest.approx(float(dist.pmf(pt.k - 1)), rel=1e-12)
             assert pt.cum_prob == pytest.approx(float(dist.cdf(pt.k - 1)), rel=1e-12)
         assert all(b.z < a.z for b, a in zip(points, points[1:]))
+
+    @pytest.mark.parametrize("params", [
+        AddamsParameters(-0.5, 4.0, 1.0),       # shifted negative binomial
+        AddamsParameters(-2.882, 90.996, 0.328),
+        AddamsParameters(1.5, 4.0, 0.9),        # negative binomial
+        AddamsParameters(2.0, 2.0, 1.0),        # Poisson
+        AddamsParameters(4.5, 4.0, 0.7),        # binomial, b = 2
+        AddamsParameters(2.25, 2.0, 1.0),       # binomial, b = 4
+    ])
+    def test_count_law_is_the_frozen_law_bit_for_bit(self, params):
+        branch = classify_branch(params)
+        (dist, args), frozen = _count_law(branch), count_distribution(branch)
+        ks = np.arange(-1, 12)                  # beyond b on the binomial branch
+        qs = np.array([0.0, 1e-12, 0.1, 0.5, 0.9, 0.999, 1.0])
+        assert np.array_equal(dist.pmf(ks, *args), frozen.pmf(ks))
+        assert np.array_equal(dist.cdf(ks, *args), frozen.cdf(ks))
+        assert np.array_equal(dist.ppf(qs, *args), frozen.ppf(qs))
+        for k in (0, 1, 5, 11):                 # one call per entry gives the same bits
+            assert dist.cdf(k, *args) == dist.cdf(ks, *args)[k + 1] == frozen.cdf(k)
 
     def test_gamma_limit_has_no_discrete_support(self):
         branch = classify_branch(AddamsParameters(0.0, 2.0))
