@@ -67,8 +67,7 @@ def _run_fit(config: RunConfig):
     data = _read_data(config)
     spec = config.build_spec()
     init = "spec" if config.params and not config.pin_all else None
-    result = ml_fit(spec, data, init=init,
-                    maxiter=config.fit_maxiter, seed=config.fit_seed)
+    result = ml_fit(spec, data, init=init, maxiter=config.fit_maxiter)
     if not result.converged:
         raise NonConvergence(
             f"gradient norm {result.gradient_norm:.3g} after "
@@ -164,8 +163,7 @@ def cmd_lrt(args) -> int:
     for label, kind in (("null", config.lrt_null_regime),
                         ("alt", config.lrt_alt_regime)):
         spec = config.build_spec(regimes=config.regimes_for(kind))
-        result = ml_fit(spec, data, init=init,
-                        maxiter=config.fit_maxiter, seed=config.fit_seed)
+        result = ml_fit(spec, data, init=init, maxiter=config.fit_maxiter)
         if not result.converged:
             raise NonConvergence(f"{label} model did not converge")
         fits[label] = result

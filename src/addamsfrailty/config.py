@@ -10,10 +10,11 @@ may hold ``:``, and ``;`` after whitespace opens a comment.  Sections:
 ``[covariates]`` per-unit covariate column lists (main effects only).
 ``[params]``     explicit parameter values; with ``pin_all = true`` the
                  model is fully pinned (analyze published values without
-                 fitting), otherwise they seed the optimizer.  Keys match
-                 unit and stratum names in any case, as in ``[covariates]``;
-                 a key that matches no parameter is an error.
-``[fit] [simulate] [analyze] [lrt] [output]`` command settings; the
+                 fitting), otherwise they are the optimizer's start point.
+                 Keys match unit and stratum names in any case, as in
+                 ``[covariates]``; a key that matches no parameter is an error.
+``[fit]``        ``maxiter``, the iteration limit (>= 0) of each BFGS call.
+``[simulate] [analyze] [lrt] [output]`` command settings; the ``[fit]``,
                  ``[analyze]`` and ``[lrt]`` ones are checked before any fit.
 """
 
@@ -85,7 +86,6 @@ class RunConfig:
     params: Dict[str, List[float]]
     pin_all: bool
     fit_maxiter: int
-    fit_seed: int
     sim_n_clusters: int
     sim_seed: int
     sim_monitoring: MonitoringLaw
@@ -290,7 +290,6 @@ def load_config(path, overrides: Optional[List[str]] = None) -> RunConfig:
             params=params,
             pin_all=pin_all,
             fit_maxiter=int(get("fit", "maxiter", "500")),
-            fit_seed=int(get("fit", "seed", "0")),
             sim_n_clusters=int(get("simulate", "n_clusters", "100")),
             sim_seed=int(get("simulate", "seed", "0")),
             sim_monitoring=_parse_monitoring(get("simulate", "monitoring", "uniform:1,80")),
@@ -306,6 +305,8 @@ def load_config(path, overrides: Optional[List[str]] = None) -> RunConfig:
         raise
     except (ValueError, KeyError) as exc:
         raise ConfigError(str(exc)) from exc
+    if config.fit_maxiter < 0:
+        raise ConfigError(f"fit.maxiter must be >= 0, got {config.fit_maxiter}")
     if config.analyze_k_max < 1:
         raise ConfigError(f"analyze.k_max must be >= 1, got {config.analyze_k_max}")
     unknown = sorted(set(params) - config._param_keys())

@@ -54,10 +54,8 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _RATE_FLOOR = 1e-4
-# fit's restart limits: jittered restarts after an unproductive BFGS
-# attempt, and restarts from the best point after a productive stall
-_MAX_RESTARTS = 3
-_MAX_POLISH_STEPS = 20
+# BFGS calls per fit: the first, and restarts from the best point
+_MAX_BFGS_CALLS = 20
 # what the likelihood raises outside the feasible region
 _INFEASIBLE = (InvalidRegion, InvalidBinomial, NumericalDomain,
                NonPositiveProbability, InvalidParameters, OverflowError)
@@ -294,16 +292,18 @@ def _check_identifiability(spec: ModelSpec) -> None:
 
 
 def fit(spec: ModelSpec, data: CurrentStatusDataset, init=None,
-        maxiter: int = 500, seed: int = 0) -> FitResult:
+        maxiter: int = 500) -> FitResult:
     """Maximize the current-status log-likelihood.
 
     ``init`` may be a free-parameter vector, the string "spec" to start
     from the values already held by ``spec``, or None for the data-driven
-    defaults.  A line-search stall that improved on the best point
-    restarts BFGS from there (at most ``_MAX_POLISH_STEPS`` times); any
-    other failure jitters the start point (at most ``_MAX_RESTARTS``
-    times).  The best point found is always returned, with ``converged``
-    reporting whether the gradient criterion was met.
+    defaults; a start point where the log-likelihood is not finite raises
+    NonFiniteEvaluation.  ``maxiter`` bounds the iterations of each BFGS
+    call.  A call that stops short of a stationary point (a line-search
+    stall) after at least one iteration, and improved on the best point by
+    more than 1e-10, is followed by a call from the best point, at most
+    ``_MAX_BFGS_CALLS`` calls in all.  The best point found is returned,
+    with ``converged`` reporting whether it is stationary.
     """
     _check_identifiability(spec)
     layout = ParameterLayout(spec)
@@ -343,49 +343,27 @@ def fit(spec: ModelSpec, data: CurrentStatusDataset, init=None,
                 f"init has {theta0.size} entries, layout has {layout.n_free} free"
             )
 
-    rng = np.random.default_rng(seed)
+    start, first = theta0, objective(theta0)
+    if not math.isfinite(first[0]):
+        raise NonFiniteEvaluation("objective non-finite at the start point")
     best = None
-    attempts = 0
-    polish_steps = 0
-    start = theta0
-    while attempts <= _MAX_RESTARTS and polish_steps < _MAX_POLISH_STEPS:
-        attempts += 1
-        try:
-            checked = objective(start)
-            if not math.isfinite(checked[0]):
-                raise NonFiniteEvaluation("objective non-finite at the start point")
-            gtol = 1e-6 * max(1.0, abs(checked[0]))
-            res = optimize.minimize(
-                _first_call_from(objective, start, checked), start, jac=True, method="BFGS",
-                options={"gtol": gtol, "maxiter": maxiter},
-            )
-        except NonFiniteEvaluation:
-            res = None
-        if res is not None and math.isfinite(res.fun):
-            improved = best is None or res.fun < best.fun - 1e-10
-            if best is None or res.fun < best.fun:
-                best = res
-            gnorm = float(np.max(np.abs(res.jac)))
-            if res.success or gnorm < 1e-6 * max(1.0, abs(res.fun)):
-                break
-            # a line-search stall resets the Hessian approximation: restart
-            # from the best point while it keeps improving, else jitter
-            if improved and res.nit > 0:
-                start = np.asarray(best.x, dtype=float)
-                attempts -= 1   # productive restarts are nearly free
-                polish_steps += 1
-                continue
-        start = theta0 + rng.normal(scale=0.05, size=theta0.size)
-        log.warning("fit restart %d after line-search failure", attempts)
-    if best is None:
-        raise NonFiniteEvaluation("optimization failed on every restart")
+    for _ in range(_MAX_BFGS_CALLS):
+        res = optimize.minimize(
+            _first_call_from(objective, start, first), start, jac=True, method="BFGS",
+            options={"gtol": _gtol(first[0]), "maxiter": maxiter},
+        )
+        improved = best is None or res.fun < best.fun - 1e-10
+        if best is None or res.fun < best.fun:
+            best = res
+        # a stall resets BFGS's Hessian approximation; restarting from the
+        # best point pays while it keeps improving
+        if _stationary(res) or not improved or res.nit == 0:
+            break
+        start, first = np.asarray(best.x, dtype=float), (best.fun, best.jac)
 
     theta_hat = np.asarray(best.x, dtype=float)
     ll_hat = -float(best.fun)
     gnorm = float(np.max(np.abs(best.jac)))
-    converged = bool(
-        gnorm < 1e-6 * max(1.0, abs(ll_hat)) or best.success
-    )
     try:
         hess = hessian(score, theta_hat, from_score=True)
         cov = _covariance_from_hessian(hess)
@@ -405,7 +383,7 @@ def fit(spec: ModelSpec, data: CurrentStatusDataset, init=None,
         se=se,
         ci=ci,
         aic=-2.0 * ll_hat + 2.0 * layout.n_free,
-        converged=converged,
+        converged=_stationary(best),
         iterations=int(best.nit),
         gradient_norm=gnorm,
         layout=fitted_layout,
@@ -413,9 +391,20 @@ def fit(spec: ModelSpec, data: CurrentStatusDataset, init=None,
     )
 
 
+def _gtol(value: float) -> float:
+    """The bound on max|gradient| of a stationary point of objective ``value``."""
+    return 1e-6 * max(1.0, abs(value))
+
+
+def _stationary(res) -> bool:
+    """BFGS's own verdict, or max|gradient| under ``_gtol``."""
+    return bool(res.success or np.max(np.abs(res.jac)) < _gtol(res.fun))
+
+
 def _first_call_from(objective, start: np.ndarray, result):
     """``objective`` whose first call returns ``result`` when it is at ``start``,
-    where the start-point check already evaluated it."""
+    where ``result`` is already known: from the start-point check, or the
+    best point's value and gradient on a restart."""
     pending = [result]
 
     def wrapped(theta):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from addamsfrailty.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from addamsfrailty.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NONCONVERGENCE, EXIT_OK, main
 from addamsfrailty.config import load_config
 from addamsfrailty.data import read_csv
 from addamsfrailty.errors import ConfigError, DatasetError, MalformedRow
@@ -221,6 +221,22 @@ class TestConfig:
         key = setting.split("=", 1)[0]
         assert any(key in rec.getMessage() for rec in caplog.records)
 
+    def test_negative_maxiter_is_a_config_error_before_data_is_read(self, tmp_path, caplog,
+                                                                   monkeypatch):
+        cfg = write_config(tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("data read")
+
+        monkeypatch.setattr("addamsfrailty.cli.read_csv", refuse)
+        with pytest.raises(ConfigError, match="fit.maxiter"):
+            load_config(cfg, ["fit.maxiter=-1"])
+        assert load_config(cfg, ["fit.maxiter=0"]).fit_maxiter == 0
+        with caplog.at_level("ERROR", logger="addamsfrailty"):
+            code = main(["fit", "--config", str(cfg), "--set", "fit.maxiter=-1"])
+        assert code == EXIT_CONFIG
+        assert any("fit.maxiter" in rec.getMessage() for rec in caplog.records)
+
 
 class TestIngest:
     def test_reports_every_problem(self, tmp_path):
@@ -367,6 +383,22 @@ class TestPipeline:
         assert stat >= 0.0
         assert report["lrt"]["df"] == "1"
         assert 0.0 <= float(report["lrt"]["p_value"]) <= 1.0
+
+    def test_unconverged_fit_exits_2_without_reports(self, tmp_path):
+        # the recovery gate's design at (alpha, gamma) = (0.9, 1), next to the
+        # seam where the law's support changes, fitted from the default start
+        model = (f"[data]\npath = {tmp_path / 'data.csv'}\n"
+                 "[model]\nunits = u1, u2\nbaseline = piecewise\ncutpoints = 0, 40\n"
+                 f"[output]\ndir = {tmp_path / 'out'}\n")
+        truth = tmp_path / "truth.ini"
+        truth.write_text(model + "[params]\nzeta = 0.9\nkappa = 0.0\n"
+                         "rates.u1 = 0.05, 0.02\nrates.u2 = 0.03, 0.04\n"
+                         "[simulate]\nn_clusters = 1000\nseed = 50001\n")
+        assert main(["simulate", "--config", str(truth)]) == EXIT_OK
+        cfg = tmp_path / "fit.ini"
+        cfg.write_text(model)
+        assert main(["fit", "--config", str(cfg)]) == EXIT_NONCONVERGENCE
+        assert not (tmp_path / "out" / "report.json").exists()
 
 
 class TestAnalyzePinned:

@@ -1,6 +1,8 @@
 """Layout, optimizer, Hessian, confidence intervals and tests."""
 
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from addamsfrailty.errors import (
     NonFiniteEvaluation,
 )
 from addamsfrailty.simulate import MonitoringLaw, SimConfig, generate
+from test_acceptance import recovery_spec, simulate_from
 
 
 def basic_spec(two_strata=False):
@@ -52,6 +55,38 @@ def basic_spec(two_strata=False):
 def simulated_data(spec, n=400, seed=3):
     return generate(SimConfig(spec=spec, n_clusters=n, seed=seed,
                               monitoring=MonitoringLaw("uniform", a=1.0, b=80.0)))
+
+
+def seam_spec(alpha):
+    """The recovery gate's design with its frailty law at (alpha, gamma = 1)."""
+    link = FrailtyLink.for_factor(["s"], zeta0=alpha, kappa0=0.0)
+    return dataclasses.replace(recovery_spec(), frailty_link=link)
+
+
+@pytest.fixture
+def bfgs_calls(monkeypatch):
+    """Records every ``loglik_and_score`` pass in ``passes`` and each BFGS
+    call of ``fit`` in ``calls`` as (x0, result, passes inside the call)."""
+    from addamsfrailty import estimation
+
+    record = SimpleNamespace(passes=[], calls=[])
+    one_pass = LikelihoodWorkspace.loglik_and_score
+
+    def counted(ws, layout, theta):
+        record.passes.append(1)
+        return one_pass(ws, layout, theta)
+
+    minimize = estimation.optimize.minimize
+
+    def recorded(fun, x0, **kwargs):
+        before = len(record.passes)
+        res = minimize(fun, x0, **kwargs)
+        record.calls.append((np.array(x0), res, len(record.passes) - before))
+        return res
+
+    monkeypatch.setattr(LikelihoodWorkspace, "loglik_and_score", counted)
+    monkeypatch.setattr(estimation.optimize, "minimize", recorded)
+    return record
 
 
 class TestLayout:
@@ -307,34 +342,46 @@ class TestFit:
         assert result.converged
         assert calls == []
 
-    def test_start_point_check_feeds_the_first_bfgs_call(self, monkeypatch):
-        from addamsfrailty import estimation
-
-        passes = []
-        one_pass = LikelihoodWorkspace.loglik_and_score
-
-        def counted(ws, layout, theta):
-            passes.append(1)
-            return one_pass(ws, layout, theta)
-
-        attempts = []
-        minimize = estimation.optimize.minimize
-
-        def recorded(fun, x0, **kwargs):
-            before = len(passes)
-            res = minimize(fun, x0, **kwargs)
-            attempts.append((res.nfev, len(passes) - before))
-            return res
-
-        monkeypatch.setattr(LikelihoodWorkspace, "loglik_and_score", counted)
-        monkeypatch.setattr(estimation.optimize, "minimize", recorded)
+    def test_start_point_check_feeds_the_first_bfgs_call(self, bfgs_calls):
         spec = basic_spec()
         result = fit(spec, simulated_data(spec, n=200, seed=4))
+        attempts = bfgs_calls.calls
         assert result.converged and attempts
         # each attempt's start point is evaluated once, by the check
-        assert all(inside == nfev - 1 for nfev, inside in attempts)
+        assert all(inside == res.nfev - 1 for _, res, inside in attempts)
         hessian_passes = 2 * result.n_free
-        assert len(passes) == sum(nfev for nfev, _ in attempts) + hessian_passes
+        assert len(bfgs_calls.passes) == sum(res.nfev for _, res, _ in attempts) + hessian_passes
+
+    def test_stall_restarts_from_the_best_point_without_a_pass(self, bfgs_calls):
+        spec = seam_spec(0.5)
+        result = fit(spec, simulate_from(spec, 3000, seed=50009))
+        assert result.converged and len(bfgs_calls.calls) == 2
+        (_, first, _), (x0, second, _) = bfgs_calls.calls
+        assert np.array_equal(x0, first.x) and second.fun < first.fun
+        # the restart's first call is served the best point's value and gradient
+        nfev = first.nfev + second.nfev
+        assert len(bfgs_calls.passes) == nfev - 1 + 2 * result.n_free
+
+    def test_unconverged_fit_restarts_only_from_the_best_point(self, bfgs_calls):
+        spec = seam_spec(0.9)
+        data = simulate_from(spec, 1000, seed=50001)
+        result = fit(spec, data)
+        assert not result.converged and len(bfgs_calls.calls) > 1
+        best = bfgs_calls.calls[0][1]
+        for x0, res, _ in bfgs_calls.calls[1:]:
+            assert np.array_equal(x0, best.x)
+            if res.fun < best.fun:
+                best = res
+        assert np.array_equal(result.theta, best.x)
+        assert fit(spec, data).theta.tobytes() == result.theta.tobytes()
+
+    def test_non_finite_start_raises_after_one_pass(self, bfgs_calls):
+        spec = basic_spec()
+        init = ParameterLayout(spec).free_vector()
+        init[0] = math.nan
+        with pytest.raises(NonFiniteEvaluation, match="start point"):
+            fit(spec, simulated_data(spec, n=200, seed=4), init=init)
+        assert len(bfgs_calls.passes) == 1 and bfgs_calls.calls == []
 
     def test_refit_from_solution_is_fixed_point(self):
         spec = basic_spec()
