@@ -16,6 +16,10 @@ may hold ``:``, and ``;`` after whitespace opens a comment.  Sections:
 ``[fit]``        ``maxiter``, the iteration limit (>= 0) of each BFGS call.
 ``[simulate] [analyze] [lrt] [output]`` command settings; the ``[fit]``,
                  ``[analyze]`` and ``[lrt]`` ones are checked before any fit.
+
+Each key is declared once, by the ``load_config`` line that reads it, and
+a section or key that nothing reads (a typo, a removed setting, a
+``regime.<level>`` for an undeclared level) is a ConfigError.
 """
 
 from __future__ import annotations
@@ -222,8 +226,16 @@ def load_config(path, overrides: Optional[List[str]] = None) -> RunConfig:
             parser.add_section(section)
         parser.set(section.strip(), option.strip(), value.strip())
 
+    declared = set()    # the (section, key) pairs read below; any other is an error
+
     def get(section, option, default=None):
+        declared.add((section, parser.optionxform(option)))
         return parser.get(section, option, fallback=default)
+
+    def items(section):
+        pairs = parser.items(section) if parser.has_section(section) else []
+        declared.update((section, key) for key, _ in pairs)
+        return pairs
 
     units = tuple(_split(get("model", "units", "")))
     if not units:
@@ -243,20 +255,18 @@ def load_config(path, overrides: Optional[List[str]] = None) -> RunConfig:
     regimes = {lvl: _parse_regime(get("model", f"regime.{lvl}", "free"), f"model.regime.{lvl}")
                for lvl in levels}
     covariates = {}
-    if parser.has_section("covariates"):
-        for unit, value in parser.items("covariates"):
-            matched = [u for u in units if u.lower() == unit]
-            if not matched:
-                raise ConfigError(f"[covariates] {unit!r} is not a declared unit")
-            covariates[matched[0]] = tuple(_split(value))
+    for unit, value in items("covariates"):
+        matched = [u for u in units if u.lower() == unit]
+        if not matched:
+            raise ConfigError(f"[covariates] {unit!r} is not a declared unit")
+        covariates[matched[0]] = tuple(_split(value))
     params: Dict[str, List[float]] = {}
     pin_all = False
-    if parser.has_section("params"):
-        for key, value in parser.items("params"):
-            if key == "pin_all":
-                pin_all = _bool(value)
-            else:
-                params[key] = _floats(value)
+    for key, value in items("params"):
+        if key == "pin_all":
+            pin_all = _bool(value)
+        else:
+            params[key] = _floats(value)
     probs_text = get("simulate", "stratum_probs", "")
     stratum_probs = None
     if probs_text:
@@ -312,4 +322,12 @@ def load_config(path, overrides: Optional[List[str]] = None) -> RunConfig:
     unknown = sorted(set(params) - config._param_keys())
     if unknown:
         raise ConfigError(f"[params] {', '.join(map(repr, unknown))} match no parameter")
+    sections = {section for section, _ in declared} | {"covariates", "params"}
+    for section in parser.sections():
+        if section not in sections:
+            raise ConfigError(f"[{section}] is not a section")
+        unknown = [f"{section}.{key}" for key in parser.options(section)
+                   if (section, key) not in declared]
+        if unknown:
+            raise ConfigError(f"{', '.join(unknown)}: no such setting")
     return config

@@ -54,7 +54,7 @@ class UnknownStratum(FrailtyModelError):
 
 
 class IdentifiabilityError(FrailtyModelError):
-    """Aliased configuration: free frailty mean next to a free own baseline."""
+    """Aliased configuration: free link coefficients the data cannot tell apart."""
 
 
 class DomainViolation(FrailtyModelError):

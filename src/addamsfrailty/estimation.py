@@ -2,9 +2,12 @@
 
 A :class:`ParameterLayout` flattens a ModelSpec into one optimization
 vector (baseline parameters on the log scale, link coefficients
-untransformed) with a pin mask; pinned entries never move.  Fitting is
-quasi-Newton (BFGS with Wolfe line search) on the negated log-likelihood;
-each point's value and exact analytic score come from one
+untransformed) with a pin mask; pinned entries never move.  A link
+coefficient is free where its mask is set and its column of
+``ModelSpec.frailty_jacobian`` moves some stratum; ``fit`` rejects free
+link columns short of full rank over what the data identify.  Fitting
+is BFGS (Wolfe line search) on the negated log-likelihood; each point's
+value and exact analytic score come from one
 ``LikelihoodWorkspace.loglik_and_score`` pass.  Standard errors come from
 the Hessian taken as the symmetrized central-difference Jacobian of that
 score at one step (2p score passes for p free parameters), and
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import optimize, special, stats
+from scipy import linalg, optimize, special, stats
 
 from .data import CurrentStatusDataset
 from .errors import (
@@ -94,16 +97,15 @@ class ParameterLayout:
                 pos += 1
             self.beta_slices[unit] = slice(start, pos)
         link = spec.frailty_link
-        any_free_regime = any(r.kind == "free" for r in spec.branch_regimes.values())
+        jacobians = [spec.frailty_jacobian(level) for level in link.levels]
         self.link_slices: Dict[str, slice] = {}
         for name in ("beta0", "zeta", "kappa"):
             values = getattr(link, name)
-            # zeta moves only where some stratum leaves alpha free
-            movable = any_free_regime or name != "zeta"
+            # a masked-free coefficient is estimated where its Jacobian column,
+            # the regime pins applied, moves some stratum's (alpha, gamma, mu)
+            moves = np.any([jac[name] != 0 for jac in jacobians], axis=(0, 1)).tolist()
             for i, (value, free) in enumerate(zip(values, getattr(link, f"{name}_free"))):
-                entries.append(
-                    _Entry(f"{name}[{i}]", float(value), bool(free) and movable, "identity")
-                )
+                entries.append(_Entry(f"{name}[{i}]", float(value), free and moves[i], "identity"))
             self.link_slices[name] = slice(pos, pos + len(values))
             pos += len(values)
         self.entries = entries
@@ -181,19 +183,15 @@ class ParameterLayout:
             if level is not None:
                 sel &= np.array([lab == level for lab in labels])[data.stratum][data.cluster]
             baseline = self.spec0.baselines[key]
-            full[sl] = _baseline_init(baseline, data.time[sel], data.event[sel])
-        link = self.spec0.frailty_link
-        p = len(link.zeta)
-        full[self.link_slices["beta0"]] = np.zeros(p)
-        full[self.link_slices["zeta"]] = np.array([-0.1] + [0.0] * (p - 1))
-        full[self.link_slices["kappa"]] = np.array([math.log(0.5)] + [0.0] * (p - 1))
+            full[sl] = _baseline_init(baseline, data.time[sel], data.event[sel].astype(float))
+        p = len(self.spec0.frailty_link.zeta)
+        for name, intercept in (("beta0", 0.0), ("zeta", -0.1), ("kappa", math.log(0.5))):
+            full[self.link_slices[name]] = [intercept] + [0.0] * (p - 1)
         return full[self.free_mask]
 
 
 def _cloglog_rate(times, events):
     """Crude constant-hazard estimate from pooled current-status data."""
-    times = np.asarray(times, dtype=float)
-    events = np.asarray(events, dtype=float)
     if times.size == 0 or np.all(times <= 0):
         return _RATE_FLOOR
     p_hat = float(np.clip(events.mean(), 1.0 / (2 * events.size + 2),
@@ -213,22 +211,20 @@ def _baseline_init(baseline, times, events) -> np.ndarray:
         return np.log([1.0, 1.0, 1.0 / global_rate])  # generalized gamma
     # piecewise constant: match -log(1 - p_hat) at interval midpoints
     cuts = list(baseline.cutpoints)
-    times_arr = np.asarray(times, dtype=float)
-    events_arr = np.asarray(events, dtype=float)
     rates = []
     cum_at_start = 0.0
     prev_rate = global_rate
     for i, lo in enumerate(cuts):
         hi = cuts[i + 1] if i + 1 < len(cuts) else np.inf
-        sel = (times_arr >= lo) & (times_arr < hi)
+        sel = (times >= lo) & (times < hi)
         if not np.any(sel):
             rate = prev_rate
         else:
-            p_hat = float(np.clip(events_arr[sel].mean(),
+            p_hat = float(np.clip(events[sel].mean(),
                                   1.0 / (2 * sel.sum() + 2),
                                   1.0 - 1.0 / (2 * sel.sum() + 2)))
             lam_mid = -math.log1p(-p_hat)
-            mid = float(times_arr[sel].mean())
+            mid = float(times[sel].mean())
             rate = (lam_mid - cum_at_start) / max(mid - lo, 1e-8)
             rate = max(rate, _RATE_FLOOR)
         rates.append(rate)
@@ -274,21 +270,28 @@ def pinned_result(spec: ModelSpec, loglik: float = math.nan) -> FitResult:
     )
 
 
-def _check_identifiability(spec: ModelSpec) -> None:
-    link = spec.frailty_link
-    if spec.stratified_baselines and any(link.beta0_free):
-        raise IdentifiabilityError(
-            "free frailty mean is aliased with stratum-owned baselines; "
-            "pin every beta0 coefficient when baselines are stratified"
-        )
-    if not link.pin_reference_mu:
-        ref_row = link.row(link.reference)
-        for c, free in enumerate(link.beta0_free):
-            if free and ref_row[c] != 0.0:
-                raise IdentifiabilityError(
-                    "reference stratum mean must be pinned to 1: free beta0 "
-                    f"coefficient {c} loads on the reference design row"
-                )
+def _check_identifiability(layout: ParameterLayout) -> None:
+    """Raise IdentifiabilityError unless each link block's free columns have
+    full column rank over the design rows of what that block identifies."""
+    spec, link = layout.spec0, layout.spec0.frailty_link
+    rows = {level: link.row(level) for level in link.levels}
+    # log mu beyond what the baselines absorb: nothing when they are stratified,
+    # else x_l (l != reference) with the reference mean pinned, x_l - x_ref without
+    ref = 0.0 if link.pin_reference_mu else rows[link.reference]
+    identified = {
+        "beta0": [x - ref for level, x in rows.items()
+                  if level != link.reference and not spec.stratified_baselines],
+        "zeta": [x for level, x in rows.items() if spec.branch_regimes[level].kind == "free"],
+        "kappa": list(rows.values()),
+    }
+    for name, sl in layout.link_slices.items():
+        free = layout.free_mask[sl]
+        # each null direction is a combination of free coefficients the data do not see
+        null = linalg.null_space(np.reshape(identified[name], (-1, free.size))[:, free])
+        aliased = np.array(layout.names[sl])[free][np.any(np.abs(null) > 1e-10, axis=1)]
+        if aliased.size:
+            raise IdentifiabilityError(f"link coefficients {', '.join(aliased)} are aliased; "
+                                       f"pin {null.shape[1]} of them")
 
 
 def fit(spec: ModelSpec, data: CurrentStatusDataset, init=None,
@@ -305,8 +308,8 @@ def fit(spec: ModelSpec, data: CurrentStatusDataset, init=None,
     ``_MAX_BFGS_CALLS`` calls in all.  The best point found is returned,
     with ``converged`` reporting whether it is stationary.
     """
-    _check_identifiability(spec)
     layout = ParameterLayout(spec)
+    _check_identifiability(layout)
     ws = LikelihoodWorkspace(spec, data)
     if len(data) == 0:
         raise InvalidParameters("cannot fit an empty dataset")
@@ -363,7 +366,6 @@ def fit(spec: ModelSpec, data: CurrentStatusDataset, init=None,
 
     theta_hat = np.asarray(best.x, dtype=float)
     ll_hat = -float(best.fun)
-    gnorm = float(np.max(np.abs(best.jac)))
     try:
         hess = hessian(score, theta_hat, from_score=True)
         cov = _covariance_from_hessian(hess)
@@ -374,7 +376,6 @@ def fit(spec: ModelSpec, data: CurrentStatusDataset, init=None,
     se = np.sqrt(np.clip(np.diag(cov), 0.0, np.inf))
     ci = _parameter_cis(layout, theta_hat, se)
     fitted_spec = layout.build_spec(theta_hat)
-    fitted_layout = ParameterLayout(fitted_spec)
     return FitResult(
         names=tuple(layout.free_names),
         theta=theta_hat,
@@ -385,8 +386,8 @@ def fit(spec: ModelSpec, data: CurrentStatusDataset, init=None,
         aic=-2.0 * ll_hat + 2.0 * layout.n_free,
         converged=_stationary(best),
         iterations=int(best.nit),
-        gradient_norm=gnorm,
-        layout=fitted_layout,
+        gradient_norm=float(np.max(np.abs(best.jac))),
+        layout=ParameterLayout(fitted_spec),
         spec=fitted_spec,
     )
 
@@ -417,11 +418,10 @@ def _first_call_from(objective, start: np.ndarray, result):
 
 
 def _covariance_from_hessian(hess_loglik: np.ndarray) -> np.ndarray:
-    info = -hess_loglik
     try:
-        cov = np.linalg.inv(info)
+        cov = np.linalg.inv(-hess_loglik)
     except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(info)
+        cov = np.linalg.pinv(-hess_loglik)
     return 0.5 * (cov + cov.T)
 
 

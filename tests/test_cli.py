@@ -221,6 +221,33 @@ class TestConfig:
         key = setting.split("=", 1)[0]
         assert any(key in rec.getMessage() for rec in caplog.records)
 
+    @pytest.mark.parametrize("setting, key", [
+        ("fit.seed=3", "fit.seed"),                     # a removed setting
+        ("fit.maxiterr=5", "fit.maxiterr"),
+        ("analyse.k_max=0", "[analyse]"),
+        ("output.dirr=x", "output.dirr"),
+        ("model.regime.b=gamma", "model.regime.b"),     # no level b is declared
+    ])
+    def test_unknown_setting_is_a_config_error_before_data_is_read(
+            self, tmp_path, caplog, monkeypatch, setting, key):
+        cfg = write_config(tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("data read")
+
+        monkeypatch.setattr("addamsfrailty.cli.read_csv", refuse)
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            load_config(cfg, [setting])
+        with caplog.at_level("ERROR", logger="addamsfrailty"):
+            assert main(["fit", "--config", str(cfg), "--set", setting]) == EXIT_CONFIG
+        assert any(key in rec.getMessage() for rec in caplog.records)
+
+    def test_unknown_key_in_the_file_is_a_config_error(self, tmp_path):
+        cfg = write_config(tmp_path)
+        cfg.write_text(cfg.read_text() + "[fit]\nseed = 3\n")
+        with pytest.raises(ConfigError, match=re.escape("fit.seed")):
+            load_config(cfg)
+
     def test_negative_maxiter_is_a_config_error_before_data_is_read(self, tmp_path, caplog,
                                                                    monkeypatch):
         cfg = write_config(tmp_path)
@@ -319,6 +346,64 @@ def artifacts(tmp_path_factory):
     assert main(["simulate", "--config", str(cfg)]) == EXIT_OK
     assert main(["fit", "--config", str(cfg)]) == EXIT_OK
     return tmp_path, cfg
+
+
+STRATA_CONFIG = """\
+[data]
+path = {data}
+
+[model]
+units = u1, u2
+stratum_levels = a, b
+baseline = exponential
+
+[params]
+zeta = -1.0, 0.0
+kappa = 1.6094379124341003, 0.0
+params.u1 = 0.04
+params.u2 = 0.02
+
+[simulate]
+n_clusters = 1000
+seed = 6
+stratum_probs = a:0.5, b:0.5
+
+[output]
+dir = {out}
+"""
+
+
+class TestLinkCoefficients:
+    """Which frailty-link coefficients a two-stratum `fit` estimates."""
+
+    @pytest.fixture(scope="class")
+    def strata_config(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("strata")
+        cfg = tmp_path / "strata.ini"
+        cfg.write_text(STRATA_CONFIG.format(data=tmp_path / "data.csv", out=tmp_path / "out"))
+        assert main(["simulate", "--config", str(cfg)]) == EXIT_OK
+        return cfg
+
+    def test_gamma_pinned_stratum_writes_no_zeta_row(self, strata_config, tmp_path):
+        out = tmp_path / "fit"
+        assert main(["fit", "--config", str(strata_config), "--set", "model.regime.b=gamma",
+                     "--set", f"output.dir={out}"]) == EXIT_OK
+        with open(out / "params.csv", newline="") as fh:
+            names = [row["name"] for row in csv.DictReader(fh)]
+        # zeta[1] loads only on b, whose alpha the pin holds at 0
+        assert "zeta[0]" in names and "zeta[1]" not in names
+        assert "kappa[1]" in names and "beta0[1]" in names
+
+    def test_unpinned_reference_mean_exits_3(self, strata_config, tmp_path, caplog):
+        # without the pin, the baselines absorb a mean common to both strata,
+        # which is what beta0[0] moves
+        out = tmp_path / "fit"
+        with caplog.at_level("ERROR", logger="addamsfrailty"):
+            code = main(["fit", "--config", str(strata_config),
+                         "--set", "model.pin_reference_mu=false", "--set", f"output.dir={out}"])
+        assert code == EXIT_CONFIG
+        assert any("beta0[0]" in rec.getMessage() for rec in caplog.records)
+        assert not (out / "report.json").exists()
 
 
 class TestPipeline:

@@ -34,6 +34,7 @@ from addamsfrailty.errors import (
     NegativeStatistic,
     NonFiniteEvaluation,
 )
+from addamsfrailty.hazard import BranchRegime
 from addamsfrailty.simulate import MonitoringLaw, SimConfig, generate
 from test_acceptance import recovery_spec, simulate_from
 
@@ -310,6 +311,53 @@ class TestIdentifiability:
         ))
         with pytest.raises(IdentifiabilityError):
             fit(spec, data)
+
+    def test_aliased_mean_rejected_before_any_pass(self, bfgs_calls):
+        # with the reference mean pinned, beta0[0] loads only on stratum b,
+        # as beta0[1] does: only their sum is identified
+        spec = basic_spec(two_strata=True)
+        spec = dataclasses.replace(spec, frailty_link=dataclasses.replace(
+            spec.frailty_link, beta0_free=(True, True)))
+        assert {"beta0[0]", "beta0[1]"} <= set(ParameterLayout(spec).free_names)
+        with pytest.raises(IdentifiabilityError, match=r"beta0\[0\], beta0\[1\]"):
+            fit(spec, simulated_data(basic_spec(two_strata=True), n=200))
+        assert bfgs_calls.passes == [] and bfgs_calls.calls == []
+
+
+class TestMixedRegimes:
+    """Stratum b pinned to the gamma limit, a free: zeta[1] reaches no alpha."""
+
+    @pytest.fixture(scope="class")
+    def fits(self):
+        spec = basic_spec(two_strata=True)
+        data = simulated_data(spec, n=400, seed=3)
+        mixed = dataclasses.replace(spec, branch_regimes={"a": BranchRegime("free"),
+                                                          "b": BranchRegime("gamma")})
+        by_hand = dataclasses.replace(mixed, frailty_link=dataclasses.replace(
+            mixed.frailty_link, zeta_free=(True, False)))
+        return SimpleNamespace(spec=spec, mixed=fit(mixed, data), by_hand=fit(by_hand, data),
+                               alt=fit(spec, data))
+
+    def test_unreached_zeta_is_not_estimated(self, fits):
+        mixed = fits.mixed
+        assert mixed.converged and "zeta[1]" not in mixed.names
+        # every masked-free entry but zeta[1] is estimated
+        masked = ParameterLayout(fits.spec).n_free
+        assert mixed.n_free == masked - 1
+        assert mixed.aic == -2.0 * mixed.loglik + 2.0 * (masked - 1)
+
+    def test_fit_equals_the_hand_pinned_fit(self, fits):
+        mixed, by_hand = fits.mixed, fits.by_hand
+        assert mixed.names == by_hand.names
+        assert mixed.theta.tobytes() == by_hand.theta.tobytes()
+        assert mixed.covariance.tobytes() == by_hand.covariance.tobytes()
+        assert mixed.loglik == by_hand.loglik and mixed.aic == by_hand.aic
+
+    def test_lrt_against_all_free_has_one_df(self, fits):
+        assert fits.alt.converged
+        stat, p = lrt(fits.mixed, fits.alt)
+        assert fits.alt.n_free - fits.mixed.n_free == 1
+        assert stat > 0.0 and p == stats.chi2.sf(stat, 1)
 
 
 class TestFit:

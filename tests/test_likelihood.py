@@ -380,17 +380,19 @@ class TestScore:
     @pytest.mark.parametrize("regime,b", [("poisson", None), ("binomial", 2)])
     def test_pinned_stratum_link_score(self, rng, regime, b):
         # stratum "m" pins alpha to gamma (+ 1/b), so zeta does not reach
-        # it while kappa moves alpha with gamma; "f" keeps zeta free
+        # it while kappa moves alpha with gamma; "f" keeps zeta free, and
+        # zeta[1], which loads on "m" alone, is not estimated
         strata = ("f", "m")
         spec = dataclasses.replace(
             score_spec(strata=strata),
             branch_regimes={"f": BranchRegime("free"), "m": BranchRegime(regime, b)},
         )
         layout = ParameterLayout(spec)
+        assert "zeta[1]" not in layout.free_names
         theta = layout.free_vector()
         ws = LikelihoodWorkspace(spec, score_data(rng, 120, strata=("m",)))
         score = dict(zip(layout.free_names, ws.loglik_and_score(layout, theta)[1]))
-        assert score["zeta[0]"] == 0.0 and score["zeta[1]"] == 0.0
+        assert score["zeta[0]"] == 0.0
         kappa = [layout.free_names.index(name) for name in ("kappa[0]", "kappa[1]")]
 
         def f_kappa(sub):
