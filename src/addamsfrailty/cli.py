@@ -160,9 +160,8 @@ def cmd_lrt(args) -> int:
     data = _read_data(config)
     init = "spec" if config.params and not config.pin_all else None
     fits = {}
-    for label, kind in (("null", config.lrt_null_regime),
-                        ("alt", config.lrt_alt_regime)):
-        spec = config.build_spec(regimes=config.regimes_for(kind))
+    for label in ("null", "alt"):
+        spec = config.build_spec(regimes=config.regimes_for(label))
         result = ml_fit(spec, data, init=init, maxiter=config.fit_maxiter)
         if not result.converged:
             raise NonConvergence(f"{label} model did not converge")
@@ -172,9 +171,9 @@ def cmd_lrt(args) -> int:
     out = _outdir(config)
     payload = {
         "command": "lrt",
-        "null": {"regime": config.lrt_null_regime,
+        "null": {"regime": config.lrt_regimes["null"],
                  "fit": rep.fit_payload(fits["null"])},
-        "alt": {"regime": config.lrt_alt_regime,
+        "alt": {"regime": config.lrt_regimes["alt"],
                 "fit": rep.fit_payload(fits["alt"])},
         "lrt": {
             "statistic": rep.fmt(stat),

@@ -97,8 +97,7 @@ class RunConfig:
     analyze_k_max: int
     analyze_time_grid: np.ndarray
     analyze_units: Optional[Tuple[str, ...]]
-    lrt_null_regime: str
-    lrt_alt_regime: str
+    lrt_regimes: Dict[str, Dict[str, str]]   # "null"/"alt" -> level -> regime
     output_dir: str
 
     # ------------------------------------------------------------------
@@ -173,8 +172,9 @@ class RunConfig:
             stratified_baselines=self.stratified_baselines,
         )
 
-    def regimes_for(self, kind: str) -> Dict[str, BranchRegime]:
-        return {lvl: _parse_regime(kind, "lrt") for lvl in self.stratum_levels}
+    def regimes_for(self, model: str) -> Dict[str, BranchRegime]:
+        """The branch regimes of the LRT's "null" or "alt" model."""
+        return {lvl: _parse_regime(text, "lrt") for lvl, text in self.lrt_regimes[model].items()}
 
 
 def _parse_regime(text: str, key: str) -> BranchRegime:
@@ -252,8 +252,9 @@ def load_config(path, overrides: Optional[List[str]] = None) -> RunConfig:
         cutpoints = _PRESET_CUTPOINTS[preset]
     else:
         cutpoints = tuple(_floats(cut_text))
-    regimes = {lvl: _parse_regime(get("model", f"regime.{lvl}", "free"), f"model.regime.{lvl}")
-               for lvl in levels}
+    regime_texts = {lvl: get("model", f"regime.{lvl}") for lvl in levels}
+    regimes = {lvl: _parse_regime("free" if text is None else text, f"model.regime.{lvl}")
+               for lvl, text in regime_texts.items()}
     covariates = {}
     for unit, value in items("covariates"):
         matched = [u for u in units if u.lower() == unit]
@@ -277,10 +278,14 @@ def load_config(path, overrides: Optional[List[str]] = None) -> RunConfig:
                 stratum_probs[lvl.strip()] = float(prob)
             except ValueError as exc:
                 raise ConfigError(f"simulate.stratum_probs: {exc}") from exc
-    lrt_regimes = {key: get("lrt", key, default)
-                   for key, default in (("null_regime", "gamma"), ("alt_regime", "free"))}
-    for key, text in lrt_regimes.items():
-        _parse_regime(text, f"lrt.{key}")   # reject it before any fit runs
+    lrt = {model: get("lrt", f"{model}_regime", default).strip().lower()
+           for model, default in (("null", "gamma"), ("alt", "free"))}
+    for model, text in lrt.items():
+        _parse_regime(text, f"lrt.{model}_regime")   # reject it before any fit runs
+    # the null model keeps a level's own model.regime, the alt model does not
+    lrt_regimes = {"null": {lvl: lrt["null"] if text is None else text.strip().lower()
+                            for lvl, text in regime_texts.items()},
+                   "alt": dict.fromkeys(levels, lrt["alt"])}
     analyze_units = tuple(_split(get("analyze", "units", ""))) or None
     for unit in analyze_units or ():
         if unit not in units:
@@ -307,8 +312,7 @@ def load_config(path, overrides: Optional[List[str]] = None) -> RunConfig:
             analyze_k_max=int(get("analyze", "k_max", "5")),
             analyze_time_grid=_parse_grid(get("analyze", "time_grid", "0:80:81")),
             analyze_units=analyze_units,
-            lrt_null_regime=lrt_regimes["null_regime"],
-            lrt_alt_regime=lrt_regimes["alt_regime"],
+            lrt_regimes=lrt_regimes,
             output_dir=get("output", "dir", "out"),
         )
     except ConfigError:

@@ -106,7 +106,8 @@ class PiecewiseConstantBaseline:
         t_arr = _check_times(np.atleast_1d(t))
         cuts = np.asarray(self.cutpoints)
         widths = np.append(np.diff(cuts), np.inf)
-        return np.clip(t_arr[:, None] - cuts[None, :], 0.0, widths[None, :])
+        # built interval-major, so each elementwise loop runs over the times
+        return np.clip(t_arr[None, :] - cuts[:, None], 0.0, widths[:, None]).T
 
     @property
     def rate_vector(self) -> np.ndarray:

@@ -10,39 +10,40 @@ mathematically a probability in (0, 1]; tiny negatives from round-off are
 clamped (counted in ``diagnostics``).
 
 :class:`LikelihoodWorkspace` is the one evaluator.  It compiles a dataset
-for vectorized numpy kernels, grouping clusters that share a stratum, a
-unit set and an event count, so the kernel runs once per event count
-whichever units had the events.  Each row of a group reaches its own
-event and non-event units through flat index arrays into the group's
-hazard matrix.  :func:`cluster_loglik` and :func:`total_loglik` are
+into one flat term layout per stratum level: the level's cells (one per
+dataset row, unit by unit) and a vector of all its inclusion-exclusion
+terms, each with its cluster and sign, tied to the cells by a sparse
+term-by-cell incidence.  A pass takes every s-value from one incidence
+product and makes one ``log_laplace`` call per level, whatever the unit
+sets and event counts; one signed ``bincount`` gives the cluster
+probabilities.  :func:`cluster_loglik` and :func:`total_loglik` are
 one-call wrappers around it.
 
-The workspace also returns the exact score of the log-likelihood with
-respect to the free vector of an ``estimation.ParameterLayout``
-(:meth:`LikelihoodWorkspace.loglik_and_score`), in one pass that reuses
-the value's s-values and Laplace terms.  With T_A = L(s_A) and
-sign_A = (-1)^|A|, the derivative of P with respect to the cumulative
-hazard of an event unit j is sum_A sign_A L'(s_A) [j in A], and that of a
-non-event unit is sum_A sign_A L'(s_A); the chain rule then runs through
-the baselines (exactly for rate-linear baselines, by differencing
-``cumulative`` in the log-parameters otherwise) and the covariate
-effects.  The frailty-link coefficients take the closed-form partials of
-log L(s) in (alpha, gamma, mu) from ``family.log_laplace_partials`` at the
-same s-values, chained through each stratum's
-``ModelSpec.frailty_jacobian``, which applies the regime pins; a score
-pass makes one ``log_laplace`` call per group.
+:meth:`LikelihoodWorkspace.loglik_and_score` also returns the exact score
+with respect to the free vector of an ``estimation.ParameterLayout``, from
+the same s-values and Laplace terms.  With sign_A = (-1)^|A|, dP/dLambda
+of a cell sums sign_A L'(s_A) over the terms that hold it, one product
+with the transposed incidence; the chain rule then runs through the
+baselines (exactly for rate-linear ones, by differencing ``cumulative``
+in the log-parameters otherwise) and the covariate effects.  The
+frailty-link coefficients take the closed-form partials of log L(s) in
+(alpha, gamma, mu) from one ``family.log_laplace_partials`` call per
+level, chained through ``ModelSpec.frailty_jacobian``, which applies the
+regime pins.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
+from scipy import sparse
 
 from .data import Cluster, CurrentStatusDataset
-from .errors import InvalidParameters, MissingCovariate, NonPositiveProbability
-from .family import AddamsParameters, log_laplace, log_laplace_partials
+from .errors import MissingCovariate, NonPositiveProbability
+from .family import log_laplace, log_laplace_partials
 from .hazard import ModelSpec
 
 __all__ = [
@@ -71,25 +72,35 @@ diagnostics = _Diagnostics()
 
 
 @dataclass
-class _Group:
-    level: str
-    units: Tuple[str, ...]
-    times: np.ndarray           # [n, m]
-    designs: List[Optional[np.ndarray]]  # per unit slot, [n, p] or None
-    weights: np.ndarray         # [n]
-    cluster_idx: np.ndarray     # positions in the original cluster order
-    cluster_ids: List[str]
-    # flat indices into the group's [n, m] hazard matrix, in unit order:
-    # each row's event slots and its non-event slots
-    event_cells: np.ndarray     # [n, k]
-    rest_cells: np.ndarray      # [n, m - k]
-    subset_matrix: np.ndarray   # [2^k, k] binary
-    even_cols: np.ndarray
-    odd_cols: np.ndarray
-    signs: np.ndarray           # [2^k] (-1)^|A|
-    # per unit slot: (grid key, [n, intervals] exposure) for rate-linear
-    # baselines, so their cumulative hazard is one matrix-vector product
-    exposures: List[Optional[Tuple[tuple, np.ndarray]]]
+class _Block:
+    """One unit's cells of a level: a contiguous run, clusters ascending."""
+    unit: str
+    cells: slice
+    times: np.ndarray
+    design: Optional[np.ndarray]    # [cells, p], or None without covariates
+    grid: Optional[tuple]           # the baseline's, for a rate-linear one
+    exposure: Optional[np.ndarray]  # [cells, intervals] on that grid
+
+    def exposure_for(self, baseline) -> Optional[np.ndarray]:
+        """The exposure matrix under a rate-linear ``baseline`` (afresh on
+        another grid), or None for a parametric one."""
+        grid = _grid_key(baseline)
+        if grid is None:
+            return None
+        return self.exposure if grid == self.grid else baseline.exposure(self.times)
+
+
+@dataclass
+class _Level:
+    """The inclusion-exclusion terms of one stratum level's clusters."""
+    name: str
+    clusters: np.ndarray        # positions in the dataset's cluster order
+    blocks: List[_Block]
+    incidence: sparse.csr_matrix    # [terms, cells] 0/1
+    incidence_t: sparse.csc_matrix  # its transpose, on the same arrays
+    term_cluster: np.ndarray    # [terms] index into ``clusters``
+    term_weights: np.ndarray    # [terms] their clusters' weights
+    signs: np.ndarray           # [terms] (-1)^|A|
 
 
 def _grid_key(baseline) -> Optional[tuple]:
@@ -114,183 +125,178 @@ def _slots_and_levels(spec: ModelSpec, data: CurrentStatusDataset):
     return slot, levels, level
 
 
-def _designs(spec: ModelSpec, data: CurrentStatusDataset, units, rows: np.ndarray,
-             ids: List[str]) -> List[Optional[np.ndarray]]:
-    """Per unit slot, the [n, p] covariate design of dataset rows ``rows``
-    [n, m], or None for a unit without covariates.
-
-    A missing covariate raises MissingCovariate for the first one in
-    (row, slot, covariate) order.
-    """
+def _design(spec: ModelSpec, data: CurrentStatusDataset, unit: str, rows: np.ndarray):
+    """The [n, p] covariate design of one unit's dataset ``rows``, or None
+    for a unit without covariates, and the first missing covariate as
+    (cluster position, covariate name), or None."""
+    names = spec.predictors[unit].covariate_names
+    if not names:
+        return None, None
     column = {nm: j for j, nm in enumerate(data.covariate_names)}
-    designs: List[Optional[np.ndarray]] = []
-    missing = []
-    for j, unit in enumerate(units):
-        names = spec.predictors[unit].covariate_names
-        if not names:
-            designs.append(None)
-            continue
-        cols = [column.get(nm) for nm in names]
-        at = rows[:, j]
-        have = np.column_stack([
-            np.zeros(len(at), dtype=bool) if c is None else data.present[at, c] for c in cols
-        ])
-        if have.all():
-            designs.append(data.covariates[np.ix_(at, cols)])
-        else:
-            row = int(np.argmin(have.all(axis=1)))
-            missing.append((row, j, names[int(np.argmin(have[row]))]))
-    if missing:
-        row, j, name = min(missing)
-        raise MissingCovariate(
-            f"cluster {ids[row]!r}, unit {units[j]!r}: covariate {name!r} missing"
-        )
-    return designs
+    cols = [column.get(nm) for nm in names]
+    have = np.column_stack([np.zeros(rows.size, dtype=bool) if c is None else data.present[rows, c]
+                            for c in cols])
+    if have.all():
+        return data.covariates[np.ix_(rows, cols)], None
+    row = int(np.argmin(have.all(axis=1)))
+    return None, (int(data.cluster[rows[row]]), names[int(np.argmin(have[row]))])
+
+
+@lru_cache(maxsize=None)
+def _template(m: int, k: int):
+    """Term i of a cluster of m cells, non-events first and then k events,
+    holds the non-events and the events whose bits spell i.  Returns every
+    term's members as positions among the cells, one term after the other,
+    the terms' ends in that list and their signs (-1)^|A|."""
+    members = np.hstack([np.ones((1 << k, m - k), dtype=bool),
+                         (np.arange(1 << k)[:, None] >> np.arange(k) & 1).astype(bool)])
+    lengths = members.sum(axis=1)
+    template = np.nonzero(members)[1], np.cumsum(lengths), np.where((lengths - m + k) % 2, -1.0, 1.0)
+    for array in template:
+        array.flags.writeable = False   # every workspace shares them
+    return template
+
+
+def _terms(counts: np.ndarray, sizes: np.ndarray, firsts: np.ndarray, slotted: np.ndarray):
+    """Each term's cluster and sign, and the CSR (indptr, indices) of its
+    member cells, over clusters of ``counts`` events on ``sizes`` rows whose
+    cells ``slotted`` holds from their first rows ``firsts`` on, non-events
+    first.  The terms run in cluster order; clusters of one size and event
+    count share a ``_template``."""
+    n_terms = np.left_shift(1, counts)
+    # each non-event is in every term of its cluster, each event in half
+    n_members = n_terms * (sizes - counts) + counts * n_terms // 2
+    term_start, member_start = np.cumsum(n_terms) - n_terms, np.cumsum(n_members) - n_members
+    signs = np.empty(int(n_terms.sum()))
+    indptr = np.zeros(signs.size + 1, dtype=np.int32)
+    indices = np.empty(int(n_members.sum()), dtype=np.int32)
+    span = int(counts.max()) + 1
+    for key in np.flatnonzero(np.bincount(sizes * span + counts)).tolist():
+        idx = np.flatnonzero(sizes * span + counts == key)
+        cols, ends, template_signs = _template(*divmod(key, span))
+        terms = term_start[idx][:, None] + np.arange(ends.size)
+        signs[terms] = template_signs
+        indptr[terms + 1] = member_start[idx][:, None] + ends
+        indices[member_start[idx][:, None] + np.arange(cols.size)] = slotted[firsts[idx][:, None] + cols]
+    return np.repeat(np.arange(counts.size, dtype=np.int32), n_terms), signs, indptr, indices
 
 
 class LikelihoodWorkspace:
     """Dataset compiled for repeated likelihood evaluation.
 
-    The grouping depends only on the data and the model structure (unit
-    list, covariate names, stratum levels), never on parameter values, so
-    one workspace serves every optimizer iteration.  The exposure matrices
-    of rate-linear baselines depend on their cutpoints only; a spec with
-    other cutpoints falls back to the baseline's own ``cumulative``.
+    The term layout depends on the data and the model structure (units,
+    covariate names, stratum levels), never on parameter values, so one
+    workspace serves every optimizer iteration.  A spec whose rate-linear
+    baseline has another grid gets its exposure computed afresh, and a
+    parametric baseline uses its own ``cumulative``.
     """
 
     def __init__(self, spec: ModelSpec, data: CurrentStatusDataset):
         self.n_clusters = len(data)
         self.weights = data.weight
-        self.groups: List[_Group] = []
-        self.levels: Tuple[str, ...] = ()
+        self.cluster_ids = data.cluster_ids
+        self.levels: List[_Level] = []
         if self.n_clusters == 0:
             return
         slot, level_names, level = _slots_and_levels(spec, data)
-        starts = data.starts
-        # per cluster: its stratum level, event count and unit-set bitmask,
-        # packed into one key; groups keep the keys' order of first appearance
         n_units = len(spec.units)
-        count_bits = n_units.bit_length()
-        if (len(level_names) - 1).bit_length() + count_bits + n_units > 63:
-            raise InvalidParameters(
-                f"{n_units} units over {len(level_names)} strata exceed the "
-                "workspace's 63-bit group key"
-            )
-        mask = np.bitwise_or.reduceat(np.left_shift(1, slot), starts[:-1])
-        count = np.add.reduceat(data.event.astype(np.int64), starts[:-1])
-        key = (level << count_bits | count) << n_units | mask
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        rank = np.empty(first.size, dtype=np.int64)
-        rank[np.argsort(first)] = np.arange(first.size)
-        group_of = rank[inverse.ravel()]
-        members = np.argsort(group_of, kind="stable")
-        bounds = np.cumsum(np.bincount(group_of))
-        # rows in (cluster, spec unit) order: a cluster's rows start at the
-        # same offset as in the dataset and run in unit-slot order
-        by_slot = np.argsort(data.cluster * n_units + slot, kind="stable")
-        times_by_slot = data.time[by_slot]
-        events_by_slot = data.event[by_slot] == 1
-        for idx in np.split(members, bounds[:-1]):
-            head = by_slot[starts[idx[0]]:starts[idx[0] + 1]]
-            units = tuple(spec.units[j] for j in slot[head])
-            n, m = idx.size, head.size
-            rows = starts[idx][:, None] + np.arange(m)[None, :]
-            times = times_by_slot[rows]
-            events = events_by_slot[rows]
-            k = int(count[idx[0]])
-            lvl = level_names[level[idx[0]]]
-            ids = [data.cluster_ids[i] for i in idx.tolist()]
-            designs = _designs(spec, data, units, by_slot[rows], ids)
-            exposures: List[Optional[Tuple[tuple, np.ndarray]]] = []
-            for j, u in enumerate(units):
-                baseline = spec.baseline_for(lvl, u)
+        starts = data.starts
+        firsts, sizes = starts[:-1], np.diff(starts)
+        # events per cluster, and before each row within its cluster
+        event = data.event == 1
+        before = np.zeros(event.size + 1, dtype=np.int32)
+        np.cumsum(event, out=before[1:])
+        counts = np.diff(before[starts])
+        before = before[:-1] - before[firsts][data.cluster]
+        # each row's place among its cluster's rows reordered: the
+        # non-events, then the events, each in row order
+        place = np.where(event, (starts[1:] - counts)[data.cluster] + before,
+                         np.arange(event.size) - before)
+        # rows ordered by (level, unit slot), clusters ascending within: each
+        # level's cells, unit block by unit block
+        key = level[data.cluster] * n_units + slot
+        order = np.argsort(key, kind="stable")
+        bounds = np.concatenate([[0], np.cumsum(np.bincount(key, minlength=len(level_names) * n_units))])
+        # the rows' level cells, in each cluster's reordered rows
+        slotted = np.empty(order.size, dtype=np.int32)
+        missing = []
+        for code, name in enumerate(level_names):
+            clusters = np.flatnonzero(level == code)
+            if clusters.size == 0:
+                continue
+            # the level's unit blocks, as ranges of ``order``
+            edges = bounds[code * n_units:(code + 1) * n_units + 1]
+            first, n_cells = edges[0], int(edges[-1] - edges[0])
+            slotted[place[order[first:edges[-1]]]] = np.arange(n_cells, dtype=np.int32)
+            blocks = []
+            for j, unit in enumerate(spec.units):
+                rows = order[edges[j]:edges[j + 1]]
+                if rows.size == 0:
+                    continue
+                times = data.time[rows]
+                design, absent = _design(spec, data, unit, rows)
+                if absent is not None:
+                    missing.append((absent[0], j, absent[1], unit))
+                baseline = spec.baseline_for(name, unit)
                 grid = _grid_key(baseline)
-                exposures.append(None if grid is None else (grid, baseline.exposure(times[:, j])))
-            cells = np.arange(n * m).reshape(n, m)
-            subsets = np.arange(1 << k)[:, None] >> np.arange(k)[None, :] & 1
-            sizes = subsets.sum(axis=1)
-            self.groups.append(
-                _Group(
-                    level=lvl,
-                    units=units,
-                    times=times,
-                    designs=designs,
-                    weights=data.weight[idx],
-                    cluster_idx=idx,
-                    cluster_ids=ids,
-                    event_cells=cells[events].reshape(n, k),
-                    rest_cells=cells[~events].reshape(n, m - k),
-                    subset_matrix=subsets.astype(float),
-                    even_cols=np.where(sizes % 2 == 0)[0],
-                    odd_cols=np.where(sizes % 2 == 1)[0],
-                    signs=np.where(sizes % 2 == 0, 1.0, -1.0),
-                    exposures=exposures,
-                )
-            )
-        self.levels = tuple(dict.fromkeys(grp.level for grp in self.groups))
+                blocks.append(_Block(unit, slice(edges[j] - first, edges[j + 1] - first), times,
+                                     design, grid, baseline.exposure(times) if grid else None))
+            term_cluster, signs, indptr, indices = _terms(
+                counts[clusters], sizes[clusters], firsts[clusters], slotted)
+            incidence = sparse.csr_matrix(
+                (np.ones(indices.size), indices, indptr), shape=(term_cluster.size, n_cells))
+            self.levels.append(_Level(
+                name, clusters, blocks, incidence, incidence.T, term_cluster,
+                data.weight[clusters][term_cluster], signs))
+        if missing:
+            pos, _, covariate, unit = min(missing)
+            raise MissingCovariate(f"cluster {data.cluster_ids[pos]!r}, unit {unit!r}: "
+                                   f"covariate {covariate!r} missing")
 
-    @staticmethod
-    def _exposure(grp: _Group, j: int, baseline) -> Optional[np.ndarray]:
-        cached = grp.exposures[j]
-        if cached is None or cached[0] != _grid_key(baseline):
-            return None
-        return cached[1]
-
-    def _hazards(self, grp: _Group, spec: ModelSpec):
-        """[n, m] cumulative hazards and the per-slot covariate multipliers."""
-        lam = np.empty_like(grp.times)
-        mults: List[Optional[np.ndarray]] = []
-        for j, unit in enumerate(grp.units):
-            baseline = spec.baseline_for(grp.level, unit)
-            exposure = self._exposure(grp, j, baseline)
+    def _pass(self, level: _Level, spec: ModelSpec):
+        """One level at ``spec``: its frailty parameters, cell hazards, per
+        block (baseline, exposure matrix or None, covariate multipliers or
+        None), the terms' s-values, log L(s) and sign_A L(s_A), the clamped
+        cluster probabilities, and the clamped clusters' mask or None."""
+        params = spec.frailty_params(level.name)
+        lam = np.empty(level.incidence.shape[1])
+        parts = []
+        for block in level.blocks:
+            baseline = spec.baseline_for(level.name, block.unit)
+            exposure = block.exposure_for(baseline)
             if exposure is not None:
                 base = exposure @ baseline.rate_vector
             else:
-                base = baseline.cumulative(grp.times[:, j])
+                base = baseline.cumulative(block.times)
             mult = None
-            if grp.designs[j] is not None:
-                coefs = np.asarray(spec.predictors[unit].coefficients)
-                mult = np.exp(grp.designs[j] @ coefs)
+            if block.design is not None:
+                mult = np.exp(block.design @ np.asarray(spec.predictors[block.unit].coefficients))
                 base = base * mult
-            lam[:, j] = base
-            mults.append(mult)
-        return lam, mults
-
-    @staticmethod
-    def _probabilities(grp: _Group, params: AddamsParameters, lam: np.ndarray):
-        """s-values, log L(s), L(s) and the clamped cluster probabilities.
-
-        The last entry marks the clamped clusters, or is None when none is.
-        """
-        flat = lam.ravel()
-        rest = flat[grp.rest_cells].sum(axis=1)
-        svals = rest[:, None] + flat[grp.event_cells] @ grp.subset_matrix.T
+            lam[block.cells] = base
+            parts.append((baseline, exposure, mult))
+        svals = level.incidence @ lam
         log_l = log_laplace(params, svals)
-        terms = np.exp(log_l)
-        prob = terms[:, grp.even_cols].sum(axis=1) - terms[:, grp.odd_cols].sum(axis=1)
+        signed = np.exp(log_l) * level.signs
+        prob = np.bincount(level.term_cluster, weights=signed, minlength=level.clusters.size)
         bad = prob <= 0.0
         if not np.any(bad):
-            return svals, log_l, terms, prob, None
+            return params, lam, parts, svals, log_l, signed, prob, None
         if np.any(prob <= -_CLAMP_TOL):
             worst = int(np.argmin(prob))
             raise NonPositiveProbability(
-                f"cluster {grp.cluster_ids[worst]!r}: "
+                f"cluster {self.cluster_ids[level.clusters[worst]]!r}: "
                 f"inclusion-exclusion sum {prob[worst]}"
             )
         diagnostics.clamped_probabilities += int(bad.sum())
-        return svals, log_l, terms, np.where(bad, _CLAMP_VALUE, prob), bad
+        return params, lam, parts, svals, log_l, signed, np.where(bad, _CLAMP_VALUE, prob), bad
 
     def cluster_logliks(self, spec: ModelSpec) -> np.ndarray:
         out = np.empty(self.n_clusters)
-        for grp in self.groups:
-            lam, _ = self._hazards(grp, spec)
-            prob = self._probabilities(grp, spec.frailty_params(grp.level), lam)[3]
-            out[grp.cluster_idx] = np.log(prob)
+        for level in self.levels:
+            out[level.clusters] = np.log(self._pass(level, spec)[6])
         return out
 
     def total_loglik(self, spec: ModelSpec) -> float:
-        if self.n_clusters == 0:
-            return 0.0
         return float(np.sum(self.weights * self.cluster_logliks(spec)))
 
     def loglik_and_score(self, layout, theta_free) -> Tuple[float, np.ndarray]:
@@ -304,60 +310,48 @@ class LikelihoodWorkspace:
         spec = layout.build_spec(theta_free)
         grad = np.zeros(layout.free_mask.size)
         out = np.empty(self.n_clusters)
-        jacobians = {level: spec.frailty_jacobian(level) for level in self.levels}
-        for grp in self.groups:
-            params = spec.frailty_params(grp.level)
-            lam, mults = self._hazards(grp, spec)
-            svals, log_l, terms, prob, bad = self._probabilities(grp, params, lam)
-            out[grp.cluster_idx] = np.log(prob)
+        for level in self.levels:
+            params, lam, parts, svals, log_l, signed, prob, bad = self._pass(level, spec)
+            out[level.clusters] = np.log(prob)
             d_alpha, d_gamma, h = log_laplace_partials(params, svals, log_l)
-            # d log P = dP / P; dividing after the sums keeps a tiny P finite
-            weights = grp.weights if bad is None else np.where(bad, 0.0, grp.weights)
-            signed = terms * grp.signs
+            # d log P = dP / P: each term divided by its cluster's P, then
+            # weighted (T_A / P stays finite where a tiny P makes w / P overflow)
+            weights = level.term_weights
+            if bad is not None:
+                weights = np.where(bad[level.term_cluster], 0.0, weights)
+            signed = signed / prob[level.term_cluster] * weights
             # d log L / ds = -mu h and d log L / d mu = -s h
             signed_h = signed * h
-            dl_dlam = np.empty_like(lam)
-            flat = dl_dlam.ravel()
-            mu_weights = -params.mu * weights
-            flat[grp.event_cells] = (signed_h @ grp.subset_matrix) / prob[:, None] * mu_weights[:, None]
-            flat[grp.rest_cells] = (signed_h.sum(axis=1) / prob * mu_weights)[:, None]
-            for j, unit in enumerate(grp.units):
-                dl_dbase = dl_dlam[:, j] if mults[j] is None else dl_dlam[:, j] * mults[j]
-                self._baseline_score(grp, j, spec, layout, dl_dbase, grad)
-                if grp.designs[j] is not None:
-                    grad[layout.beta_slices[unit]] += grp.designs[j].T @ (dl_dlam[:, j] * lam[:, j])
+            dl_dlam = level.incidence_t @ signed_h * -params.mu
+            for block, (baseline, exposure, mult) in zip(level.blocks, parts):
+                dl = dl_dlam[block.cells]
+                key = (level.name, block.unit) if spec.stratified_baselines else block.unit
+                self._baseline_score(baseline, exposure, block.times, layout.baseline_slices[key].start,
+                                     dl if mult is None else dl * mult, grad)
+                if block.design is not None:
+                    grad[layout.beta_slices[block.unit]] += block.design.T @ (dl * lam[block.cells])
             # d log P / d(alpha, gamma, mu), chained to the link coefficients
-            d_frailty = np.array([
-                weights @ (np.einsum("ij,ij->i", signed, d_alpha) / prob),
-                weights @ (np.einsum("ij,ij->i", signed, d_gamma) / prob),
-                -(weights @ (np.einsum("ij,ij->i", signed_h, svals) / prob)),
-            ])
+            d_frailty = np.array([signed @ d_alpha, signed @ d_gamma, -(signed_h @ svals)])
+            jacobian = spec.frailty_jacobian(level.name)
             for name, sl in layout.link_slices.items():
-                grad[sl] += d_frailty @ jacobians[grp.level][name]
+                grad[sl] += d_frailty @ jacobian[name]
         return float(np.sum(self.weights * out)), grad[layout.free_mask]
 
-    def _baseline_score(self, grp: _Group, j: int, spec: ModelSpec, layout,
+    @staticmethod
+    def _baseline_score(baseline, exposure: Optional[np.ndarray], times: np.ndarray, start: int,
                         dl_dbase: np.ndarray, grad: np.ndarray) -> None:
-        """Adds d loglik / d log-parameters of slot j's baseline to ``grad``."""
-        unit = grp.units[j]
-        key = (grp.level, unit) if spec.stratified_baselines else unit
-        start = layout.baseline_slices[key].start
-        baseline = spec.baseline_for(grp.level, unit)
-        exposure = self._exposure(grp, j, baseline)
+        """Adds d loglik / d log-parameters of a block's baseline, whose
+        entries in ``grad`` begin at ``start``."""
         if exposure is not None:
             rates = baseline.rate_vector
             grad[start:start + rates.size] += rates * (dl_dbase @ exposure)
             return
-        t = grp.times[:, j]
         log_params = baseline.log_params
         for k, value in enumerate(log_params):
-            h = _SCORE_STEP * max(1.0, abs(value))
-            hi = log_params.copy()
-            lo = log_params.copy()
-            hi[k] += h
-            lo[k] -= h
-            diff = baseline.with_log_params(hi).cumulative(t) - baseline.with_log_params(lo).cumulative(t)
-            grad[start + k] += dl_dbase @ diff / (2.0 * h)
+            h = _SCORE_STEP * max(1.0, abs(value)) * (np.arange(log_params.size) == k)
+            diff = (baseline.with_log_params(log_params + h).cumulative(times)
+                    - baseline.with_log_params(log_params - h).cumulative(times))
+            grad[start + k] += dl_dbase @ diff / (2.0 * h[k])
 
 
 def cluster_loglik(spec: ModelSpec, cluster: Cluster) -> float:

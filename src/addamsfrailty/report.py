@@ -1,9 +1,10 @@
 """Deterministic report files: a nested JSON summary plus flat CSV tables.
 
 Every number is rendered with %.6g so reruns with the same inputs are
-byte-identical.  Infinities print as "inf"/"-inf"; the undefined 0/0
-hazard ratio prints as "undef"; missing values (no CI available, field
-not applicable) are empty in CSV and omitted from JSON.
+byte-identical, but the fit's ``gradient_norm`` takes %.2g: its further
+digits move with summation order.  Infinities print as "inf"/"-inf"; the
+undefined 0/0 hazard ratio prints as "undef"; missing values (no CI
+available, field not applicable) are empty in CSV and omitted from JSON.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ def fit_payload(result: FitResult) -> dict:
         "n_free": str(result.n_free),
         "converged": str(bool(result.converged)).lower(),
         "iterations": str(result.iterations),
-        "gradient_norm": fmt(result.gradient_norm),
+        "gradient_norm": fmt(float("%.2g" % result.gradient_norm)),
         "parameters": params,
     }
 

@@ -8,10 +8,13 @@ from pathlib import Path
 
 import pytest
 
+from addamsfrailty import estimation
+from addamsfrailty import report as rep
 from addamsfrailty.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NONCONVERGENCE, EXIT_OK, main
 from addamsfrailty.config import load_config
 from addamsfrailty.data import read_csv
 from addamsfrailty.errors import ConfigError, DatasetError, MalformedRow
+from addamsfrailty.hazard import BranchRegime
 
 BASE_CONFIG = """\
 [data]
@@ -393,6 +396,27 @@ class TestLinkCoefficients:
         # zeta[1] loads only on b, whose alpha the pin holds at 0
         assert "zeta[0]" in names and "zeta[1]" not in names
         assert "kappa[1]" in names and "beta0[1]" in names
+
+    def test_lrt_null_keeps_a_stratum_regime(self, strata_config, tmp_path):
+        # the null model pins b to the gamma limit from model.regime and
+        # leaves a free from lrt.null_regime; the alt model frees both
+        out = tmp_path / "lrt"
+        assert main(["lrt", "--config", str(strata_config), "--set", "model.regime.b=gamma",
+                     "--set", "lrt.null_regime=free", "--set", f"output.dir={out}"]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert report["null"]["regime"] == {"a": "free", "b": "gamma"}
+        assert report["alt"]["regime"] == {"a": "free", "b": "free"}
+        config = load_config(strata_config)
+        data = read_csv(config.data_path)
+        fits = [
+            estimation.fit(config.build_spec(regimes={"a": BranchRegime("free"), "b": BranchRegime(b)}),
+                           data, init="spec")
+            for b in ("gamma", "free")
+        ]
+        stat, p_value = estimation.lrt(*fits)
+        assert report["lrt"]["df"] == "1"
+        assert report["lrt"]["statistic"] == rep.fmt(stat)
+        assert report["lrt"]["p_value"] == rep.fmt(p_value)
 
     def test_unpinned_reference_mean_exits_3(self, strata_config, tmp_path, caplog):
         # without the pin, the baselines absorb a mean common to both strata,

@@ -479,8 +479,9 @@ def grouping_data(rng, n=240):
 
 
 class TestEventCountGrouping:
-    """The workspace groups by (stratum, unit set, event count); clusters of
-    one group differ in which units had the event."""
+    """Clusters of several unit sets and event counts in two strata: the
+    workspace holds all of a stratum's inclusion-exclusion terms in one
+    vector, so a pass makes one kernel call per stratum level."""
 
     @staticmethod
     def keys(data):
@@ -492,6 +493,18 @@ class TestEventCountGrouping:
         patterns = {(c.stratum, tuple(r.unit for r in c.records), events[c.cluster_id])
                     for c in data.clusters}
         return units, counts, patterns
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        calls = []
+        original = getattr(likelihood, name)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(likelihood, name, counted)
+        return calls
 
     def test_cluster_logliks_match_scalar(self, rng):
         spec = grouping_spec()
@@ -525,7 +538,7 @@ class TestEventCountGrouping:
         assert math.isfinite(value)
         np.testing.assert_allclose(score, clean, rtol=1e-13, atol=0.0)
 
-    def test_one_kernel_call_per_event_count(self, rng, monkeypatch):
+    def test_one_kernel_call_per_level(self, rng, monkeypatch):
         spec = grouping_spec()
         data = grouping_data(rng)
         units, counts, patterns = self.keys(data)
@@ -534,79 +547,83 @@ class TestEventCountGrouping:
         for key in counts:
             if 0 < key[2] < len(key[1]):
                 assert sum(p[:2] == key[:2] and len(p[2]) == key[2] for p in patterns) >= 2
-        bound = len(units) * (len(GROUPING_UNITS) + 1)
-        assert len(patterns) > bound  # a pattern-keyed workspace would exceed it
         ws = LikelihoodWorkspace(spec, data)
-        calls = []
-        original = likelihood.log_laplace
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(likelihood, "log_laplace", counted)
+        calls = self.counted(monkeypatch, "log_laplace")
         ws.total_loglik(spec)
-        assert len(calls) <= bound
+        assert len(calls) == len(GROUPING_STRATA)
 
-    def test_one_kernel_call_per_group_in_a_score_pass(self, rng, monkeypatch):
+    def test_one_kernel_call_per_level_in_a_score_pass(self, rng, monkeypatch):
         # the link coefficients' partials come from the value's terms: no
         # perturbed transform is evaluated
         spec = grouping_spec()
         layout = ParameterLayout(spec)
         assert {"zeta[0]", "zeta[1]", "kappa[0]", "kappa[1]", "beta0[1]"} <= set(layout.free_names)
         ws = LikelihoodWorkspace(spec, grouping_data(rng))
-        calls = []
-        original = likelihood.log_laplace
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(likelihood, "log_laplace", counted)
+        calls = self.counted(monkeypatch, "log_laplace")
+        partials = self.counted(monkeypatch, "log_laplace_partials")
         ws.loglik_and_score(layout, layout.free_vector())
-        assert len(calls) == len(ws.groups)
+        assert len(calls) == len(partials) == len(GROUPING_STRATA)
 
 
-def reference_grouping(spec, data):
-    """{(level, units, event count): [cluster positions]} built from the
-    cluster view, in order of first appearance; each member's records in
-    unit order."""
-    order = {u: i for i, u in enumerate(spec.units)}
-    buckets = {}
+def reference_terms(spec, data):
+    """{level: sorted terms} built from the cluster view, a term being
+    (cluster position, (-1)^|A|, sorted member (unit, time, covariates))
+    for each subset A of the cluster's events; and each level's cluster
+    positions in order."""
+    terms, members = {}, {}
     for pos, c in enumerate(data.clusters):
         level = c.stratum if c.stratum is not None else spec.frailty_link.reference
-        recs = sorted(c.records, key=lambda r: order[r.unit])
-        key = (level, tuple(r.unit for r in recs), sum(r.event for r in recs))
-        buckets.setdefault(key, []).append((pos, recs))
-    return buckets
+        members.setdefault(level, []).append(pos)
+        cells = [(r.unit, r.time, tuple(r.covariates[nm] for nm in spec.predictors[r.unit].covariate_names))
+                 for r in c.records]
+        events = [cell for cell, r in zip(cells, c.records) if r.event == 1]
+        rest = [cell for cell, r in zip(cells, c.records) if r.event != 1]
+        for size in range(len(events) + 1):
+            for subset in itertools.combinations(events, size):
+                terms.setdefault(level, []).append(
+                    (pos, (-1.0) ** size, tuple(sorted(rest + list(subset)))))
+    return {level: sorted(ts) for level, ts in terms.items()}, members
+
+
+def workspace_terms(level):
+    """The same terms read from one level of a workspace's layout."""
+    cell = {}
+    for block in level.blocks:
+        for i in range(block.cells.start, block.cells.stop):
+            j = i - block.cells.start
+            row = () if block.design is None else tuple(block.design[j])
+            cell[i] = (block.unit, block.times[j], row)
+    assert sorted(cell) == list(range(level.incidence.shape[1]))
+    incidence = level.incidence
+    assert np.all(incidence.data == 1.0)
+    return sorted(
+        (int(level.clusters[level.term_cluster[t]]), float(level.signs[t]),
+         tuple(sorted(cell[i] for i in incidence.indices[incidence.indptr[t]:incidence.indptr[t + 1]])))
+        for t in range(incidence.shape[0])
+    )
 
 
 class TestColumnarWorkspace:
-    """The workspace groups the dataset's columns as a loop over its
-    cluster view would, in the same order."""
+    """The workspace lays out the dataset's columns as the terms a loop over
+    its cluster view would enumerate."""
 
     @staticmethod
     def check(spec, data):
         ws = LikelihoodWorkspace(spec, data)
-        reference = reference_grouping(spec, data)
-        assert [(g.level, g.units, g.event_cells.shape[1]) for g in ws.groups] == list(reference)
-        for grp, members in zip(ws.groups, reference.values()):
-            assert grp.cluster_idx.tolist() == [pos for pos, _ in members]
-            assert grp.cluster_ids == [data.clusters[pos].cluster_id for pos, _ in members]
-            times = [[r.time for r in recs] for _, recs in members]
-            assert np.array_equal(grp.times, times)
-            events = np.zeros(grp.times.shape, dtype=bool)
-            events.flat[grp.event_cells.ravel()] = True
-            assert events.tolist() == [[r.event == 1 for r in recs] for _, recs in members]
-            for j, unit in enumerate(grp.units):
-                names = spec.predictors[unit].covariate_names
-                if names:
-                    expected = [[r.covariates[nm] for nm in names] for _, recs in members
-                                for r in recs[j:j + 1]]
-                    assert np.array_equal(grp.designs[j], expected)
+        reference, members = reference_terms(spec, data)
+        assert sorted(level.name for level in ws.levels) == sorted(reference)
+        for level in ws.levels:
+            assert level.clusters.tolist() == members[level.name]
+            assert level.term_cluster.size == level.incidence.shape[0] == level.signs.size
+            got = workspace_terms(level)
+            assert got == reference[level.name]
+            # 2^k terms per cluster of k events
+            per_cluster = np.bincount(level.term_cluster, minlength=level.clusters.size)
+            events = [sum(r.event for r in data.clusters[pos].records) for pos in members[level.name]]
+            assert per_cluster.tolist() == [1 << k for k in events]
         return ws
 
-    def test_groups_match_reference(self, rng):
+    def test_terms_match_reference(self, rng):
         self.check(grouping_spec(), grouping_data(rng))
 
     def test_interleaved_csv_rows(self, rng, tmp_path):
@@ -635,6 +652,44 @@ class TestColumnarWorkspace:
                                      cluster("c2", {})])
         with pytest.raises(MissingCovariate, match="'c7', unit 'u2'"):
             LikelihoodWorkspace(spec, data)
+
+    def test_missing_covariate_names_first_cluster_over_levels(self):
+        # the first cluster of stratum "f" is complete and its second lacks x;
+        # the first cluster that lacks x is in stratum "m", between them
+        spec = grouping_spec()
+
+        def cluster(cid, covs, stratum):
+            return Cluster(cid, tuple(UnitRecord(u, 10.0, 0, covs) for u in GROUPING_UNITS),
+                           stratum=stratum)
+
+        data = CurrentStatusDataset([cluster("c1", {"x": 1.0}, "f"), cluster("c5", {}, "m"),
+                                     cluster("c2", {}, "f")])
+        with pytest.raises(MissingCovariate, match="'c5', unit 'u2'"):
+            LikelihoodWorkspace(spec, data)
+
+    @pytest.mark.parametrize("baselines", [
+        # other piecewise cutpoints on every unit
+        {u: PiecewiseConstantBaseline((0.0, 15.0, 50.0), (0.025, 0.02 + 0.004 * i, 0.035))
+         for i, u in enumerate(GROUPING_UNITS)},
+        # u3 on a Weibull baseline, the other units on the built grid
+        {"u3": WeibullBaseline(1.3, 60.0)},
+    ], ids=["cutpoints", "weibull"])
+    def test_other_baseline_grid_matches_a_fresh_workspace(self, rng, baselines):
+        # a workspace built for one spec evaluates a spec whose baselines its
+        # exposure matrices do not fit as a workspace built for that spec
+        spec = grouping_spec()
+        data = grouping_data(rng)
+        ws = LikelihoodWorkspace(spec, data)
+        other = dataclasses.replace(spec, baselines={**spec.baselines, **baselines})
+        fresh = LikelihoodWorkspace(other, data)
+        assert ws.total_loglik(other) == pytest.approx(fresh.total_loglik(other), rel=1e-13)
+        layout = ParameterLayout(other)
+        theta = layout.free_vector()
+        value, score = ws.loglik_and_score(layout, theta)
+        fresh_value, fresh_score = fresh.loglik_and_score(layout, theta)
+        assert value == pytest.approx(fresh_value, rel=1e-13)
+        np.testing.assert_allclose(score, fresh_score, rtol=1e-13,
+                                   atol=1e-13 * np.abs(fresh_score).max())
 
     def test_fit_path_builds_no_cluster_view(self, rng, tmp_path, monkeypatch):
         data = grouping_data(rng, n=40)
