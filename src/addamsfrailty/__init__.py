@@ -19,7 +19,6 @@ from .data import Cluster, CurrentStatusDataset, UnitRecord, read_csv, write_csv
 from .estimation import (
     FitResult,
     ParameterLayout,
-    aic,
     delta_method_se,
     fit,
     hessian,
@@ -52,7 +51,7 @@ from .hazard import (
     PiecewiseConstantBaseline,
     WeibullBaseline,
 )
-from .likelihood import LikelihoodWorkspace, cluster_loglik, total_loglik
+from .likelihood import LikelihoodWorkspace, cluster_loglik
 from .simulate import MonitoringLaw, SimConfig, generate, sample_event_time, sample_frailty
 
 __version__ = "0.1.0"

@@ -165,8 +165,6 @@ def hr_across_quantile_matched(branch_i: FrailtyBranch, branch_j: FrailtyBranch,
         k_prime = 1
     else:
         k_prime = int(dist_j.ppf(lo, *args_j)) + 1   # smallest k' with cdf(k'-1) >= lo
-    if k_cap is not None:
-        k_prime = min(k_prime, k_cap)
     p = float(dist_j.cdf(k_prime - 1, *args_j))
     if not (lo <= p < hi):
         candidates = [(max(lo - p, 0.0) + max(p - hi, 0.0), k_prime)]
@@ -235,8 +233,8 @@ def _estimates(fit: FitResult, entries: Dict[tuple, str], quantities) -> Dict[tu
 
 
 def rc_table(fit: FitResult, strata: Optional[Sequence[str]] = None,
-             k_max: int = 5, reference: Optional[str] = None) -> RCTable:
-    """RC distribution per stratum plus across-stratum comparisons.
+             k_max: int = 5) -> RCTable:
+    """RC distribution per stratum plus comparisons with the reference stratum.
 
     All strata must be on a discrete branch; the gamma limit raises
     :class:`ContinuousBranch`.  CIs use the ln transform for support
@@ -244,7 +242,7 @@ def rc_table(fit: FitResult, strata: Optional[Sequence[str]] = None,
     """
     link = fit.spec.frailty_link
     strata = list(strata) if strata is not None else list(link.levels)
-    reference = reference if reference is not None else link.reference
+    reference = link.reference
     levels = list(dict.fromkeys(strata + [reference]))
     branches = _branches(fit.spec, levels)
     points = {lvl: support_and_pmf(branches[lvl], k_max) for lvl in strata}

@@ -191,8 +191,8 @@ def _parse_monitoring(text: str) -> MonitoringLaw:
     if kind == "uniform":
         a, b = _floats(rest)
         return MonitoringLaw("uniform", a=a, b=b)
-    if kind in ("grid", "empirical"):
-        return MonitoringLaw(kind, times=tuple(_floats(rest)))
+    if kind == "grid":
+        return MonitoringLaw("grid", times=tuple(_floats(rest)))
     raise ConfigError(f"unknown monitoring law {text!r}")
 
 
@@ -200,7 +200,10 @@ def _parse_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError("analyze.time_grid must be start:stop:count")
-    grid = np.linspace(float(parts[0]), float(parts[1]), int(parts[2]))
+    count = int(parts[2])
+    if count < 1:
+        raise ConfigError(f"analyze.time_grid {text!r} needs a count >= 1")
+    grid = np.linspace(float(parts[0]), float(parts[1]), count)
     if not (np.all(grid >= 0.0) and np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
         raise ConfigError(
             f"analyze.time_grid {text!r} must be finite, >= 0 and strictly increasing"

@@ -29,10 +29,6 @@ class UndefinedRatio(FrailtyModelError):
     """Across-stratum hazard ratio is 0/0 (both strata have a cure fraction)."""
 
 
-class NumericalDomain(FrailtyModelError):
-    """A guarded numerical evaluation left its valid domain."""
-
-
 class NonPositiveProbability(FrailtyModelError):
     """The inclusion-exclusion sum is non-positive beyond round-off."""
 

@@ -7,21 +7,24 @@ coefficient is free where its mask is set and its column of
 ``ModelSpec.frailty_jacobian`` moves some stratum; ``fit`` rejects free
 link columns short of full rank over what the data identify.  Fitting
 is BFGS (Wolfe line search) on the negated log-likelihood; each point's
-value and exact analytic score come from one
-``LikelihoodWorkspace.loglik_and_score`` pass.  Standard errors come from
-the Hessian taken as the symmetrized central-difference Jacobian of that
-score at one step (2p score passes for p free parameters), and
-confidence intervals use ln / ln(-ln) transforms as appropriate.  One
-central-difference Jacobian serves every derivative taken here: the
-score's, a value-mode Hessian's (the Jacobian of a differenced gradient)
-and the delta method's.
+value and score come from one ``LikelihoodWorkspace.loglik_and_score``
+pass.  Standard errors come from the Hessian taken as the symmetrized
+central-difference Jacobian of that score at one step (2p score passes
+for p free parameters), and confidence intervals use ln / ln(-ln)
+transforms as appropriate.  ``FitResult.aic`` is -2 log L + 2 n_free.
+
+``hazard._central_jacobian`` takes every derivative here: the score's
+Jacobian, a value-mode Hessian's (the Jacobian of a differenced
+gradient) and the delta method's.  The Hessians difference at the step
+1e-4 max(1, |theta_i|), as the score does a Weibull or generalized gamma
+baseline's cumulative hazard; the delta method keeps its own steps.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -31,15 +34,13 @@ from .data import CurrentStatusDataset
 from .errors import (
     DomainViolation,
     IdentifiabilityError,
-    InvalidBinomial,
     InvalidParameters,
     InvalidRegion,
     NegativeStatistic,
     NonFiniteEvaluation,
     NonPositiveProbability,
-    NumericalDomain,
 )
-from .hazard import ModelSpec
+from .hazard import ModelSpec, _central_jacobian, _central_steps
 from .likelihood import LikelihoodWorkspace
 
 __all__ = [
@@ -50,7 +51,6 @@ __all__ = [
     "hessian",
     "transformed_ci",
     "lrt",
-    "aic",
     "delta_method_se",
 ]
 
@@ -60,8 +60,7 @@ _RATE_FLOOR = 1e-4
 # BFGS calls per fit: the first, and restarts from the best point
 _MAX_BFGS_CALLS = 20
 # what the likelihood raises outside the feasible region
-_INFEASIBLE = (InvalidRegion, InvalidBinomial, NumericalDomain,
-               NonPositiveProbability, InvalidParameters, OverflowError)
+_INFEASIBLE = (InvalidRegion, NonPositiveProbability, InvalidParameters, OverflowError)
 
 
 @dataclass(frozen=True)
@@ -244,7 +243,6 @@ class FitResult:
     covariance: np.ndarray
     se: np.ndarray
     ci: Dict[str, Tuple[float, float, float]]
-    aic: float
     converged: bool
     iterations: int
     gradient_norm: float
@@ -254,6 +252,10 @@ class FitResult:
     @property
     def n_free(self) -> int:
         return len(self.names)
+
+    @property
+    def aic(self) -> float:
+        return -2.0 * self.loglik + 2.0 * self.n_free
 
 
 def pinned_result(spec: ModelSpec, loglik: float = math.nan) -> FitResult:
@@ -265,7 +267,7 @@ def pinned_result(spec: ModelSpec, loglik: float = math.nan) -> FitResult:
     empty = np.zeros((0, 0))
     return FitResult(
         names=(), theta=np.zeros(0), loglik=loglik, covariance=empty,
-        se=np.zeros(0), ci={}, aic=math.nan, converged=True, iterations=0,
+        se=np.zeros(0), ci={}, converged=True, iterations=0,
         gradient_norm=0.0, layout=ParameterLayout.pinned(spec), spec=spec,
     )
 
@@ -383,7 +385,6 @@ def fit(spec: ModelSpec, data: CurrentStatusDataset, init=None,
         covariance=cov,
         se=se,
         ci=ci,
-        aic=-2.0 * ll_hat + 2.0 * layout.n_free,
         converged=_stationary(best),
         iterations=int(best.nit),
         gradient_norm=float(np.max(np.abs(best.jac))),
@@ -425,23 +426,23 @@ def _covariance_from_hessian(hess_loglik: np.ndarray) -> np.ndarray:
     return 0.5 * (cov + cov.T)
 
 
-def _parameter_cis(layout, theta_hat, se, level=0.95):
+def _parameter_cis(layout, theta_hat, se):
     ci = {}
     for name, transform, value, s in zip(
         layout.free_names, layout.free_transforms, theta_hat, se
     ):
         if transform == "log":
             est = math.exp(value)
-            lo, hi = transformed_ci(est, est * s, "positive", level)
+            lo, hi = transformed_ci(est, est * s, "positive")
         else:
             est = value
-            lo, hi = transformed_ci(est, s, "unconstrained", level)
+            lo, hi = transformed_ci(est, s, "unconstrained")
         ci[name] = (est, lo, hi)
     return ci
 
 
-def hessian(f, theta, base_step: float = 1e-4, from_score: bool = False) -> np.ndarray:
-    """Symmetrized central-difference Hessian at steps base_step * max(1, |theta_i|).
+def hessian(f, theta, from_score: bool = False) -> np.ndarray:
+    """Symmetrized central-difference Hessian at steps 1e-4 max(1, |theta_i|).
 
     With ``from_score`` set, ``f`` returns the exact gradient and the
     Hessian is its central-difference Jacobian at that one step (2 d
@@ -452,7 +453,7 @@ def hessian(f, theta, base_step: float = 1e-4, from_score: bool = False) -> np.n
     (4 H(h/2) - H(h)) / 3 (8 d^2 evaluations).
     """
     theta = np.asarray(theta, dtype=float)
-    steps = base_step * np.maximum(1.0, np.abs(theta))
+    steps = _central_steps(theta)
     if from_score:
         estimate = _central_jacobian(f, theta, steps)
     else:
@@ -464,19 +465,6 @@ def hessian(f, theta, base_step: float = 1e-4, from_score: bool = False) -> np.n
     if not np.all(np.isfinite(estimate)):
         raise NonFiniteEvaluation("non-finite Hessian entries")
     return 0.5 * (estimate + estimate.T)
-
-
-def _central_jacobian(f, theta, steps) -> np.ndarray:
-    """Row i is (f(theta + h_i e_i) - f(theta - h_i e_i)) / (2 h_i)."""
-    rows = []
-    for i in range(theta.size):
-        hi = theta.copy()
-        lo = theta.copy()
-        hi[i] += steps[i]
-        lo[i] -= steps[i]
-        rows.append((np.asarray(f(hi), dtype=float) - np.asarray(f(lo), dtype=float))
-                    / (2.0 * steps[i]))
-    return np.array(rows)
 
 
 def transformed_ci(estimate: float, se: float, domain: str,
@@ -532,21 +520,18 @@ def lrt(fit_null: FitResult, fit_alt: FitResult,
     return stat, float(stats.chi2.sf(stat, df))
 
 
-def aic(fit_result: FitResult) -> float:
-    return -2.0 * fit_result.loglik + 2.0 * fit_result.n_free
-
-
-def delta_method_se(fn, theta, covariance, abs_step=1e-6, rel_step=1e-5):
+def delta_method_se(fn, theta, covariance):
     """First-order SE of fn(theta): a float for a scalar fn, an array for a 1-D one.
 
-    One central-difference Jacobian serves every entry; each entry's
-    variance is g @ covariance @ g with g its own gradient.
+    One central-difference Jacobian, at steps max(1e-6, 1e-5 |theta_i|),
+    serves every entry; each entry's variance is g @ covariance @ g with g
+    its own gradient.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.size == 0:
         se = np.zeros(np.shape(fn(theta)))
     else:
-        jac = _central_jacobian(fn, theta, np.maximum(abs_step, rel_step * np.abs(theta)))
+        jac = _central_jacobian(fn, theta, np.maximum(1e-6, 1e-5 * np.abs(theta)))
         grads = np.ascontiguousarray(jac.reshape(theta.size, -1).T)
         se = np.array([math.sqrt(max(float(g @ covariance @ g), 0.0)) for g in grads])
         se = se.reshape(jac.shape[1:])

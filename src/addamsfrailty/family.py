@@ -40,7 +40,6 @@ from .errors import (
     ContinuousBranch,
     InvalidBinomial,
     InvalidParameters,
-    NumericalDomain,
     OutOfSupport,
 )
 
@@ -194,10 +193,6 @@ def _log_laplace_general(a: float, g: float, m: float, s: np.ndarray) -> np.ndar
     em1 = np.expm1(-x)
     correction = ((a - g) / a) * em1
     bracket = np.exp(-x) - (g / a) * em1
-    if np.any(bracket <= 0):
-        raise NumericalDomain(
-            "non-positive bracket in Laplace transform evaluation"
-        )
     # log1p while |c| < 0.5, as (log1p(c) - c) / (a - g) + expm1(-x) / a, so no
     # subnormal c (near a = g at tiny s) is divided; beyond, the log of the
     # sum of positive terms loses nothing

@@ -7,6 +7,8 @@ Baselines that are linear in their rates (piecewise constant, exponential)
 also expose ``exposure(t)``, the time spent in each rate interval, so that
 ``cumulative(t) == exposure(t) @ rate_vector`` with the log-parameters
 being ``log(rate_vector)``.
+
+:func:`_central_jacobian` is the package's one finite-difference engine.
 """
 
 from __future__ import annotations
@@ -59,6 +61,24 @@ def _check_targets(target):
 
 def _as_output(t, values):
     return float(values) if np.ndim(t) == 0 else values
+
+
+def _central_steps(theta) -> np.ndarray:
+    """The score's and the Hessian's difference steps, 1e-4 max(1, |theta_i|)."""
+    return 1e-4 * np.maximum(1.0, np.abs(theta))
+
+
+def _central_jacobian(f, theta, steps) -> np.ndarray:
+    """Row i is (f(theta + h_i e_i) - f(theta - h_i e_i)) / (2 h_i)."""
+    rows = []
+    for i in range(theta.size):
+        hi = theta.copy()
+        lo = theta.copy()
+        hi[i] += steps[i]
+        lo[i] -= steps[i]
+        rows.append((np.asarray(f(hi), dtype=float) - np.asarray(f(lo), dtype=float))
+                    / (2.0 * steps[i]))
+    return np.array(rows)
 
 
 @dataclass(frozen=True)
@@ -395,6 +415,9 @@ class ModelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "units", tuple(self.units))
+        if len(set(self.units)) < len(self.units):
+            repeated = next(u for i, u in enumerate(self.units) if u in self.units[:i])
+            raise InvalidParameters(f"unit {repeated!r} is repeated")
         object.__setattr__(self, "baselines", dict(self.baselines))
         preds = {u: self.predictors.get(u, LinearPredictor()) for u in self.units}
         object.__setattr__(self, "predictors", preds)

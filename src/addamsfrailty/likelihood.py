@@ -16,16 +16,17 @@ terms, each with its cluster and sign, tied to the cells by a sparse
 term-by-cell incidence.  A pass takes every s-value from one incidence
 product and makes one ``log_laplace`` call per level, whatever the unit
 sets and event counts; one signed ``bincount`` gives the cluster
-probabilities.  :func:`cluster_loglik` and :func:`total_loglik` are
-one-call wrappers around it.
+probabilities.  :meth:`LikelihoodWorkspace.total_loglik` gives the whole
+dataset's log-likelihood, and :func:`cluster_loglik` one cluster's.
 
-:meth:`LikelihoodWorkspace.loglik_and_score` also returns the exact score
+:meth:`LikelihoodWorkspace.loglik_and_score` also returns the score
 with respect to the free vector of an ``estimation.ParameterLayout``, from
 the same s-values and Laplace terms.  With sign_A = (-1)^|A|, dP/dLambda
 of a cell sums sign_A L'(s_A) over the terms that hold it, one product
 with the transposed incidence; the chain rule then runs through the
-baselines (exactly for rate-linear ones, by differencing ``cumulative``
-in the log-parameters otherwise) and the covariate effects.  The
+baselines (exactly for rate-linear ones; a Weibull or generalized gamma
+baseline's ``cumulative`` is differenced in its log-parameters by
+``hazard._central_jacobian``) and the covariate effects.  The
 frailty-link coefficients take the closed-form partials of log L(s) in
 (alpha, gamma, mu) from one ``family.log_laplace_partials`` call per
 level, chained through ``ModelSpec.frailty_jacobian``, which applies the
@@ -44,21 +45,16 @@ from scipy import sparse
 from .data import Cluster, CurrentStatusDataset
 from .errors import MissingCovariate, NonPositiveProbability
 from .family import log_laplace, log_laplace_partials
-from .hazard import ModelSpec
+from .hazard import ModelSpec, _central_jacobian, _central_steps
 
 __all__ = [
     "cluster_loglik",
-    "total_loglik",
     "LikelihoodWorkspace",
     "diagnostics",
 ]
 
 _CLAMP_TOL = 1e-12
 _CLAMP_VALUE = 1e-300
-# relative step for differencing a parametric (Weibull, generalized gamma)
-# baseline's cumulative hazard in its log-parameters; every other score
-# entry is exact
-_SCORE_STEP = 1e-4
 
 
 class _Diagnostics:
@@ -347,19 +343,12 @@ class LikelihoodWorkspace:
             grad[start:start + rates.size] += rates * (dl_dbase @ exposure)
             return
         log_params = baseline.log_params
-        for k, value in enumerate(log_params):
-            h = _SCORE_STEP * max(1.0, abs(value)) * (np.arange(log_params.size) == k)
-            diff = (baseline.with_log_params(log_params + h).cumulative(times)
-                    - baseline.with_log_params(log_params - h).cumulative(times))
-            grad[start + k] += dl_dbase @ diff / (2.0 * h[k])
+        jac = _central_jacobian(lambda values: baseline.with_log_params(values).cumulative(times),
+                                log_params, _central_steps(log_params))
+        grad[start:start + log_params.size] += jac @ dl_dbase
 
 
 def cluster_loglik(spec: ModelSpec, cluster: Cluster) -> float:
     """Log-probability of one cluster's current-status outcome."""
     data = CurrentStatusDataset((cluster,))
     return float(LikelihoodWorkspace(spec, data).cluster_logliks(spec)[0])
-
-
-def total_loglik(spec: ModelSpec, data: CurrentStatusDataset) -> float:
-    """Weighted total log-likelihood."""
-    return LikelihoodWorkspace(spec, data).total_loglik(spec)

@@ -30,7 +30,7 @@ _BLOCK = 1024
 @dataclass(frozen=True)
 class MonitoringLaw:
     """Law of the per-unit monitoring times: kind "uniform" draws from [a, b);
-    "grid" and "empirical" draw uniformly from a fixed list of times."""
+    "grid" draws uniformly from a fixed list of times."""
 
     kind: str = "uniform"
     a: float = 1.0
@@ -38,7 +38,7 @@ class MonitoringLaw:
     times: Tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("uniform", "grid", "empirical"):
+        if self.kind not in ("uniform", "grid"):
             raise InvalidParameters(f"unknown monitoring law {self.kind!r}")
         if self.kind == "uniform":
             if not (0 <= self.a < self.b and math.isfinite(self.b)):
@@ -46,7 +46,7 @@ class MonitoringLaw:
         else:
             times = tuple(float(t) for t in self.times)
             if not times or any(t < 0 or not math.isfinite(t) for t in times):
-                raise InvalidParameters("grid/empirical law needs non-negative times")
+                raise InvalidParameters("grid law needs non-negative times")
             object.__setattr__(self, "times", times)
 
     def draw(self, rng: np.random.Generator, size=None):

@@ -1,6 +1,8 @@
 """Risk-category tables, hazard ratios and trajectory curves."""
 
+import csv
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -9,6 +11,7 @@ from scipy import stats
 
 from addamsfrailty import (
     AddamsParameters,
+    Estimate,
     ExponentialBaseline,
     FrailtyLink,
     LinearPredictor,
@@ -32,6 +35,7 @@ from addamsfrailty import (
     trajectories,
     transformed_ci,
 )
+from addamsfrailty import report as rep
 from addamsfrailty.errors import ContinuousBranch, OutOfSupport, UndefinedRatio
 from addamsfrailty.estimation import delta_method_se
 from addamsfrailty.estimation import fit as ml_fit
@@ -185,6 +189,30 @@ class TestRcTable:
     def test_pinned_fit_has_no_cis(self):
         table = rc_table(two_stratum_fit(), k_max=2)
         assert all(r.z.lo is None for r in table.rows)
+
+    def test_cure_fraction_ratios_through_the_writers(self, tmp_path):
+        # reference a and stratum b have a cure fraction, c none: at k = 1 the
+        # ratio is 0/0 for b and z / 0 for c, and neither gets a CI
+        link = dataclasses.replace(FrailtyLink.for_factor(["a", "b", "c"]),
+                                   zeta=(0.5, 0.0, -1.0), kappa=(math.log(2.0), 0.0, 0.0))
+        spec = ModelSpec(units=("u1",), baselines={"u1": ExponentialBaseline(0.05)},
+                         frailty_link=link)
+        fit = with_covariance(pinned_result(spec))
+        table = rc_table(fit, k_max=2)
+        pairs = {(p.stratum, p.k): p for p in table.pairs}
+        assert pairs["b", 1].hr_across is None
+        assert pairs["c", 1].hr_across == Estimate(math.inf)
+        assert pairs["b", 2].hr_across.lo is not None
+        rep.write_rc_table_csv(tmp_path / "rc_table.csv", table)
+        rows = {(r["row"], r["stratum"], r["k"]): r
+                for r in csv.DictReader((tmp_path / "rc_table.csv").read_text().splitlines())}
+        assert [rows["pair", s, "1"][col] for s in "bc" for col in ("hr_across", "hr_across_lo")] \
+            == ["undef", "", "inf", ""]
+        rep.write_json_report(tmp_path / "report.json", rep.rc_table_payload(table))
+        payload = {(p["stratum"], p["k"]): p["hr_across"]
+                   for p in json.loads((tmp_path / "report.json").read_text())["pairs"]}
+        assert payload["b", "1"] == "undef" and payload["c", "1"] == {"estimate": "inf"}
+        assert set(payload["b", "2"]) == {"estimate", "lo", "hi"}
 
     def test_hr_within_table_matches_direct_formula(self):
         entries = hr_within_table(two_stratum_fit(), k_max=4)

@@ -15,6 +15,7 @@ from addamsfrailty.config import load_config
 from addamsfrailty.data import read_csv
 from addamsfrailty.errors import ConfigError, DatasetError, MalformedRow
 from addamsfrailty.hazard import BranchRegime
+from addamsfrailty.likelihood import LikelihoodWorkspace
 
 BASE_CONFIG = """\
 [data]
@@ -204,6 +205,7 @@ class TestConfig:
         "analyze.time_grid=0:0:3",
         "analyze.time_grid=-5:40:5",
         "analyze.time_grid=0:nan:5",
+        "analyze.time_grid=0:80:0",
         "analyze.units=u1, u9",
         "analyze.k_max=0",
     ])
@@ -250,6 +252,14 @@ class TestConfig:
         cfg.write_text(cfg.read_text() + "[fit]\nseed = 3\n")
         with pytest.raises(ConfigError, match=re.escape("fit.seed")):
             load_config(cfg)
+
+    def test_repeated_unit_is_a_config_error(self, tmp_path, caplog):
+        cfg = write_config(tmp_path)
+        with caplog.at_level("ERROR", logger="addamsfrailty"):
+            code = main(["simulate", "--config", str(cfg), "--set", "model.units=u1, u2, u1"])
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "data.csv").exists()
+        assert any("'u1' is repeated" in rec.getMessage() for rec in caplog.records)
 
     def test_negative_maxiter_is_a_config_error_before_data_is_read(self, tmp_path, caplog,
                                                                    monkeypatch):
@@ -528,6 +538,17 @@ class TestAnalyzePinned:
         )
         # malformed number must be a config error, not a crash
         assert main(["analyze", "--config", str(cfg)]) == EXIT_CONFIG
+
+    def test_pinned_parameters_with_data_report_loglik_and_aic(self, tmp_path):
+        cfg = write_config(tmp_path)
+        assert main(["simulate", "--config", str(cfg)]) == EXIT_OK
+        pinned = ["--config", str(cfg), "--set", "params.pin_all=true"]
+        assert main(["analyze", *pinned]) == EXIT_OK
+        report = json.loads((tmp_path / "out" / "report.json").read_text())["fit"]
+        spec = load_config(cfg, ["params.pin_all=true"]).build_spec()
+        loglik = LikelihoodWorkspace(spec, read_csv(tmp_path / "data.csv")).total_loglik(spec)
+        assert report["n_free"] == "0"
+        assert (report["loglik"], report["aic"]) == (rep.fmt(loglik), rep.fmt(-2.0 * loglik))
 
     def test_pinned_analysis_golden(self, tmp_path):
         cfg = tmp_path / "pinned.ini"

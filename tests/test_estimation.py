@@ -13,19 +13,20 @@ from addamsfrailty import (
     CurrentStatusDataset,
     ExponentialBaseline,
     FrailtyLink,
+    GeneralizedGammaBaseline,
     LikelihoodWorkspace,
     LinearPredictor,
     ModelSpec,
     PiecewiseConstantBaseline,
     UnitRecord,
-    aic,
+    WeibullBaseline,
     fit,
     hessian,
     lrt,
     pinned_result,
-    total_loglik,
     transformed_ci,
 )
+from addamsfrailty.config import load_config
 from addamsfrailty.estimation import ParameterLayout, delta_method_se
 from addamsfrailty.errors import (
     DomainViolation,
@@ -294,7 +295,7 @@ class TestLrtAic:
 
     def test_aic(self):
         r = self._result(-100.0, 4)
-        assert aic(r) == pytest.approx(208.0)
+        assert r.aic == pytest.approx(208.0)
 
 
 class TestIdentifiability:
@@ -373,7 +374,7 @@ class TestFit:
         assert abs(kappa_hat - math.log(5.0)) < 3.0 * kappa_se
         # reported loglik matches an independent recomputation at theta-hat
         assert result.loglik == pytest.approx(
-            total_loglik(result.spec, data), rel=1e-12
+            LikelihoodWorkspace(result.spec, data).total_loglik(result.spec), rel=1e-12
         )
 
     def test_fit_takes_value_and_score_from_one_pass(self, monkeypatch):
@@ -458,15 +459,53 @@ class TestFit:
         spec = basic_spec()
         data = simulated_data(spec, n=400, seed=5)
         result = fit(spec, data)
-        h = hessian(lambda th: total_loglik(
-            ParameterLayout(spec).build_spec(th), data
-        ), result.theta)
+        ws, layout = LikelihoodWorkspace(spec, data), ParameterLayout(spec)
+        h = hessian(lambda th: ws.total_loglik(layout.build_spec(th)), result.theta)
         ident = result.covariance @ (-h)
         np.testing.assert_allclose(ident, np.eye(h.shape[0]), atol=1e-4)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(InvalidParameters):
             fit(basic_spec(), CurrentStatusDataset(()))
+
+
+class TestDefaultStart:
+    """Fits from ``default_init`` on the baseline keys it treats apart."""
+
+    def test_stratified_baselines(self):
+        link = FrailtyLink.for_factor(["a", "b"], zeta0=-1.0, kappa0=math.log(5.0))
+        rates = {("a", "u1"): 0.04, ("a", "u2"): 0.02, ("b", "u1"): 0.03, ("b", "u2"): 0.05}
+        spec = ModelSpec(
+            units=("u1", "u2"),
+            baselines={key: ExponentialBaseline(rate) for key, rate in rates.items()},
+            frailty_link=dataclasses.replace(link, beta0_free=(False, False)),
+            stratified_baselines=True,
+        )
+        data = generate(SimConfig(spec=spec, n_clusters=4000, seed=1,
+                                  stratum_probs={"a": 0.5, "b": 0.5}))
+        start = ParameterLayout(spec).default_init(data)
+        # each level's rates start from that level's own clusters
+        assert len(set(np.round(start[:4], 12))) == 4
+        result = fit(spec, data)
+        assert result.converged
+        assert result.names[:4] == tuple(f"baseline[{lvl}:{u}].rate" for lvl, u in rates)
+
+    @pytest.mark.parametrize("family, truth, start", [
+        ("weibull", ("1.5, 30", "1.2, 40"), WeibullBaseline(1.0, 20.0)),
+        ("gengamma", ("1.3, 1.1, 25", "1.1, 0.9, 35"), GeneralizedGammaBaseline(1.0, 1.0, 20.0)),
+    ])
+    def test_parametric_baseline_without_params(self, tmp_path, family, truth, start):
+        model = f"[model]\nunits = u1, u2\nbaseline = {family}\n"
+        (tmp_path / "truth.ini").write_text(
+            model + f"[params]\nzeta = -1.0\nkappa = 1.6094379124341003\n"
+                    f"params.u1 = {truth[0]}\nparams.u2 = {truth[1]}\n")
+        (tmp_path / "fit.ini").write_text(model)
+        data = generate(SimConfig(spec=load_config(tmp_path / "truth.ini").build_spec(),
+                                  n_clusters=2000, seed=1))
+        spec = load_config(tmp_path / "fit.ini").build_spec()
+        assert spec.baselines == {"u1": start, "u2": start}
+        result = fit(spec, data)
+        assert result.converged
 
 
 class TestDeltaMethod:

@@ -504,6 +504,16 @@ class TestSupport:
             assert pt.cum_prob == pytest.approx(float(dist.cdf(pt.k - 1)), rel=1e-12)
         assert all(b.z < a.z for b, a in zip(points, points[1:]))
 
+    def test_binomial_table_stops_at_b_plus_one(self):
+        branch = classify_branch(AddamsParameters(4.5, 4.0, 0.7))   # b = 2
+        dist = count_distribution(branch)
+        points = support_and_pmf(branch, 6)
+        assert [pt.k for pt in points] == [1, 2, 3]
+        assert [pt.z for pt in points] == [support_value(branch, k) for k in (1, 2, 3)]
+        for pt in points:
+            assert pt.prob == pytest.approx(float(dist.pmf(pt.k - 1)), rel=1e-12)
+        assert points[-1].cum_prob == 1.0
+
     @pytest.mark.parametrize("params", [
         AddamsParameters(-0.5, 4.0, 1.0),       # shifted negative binomial
         AddamsParameters(-2.882, 90.996, 0.328),

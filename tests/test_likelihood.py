@@ -24,7 +24,6 @@ from addamsfrailty import (
     cluster_loglik,
     laplace,
     read_csv,
-    total_loglik,
     write_csv,
 )
 from addamsfrailty.hazard import BranchRegime
@@ -214,7 +213,6 @@ class TestWorkspace:
             c.weight * scalar_cluster_loglik(spec, c) for c in data.clusters
         )
         assert ws.total_loglik(spec) == pytest.approx(scalar, rel=1e-12)
-        assert total_loglik(spec, data) == pytest.approx(scalar, rel=1e-12)
 
     def test_weights_scale_contributions(self, rng):
         spec = self.two_stratum_spec()
@@ -223,8 +221,8 @@ class TestWorkspace:
             Cluster(c.cluster_id, c.records, c.stratum, 2.0 * c.weight)
             for c in data.clusters
         ))
-        assert total_loglik(spec, doubled) == pytest.approx(
-            2.0 * total_loglik(spec, data), rel=1e-12
+        assert LikelihoodWorkspace(spec, doubled).total_loglik(spec) == pytest.approx(
+            2.0 * LikelihoodWorkspace(spec, data).total_loglik(spec), rel=1e-12
         )
 
     def test_workspace_reusable_across_parameter_values(self, rng):
@@ -240,7 +238,7 @@ class TestWorkspace:
         )
         # and the original value is unchanged by the detour
         assert ws.total_loglik(spec) == pytest.approx(
-            total_loglik(spec, data), rel=1e-14
+            LikelihoodWorkspace(spec, data).total_loglik(spec), rel=1e-14
         )
 
 
@@ -324,7 +322,7 @@ class TestScore:
         self.check(spec, score_data(rng, 120), rtol=rtol)
 
     # Weibull and generalized gamma baselines are differenced in their
-    # log-parameters (``_SCORE_STEP``), with an O(1e-8) error of their own
+    # log-parameters (``hazard._central_jacobian``), with an O(1e-8) error of their own
     @pytest.mark.parametrize("baseline,rtol", [
         (lambda i: PiecewiseConstantBaseline((0.0, 20.0, 45.0), (0.02, 0.03 + 0.01 * i, 0.05)),
          1e-9),
