@@ -28,7 +28,6 @@ from .estimation import (
 )
 from .family import (
     AddamsParameters,
-    BranchKind,
     FrailtyBranch,
     SupportPoint,
     classify_branch,

@@ -18,11 +18,14 @@ a CI, with each stratum's branch classified once per call.  The reported
 values are ``quantities(fit.spec)``; all standard errors come from one
 central-difference Jacobian of ``quantities(fit.layout.build_spec(theta))``
 at the fitted theta, i.e. 2p spec builds for p free parameters.  Entries
-without a CI (an infinite or undefined HR, a zero support point, ``b``)
-are decided at ``fit.spec`` and kept out of the vector.  On the positive
-domain a value <= 0, and on the unit interval a value outside (0, 1), is
-its own interval (lo = hi = value).  A fully pinned result reports no CIs
-and builds no spec.
+without a CI (an infinite or undefined HR, ``b``) are decided at
+``fit.spec`` and kept out of the vector.  On the positive domain a value
+<= 0, such as a zero support point, and on the unit interval a value
+outside (0, 1), is its own interval (lo = hi = value).  A fully pinned
+result reports no CIs and builds no spec.
+
+Every table reads a stratum's support from its ``FrailtyBranch``, z_(k)
+from ``support_value`` and the point count from ``n_support``.
 
 No scipy distribution is frozen: z comes from ``scipy.special.ndtri`` in
 ``transformed_ci``, and the count law's cdf and ppf from the shared scipy
@@ -39,10 +42,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ContinuousBranch, OutOfSupport, UndefinedRatio
+from .errors import ContinuousBranch, UndefinedRatio
 from .estimation import FitResult, delta_method_se, transformed_ci
 from .family import (
-    BranchKind,
     FrailtyBranch,
     _count_law,
     classify_branch,
@@ -115,21 +117,11 @@ class TrajectoryCurve:
 
 
 def hr_within(branch: FrailtyBranch, k: int) -> float:
-    """Hazard ratio of RC k+1 versus RC k within one stratum.
-
-    Equals z_(k+1) / z_(k); infinite at k = 1 when a cure fraction exists.
-    """
-    if not branch.is_discrete:
-        raise ContinuousBranch("within-stratum HR needs a discrete branch")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if branch.kind is BranchKind.SCALED_BINOMIAL and k + 1 > branch.b + 1:
-        raise OutOfSupport(f"RC {k + 1} beyond binomial support")
-    if branch.alpha < 0:
-        return (branch.nu + k) / (branch.nu + k - 1)
-    if k == 1:
-        return math.inf
-    return k / (k - 1)
+    """Hazard ratio z_(k+1) / z_(k) of RC k+1 versus RC k within one stratum;
+    infinite where z_(k) = 0, at k = 1 when a cure fraction exists."""
+    z_next = support_value(branch, k + 1)
+    z = support_value(branch, k)
+    return math.inf if z == 0.0 else z_next / z
 
 
 def hr_across(branch_i: FrailtyBranch, branch_j: FrailtyBranch, k: int) -> float:
@@ -160,7 +152,6 @@ def hr_across_quantile_matched(branch_i: FrailtyBranch, branch_j: FrailtyBranch,
     dist_j, args_j = _count_law(branch_j)
     lo = 0.0 if k == 1 else float(dist_i.cdf(k - 2, *args_i))
     hi = float(dist_i.cdf(k - 1, *args_i))
-    k_cap = branch_j.b + 1 if branch_j.kind is BranchKind.SCALED_BINOMIAL else None
     if lo <= 0.0:
         k_prime = 1
     else:
@@ -171,7 +162,7 @@ def hr_across_quantile_matched(branch_i: FrailtyBranch, branch_j: FrailtyBranch,
         if k_prime > 1:
             p_prev = float(dist_j.cdf(k_prime - 2, *args_j))
             candidates.append((max(lo - p_prev, 0.0) + max(p_prev - hi, 0.0), k_prime - 1))
-        if k_cap is None or k_prime + 1 <= k_cap:
+        if k_prime + 1 <= branch_j.n_support:
             p_next = float(dist_j.cdf(k_prime, *args_j))
             candidates.append((max(lo - p_next, 0.0) + max(p_next - hi, 0.0), k_prime + 1))
         candidates.sort(key=lambda c: (c[0], c[1]))
@@ -189,11 +180,6 @@ def hr_across_quantile_matched(branch_i: FrailtyBranch, branch_j: FrailtyBranch,
 
 def _branches(spec, levels) -> Dict[str, FrailtyBranch]:
     return {lvl: classify_branch(spec.frailty_params(lvl)) for lvl in levels}
-
-
-def _n_points(branch: FrailtyBranch, k_max: int) -> int:
-    """Reported support points: k_max, capped by a binomial law's b + 1."""
-    return min(k_max, branch.b + 1) if branch.kind is BranchKind.SCALED_BINOMIAL else k_max
 
 
 def _standard_errors(fit: FitResult, quantities) -> Optional[np.ndarray]:
@@ -247,17 +233,15 @@ def rc_table(fit: FitResult, strata: Optional[Sequence[str]] = None,
     branches = _branches(fit.spec, levels)
     points = {lvl: support_and_pmf(branches[lvl], k_max) for lvl in strata}
     compared = [lvl for lvl in strata if lvl != reference and branches[reference].is_discrete]
-    pair_keys = [(lvl, k) for lvl in compared
-                 for k in range(1, _n_points(branches[lvl], k_max) + 1)]
+    # a pair needs RC k in both laws
+    pair_keys = [(lvl, k) for lvl in compared for k in range(
+        1, min(k_max, branches[lvl].n_support, branches[reference].n_support) + 1)]
 
     fixed: Dict[tuple, Optional[Estimate]] = {}   # entries without a CI
     entries: Dict[tuple, str] = {}                # entries with a CI -> its domain
     for lvl in strata:
         for point in points[lvl]:
-            if point.z > 0:
-                entries["z", lvl, point.k] = "positive"
-            else:
-                fixed["z", lvl, point.k] = Estimate(0.0, 0.0, 0.0)
+            entries["z", lvl, point.k] = "positive"
             entries["cum", lvl, point.k] = "unit_interval"
     for lvl, k in pair_keys:
         entries["ratio", lvl, k] = "positive"
@@ -311,7 +295,7 @@ def hr_within_table(fit: FitResult, strata: Optional[Sequence[str]] = None,
     strata = list(strata) if strata is not None else list(link.levels)
     branches = _branches(fit.spec, strata)
     keys = [(lvl, k) for lvl in strata if branches[lvl].is_discrete
-            for k in range(1, _n_points(branches[lvl], k_max))]
+            for k in range(1, min(k_max, branches[lvl].n_support))]
     fixed = {(lvl, k): Estimate(math.inf) for lvl, k in keys
              if math.isinf(hr_within(branches[lvl], k))}
     entries = {key: "positive" for key in keys if key not in fixed}

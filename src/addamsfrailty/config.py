@@ -12,7 +12,9 @@ may hold ``:``, and ``;`` after whitespace opens a comment.  Sections:
                  model is fully pinned (analyze published values without
                  fitting), otherwise they are the optimizer's start point.
                  Keys match unit and stratum names in any case, as in
-                 ``[covariates]``; a key that matches no parameter is an error.
+                 ``[covariates]`` and ``regime.<level>``, so two unit or level
+                 names that differ only in case are an error; a key that
+                 matches no parameter is an error.
 ``[fit]``        ``maxiter``, the iteration limit (>= 0) of each BFGS call.
 ``[simulate] [analyze] [lrt] [output]`` command settings; the ``[fit]``,
                  ``[analyze]`` and ``[lrt]`` ones are checked before any fit.
@@ -177,6 +179,15 @@ class RunConfig:
         return {lvl: _parse_regime(text, "lrt") for lvl, text in self.lrt_regimes[model].items()}
 
 
+def _distinct_in_any_case(names: Tuple[str, ...], key: str) -> None:
+    """Keys match names in any case, so two names may not differ in case alone."""
+    seen: Dict[str, str] = {}
+    for name in names:
+        first = seen.setdefault(name.lower(), name)
+        if first != name:
+            raise ConfigError(f"model.{key}: {first!r} and {name!r} differ only in case")
+
+
 def _parse_regime(text: str, key: str) -> BranchRegime:
     kind, _, b = text.strip().lower().partition(":")
     try:
@@ -244,6 +255,8 @@ def load_config(path, overrides: Optional[List[str]] = None) -> RunConfig:
     if not units:
         raise ConfigError("[model] units is required")
     levels = tuple(_split(get("model", "stratum_levels", "all")))
+    _distinct_in_any_case(units, "units")
+    _distinct_in_any_case(levels, "stratum_levels")
     reference = get("model", "reference", levels[0])
     if reference not in levels:
         raise ConfigError(f"reference {reference!r} not among stratum levels")

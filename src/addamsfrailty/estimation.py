@@ -57,6 +57,8 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _RATE_FLOOR = 1e-4
+# the 0.975 normal quantile, as scipy.stats computes it, for 95% intervals
+_Z = special.ndtri(0.975)
 # BFGS calls per fit: the first, and restarts from the best point
 _MAX_BFGS_CALLS = 20
 # what the likelihood raises outside the feasible region
@@ -467,18 +469,16 @@ def hessian(f, theta, from_score: bool = False) -> np.ndarray:
     return 0.5 * (estimate + estimate.T)
 
 
-def transformed_ci(estimate: float, se: float, domain: str,
-                   level: float = 0.95) -> Tuple[float, float]:
-    """Delta-method CI on a transformed scale, mapped back to the original.
+def transformed_ci(estimate: float, se: float, domain: str) -> Tuple[float, float]:
+    """Delta-method 95% CI on a transformed scale, mapped back to the original.
 
     domain "positive" uses the ln transform, "unit_interval" the
     ln(-ln) transform, "unconstrained" the plain normal interval.
     """
     if se < 0:
         raise DomainViolation("standard error must be >= 0")
-    z = special.ndtri(0.5 + level / 2.0)    # the normal quantile, as scipy.stats computes it
     if domain == "unconstrained":
-        return estimate - z * se, estimate + z * se
+        return estimate - _Z * se, estimate + _Z * se
     if domain == "positive":
         if estimate <= 0:
             raise DomainViolation(f"positive-domain estimate must be > 0, got {estimate}")
@@ -486,8 +486,8 @@ def transformed_ci(estimate: float, se: float, domain: str,
             return estimate, estimate
         se_ln = se / estimate
         # an extremely wide log-scale interval saturates instead of overflowing
-        hi = math.inf if z * se_ln > 700.0 else estimate * math.exp(z * se_ln)
-        return estimate * math.exp(-min(z * se_ln, 700.0)), hi
+        hi = math.inf if _Z * se_ln > 700.0 else estimate * math.exp(_Z * se_ln)
+        return estimate * math.exp(-min(_Z * se_ln, 700.0)), hi
     if domain == "unit_interval":
         if not 0.0 < estimate < 1.0:
             raise DomainViolation(
@@ -498,8 +498,8 @@ def transformed_ci(estimate: float, se: float, domain: str,
         log_neg_log = math.log(-math.log(estimate))
         se_t = se / abs(estimate * math.log(estimate))
         # exp(-exp(t)) saturates to 0 for large t instead of overflowing
-        lo = math.exp(-math.exp(min(log_neg_log + z * se_t, 700.0)))
-        hi = math.exp(-math.exp(min(log_neg_log - z * se_t, 700.0)))
+        lo = math.exp(-math.exp(min(log_neg_log + _Z * se_t, 700.0)))
+        hi = math.exp(-math.exp(min(log_neg_log - _Z * se_t, 700.0)))
         return min(lo, hi), max(lo, hi)
     raise DomainViolation(f"unknown CI domain {domain!r}")
 

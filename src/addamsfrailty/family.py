@@ -94,7 +94,10 @@ class FrailtyBranch:
     """Classified family member with its derived distribution parameters.
 
     Fields that do not apply to a branch are ``None`` (e.g. ``b`` outside the
-    scaled-binomial case).  ``psi`` is the scale ``mu * |alpha|``.
+    scaled-binomial case).  ``psi`` is the scale ``mu * |alpha|``.  The
+    support is z_(k) = psi (shift + k - 1) for k = 1..n_support: ``shift``
+    is nu on the shifted negative binomial and 0 elsewhere, and
+    ``n_support`` is b + 1 on the binomial and unbounded elsewhere.
     """
 
     kind: BranchKind
@@ -107,6 +110,8 @@ class FrailtyBranch:
     b: Optional[int] = None
     lambda_star: Optional[float] = None
     gamma_star: Optional[float] = None
+    shift: float = 0.0
+    n_support: float = math.inf
 
     @property
     def is_discrete(self) -> bool:
@@ -159,10 +164,11 @@ def classify_branch(p: AddamsParameters) -> FrailtyBranch:
             BranchKind.SCALED_POISSON, a, g, m, psi=m * g, lambda_star=1.0 / g
         )
     if a < 0:
+        nu = 1.0 / (g - a)
         return FrailtyBranch(
             BranchKind.SHIFTED_SCALED_NEG_BINOMIAL,
             a, g, m,
-            psi=m * (-a), nu=1.0 / (g - a), pi=-a / (g - a),
+            psi=m * (-a), nu=nu, pi=-a / (g - a), shift=nu,
         )
     if a < g:
         return FrailtyBranch(
@@ -172,7 +178,8 @@ def classify_branch(p: AddamsParameters) -> FrailtyBranch:
         )
     b = _integer_trials(a, g)
     return FrailtyBranch(
-        BranchKind.SCALED_BINOMIAL, a, g, m, psi=m * a, b=b, pi=(a - g) / a
+        BranchKind.SCALED_BINOMIAL, a, g, m, psi=m * a, b=b, pi=(a - g) / a,
+        n_support=b + 1,
     )
 
 
@@ -451,8 +458,7 @@ def _count_law(branch: FrailtyBranch):
     M: ``dist.cdf(k, *args)`` is the frozen ``dist(*args).cdf(k)`` bit for
     bit, without the freeze, which rebuilds the generator's class.
 
-    The frailty is ``psi * (nu + M)`` on the shifted branch and ``psi * M``
-    otherwise.  The negative binomial convention is
+    The frailty is ``psi * (shift + M)``.  The negative binomial convention is
     P(M = m) = C(m + nu - 1, m) pi^nu (1 - pi)^m.
     """
     if branch.kind is BranchKind.GAMMA_LIMIT:
@@ -470,21 +476,19 @@ def support_value(branch: FrailtyBranch, k: int) -> float:
         raise ContinuousBranch("gamma limit has continuous support")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if branch.kind is BranchKind.SCALED_BINOMIAL and k > branch.b + 1:
-        raise OutOfSupport(f"k = {k} beyond binomial support of {branch.b + 1} points")
-    if branch.kind is BranchKind.SHIFTED_SCALED_NEG_BINOMIAL:
-        return branch.psi * (branch.nu + k - 1)
-    return branch.psi * (k - 1)
+    if k > branch.n_support:
+        raise OutOfSupport(f"k = {k} beyond the support of {branch.n_support} points")
+    return branch.psi * (branch.shift + k - 1)
 
 
 def support_and_pmf(branch: FrailtyBranch, k_max: int):
-    """First ``k_max`` support points with probabilities and cumulatives."""
+    """First ``k_max`` support points, at most ``n_support``, with
+    probabilities and cumulatives."""
     if not branch.is_discrete:
         raise ContinuousBranch("gamma limit has continuous support")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    if branch.kind is BranchKind.SCALED_BINOMIAL:
-        k_max = min(k_max, branch.b + 1)
+    k_max = min(k_max, branch.n_support)
     dist, args = _count_law(branch)
     ms = np.arange(k_max)
     probs = dist.pmf(ms, *args)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import CurrentStatusDataset
 from .errors import InvalidParameters
-from .family import BranchKind, FrailtyBranch, classify_branch
+from .family import FrailtyBranch, _count_law, classify_branch
 from .hazard import ModelSpec
 
 __all__ = ["MonitoringLaw", "SimConfig", "sample_frailty", "sample_event_time", "generate"]
@@ -81,19 +81,13 @@ class SimConfig:
 
 
 def sample_frailty(branch: FrailtyBranch, rng: np.random.Generator, size=None):
-    """One draw (``size=None``) or ``size`` draws from the exact branch law; negative
-    binomial counts with fractional nu come from numpy's gamma-Poisson mixture."""
-    kind = branch.kind
-    if kind is BranchKind.GAMMA_LIMIT:
+    """One draw (``size=None``) or ``size`` draws from the exact branch law: a discrete
+    member is psi (shift + M), M from numpy's sampler through the count law's ``rvs``."""
+    if not branch.is_discrete:
         z = rng.gamma(1.0 / branch.gamma, 1.0 / branch.gamma_star, size)
-    elif kind is BranchKind.SCALED_POISSON:
-        z = branch.psi * rng.poisson(branch.lambda_star, size)
-    elif kind is BranchKind.SCALED_BINOMIAL:
-        z = branch.psi * rng.binomial(branch.b, branch.pi, size)
     else:
-        m = rng.negative_binomial(branch.nu, branch.pi, size)
-        shift = branch.nu if kind is BranchKind.SHIFTED_SCALED_NEG_BINOMIAL else 0.0
-        z = branch.psi * (shift + m)
+        dist, args = _count_law(branch)
+        z = branch.psi * (branch.shift + dist.rvs(*args, size=size, random_state=rng))
     return float(z) if size is None else z
 
 

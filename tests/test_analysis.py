@@ -31,6 +31,7 @@ from addamsfrailty import (
     rc_table,
     rfv,
     rfv_parameter_table,
+    support_and_pmf,
     support_value,
     trajectories,
     transformed_ci,
@@ -39,6 +40,7 @@ from addamsfrailty import report as rep
 from addamsfrailty.errors import ContinuousBranch, OutOfSupport, UndefinedRatio
 from addamsfrailty.estimation import delta_method_se
 from addamsfrailty.estimation import fit as ml_fit
+from addamsfrailty.hazard import BranchRegime
 
 from oracles import count_distribution
 
@@ -91,9 +93,10 @@ class TestHrWithin:
 
     def test_binomial_support_cap(self):
         branch = classify_branch(AddamsParameters(2.5, 2.0))   # 3 support points
+        assert branch.n_support == 3
         hr_within(branch, 2)
         with pytest.raises(OutOfSupport):
-            hr_within(branch, 3)
+            hr_within(branch, 3)            # the last support point has no next
 
     def test_continuous_branch_rejected(self):
         with pytest.raises(ContinuousBranch):
@@ -214,6 +217,32 @@ class TestRcTable:
         assert payload["b", "1"] == "undef" and payload["c", "1"] == {"estimate": "inf"}
         assert set(payload["b", "2"]) == {"estimate", "lo", "hi"}
 
+    def test_binomial_pin_caps_every_table(self):
+        # stratum b pinned to binomial b = 2 (3 points), asked for 6
+        link = dataclasses.replace(FrailtyLink.for_factor(["a", "b"]),
+                                   zeta=(-1.0, 0.0), kappa=(math.log(2.0), 0.0))
+        spec = ModelSpec(units=("u1",), baselines={"u1": ExponentialBaseline(0.05)},
+                         frailty_link=link,
+                         branch_regimes={"a": BranchRegime("free"),
+                                         "b": BranchRegime("binomial", b=2)})
+        for fit in (pinned_result(spec), with_covariance(pinned_result(spec))):
+            branch = classify_branch(fit.spec.frailty_params("b"))
+            assert branch.n_support == 3
+            assert [p.k for p in support_and_pmf(branch, 6)] == [1, 2, 3]
+            table = rc_table(fit, k_max=6)
+            assert [r.k for r in table.rows if r.stratum == "b"] == [1, 2, 3]
+            assert [r.k for r in table.rows if r.stratum == "a"] == [1, 2, 3, 4, 5, 6]
+            assert [p.k for p in table.pairs] == [1, 2, 3]
+            entries = hr_within_table(fit, k_max=6)
+            assert [e["k"] for e in entries if e["stratum"] == "b"] == [1, 2]
+            assert [e["k"] for e in entries if e["stratum"] == "a"] == [1, 2, 3, 4, 5]
+
+    def test_pinned_zero_support_point_has_no_ci(self):
+        # f has a cure fraction: z_(1) = 0 is reported as a value alone
+        table = rc_table(two_stratum_fit(alpha_f=1.0, gamma_f=2.0), k_max=2)
+        z = next(r.z for r in table.rows if r.stratum == "f" and r.k == 1)
+        assert z == Estimate(0.0)
+
     def test_hr_within_table_matches_direct_formula(self):
         entries = hr_within_table(two_stratum_fit(), k_max=4)
         bm = classify_branch(MALE)
@@ -238,7 +267,6 @@ class TestRfvParameterTable:
 
     def test_continuous_stratum_has_no_derived_fields(self):
         link = FrailtyLink.for_factor(["a"], kappa0=math.log(2.0))
-        from addamsfrailty.hazard import BranchRegime
         spec = ModelSpec(
             units=("u",), baselines={"u": ExponentialBaseline(0.1)},
             frailty_link=link, branch_regimes={"a": BranchRegime("gamma")},

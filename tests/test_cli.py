@@ -261,6 +261,25 @@ class TestConfig:
         assert not (tmp_path / "data.csv").exists()
         assert any("'u1' is repeated" in rec.getMessage() for rec in caplog.records)
 
+    def test_units_differing_only_in_case_are_a_config_error(self, tmp_path):
+        # params.u1 would set both baselines
+        cfg = tmp_path / "case.ini"
+        cfg.write_text("[model]\nunits = U1, u1\nbaseline = exponential\n"
+                       "[params]\nparams.u1 = 0.02\n")
+        with pytest.raises(ConfigError, match="'U1' and 'u1' differ only in case"):
+            load_config(cfg)
+
+    def test_levels_differing_only_in_case_are_a_config_error(self, tmp_path, caplog):
+        # regime.m would pin both levels
+        cfg = write_config(tmp_path)
+        with caplog.at_level("ERROR", logger="addamsfrailty"):
+            code = main(["simulate", "--config", str(cfg), "--set", "model.stratum_levels=M, m",
+                         "--set", "model.regime.m=gamma"])
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "data.csv").exists()
+        assert any("'M' and 'm' differ only in case" in rec.getMessage()
+                   for rec in caplog.records)
+
     def test_negative_maxiter_is_a_config_error_before_data_is_read(self, tmp_path, caplog,
                                                                    monkeypatch):
         cfg = write_config(tmp_path)
@@ -579,3 +598,29 @@ class TestAnalyzePinned:
         support = report["rc_table"]["support"]
         first_m = next(r for r in support if r["stratum"] == "m" and r["k"] == "1")
         assert float(first_m["cum_prob"]["estimate"]) == pytest.approx(0.941, abs=0.002)
+
+    def test_pairs_stop_at_the_reference_support(self, tmp_path):
+        # the binomial reference has 4 support points, the free stratum b more
+        cfg = tmp_path / "pinned.ini"
+        cfg.write_text(
+            "[model]\n"
+            "units = u1\n"
+            "stratum_levels = a, b\n"
+            "reference = a\n"
+            "baseline = exponential\n"
+            "regime.a = binomial:3\n"
+            "[params]\n"
+            "pin_all = true\n"
+            "params.u1 = 0.05\n"
+            "[analyze]\n"
+            "k_max = 6\n"
+            "time_grid = 0:40:3\n"
+            "[output]\n"
+            f"dir = {tmp_path / 'out'}\n"
+        )
+        assert main(["analyze", "--config", str(cfg)]) == EXIT_OK
+        rows = list(csv.DictReader((tmp_path / "out" / "rc_table.csv").open()))
+        assert [(r["stratum"], r["k"]) for r in rows if r["row"] == "pair"] == [
+            ("b", str(k)) for k in range(1, 5)]
+        assert [r["k"] for r in rows if r["row"] == "support" and r["stratum"] == "b"] == [
+            str(k) for k in range(1, 7)]

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from addamsfrailty import (
     AddamsParameters,
-    BranchKind,
     classify_branch,
     conditional_moments,
     laplace,
@@ -25,7 +24,7 @@ from addamsfrailty.errors import (
     InvalidParameters,
     OutOfSupport,
 )
-from addamsfrailty.family import _count_law, log_laplace_partials
+from addamsfrailty.family import BranchKind, _count_law, log_laplace_partials
 
 from conftest import random_triples
 from oracles import (
@@ -57,6 +56,20 @@ class TestClassification:
             is BranchKind.SCALED_NEG_BINOMIAL
         assert classify_branch(AddamsParameters(2.0, 2.0)).kind is BranchKind.SCALED_POISSON
         assert classify_branch(AddamsParameters(2.5, 2.0)).kind is BranchKind.SCALED_BINOMIAL
+
+    @pytest.mark.parametrize("params, shift, n_support", [
+        (AddamsParameters(-1.0, 3.0, 2.0), 0.25, math.inf),    # shifted: nu
+        (AddamsParameters(0.0, 2.0), 0.0, math.inf),           # gamma limit
+        (AddamsParameters(1.0, 2.0), 0.0, math.inf),
+        (AddamsParameters(2.0, 2.0), 0.0, math.inf),
+        (AddamsParameters(2.5, 2.0), 0.0, 3),                  # binomial: b + 1
+        (AddamsParameters(2.25, 2.0), 0.0, 5),
+    ])
+    def test_support_facts(self, params, shift, n_support):
+        branch = classify_branch(params)
+        assert (branch.shift, branch.n_support) == (shift, n_support)
+        if branch.is_discrete and n_support < math.inf:
+            assert support_value(branch, n_support) == branch.psi * (n_support - 1)
 
     def test_derived_parameters_negative_branch(self):
         branch = classify_branch(AddamsParameters(-1.0, 3.0, 2.0))

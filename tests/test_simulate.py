@@ -55,6 +55,25 @@ class TestSampleFrailty:
         mc_se_var = np.var((draws - draws.mean()) ** 2) ** 0.5 / math.sqrt(draws.size)
         assert draws.var() == pytest.approx(var_target, abs=4 * mc_se_var + 1e-9)
 
+    @pytest.mark.parametrize("params, draw", [
+        (AddamsParameters(-1.0, 3.0, 2.0), lambda b, rng, n: rng.negative_binomial(b.nu, b.pi, n)),
+        (AddamsParameters(1.0, 2.5, 0.7), lambda b, rng, n: rng.negative_binomial(b.nu, b.pi, n)),
+        (AddamsParameters(2.0, 2.0, 1.3), lambda b, rng, n: rng.poisson(b.lambda_star, n)),
+        (AddamsParameters(2.5, 2.0, 0.6), lambda b, rng, n: rng.binomial(b.b, b.pi, n)),
+    ], ids=["shifted-negative-binomial", "negative-binomial", "poisson", "binomial"])
+    def test_discrete_draws_are_numpy_counts_bit_for_bit(self, params, draw):
+        # psi (shift + M) with M from numpy's own sampler, and the stream left as it leaves it
+        branch = classify_branch(params)
+        for size in (None, 0, 1, 1024):
+            rng, ref = np.random.default_rng(21), np.random.default_rng(21)
+            z = sample_frailty(branch, rng, size)
+            expected = branch.psi * (branch.shift + draw(branch, ref, size))
+            if size is None:
+                assert type(z) is float and z == expected
+            else:
+                assert np.array_equal(z, expected) and z.shape == (size,)
+            assert rng.random() == ref.random()
+
     def test_support_is_lattice_for_discrete_branches(self):
         branch = classify_branch(AddamsParameters(-1.0, 3.0, 2.0))
         rng = np.random.default_rng(3)
