@@ -222,10 +222,20 @@ class TestTransformedCi:
         assert lo == pytest.approx(1.0 - 1.959963984540054 * 0.5, rel=1e-12)
         assert hi == pytest.approx(1.0 + 1.959963984540054 * 0.5, rel=1e-12)
 
-    def test_z_is_the_normal_quantile_bit_for_bit(self):
+    @pytest.mark.parametrize("level", [0.8, 0.9, 0.95, 0.99])
+    def test_z_is_the_normal_quantile_bit_for_bit(self, level):
+        # the interval is the 95% one: its z is the 0.975 normal quantile
+        # bit for bit, and the quantile of any other level differs
         z = stats.norm.ppf(0.975)
         assert z == stats.norm.ppf(0.5 + 0.95 / 2.0)
-        assert transformed_ci(0.0, 1.0, "unconstrained") == (-z, z)
+        lo, hi = transformed_ci(0.0, 1.0, "unconstrained")
+        assert (lo, hi) == (-z, z)
+        z_level = stats.norm.ppf(0.5 + level / 2.0)
+        if level == 0.95:
+            assert hi == z_level
+        else:
+            assert (hi > z_level) == (level < 0.95)
+            assert hi != z_level
         est, se = 2.0, 0.4
         assert transformed_ci(est, se, "positive")[1] == est * math.exp(z * se / est)
 
