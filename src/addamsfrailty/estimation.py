@@ -8,16 +8,16 @@ coefficient is free where its mask is set and its column of
 link columns short of full rank over what the data identify.  Fitting
 is BFGS (Wolfe line search) on the negated log-likelihood; each point's
 value and score come from one ``LikelihoodWorkspace.loglik_and_score``
-pass.  Standard errors come from the Hessian taken as the symmetrized
-central-difference Jacobian of that score at one step (2p score passes
-for p free parameters), and confidence intervals use ln / ln(-ln)
-transforms as appropriate.  ``FitResult.aic`` is -2 log L + 2 n_free.
+pass.  Standard errors come from the observed information at the
+solution, the exact negated Hessian from one more such pass with
+``information=True`` (no differenced score passes), and confidence
+intervals use ln / ln(-ln) transforms as appropriate.
+``FitResult.aic`` is -2 log L + 2 n_free.
 
-``hazard._central_jacobian`` takes every derivative here: the score's
-Jacobian, a value-mode Hessian's (the Jacobian of a differenced
-gradient) and the delta method's.  The Hessians difference at the step
-1e-4 max(1, |theta_i|), as the score does a Weibull or generalized gamma
-baseline's cumulative hazard; the delta method keeps its own steps.
+``hazard._central_jacobian`` takes the derivatives that are differenced
+here: the value-mode :func:`hessian` (the Jacobian of a differenced
+gradient, at the step 1e-4 max(1, |theta_i|)), which checks the
+information, and the delta method's, at its own steps.
 """
 
 from __future__ import annotations
@@ -146,7 +146,13 @@ class ParameterLayout:
         return full
 
     def build_spec(self, theta_free) -> ModelSpec:
-        """Spec with the free entries replaced by ``theta_free``."""
+        """Spec with the free entries replaced by ``theta_free``.
+
+        The layout fixes the structure (units, levels, coefficient counts),
+        so the link and the spec take their new numbers without running
+        their checks again.  Each baseline's ``with_log_params`` does check
+        its values, which turns an overflowing rate into an infeasible point.
+        """
         full = self.full_from_free(theta_free)
         baselines = dict(self.spec0.baselines)
         for key, sl in self.baseline_slices.items():
@@ -156,11 +162,11 @@ class ParameterLayout:
             pred = self.spec0.predictors[unit]
             sl = self.beta_slices[unit]
             predictors[unit] = pred.with_coefficients(full[sl]) if pred.covariate_names else pred
-        link = replace(
+        link = _with_values(
             self.spec0.frailty_link,
-            **{name: tuple(full[sl]) for name, sl in self.link_slices.items()},
+            **{name: tuple(full[sl].tolist()) for name, sl in self.link_slices.items()},
         )
-        return replace(
+        return _with_values(
             self.spec0, baselines=baselines, predictors=predictors, frailty_link=link
         )
 
@@ -189,6 +195,14 @@ class ParameterLayout:
         for name, intercept in (("beta0", 0.0), ("zeta", -0.1), ("kappa", math.log(0.5))):
             full[self.link_slices[name]] = [intercept] + [0.0] * (p - 1)
         return full[self.free_mask]
+
+
+def _with_values(obj, **values):
+    """A copy of the validated frozen dataclass ``obj`` with ``values`` set,
+    without ``__post_init__``: ``dataclasses.replace`` less the checks."""
+    new = object.__new__(type(obj))
+    new.__dict__.update(vars(obj), **values)
+    return new
 
 
 def _cloglog_rate(times, events):
@@ -330,15 +344,6 @@ def fit(spec: ModelSpec, data: CurrentStatusDataset, init=None,
             return math.inf, flat
         return -value, (-grad if np.all(np.isfinite(grad)) else flat)
 
-    def score(theta_free) -> np.ndarray:
-        try:
-            value, grad = ws.loglik_and_score(layout, theta_free)
-        except _INFEASIBLE as exc:
-            raise NonFiniteEvaluation(f"score outside the feasible region: {exc}") from exc
-        if not (math.isfinite(value) and np.all(np.isfinite(grad))):
-            raise NonFiniteEvaluation("non-finite score")
-        return grad
-
     if init is None:
         theta0 = layout.default_init(data)
     elif isinstance(init, str) and init == "spec":
@@ -370,11 +375,11 @@ def fit(spec: ModelSpec, data: CurrentStatusDataset, init=None,
 
     theta_hat = np.asarray(best.x, dtype=float)
     ll_hat = -float(best.fun)
-    try:
-        hess = hessian(score, theta_hat, from_score=True)
-        cov = _covariance_from_hessian(hess)
-    except NonFiniteEvaluation:
-        # solution on the feasibility boundary: curvature is one-sided
+    # the observed information from one second-order pass at the solution
+    information = ws.loglik_and_score(layout, theta_hat, information=True)[2]
+    if np.all(np.isfinite(information)):
+        cov = _covariance_from_information(information)
+    else:
         log.warning("Hessian unavailable at the solution; no standard errors")
         cov = np.full((theta_hat.size, theta_hat.size), np.nan)
     se = np.sqrt(np.clip(np.diag(cov), 0.0, np.inf))
@@ -420,11 +425,11 @@ def _first_call_from(objective, start: np.ndarray, result):
     return wrapped
 
 
-def _covariance_from_hessian(hess_loglik: np.ndarray) -> np.ndarray:
+def _covariance_from_information(information: np.ndarray) -> np.ndarray:
     try:
-        cov = np.linalg.inv(-hess_loglik)
+        cov = np.linalg.inv(information)
     except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(-hess_loglik)
+        cov = np.linalg.pinv(information)
     return 0.5 * (cov + cov.T)
 
 
@@ -443,27 +448,20 @@ def _parameter_cis(layout, theta_hat, se):
     return ci
 
 
-def hessian(f, theta, from_score: bool = False) -> np.ndarray:
-    """Symmetrized central-difference Hessian at steps 1e-4 max(1, |theta_i|).
-
-    With ``from_score`` set, ``f`` returns the exact gradient and the
-    Hessian is its central-difference Jacobian at that one step (2 d
-    gradient evaluations for d parameters), exact for a linear gradient
-    and O(h^2) otherwise.  By default ``f`` is the scalar function, and the
-    Hessian is the central-difference Jacobian of its central-difference
-    gradient, taken at steps h and h/2 and combined as
-    (4 H(h/2) - H(h)) / 3 (8 d^2 evaluations).
+def hessian(f, theta) -> np.ndarray:
+    """Symmetrized central-difference Hessian of the scalar function ``f``:
+    the central-difference Jacobian of its central-difference gradient, at
+    steps h = 1e-4 max(1, |theta_i|) and h/2, combined as
+    (4 H(h/2) - H(h)) / 3 (8 d^2 evaluations for d parameters).
     """
     theta = np.asarray(theta, dtype=float)
     steps = _central_steps(theta)
-    if from_score:
-        estimate = _central_jacobian(f, theta, steps)
-    else:
-        def difference(h):
-            return _central_jacobian(lambda point: _central_jacobian(f, point, h), theta, h)
 
-        h_full = difference(steps)
-        estimate = (4.0 * difference(steps / 2.0) - h_full) / 3.0
+    def difference(h):
+        return _central_jacobian(lambda point: _central_jacobian(f, point, h), theta, h)
+
+    h_full = difference(steps)
+    estimate = (4.0 * difference(steps / 2.0) - h_full) / 3.0
     if not np.all(np.isfinite(estimate)):
         raise NonFiniteEvaluation("non-finite Hessian entries")
     return 0.5 * (estimate + estimate.T)

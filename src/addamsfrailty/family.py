@@ -23,7 +23,9 @@ case, and alpha = 0, or an alpha so small that gamma/alpha overflows, the
 gamma case.  Every other alpha goes through one log-space closed form that
 keeps its digits up to both removable singularities, and
 :func:`log_laplace_partials` gives the partials of log L in alpha, gamma,
-mu and s in one form that divides by neither alpha nor alpha - gamma.
+mu and s in one form that divides by neither alpha nor alpha - gamma, and
+:func:`log_laplace_second_partials` the second partials in (mu s, alpha,
+gamma) under the same rule.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ __all__ = [
     "laplace",
     "log_laplace",
     "log_laplace_partials",
+    "log_laplace_second_partials",
     "laplace_derivative",
     "conditional_moments",
     "rfv",
@@ -254,6 +257,11 @@ _PHI2_SPAN = 0.01
 _PHI2_SERIES = np.array([1.0 / math.factorial(k + 2) for k in range(6)])
 _PSI_SPAN = 0.05
 _PSI_SERIES = np.array([(-1.0) ** n * (n - 1) / n for n in range(2, 16)])
+# E1''(y), E1(y) = expm1(y) / y, whose closed form loses 6 / y^2 ulps, is
+# summed where |y| < 0.5, and k''(q), k(q) = log1p(q) / q, over psi's span
+_E1PP_SPAN = 0.5
+_E1PP_SERIES = np.array([(k + 2) * (k + 1) / math.factorial(k + 3) for k in range(17)])
+_KPP_SERIES = np.array([(-1.0) ** n * n * (n - 1) / (n + 1) for n in range(2, 16)])
 # d log L / d alpha is O((mu s)^3) while the two terms of its closed form are
 # O((mu s)^2) and cancel to a relative eps / (gamma mu s); while gamma mu s
 # and |alpha| mu s are below these spans it is summed as a power series in
@@ -264,12 +272,13 @@ _ALPHA_SERIES_X_SPAN = 0.1
 _ALPHA_SERIES_TERMS = 10
 
 
-def _alpha_series(a: float, g: float) -> np.ndarray:
-    """c with d log L / d alpha = u^3 sum_n c_n u^n, u = mu s.
+def _alpha_series(a: float, g: float, second: bool = False):
+    """c with d log L / d alpha = u^3 sum_n c_n u^n, u = mu s, and with
+    ``second`` set also c2 with d^2 log L / d alpha^2 = u^4 sum_n c2_n u^n.
 
     log L = -int_0^u h(v) dv with h = 1 / (1 + g e(v)) and e(v) =
     expm1(a v) / a = sum_k a^(k-1) v^k / k!; the coefficients of h and of
-    its alpha derivative follow from the reciprocal series.
+    its alpha derivatives follow from the reciprocal series.
     """
     n_max = _ALPHA_SERIES_TERMS + 2
     e = [0.0] + [a ** (k - 1) / math.factorial(k) for k in range(1, n_max + 1)]
@@ -278,7 +287,16 @@ def _alpha_series(a: float, g: float) -> np.ndarray:
     for n in range(1, n_max + 1):
         h.append(-g * sum(e[k] * h[n - k] for k in range(1, n + 1)))
         h_a.append(-g * sum(e_a[k] * h[n - k] + e[k] * h_a[n - k] for k in range(1, n + 1)))
-    return np.array([-h_a[n] / (n + 1) for n in range(2, n_max + 1)])
+    c = np.array([-h_a[n] / (n + 1) for n in range(2, n_max + 1)])
+    if not second:
+        return c
+    e_aa = [0.0] * 3 + [(k - 1) * (k - 2) * a ** (k - 3) / math.factorial(k)
+                        for k in range(3, n_max + 1)]
+    h_aa = [0.0]
+    for n in range(1, n_max + 1):
+        h_aa.append(-g * sum(e_aa[k] * h[n - k] + 2.0 * e_a[k] * h_a[n - k] + e[k] * h_aa[n - k]
+                             for k in range(1, n + 1)))
+    return c, np.array([-h_aa[n] / (n + 1) for n in range(3, n_max + 1)])
 
 
 def _psi_limit(a: float, g: float) -> float:
@@ -293,7 +311,7 @@ def _psi_limit(a: float, g: float) -> float:
     return -math.log1p(-c) / a if c < 1.0 else math.inf
 
 
-def log_laplace_partials(p: AddamsParameters, s, log_l):
+def log_laplace_partials(p: AddamsParameters, s, log_l, alpha: bool = True):
     """Partials of log L(s) in alpha and gamma, and h, which gives those in mu and s.
 
     Returns ``(d_alpha, d_gamma, h)`` shaped like ``s``, at
@@ -319,25 +337,43 @@ def log_laplace_partials(p: AddamsParameters, s, log_l):
     from 0: psi where |q| < 0.05, phi2 where |x| < 0.01, and d_alpha, which
     is O(u^3) while its two terms are O(u^2), as the power series of
     :func:`_alpha_series` where gamma u <= 1e-2 and |alpha| u <= 0.1.
+    Without ``alpha`` (a caller whose alpha does not move), d_alpha is None
+    and is not computed.
     """
     shape = np.shape(s)
     s_arr = np.asarray(s, dtype=float).reshape(-1)
-    log_l = np.asarray(log_l, dtype=float).reshape(-1)
-    a, g, m = p.alpha, p.gamma, p.mu
-    d = a - g
-    gamma_limit = _is_gamma_limit(a, g)
-    # the series regions are s below a bound; at s = 0 the closed forms
-    # give the exact zeros, so only positive s can need a series
+    s_min = _positive_min(s_arr)
+    h, t, lead, d_gamma = _first_order(p, s_arr, np.asarray(log_l, dtype=float).reshape(-1),
+                                       s_min, alpha)
+    d_alpha = _alpha_partial(p, s_arr, s_min, lead, d_gamma, out=lead) if alpha else None
+    return tuple(None if v is None else v.reshape(shape) for v in (d_alpha, d_gamma, h))
+
+
+def _positive_min(s_arr: np.ndarray) -> float:
+    """The least positive entry: the series regions are s below a bound, and
+    at s = 0 the closed forms give the exact zeros."""
     s_min = float(s_arr.min()) if s_arr.size else math.inf
     if s_min == 0.0:
         s_min = float(np.min(s_arr, where=s_arr > 0.0, initial=math.inf))
+    return s_min
+
+
+def _first_order(p: AddamsParameters, s_arr: np.ndarray, log_l: np.ndarray, s_min: float,
+                 alpha: bool):
+    """(h, t, lead, d_gamma) of :func:`log_laplace_partials`, flat, with
+    t = -q / ((1 + q) D) = h expm1(x) / alpha and lead = h (expm1(x) - x) /
+    alpha^2, or None without ``alpha``."""
+    a, g, m = p.alpha, p.gamma, p.mu
+    d = a - g
+    gamma_limit = _is_gamma_limit(a, g)
+    lead = None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # lead = h (expm1(x) - x) / alpha^2 and t = -q / ((1 + q) D)
         if gamma_limit:
             u = m * s_arr
             h = 1.0 / (1.0 + g * m * s_arr)
             t = u * h
-            lead = 0.5 * u * t
+            if alpha:
+                lead = 0.5 * u * t
         else:
             x = a * m * s_arr
             if a < 0.0:
@@ -347,8 +383,9 @@ def log_laplace_partials(p: AddamsParameters, s, log_l):
                 h = np.reciprocal(h, out=h)
                 t = e * h
                 t /= a
-                lead = e - x
-                lead *= h
+                if alpha:
+                    lead = e - x
+                    lead *= h
             else:
                 em = np.expm1(-x)
                 ex = np.exp(-x)
@@ -356,19 +393,21 @@ def log_laplace_partials(p: AddamsParameters, s, log_l):
                 h = ex / one_plus_q
                 t = em / one_plus_q
                 t /= -a
-                # h (expm1(x) - x) = -(expm1(-x) + x exp(-x)) / (1 + q)
-                lead = x * ex
-                lead += em
-                lead /= one_plus_q
-                lead *= -1.0
-            lead /= a       # twice: a * a underflows to 0 for |alpha| < 1.5e-154
-            lead /= a
-            limit = _PHI2_SPAN / abs(a) / m
-            if s_min < limit:
-                small = s_arr < limit
-                v = m * s_arr[small]
-                lead[small] = v * v * h[small] * np.polynomial.polynomial.polyval(
-                    a * v, _PHI2_SERIES)
+                if alpha:
+                    # h (expm1(x) - x) = -(expm1(-x) + x exp(-x)) / (1 + q)
+                    lead = x * ex
+                    lead += em
+                    lead /= one_plus_q
+                    lead *= -1.0
+            if alpha:
+                lead /= a       # twice: a * a underflows to 0 for |alpha| < 1.5e-154
+                lead /= a
+                limit = _PHI2_SPAN / abs(a) / m
+                if s_min < limit:
+                    small = s_arr < limit
+                    v = m * s_arr[small]
+                    lead[small] = v * v * h[small] * np.polynomial.polynomial.polyval(
+                        a * v, _PHI2_SERIES)
         if d:
             d_gamma = log_l + t
             d_gamma *= 1.0 / d
@@ -380,14 +419,26 @@ def log_laplace_partials(p: AddamsParameters, s, log_l):
             v = m * s_arr[small]
             r = -v if gamma_limit else np.expm1(-a * v) / a
             d_gamma[small] = r * r * np.polynomial.polynomial.polyval(d * r, _PSI_SERIES)
-    d_alpha = lead
-    d_alpha -= d_gamma
-    limit = min(_ALPHA_SERIES_SPAN / g, _ALPHA_SERIES_X_SPAN / abs(a) if a else math.inf) / m
+    return h, t, lead, d_gamma
+
+
+def _alpha_series_limit(p: AddamsParameters) -> float:
+    """s up to which :func:`_alpha_series` serves: gamma u <= 1e-2, |alpha| u <= 0.1."""
+    a, g = p.alpha, p.gamma
+    return min(_ALPHA_SERIES_SPAN / g, _ALPHA_SERIES_X_SPAN / abs(a) if a else math.inf) / p.mu
+
+
+def _alpha_partial(p: AddamsParameters, s_arr: np.ndarray, s_min: float, lead: np.ndarray,
+                   d_gamma: np.ndarray, out=None) -> np.ndarray:
+    """d_alpha = lead - d_gamma, and the power series where those cancel."""
+    d_alpha = np.subtract(lead, d_gamma, out=out)
+    limit = _alpha_series_limit(p)
     if s_min <= limit:
         series = s_arr <= limit
-        v = m * s_arr[series]
-        d_alpha[series] = v ** 3 * np.polynomial.polynomial.polyval(v, _alpha_series(a, g))
-    return d_alpha.reshape(shape), d_gamma.reshape(shape), h.reshape(shape)
+        v = p.mu * s_arr[series]
+        d_alpha[series] = v ** 3 * np.polynomial.polynomial.polyval(
+            v, _alpha_series(p.alpha, p.gamma))
+    return d_alpha
 
 
 def _conditional_var(p: AddamsParameters, s_arr: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -401,6 +452,139 @@ def _conditional_var(p: AddamsParameters, s_arr: np.ndarray, h: np.ndarray) -> n
     if a <= 0.0:
         return m * m * h * h * g * np.exp(a * m * s_arr)
     return m * m * h * (a - (a - g) * h)
+
+
+def log_laplace_second_partials(p: AddamsParameters, s, log_l, alpha: bool = True):
+    """First and second partials of log L in (u = mu s, alpha, gamma).
+
+    Returns ``(first, second)`` at ``log_l = log_laplace(p, s)``:
+    ``first`` is :func:`log_laplace_partials`' ``(d_alpha, d_gamma, h)``
+    (d log L / du = -h) and ``second`` is ``(uu, ua, ug, aa, ag, gg)``, each
+    shaped like ``s``; without ``alpha`` the entries in alpha are None.
+    With t = h expm1(x) / alpha, lead = h (expm1(x) - x) / alpha^2 and
+    r, q, D as in :func:`log_laplace_partials`:
+
+        uu = Var(Z | survival) / mu^2 = h (alpha - D h) = gamma h^2 exp(x),
+        ua = uu u^2 phi2(-x),                ug = h t,
+        gg = (2 d_gamma - t^2) / D = r^3 k''(q),   k(q) = log1p(q) / q,
+        ag = -t lead - gg,
+        aa = M - D lead^2 + 2 t lead + gg,   M = (d^2 r / d alpha^2) / (1 + q).
+
+    uu is :func:`_conditional_var` over mu^2.  As in the first partials,
+    nothing divides by D or by alpha where they vanish: gg takes the
+    series of k'' where |q| < 0.05 (D = 0 included), ua the series of phi2
+    where |x| < 0.01, M that of E1''(y), E1(y) = expm1(y) / y, where
+    |x| < 0.5, and aa, which is O(gamma u^4) while its terms are O(u^3),
+    the power series of :func:`_alpha_series` where gamma u <= 1e-2 and
+    |alpha| u <= 0.1.  For alpha < 0, M and D lead^2 both grow as u^2
+    while their difference stays bounded, so beyond the series M - D lead^2
+    is taken as (h / alpha^2)^2 B, B = alpha (2 x e^x - expm1(2x)) +
+    gamma (x e^x x - expm1(x)^2), which is D at x = -inf.
+    """
+    shape = np.shape(s)
+    s_arr = np.asarray(s, dtype=float).reshape(-1)
+    a, g, m = p.alpha, p.gamma, p.mu
+    d = a - g
+    gamma_limit = _is_gamma_limit(a, g)
+    s_min = _positive_min(s_arr)
+    h, t, lead, d_gamma = _first_order(p, s_arr, np.asarray(log_l, dtype=float).reshape(-1),
+                                       s_min, alpha)
+    d_alpha = _alpha_partial(p, s_arr, s_min, lead, d_gamma) if alpha else None
+    ug = h * t
+    ua = aa = ag = None
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if d:
+            gg = 2.0 * d_gamma
+            gg -= t * t
+            gg /= d
+        else:
+            gg = np.empty_like(s_arr)
+        limit = _psi_limit(a, g) / m
+        if s_min < limit:
+            small = s_arr < limit
+            v = m * s_arr[small]
+            r = -v if gamma_limit else np.expm1(-a * v) / a
+            gg[small] = r * r * r * np.polynomial.polynomial.polyval(d * r, _KPP_SERIES)
+        if gamma_limit:
+            uu = g * h * h
+            if alpha:
+                # M = -u^2 t / 3 and lead = u t / 2
+                u = m * s_arr
+                ua = 0.5 * g * t * t
+                aa = u * u
+                aa *= t
+                aa *= -(1.0 / 3.0 + 0.25 * d * t)
+        else:
+            x = a * m * s_arr
+            if a < 0.0:
+                ex = np.exp(x)
+                g_hh = h * h
+                g_hh *= g
+                uu = g_hh * ex
+                if alpha:
+                    e = np.expm1(x)
+                    xe = x * ex
+                    ua = xe - e
+                    ua *= g_hh
+                    aa = 2.0 * xe
+                    aa -= np.expm1(2.0 * x)
+                    aa *= a
+                    xe *= x
+                    xe -= e * e
+                    xe *= g
+                    aa += xe
+                    hc = h / a
+                    hc /= a
+                    aa *= hc
+                    aa *= hc
+            else:
+                uu = h * (a - d * h)
+                if alpha:
+                    em = np.expm1(-x)
+                    ex = np.exp(-x)
+                    ua = x + em
+                    ua *= uu
+                    aa = x * ex
+                    aa *= x + 2.0
+                    aa += 2.0 * em
+                    aa /= ex - (g / a) * em
+                    aa /= a     # thrice: alpha^3 underflows for |alpha| < 1e-103
+                    aa /= a
+                    aa /= a
+                    aa -= d * lead * lead
+            if alpha:
+                ua /= a
+                ua /= a
+                limit = _PHI2_SPAN / abs(a) / m
+                if s_min < limit:
+                    small = s_arr < limit
+                    v = m * s_arr[small]
+                    ua[small] = uu[small] * v * v * np.polynomial.polynomial.polyval(
+                        -a * v, _PHI2_SERIES)
+                limit = _E1PP_SPAN / abs(a) / m
+                if s_min < limit:
+                    small = s_arr < limit
+                    v = m * s_arr[small]
+                    lead_small = lead[small]
+                    aa[small] = -(v * v * v) * h[small] * np.exp(a * v) * \
+                        np.polynomial.polynomial.polyval(-a * v, _E1PP_SERIES) \
+                        - d * lead_small * lead_small
+        if alpha:
+            ag = t * lead
+            aa += 2.0 * ag
+            aa += gg
+            ag += gg
+            ag *= -1.0
+            limit = _alpha_series_limit(p)
+            if s_min <= limit:
+                series = s_arr <= limit
+                v = m * s_arr[series]
+                aa[series] = v ** 4 * np.polynomial.polynomial.polyval(
+                    v, _alpha_series(a, g, second=True)[1])
+    first = (d_alpha, d_gamma, h)
+    second = (uu, ua, ug, aa, ag, gg)
+    return tuple(tuple(None if v is None else v.reshape(shape) for v in group)
+                 for group in (first, second))
 
 
 def laplace_derivative(p: AddamsParameters, s, order: int = 1):

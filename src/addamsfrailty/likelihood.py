@@ -30,21 +30,36 @@ baseline's ``cumulative`` is differenced in its log-parameters by
 frailty-link coefficients take the closed-form partials of log L(s) in
 (alpha, gamma, mu) from one ``family.log_laplace_partials`` call per
 level, chained through ``ModelSpec.frailty_jacobian``, which applies the
-regime pins.
+regime pins; a level whose alpha is pinned computes no alpha partial.
+
+With ``information=True`` the same pass also returns the observed
+information, the exact negated Hessian that ``estimation.fit`` takes its
+standard errors from (no differenced score passes):
+
+    -H = sum_i w_i g_i g_i' - sum_A (w_i T_A / P_i) (d2 l_A + d l_A d l_A'),
+
+with T_A = sign_A L(s_A), l_A = log L(s_A) and g_i the cluster's score.
+One ``family.log_laplace_second_partials`` call per level gives the
+second partials of l_A in (mu s, alpha, gamma); they are chained through
+the incidence (d s_A sums the d Lambda of A's cells), the baselines
+(a rate-linear one's d2 Lambda / d theta_k^2 is d Lambda / d theta_k, a
+Weibull or generalized gamma one's second differences come from
+``hazard._central_jacobian``), the covariate effects, ``frailty_jacobian``
+and the link's own second derivatives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 from scipy import sparse
 
 from .data import Cluster, CurrentStatusDataset
 from .errors import MissingCovariate, NonPositiveProbability
-from .family import log_laplace, log_laplace_partials
+from .family import log_laplace, log_laplace_partials, log_laplace_second_partials
 from .hazard import ModelSpec, _central_jacobian, _central_steps
 
 __all__ = [
@@ -95,6 +110,7 @@ class _Level:
     incidence: sparse.csr_matrix    # [terms, cells] 0/1
     incidence_t: sparse.csc_matrix  # its transpose, on the same arrays
     term_cluster: np.ndarray    # [terms] index into ``clusters``
+    cluster_terms: np.ndarray   # [clusters + 1] each cluster's first term, then the count
     term_weights: np.ndarray    # [terms] their clusters' weights
     signs: np.ndarray           # [terms] (-1)^|A|
 
@@ -154,9 +170,10 @@ def _template(m: int, k: int):
 
 
 def _terms(counts: np.ndarray, sizes: np.ndarray, firsts: np.ndarray, slotted: np.ndarray):
-    """Each term's cluster and sign, and the CSR (indptr, indices) of its
-    member cells, over clusters of ``counts`` events on ``sizes`` rows whose
-    cells ``slotted`` holds from their first rows ``firsts`` on, non-events
+    """Each term's cluster and sign, each cluster's first term (and the term
+    count last), and the CSR (indptr, indices) of each term's member cells,
+    over clusters of ``counts`` events on ``sizes`` rows whose cells
+    ``slotted`` holds from their first rows ``firsts`` on, non-events
     first.  The terms run in cluster order; clusters of one size and event
     count share a ``_template``."""
     n_terms = np.left_shift(1, counts)
@@ -174,7 +191,8 @@ def _terms(counts: np.ndarray, sizes: np.ndarray, firsts: np.ndarray, slotted: n
         signs[terms] = template_signs
         indptr[terms + 1] = member_start[idx][:, None] + ends
         indices[member_start[idx][:, None] + np.arange(cols.size)] = slotted[firsts[idx][:, None] + cols]
-    return np.repeat(np.arange(counts.size, dtype=np.int32), n_terms), signs, indptr, indices
+    return (np.repeat(np.arange(counts.size, dtype=np.int32), n_terms),
+            np.append(term_start, signs.size), signs, indptr, indices)
 
 
 class LikelihoodWorkspace:
@@ -237,12 +255,12 @@ class LikelihoodWorkspace:
                 grid = _grid_key(baseline)
                 blocks.append(_Block(unit, slice(edges[j] - first, edges[j + 1] - first), times,
                                      design, grid, baseline.exposure(times) if grid else None))
-            term_cluster, signs, indptr, indices = _terms(
+            term_cluster, cluster_terms, signs, indptr, indices = _terms(
                 counts[clusters], sizes[clusters], firsts[clusters], slotted)
             incidence = sparse.csr_matrix(
                 (np.ones(indices.size), indices, indptr), shape=(term_cluster.size, n_cells))
             self.levels.append(_Level(
-                name, clusters, blocks, incidence, incidence.T, term_cluster,
+                name, clusters, blocks, incidence, incidence.T, term_cluster, cluster_terms,
                 data.weight[clusters][term_cluster], signs))
         if missing:
             pos, _, covariate, unit = min(missing)
@@ -295,27 +313,39 @@ class LikelihoodWorkspace:
     def total_loglik(self, spec: ModelSpec) -> float:
         return float(np.sum(self.weights * self.cluster_logliks(spec)))
 
-    def loglik_and_score(self, layout, theta_free) -> Tuple[float, np.ndarray]:
+    def loglik_and_score(self, layout, theta_free, information: bool = False):
         """Weighted log-likelihood at ``layout.build_spec(theta_free)`` and its
-        gradient with respect to ``theta_free``.
+        gradient with respect to ``theta_free``; with ``information`` set, also
+        the observed information -H, the negated Hessian, from the same pass.
 
         The value equals :meth:`total_loglik` at the same spec.  Clusters
-        whose probability was clamped contribute nothing to the score.
+        whose probability was clamped contribute nothing to the score or
+        the information.
         """
         theta_free = np.asarray(theta_free, dtype=float)
         spec = layout.build_spec(theta_free)
         grad = np.zeros(layout.free_mask.size)
         out = np.empty(self.n_clusters)
+        if information:
+            info = np.zeros((grad.size, grad.size))
         for level in self.levels:
             params, lam, parts, svals, log_l, signed, prob, bad = self._pass(level, spec)
             out[level.clusters] = np.log(prob)
-            d_alpha, d_gamma, h = log_laplace_partials(params, svals, log_l)
+            jacobian = spec.frailty_jacobian(level.name)
+            # a pinned alpha (zero rows) skips the alpha partials
+            alpha = any(np.any(block[0] != 0.0) for block in jacobian.values())
+            if information:
+                (d_alpha, d_gamma, h), second = log_laplace_second_partials(
+                    params, svals, log_l, alpha)
+            else:
+                d_alpha, d_gamma, h = log_laplace_partials(params, svals, log_l, alpha)
             # d log P = dP / P: each term divided by its cluster's P, then
             # weighted (T_A / P stays finite where a tiny P makes w / P overflow)
             weights = level.term_weights
             if bad is not None:
                 weights = np.where(bad[level.term_cluster], 0.0, weights)
-            signed = signed / prob[level.term_cluster] * weights
+            ratio = signed / prob[level.term_cluster]
+            signed = ratio * weights
             # d log L / ds = -mu h and d log L / d mu = -s h
             signed_h = signed * h
             dl_dlam = level.incidence_t @ signed_h * -params.mu
@@ -327,11 +357,145 @@ class LikelihoodWorkspace:
                 if block.design is not None:
                     grad[layout.beta_slices[block.unit]] += block.design.T @ (dl * lam[block.cells])
             # d log P / d(alpha, gamma, mu), chained to the link coefficients
-            d_frailty = np.array([signed @ d_alpha, signed @ d_gamma, -(signed_h @ svals)])
-            jacobian = spec.frailty_jacobian(level.name)
+            d_frailty = np.array([0.0 if d_alpha is None else signed @ d_alpha,
+                                  signed @ d_gamma, -(signed_h @ svals)])
             for name, sl in layout.link_slices.items():
                 grad[sl] += d_frailty @ jacobian[name]
-        return float(np.sum(self.weights * out)), grad[layout.free_mask]
+            if information:
+                if bad is not None:
+                    ratio = np.where(bad[level.term_cluster], 0.0, ratio)
+                info += self._level_information(
+                    layout, spec, level, params, jacobian, lam, parts, svals, ratio, signed,
+                    dl_dlam, d_frailty, (-h, d_alpha, d_gamma), second)
+        value = float(np.sum(self.weights * out))
+        free = layout.free_mask
+        if not information:
+            return value, grad[free]
+        return value, grad[free], info[np.ix_(free, free)]
+
+    def _level_information(self, layout, spec, level, params, jacobian, lam, parts, svals,
+                           ratio, signed, dl_dlam, d_frailty, first, second) -> np.ndarray:
+        """One level's part of the observed information over the full
+        parameter vector,
+
+            -H = sum_i w_i g_i g_i' - sum_A c_A (d2 l_A + d l_A d l_A'),
+
+        with g_i the cluster's score sum_A (T_A / P_i) d l_A (``ratio``),
+        c_A = w_i T_A / P_i (``signed``) and l_A = log L(u_A; alpha, gamma),
+        u_A = mu s_A.  Each term's gradient is f_u du_A + f_alpha d alpha +
+        f_gamma d gamma in the natural coordinates z = (u, alpha, gamma), so
+        its curvature is sum_ab (f_ab + f_a f_b) dz_a dz_b' + sum_a f_a d2 z_a.
+
+        Both are taken in a basis of k + 3 directions, the k parameters of
+        the level's cell hazards and then d mu, d alpha and d gamma, where
+        du_A = (mu d s_A, s_A, 0, 0).  Every product runs over one basis
+        direction at a time, on vectors of the terms or the clusters: no
+        [terms, p] matrix, and never a [terms, p, p] array.
+        """
+        n_full = layout.free_mask.size
+        mu = params.mu
+        keys = [(level.name, block.unit) if spec.stratified_baselines else block.unit
+                for block in level.blocks]
+        slices = [layout.baseline_slices[key] for key in keys] + [
+            layout.beta_slices[block.unit] for block in level.blocks if block.design is not None]
+        cols = sorted({i for sl in slices for i in range(sl.start, sl.stop)})
+        k = len(cols)
+        where = {c: i for i, c in enumerate(cols)}
+        basis = np.zeros((k + 3, n_full))
+        basis[np.arange(k), cols] = 1.0
+        for name, sl in layout.link_slices.items():
+            basis[k:, sl] = jacobian[name][[2, 0, 1]]
+        # each cell's d Lambda, one basis direction at a time, and
+        # sum_j dl_j d2 Lambda_j with dl = dl_dlam; ``curv`` is filled on and
+        # above its diagonal
+        d_lam = [np.zeros(lam.size) for _ in range(k)]
+        curv = np.zeros((k + 3, k + 3))
+        for block, key, (baseline, exposure, mult) in zip(level.blocks, keys, parts):
+            bs = where[layout.baseline_slices[key].start]
+            dl = dl_dlam[block.cells]
+            if exposure is not None:
+                d_base = exposure * baseline.rate_vector
+                second_base = None      # d2 Lambda / d theta_k^2 = d Lambda / d theta_k
+            else:
+                log_params = baseline.log_params
+                steps = _central_steps(log_params)
+
+                def cumulative(values, baseline=baseline, times=block.times):
+                    return baseline.with_log_params(values).cumulative(times)
+
+                d_base = _central_jacobian(cumulative, log_params, steps).T
+                second_base = _central_jacobian(
+                    lambda values: _central_jacobian(cumulative, values, steps), log_params, steps)
+            if mult is not None:
+                d_base = d_base * mult[:, None]
+            p = d_base.shape[1]
+            for i in range(p):
+                d_lam[bs + i][block.cells] = d_base[:, i]
+            if second_base is None:
+                curv[range(bs, bs + p), range(bs, bs + p)] += dl @ d_base
+            else:
+                curv[bs:bs + p, bs:bs + p] += second_base @ (dl if mult is None else dl * mult)
+            if block.design is not None:
+                bb = where[layout.beta_slices[block.unit].start]
+                design, cells_lam = block.design, lam[block.cells]
+                q = design.shape[1]
+                for i in range(q):
+                    d_lam[bb + i][block.cells] = design[:, i] * cells_lam
+                curv[bb:bb + q, bb:bb + q] += design.T @ (design * (dl * cells_lam)[:, None])
+                curv[bs:bs + p, bb:bb + q] += (dl[:, None] * d_base).T @ design
+        # sum_a f_a d2 z_a: d2 u_A = mu d2 s_A + d mu d s_A' + d s_A d mu' + s_A d2 mu,
+        # with sum_A c_A f_u d s_A = d Lambda' dl / mu
+        curv[:k, k] += [dl_dlam @ row / mu for row in d_lam]
+        # du_A by direction; s_A = incidence @ Lambda is ``svals``
+        d_u = [level.incidence @ (mu * row) for row in d_lam] + [svals]
+        f_u, f_alpha, f_gamma = first
+        uu, ua, ug, aa, ag, gg = second
+        # sum_A c_A (f_ab + f_a f_b) dz_a dz_b'; the alpha entries stay 0
+        # when alpha does not move
+        weight = f_u * f_u
+        weight += uu
+        weight *= signed
+        for j, column in enumerate(d_u):
+            weighted = column * weight
+            curv[:j + 1, j] += [row @ weighted for row in d_u[:j + 1]]
+        weight = f_u * f_gamma
+        weight += ug
+        weight *= signed
+        curv[:k + 1, k + 2] += [row @ weight for row in d_u]
+        curv[k + 2, k + 2] += signed @ (gg + f_gamma * f_gamma)
+        if f_alpha is not None:
+            weight = f_u * f_alpha
+            weight += ua
+            weight *= signed
+            curv[:k + 1, k + 1] += [row @ weight for row in d_u]
+            curv[k + 1, k + 1] += signed @ (aa + f_alpha * f_alpha)
+            curv[k + 1, k + 2] += signed @ (ag + f_alpha * f_gamma)
+        # per-cluster scores g_i in the basis: the terms run in cluster
+        # order, so each direction's cluster sums are one CSR product
+        n_terms, n_clusters = svals.size, level.clusters.size
+        by_cluster = sparse.csr_matrix((ratio * f_u, np.arange(n_terms), level.cluster_terms),
+                                       shape=(n_clusters, n_terms))
+        scores = [by_cluster @ column for column in d_u]
+        scores.append(np.zeros(n_clusters) if f_alpha is None else
+                      np.bincount(level.term_cluster, ratio * f_alpha, n_clusters))
+        scores.append(np.bincount(level.term_cluster, ratio * f_gamma, n_clusters))
+        weights = self.weights[level.clusters]
+        outer = np.zeros((k + 3, k + 3))
+        for j, column in enumerate(scores):
+            weighted = column * weights
+            outer[:j + 1, j] = [row @ weighted for row in scores[:j + 1]]
+        outer -= curv
+        upper = np.triu_indices(k + 3, 1)
+        outer[upper[::-1]] = outer[upper]
+        info = basis.T @ outer @ basis
+        # the coordinates' own second derivatives: gamma = exp(x' kappa) and
+        # mu = exp(x' beta0), and a pinned alpha moves with gamma, so each
+        # coordinate's Hessian in an exp-link block is its Jacobian row times x'
+        x = spec.frailty_link.row(level.name)
+        for name in ("kappa", "beta0"):
+            sl = layout.link_slices[name]
+            info[sl, sl] -= np.outer(d_frailty @ jacobian[name], x)
+        return info
 
     @staticmethod
     def _baseline_score(baseline, exposure: Optional[np.ndarray], times: np.ndarray, start: int,

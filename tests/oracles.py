@@ -228,6 +228,24 @@ def numeric_gradient(f, theta, abs_step=1e-6, rel_step=1e-7):
     return grad
 
 
+def score_hessian(score, theta, step=1e-4):
+    """The symmetrized central-difference Jacobian of an exact ``score`` at
+    steps ``step`` max(1, |theta_i|): 2p score evaluations for p
+    parameters, exact for a linear score and O(h^2) otherwise.  ``fit``
+    once took its covariance from it at the default step; it is now the
+    reference for the observed information of
+    ``LikelihoodWorkspace.loglik_and_score``.  A non-finite entry raises
+    NonFiniteEvaluation."""
+    from addamsfrailty.errors import NonFiniteEvaluation
+    from addamsfrailty.hazard import _central_jacobian
+
+    theta = np.asarray(theta, dtype=float)
+    estimate = _central_jacobian(score, theta, step * np.maximum(1.0, np.abs(theta)))
+    if not np.all(np.isfinite(estimate)):
+        raise NonFiniteEvaluation("non-finite Hessian entries")
+    return 0.5 * (estimate + estimate.T)
+
+
 def _mp_log_laplace(a, g, m, s):
     """log L(s) of mpmath numbers: the closed form, or its gamma (a = 0) and
     Poisson (a = g) limits."""
@@ -297,6 +315,54 @@ def mp_log_laplace_partials(alpha, gamma, mu, s, dps=50):
         float(_mp_derivative(lambda t: _mp_log_laplace(a, t, m, s), g, dps)),
         float(_mp_derivative(lambda t: _mp_log_laplace(a, g, t, s), m, dps)),
     )
+
+
+def mp_log_laplace_second_partials(alpha, gamma, u, dps=50):
+    """(uu, ua, ug, aa, ag, gg): the second partials of log L in (u = mu s,
+    alpha, gamma), each a ``dps``-digit central difference of the closed
+    form in the scaled coordinates u (1 + xi_u), alpha + c xi_alpha and
+    gamma + c xi_gamma at steps of 10^(-dps/2).  c = min(1, 1 / u) while
+    exp(-alpha u) matters (|alpha| u < 1e4, alpha = 0 included), and
+    min(1, |alpha|) / 10 beyond, where log L no longer varies on the scale 1 / u.
+
+    The working precision doubles until the difference keeps ``dps + 10``
+    digits beside the value, as in :func:`_mp_derivative`, or until its
+    rounding is below 1e-330 in absolute terms, finer than any double; as
+    there, the stencil is off the seams except at its centre, so at
+    alpha = 0 and alpha = gamma each entry is the limit of the closed form's.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        a0, g0, u0 = (mpmath.mpf(float(v)) for v in (alpha, gamma, u))
+        if a0 == 0 or abs(a0) * u0 < 10 ** 4:
+            c = min(mpmath.mpf(1), 1 / u0)
+        else:
+            c = min(mpmath.mpf(1), abs(a0)) / 10
+    h = mpmath.mpf(10) ** (-(dps // 2))
+
+    def f(xi_u, xi_a, xi_g):
+        return _mp_log_laplace(a0 + c * xi_a, g0 + c * xi_g, 1, u0 * (1 + xi_u))
+
+    scales = (u0, c, c)
+    out = []
+    for orders in ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)):
+        scale = 1
+        for k, n in enumerate(orders):
+            scale *= scales[k] ** n
+        work = 3 * dps
+        while True:
+            with mpmath.workdps(work):
+                slope = mpmath.diff(f, (0, 0, 0), orders, h=h)
+                value = f(0, 0, 0)
+                lost = work if slope == 0 else int(mpmath.log10(abs(value / slope))) + dps
+                rounding = abs(value) * mpmath.mpf(10) ** (dps + 5 - work)
+                if (value == 0 or work - lost >= dps + 10 or work > 80 * dps
+                        or rounding < mpmath.mpf(10) ** -330 * scale):
+                    out.append(float(slope / scale))
+                    break
+            work *= 2
+    return tuple(out)
 
 
 def reference_read_csv(path):

@@ -320,6 +320,13 @@ def test_criterion_7_hessian_numerics(recovery_fit):
     if rel.max() > 1e-3:
         failures.append(f"Hessian mismatch: max relative gap {rel.max():.2e}")
 
+    # the fit's covariance inverts the exact observed information of one
+    # information pass, which the Richardson Hessian matches within the bound
+    info = ws.loglik_and_score(layout, theta, information=True)[2]
+    rel = np.abs(rich + info) / np.maximum(np.abs(info), 1e-6 * np.abs(info).max())
+    if rel.max() > 1e-3:
+        failures.append(f"information mismatch: max relative gap {rel.max():.2e}")
+
     ident = result.covariance @ (-rich)
     if np.abs(ident - np.eye(n)).max() > 1e-4:
         failures.append("covariance is not the inverse of -Hessian at 1e-4")

@@ -37,6 +37,7 @@ from addamsfrailty.errors import (
 )
 from addamsfrailty.hazard import BranchRegime
 from addamsfrailty.simulate import MonitoringLaw, SimConfig, generate
+from oracles import score_hessian
 from test_acceptance import recovery_spec, simulate_from
 
 
@@ -67,16 +68,17 @@ def seam_spec(alpha):
 
 @pytest.fixture
 def bfgs_calls(monkeypatch):
-    """Records every ``loglik_and_score`` pass in ``passes`` and each BFGS
-    call of ``fit`` in ``calls`` as (x0, result, passes inside the call)."""
+    """Records every ``loglik_and_score`` pass in ``passes`` (True for an
+    information pass) and each BFGS call of ``fit`` in ``calls`` as (x0,
+    result, passes inside the call)."""
     from addamsfrailty import estimation
 
     record = SimpleNamespace(passes=[], calls=[])
     one_pass = LikelihoodWorkspace.loglik_and_score
 
-    def counted(ws, layout, theta):
-        record.passes.append(1)
-        return one_pass(ws, layout, theta)
+    def counted(ws, layout, theta, information=False):
+        record.passes.append(information)
+        return one_pass(ws, layout, theta, information=information)
 
     minimize = estimation.optimize.minimize
 
@@ -128,6 +130,43 @@ class TestLayout:
         assert rebuilt.baselines["u1"].rates[1] == pytest.approx(0.02)
         assert rebuilt.baselines["u2"].rate == pytest.approx(0.03)
 
+    @pytest.mark.parametrize("two_strata", [False, True])
+    def test_built_spec_equals_a_replace_built_one(self, two_strata):
+        # build_spec sets the numbers without the link's and the spec's
+        # checks; dataclasses.replace, which runs them, builds the same spec
+        spec = basic_spec(two_strata)
+        layout = ParameterLayout(spec)
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            theta = layout.free_vector() + rng.normal(scale=0.3, size=layout.n_free)
+            built = layout.build_spec(theta)
+            full = layout.full_from_free(theta)
+            link = dataclasses.replace(spec.frailty_link, **{
+                name: tuple(full[sl]) for name, sl in layout.link_slices.items()})
+            expected = dataclasses.replace(spec, frailty_link=link, baselines={
+                key: spec.baselines[key].with_log_params(full[sl])
+                for key, sl in layout.baseline_slices.items()}, predictors={
+                unit: spec.predictors[unit].with_coefficients(full[layout.beta_slices[unit]])
+                if spec.predictors[unit].covariate_names else spec.predictors[unit]
+                for unit in spec.units})
+            assert built == expected
+            for name in ("zeta", "kappa", "beta0"):
+                assert all(type(v) is float for v in getattr(built.frailty_link, name))
+            assert ParameterLayout(built).free_vector().tobytes() == theta.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+    def test_overflowing_log_rate_is_infeasible_in_fit(self):
+        # exp(800) overflows: the baseline's own check refuses the rate, and
+        # fit reads the point as infeasible, not as an error
+        spec = basic_spec()
+        layout = ParameterLayout(spec)
+        theta = layout.free_vector()
+        theta[0] = 800.0
+        with pytest.raises(InvalidParameters):
+            layout.build_spec(theta)
+        with pytest.raises(NonFiniteEvaluation, match="start point"):
+            fit(spec, simulated_data(spec, n=100, seed=2), init=theta)
+
     def test_zeta_pinned_when_no_free_regime(self):
         import dataclasses
         spec = basic_spec()
@@ -156,6 +195,8 @@ class TestHessian:
         h = hessian(f, np.array([1.0]))
         assert h[0, 0] == pytest.approx(12.0, rel=1e-7)
 
+    # the score-difference Hessian is the information pass's reference,
+    # ``oracles.score_hessian``
     def test_score_mode_exact_on_quadratic(self):
         # the score of a quadratic is linear, so one central difference is
         # exact up to rounding, from 2 score passes per parameter
@@ -166,7 +207,7 @@ class TestHessian:
             calls.append(1)
             return -a @ x
 
-        h = hessian(score, np.array([0.3, -0.7, 12.0]), from_score=True)
+        h = score_hessian(score, np.array([0.3, -0.7, 12.0]))
         np.testing.assert_allclose(h, -a, rtol=0.0, atol=1e-10)
         np.testing.assert_array_equal(h, h.T)
         assert len(calls) == 2 * 3
@@ -183,11 +224,11 @@ class TestHessian:
         exact = np.array([[12.0 * x[0] ** 2, 3.0 * x[1] ** 2],
                           [3.0 * x[1] ** 2, 6.0 * x[0] * x[1]]])
         predicted = np.array([[4.0 * h0 ** 2, 0.5 * h1 ** 2], [0.5 * h1 ** 2, 0.0]])
-        error = hessian(score, x, from_score=True) - exact
+        error = score_hessian(score, x) - exact
         assert np.all(np.abs(error - predicted) <= 1e-9)
 
     def test_score_mode_covariance_matches_value_mode(self):
-        # the gate-5 seed-0 fit: SEs from the fit's score-mode Hessian and
+        # the gate-5 seed-0 fit: SEs from the fit's observed information and
         # from the Richardson value-mode Hessian of the log-likelihood
         from test_acceptance import recovery_spec, simulate_from
 
@@ -213,7 +254,7 @@ class TestHessian:
             return np.array([math.nan if x[0] < 0.0 else 2.0 * x[0], 2.0 * x[1]])
 
         with pytest.raises(NonFiniteEvaluation):
-            hessian(score, np.array([0.0, 1.0]), from_score=True)
+            score_hessian(score, np.array([0.0, 1.0]))
 
 
 class TestTransformedCi:
@@ -406,10 +447,11 @@ class TestFit:
         result = fit(spec, simulated_data(spec, n=200, seed=4))
         attempts = bfgs_calls.calls
         assert result.converged and attempts
-        # each attempt's start point is evaluated once, by the check
+        # each attempt's start point is evaluated once, by the check, and
+        # the covariance takes one information pass after the last attempt
         assert all(inside == res.nfev - 1 for _, res, inside in attempts)
-        hessian_passes = 2 * result.n_free
-        assert len(bfgs_calls.passes) == sum(res.nfev for _, res, _ in attempts) + hessian_passes
+        assert len(bfgs_calls.passes) == sum(res.nfev for _, res, _ in attempts) + 1
+        assert bfgs_calls.passes[-1] and not any(bfgs_calls.passes[:-1])
 
     def test_stall_restarts_from_the_best_point_without_a_pass(self, bfgs_calls):
         spec = seam_spec(0.5)
@@ -419,7 +461,7 @@ class TestFit:
         assert np.array_equal(x0, first.x) and second.fun < first.fun
         # the restart's first call is served the best point's value and gradient
         nfev = first.nfev + second.nfev
-        assert len(bfgs_calls.passes) == nfev - 1 + 2 * result.n_free
+        assert len(bfgs_calls.passes) == nfev - 1 + 1
 
     def test_unconverged_fit_restarts_only_from_the_best_point(self, bfgs_calls):
         spec = seam_spec(0.9)

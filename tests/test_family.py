@@ -24,13 +24,19 @@ from addamsfrailty.errors import (
     InvalidParameters,
     OutOfSupport,
 )
-from addamsfrailty.family import BranchKind, _count_law, log_laplace_partials
+from addamsfrailty.family import (
+    BranchKind,
+    _count_law,
+    log_laplace_partials,
+    log_laplace_second_partials,
+)
 
 from conftest import random_triples
 from oracles import (
     count_distribution,
     mp_log_laplace,
     mp_log_laplace_partials,
+    mp_log_laplace_second_partials,
     naive_laplace_longdouble,
     quad_laplace,
     series_laplace,
@@ -487,6 +493,70 @@ class TestLaplacePartials:
         for alpha, gamma, _ in PARTIAL_CASES:
             p = AddamsParameters(alpha, gamma, 0.7)
             assert np.all(np.isfinite(partials(p, s))), (alpha, gamma)
+
+
+# (alpha, gamma): each member, both seams exactly (alpha = 0, alpha = gamma),
+# alpha near 0 on either side, and alpha 1e-10 relative below gamma
+SECOND_PARTIAL_CASES = [
+    (-1.0, 2.0), (-4e-7, 0.1), (0.0, 3.0), (4e-7, 3.0), (1.2, 3.0), (2.0, 2.0),
+    (2.0 * (1.0 - 1e-10), 2.0), (2.5, 2.0),
+]
+# mu s from 1e-300 to 1e300
+SECOND_PARTIAL_U = [1e-300, 1e-100, 1e-20, 1e-6, 1e-3, 0.03, 0.3, 3.0, 30.0, 1e4, 1e300]
+
+
+class TestLaplaceSecondPartials:
+    """Second partials of log L in (u = mu s, alpha, gamma) against the
+    50-digit oracle."""
+
+    @pytest.mark.parametrize("alpha,gamma", SECOND_PARTIAL_CASES)
+    def test_match_50_digit_closed_form(self, alpha, gamma):
+        mu = 0.7
+        u = np.array(SECOND_PARTIAL_U)
+        p = AddamsParameters(alpha, gamma, mu)
+        _, second = log_laplace_second_partials(p, u / mu, log_laplace(p, u / mu))
+        got = np.array(second)
+        expected = np.array([mp_log_laplace_second_partials(alpha, gamma, v) for v in u]).T
+        # aa sums M - D lead^2, 2 t lead and gg; where it changes sign those
+        # cancel without bound, so it is held to 1e-13 of |gg| + |t lead|
+        # (t lead = -(ag + gg)) as well as to 1e-10 of itself
+        scale = np.zeros_like(expected)
+        scale[3] = 1e-13 * (np.abs(expected[5]) + np.abs(expected[4] + expected[5]))
+        with np.errstate(invalid="ignore"):
+            err = np.abs(got - expected)
+        within = (got == expected) | (err <= 1e-10 * np.abs(expected) + scale)
+        assert within.all(), [(name, u[~row]) for name, row in
+                              zip(("uu", "ua", "ug", "aa", "ag", "gg"), within)]
+
+    @pytest.mark.parametrize("alpha,gamma", [(-1.0, 2.0), (0.0, 3.0), (1.2, 3.0), (2.0, 2.0)])
+    def test_first_partials_and_no_alpha(self, alpha, gamma):
+        # the first group is log_laplace_partials' bit for bit; without
+        # alpha the alpha entries are None and the others do not change
+        p = AddamsParameters(alpha, gamma, 0.7)
+        s = np.concatenate([[0.0], np.logspace(-6, 3, 40)])
+        log_l = log_laplace(p, s)
+        first, second = log_laplace_second_partials(p, s, log_l)
+        for got, expected in zip(first, log_laplace_partials(p, s, log_l)):
+            np.testing.assert_array_equal(got, expected)
+        first_g, second_g = log_laplace_second_partials(p, s, log_l, alpha=False)
+        assert first_g[0] is None and log_laplace_partials(p, s, log_l, alpha=False)[0] is None
+        assert [second_g[i] for i in (1, 3, 4)] == [None] * 3
+        for i in (0, 2, 5):
+            np.testing.assert_array_equal(second_g[i], second[i])
+        np.testing.assert_array_equal(first_g[1], first[1])
+        # d2 log L / ds2 = mu^2 uu is the conditional variance
+        np.testing.assert_allclose(0.7 ** 2 * second[0], conditional_moments(p, s)[1],
+                                   rtol=1e-14)
+
+    def test_finite_at_extreme_hazards(self):
+        s = np.logspace(-300, 300, 61)
+        for alpha, gamma, _ in PARTIAL_CASES:
+            p = AddamsParameters(alpha, gamma, 0.7)
+            _, second = log_laplace_second_partials(p, s, log_laplace(p, s))
+            # aa grows as u^2 in the gamma limit and overflows at u ~ 1e154
+            finite = np.isfinite(second)
+            assert finite[[0, 1, 2, 4, 5]].all(), (alpha, gamma)
+            assert not np.isnan(second[3]).any(), (alpha, gamma)
 
 
 class TestSupport:

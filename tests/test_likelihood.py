@@ -31,7 +31,7 @@ from addamsfrailty import likelihood
 from addamsfrailty.errors import FrailtyModelError, MissingCovariate, NonFiniteEvaluation
 
 from conftest import random_triples
-from oracles import numeric_gradient, oracle_cluster_prob, scalar_cluster_loglik
+from oracles import numeric_gradient, oracle_cluster_prob, scalar_cluster_loglik, score_hessian
 
 # log P values recomputed by the series/quadrature cluster oracle and frozen;
 # configuration: rates below, J = 2, times (10, 25), events (1, 0)
@@ -706,6 +706,162 @@ class TestColumnarWorkspace:
         ws.loglik_and_score(layout, layout.free_vector())
         write_csv(fresh, tmp_path / "again.csv")
         assert (tmp_path / "again.csv").read_bytes() == f.read_bytes()
+
+
+class TestInformation:
+    """The observed information -H of an information pass against the
+    score-difference Hessian (``oracles.score_hessian``), 2p score passes,
+    on the score tests' designs: weights from 0.5 to 2 throughout."""
+
+    def check(self, spec, data, rtol=1e-6, step=1e-4):
+        layout = ParameterLayout(spec)
+        theta = layout.free_vector()
+        ws = LikelihoodWorkspace(spec, data)
+        value, score, info = ws.loglik_and_score(layout, theta, information=True)
+        # the value and the score are the plain pass's, bit for bit
+        plain = ws.loglik_and_score(layout, theta)
+        assert value == plain[0] and score.tobytes() == plain[1].tobytes()
+        assert info.shape == (theta.size, theta.size) and np.array_equal(info, info.T)
+
+        def negated(th):
+            return -ws.loglik_and_score(layout, th)[1]
+
+        if step == 1e-4:
+            reference = score_hessian(negated, theta)
+        else:
+            # Richardson over the steps h and h/2 of the same reference
+            reference = (4.0 * score_hessian(negated, theta, step / 2.0)
+                         - score_hessian(negated, theta, step)) / 3.0
+        scale = np.abs(reference).max()
+        np.testing.assert_allclose(info, reference, rtol=0.0, atol=rtol * scale)
+        return layout, info
+
+    @pytest.mark.parametrize("alpha,gamma,regime,b", [
+        (-1.0, 3.0, "free", None),        # negative branch
+        (1.2, 3.0, "free", None),         # interior, cure fraction
+        (0.0, 3.0, "gamma", None),        # gamma-pinned
+        (3.0, 3.0, "poisson", None),      # poisson-pinned
+    ])
+    def test_every_regime(self, rng, alpha, gamma, regime, b):
+        self.check(score_spec(alpha, gamma, regime, b), score_data(rng, 150))
+
+    def test_binomial(self, rng):
+        # a binomial law's cluster probabilities reach 1e-9 here, as
+        # differences of Laplace terms near its cure fraction P(Z = 0) =
+        # 0.02; their round-off (1e-8 relative) puts about 1e-5 of the
+        # largest entry into the reference at the 1e-4 step, so it is
+        # differenced at 1e-2 and extrapolated
+        self.check(score_spec(3.5, 3.0, "binomial", 2), score_data(rng, 150), step=1e-2)
+
+    @pytest.mark.parametrize("baseline", [
+        lambda i: ExponentialBaseline(0.02 + 0.01 * i),
+        lambda i: WeibullBaseline(1.3 + 0.2 * i, 40.0),
+        lambda i: GeneralizedGammaBaseline(1.2, 0.8 + 0.3 * i, 30.0),
+    ], ids=["exponential", "weibull", "gengamma"])
+    def test_every_baseline_family(self, rng, baseline):
+        self.check(score_spec(baseline=baseline, covariate=True),
+                   score_data(rng, 150, covariate=True))
+
+    def test_covariates(self, rng):
+        self.check(score_spec(covariate=True), score_data(rng, 150, covariate=True))
+
+    def test_stratified_baselines(self, rng):
+        strata = ("f", "m")
+        self.check(score_spec(strata=strata, stratified=True, covariate=True),
+                   score_data(rng, 160, strata=strata, covariate=True))
+
+    def test_free_reference_mu(self, rng):
+        # mu moves in one stratum with beta0[0] and beta0[1]: d2 mu = mu x x'
+        strata = ("f", "m")
+        spec = score_spec(strata=strata)
+        spec = dataclasses.replace(spec, frailty_link=dataclasses.replace(
+            spec.frailty_link, beta0_free=(True, True)))
+        self.check(spec, score_data(rng, 160, strata=strata))
+
+    @pytest.mark.parametrize("regime,b", [("poisson", None), ("binomial", 2)])
+    def test_pinned_stratum(self, rng, regime, b):
+        # "m" moves alpha with gamma: d2 alpha = gamma x x' in the kappa block
+        strata = ("f", "m")
+        spec = dataclasses.replace(
+            score_spec(strata=strata),
+            branch_regimes={"f": BranchRegime("free"), "m": BranchRegime(regime, b)},
+        )
+        self.check(spec, score_data(rng, 160, strata=strata))
+
+    def test_many_units_and_events(self, rng):
+        self.check(grouping_spec(), grouping_data(rng))
+
+    def test_clamped_cluster_contributes_nothing(self, rng):
+        # the clamped cluster of TestScore: whether its sum clamps flips
+        # within the reference's stencil, so the information with it is
+        # held to the reference-checked information without it
+        spec = score_spec(alpha=-1.0, gamma=3.0, covariate=True)
+        data = score_data(rng, 80, covariate=True)
+        layout, clean = self.check(spec, data)
+        degenerate = Cluster("clamped", (UnitRecord("u1", 1e-8, 1),
+                                         UnitRecord("u2", 1.7e-8, 1, {"x": 0.2})))
+        ws = LikelihoodWorkspace(spec, CurrentStatusDataset(data.clusters + (degenerate,)))
+        before = likelihood.diagnostics.clamped_probabilities
+        value, _, info = ws.loglik_and_score(layout, layout.free_vector(), information=True)
+        assert likelihood.diagnostics.clamped_probabilities > before
+        assert math.isfinite(value)
+        np.testing.assert_allclose(info, clean, rtol=0.0, atol=1e-13 * np.abs(clean).max())
+
+    def test_one_kernel_call_per_level(self, rng, monkeypatch):
+        spec = grouping_spec()
+        layout = ParameterLayout(spec)
+        ws = LikelihoodWorkspace(spec, grouping_data(rng))
+        calls = {name: TestEventCountGrouping.counted(monkeypatch, name) for name in
+                 ("log_laplace", "log_laplace_partials", "log_laplace_second_partials")}
+        ws.loglik_and_score(layout, layout.free_vector(), information=True)
+        assert [len(c) for c in calls.values()] == [len(GROUPING_STRATA), 0, len(GROUPING_STRATA)]
+
+
+class TestPinnedAlpha:
+    """A gamma-pinned stratum's alpha rows of ``frailty_jacobian`` are zero,
+    so its passes compute no alpha partial."""
+
+    def test_score_is_the_alpha_computing_score_bit_for_bit(self, monkeypatch):
+        # the recovery design pinned to the gamma limit; forcing the alpha
+        # partials back in, as the passes once computed them, changes no bit
+        from test_acceptance import recovery_spec, simulate_from
+
+        spec = dataclasses.replace(recovery_spec(), branch_regimes={"s": BranchRegime("gamma")})
+        data = simulate_from(recovery_spec(), 3000, seed=0)
+        layout = ParameterLayout(spec)
+        ws = LikelihoodWorkspace(spec, data)
+        calls = []
+        partials = likelihood.log_laplace_partials
+
+        def recorded(params, svals, log_l, alpha=True):
+            calls.append(alpha)
+            return partials(params, svals, log_l, alpha)
+
+        monkeypatch.setattr(likelihood, "log_laplace_partials", recorded)
+        for theta in (layout.free_vector(), layout.default_init(data)):
+            value, score = ws.loglik_and_score(layout, theta)
+            monkeypatch.setattr(likelihood, "log_laplace_partials",
+                                lambda params, svals, log_l, alpha=True:
+                                partials(params, svals, log_l, True))
+            forced = ws.loglik_and_score(layout, theta)
+            monkeypatch.setattr(likelihood, "log_laplace_partials", recorded)
+            assert value == forced[0] and score.tobytes() == forced[1].tobytes()
+        assert calls == [False, False]
+
+    def test_information_skips_alpha(self, monkeypatch, rng):
+        spec = score_spec(0.0, 3.0, "gamma")
+        layout = ParameterLayout(spec)
+        ws = LikelihoodWorkspace(spec, score_data(rng, 60))
+        calls = []
+        second = likelihood.log_laplace_second_partials
+
+        def recorded(params, svals, log_l, alpha=True):
+            calls.append(alpha)
+            return second(params, svals, log_l, alpha)
+
+        monkeypatch.setattr(likelihood, "log_laplace_second_partials", recorded)
+        ws.loglik_and_score(layout, layout.free_vector(), information=True)
+        assert calls == [False]
 
 
 class TestNumericGradient:
