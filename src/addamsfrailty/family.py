@@ -21,11 +21,13 @@ for ``alpha != 0, alpha != gamma``, with the gamma and Poisson cases as
 limits.  The limits are taken at exact values: alpha = gamma is the Poisson
 case, and alpha = 0, or an alpha so small that gamma/alpha overflows, the
 gamma case.  Every other alpha goes through one log-space closed form that
-keeps its digits up to both removable singularities, and
-:func:`log_laplace_partials` gives the partials of log L in alpha, gamma,
-mu and s in one form that divides by neither alpha nor alpha - gamma, and
-:func:`log_laplace_second_partials` the second partials in (mu s, alpha,
-gamma) under the same rule.
+keeps its digits up to both removable singularities.
+:func:`log_laplace_partials` gives log L together with its partials in
+alpha, gamma, mu and s, from the same exponentials and in one form that
+divides by neither alpha nor alpha - gamma, and
+:func:`log_laplace_second_partials` adds the second partials in (mu s,
+alpha, gamma) under the same rule.  The branch arithmetic of log L is
+written once, in ``_log_laplace_terms``, which all three share.
 """
 
 from __future__ import annotations
@@ -190,25 +192,53 @@ def classify_branch(p: AddamsParameters) -> FrailtyBranch:
 # Laplace transform
 # ---------------------------------------------------------------------------
 
-def _log_laplace_general(a: float, g: float, m: float, s: np.ndarray) -> np.ndarray:
-    # A = 1 + c with c = ((a - g)/a) expm1(-x): where c is small, log1p
-    # keeps the digits that log(A) loses at small x and that the division
-    # by (a - g) exposes near a = g
-    x = a * m * s
-    if a < 0:
-        # A = exp(-x) (1 + (g/a) expm1(x)) with x <= 0: exp(-x) may overflow,
-        # so take log A = -x + log1p((g/a) expm1(x)), a sum of two terms >= 0
-        # that loses nothing at any x
-        return (-x + np.log1p((g / a) * np.expm1(x))) / (a - g)
-    em1 = np.expm1(-x)
-    correction = ((a - g) / a) * em1
-    bracket = np.exp(-x) - (g / a) * em1
-    # log1p while |c| < 0.5, as (log1p(c) - c) / (a - g) + expm1(-x) / a, so no
-    # subnormal c (near a = g at tiny s) is divided; beyond, the log of the
-    # sum of positive terms loses nothing
-    return np.where(np.abs(correction) < 0.5,
-                    (np.log1p(correction) - correction) / (a - g) + em1 / a,
-                    np.log(bracket) / (a - g))
+def _log_laplace_terms(a: float, g: float, m: float, s_arr: np.ndarray):
+    """log L at the flat ``s_arr``, with L(0) = 1 exactly, and the terms of
+    its branch that :func:`_first_order` reuses: (g m s,) in the gamma
+    limit, and with x = alpha mu s, (x, expm1(x), (g/a) expm1(x)) for
+    alpha < 0 and (x, expm1(-x), exp(-x), 1 + q) for alpha > 0,
+    1 + q = exp(-x) - (g/a) expm1(-x)."""
+    if _is_gamma_limit(a, g):
+        gms = g * m * s_arr
+        out = np.log1p(gms)
+        out /= -g
+        terms = (gms,)
+    else:
+        x = a * m * s_arr
+        if a < 0:
+            # A = exp(-x) (1 + (g/a) expm1(x)) with x <= 0: exp(-x) may
+            # overflow, so take log A = -x + log1p((g/a) expm1(x)), a sum of
+            # two terms >= 0 that loses nothing at any x
+            e = np.expm1(x)
+            y = (g / a) * e
+            out = np.log1p(y)
+            out -= x
+            out /= a - g
+            terms = (x, e, y)
+        else:
+            em = np.expm1(-x)
+            ex = np.exp(-x)
+            one_plus_q = ex - (g / a) * em
+            terms = (x, em, ex, one_plus_q)
+            if a == g:
+                out = em / g    # the Poisson member
+            else:
+                # A = 1 + c with c = ((a - g)/a) expm1(-x): where c is small,
+                # log1p keeps the digits that log(A) loses at small x and that
+                # the division by (a - g) exposes near a = g.  So log1p while
+                # |c| < 0.5, as (log1p(c) - c) / (a - g) + expm1(-x) / a, and no
+                # subnormal c (near a = g at tiny s) is divided; beyond, the
+                # log of the sum of positive terms, 1 + q, loses nothing
+                correction = ((a - g) / a) * em
+                near = np.log1p(correction)
+                near -= correction
+                near /= a - g
+                near += em / a
+                out = np.log(one_plus_q)
+                out /= a - g
+                np.copyto(out, near, where=np.abs(correction) < 0.5)
+    out[s_arr == 0.0] = 0.0     # L(0) = 1 exactly
+    return out, terms
 
 
 def log_laplace(p: AddamsParameters, s):
@@ -216,15 +246,8 @@ def log_laplace(p: AddamsParameters, s):
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr < 0):
         raise InvalidParameters("Laplace transform argument must be >= 0")
-    a, g, m = p.alpha, p.gamma, p.mu
-    if _is_gamma_limit(a, g):
-        out = -np.log1p(g * m * s_arr) / g
-    elif a == g:
-        out = np.expm1(-g * m * s_arr) / g
-    else:
-        out = _log_laplace_general(a, g, m, s_arr)
-    out = np.where(s_arr == 0.0, 0.0, out)  # L(0) = 1 exactly
-    return float(out) if np.isscalar(s) or np.ndim(s) == 0 else out
+    out = _log_laplace_terms(p.alpha, p.gamma, p.mu, s_arr.reshape(-1))[0]
+    return float(out[0]) if np.isscalar(s) or np.ndim(s) == 0 else out.reshape(s_arr.shape)
 
 
 def laplace(p: AddamsParameters, s):
@@ -311,15 +334,15 @@ def _psi_limit(a: float, g: float) -> float:
     return -math.log1p(-c) / a if c < 1.0 else math.inf
 
 
-def log_laplace_partials(p: AddamsParameters, s, log_l, alpha: bool = True):
-    """Partials of log L(s) in alpha and gamma, and h, which gives those in mu and s.
+def log_laplace_partials(p: AddamsParameters, s, alpha: bool = True):
+    """log L(s) with its partials in alpha and gamma, and h, which gives those in mu and s.
 
-    Returns ``(d_alpha, d_gamma, h)`` shaped like ``s``, at
-    ``log_l = log_laplace(p, s)``: d log L / d mu = -s h and
-    d log L / ds = -mu h, with h as in :func:`_h`, which a caller folds into
-    its sums.  With u = mu s, x = alpha u, D = alpha - gamma,
-    r = expm1(-x) / alpha = -u expm1(-x) / (-x) and q = D r, the transform
-    is L = (1 + q)^(1/D), h = exp(-x) / (1 + q), and
+    Returns ``(log_l, d_alpha, d_gamma, h)`` shaped like ``s``: ``log_l`` is
+    :func:`log_laplace` bit for bit, from the same exponentials as the
+    partials, d log L / d mu = -s h and d log L / ds = -mu h, with h as in
+    :func:`_h`, which a caller folds into its sums.  With u = mu s,
+    x = alpha u, D = alpha - gamma, r = expm1(-x) / alpha = -u expm1(-x) / (-x)
+    and q = D r, the transform is L = (1 + q)^(1/D), h = exp(-x) / (1 + q), and
 
         d_gamma = (log L - q / ((1 + q) D)) / D = r^2 psi(q),
                   psi(q) = (log1p(q) - q / (1 + q)) / q^2,
@@ -343,43 +366,45 @@ def log_laplace_partials(p: AddamsParameters, s, log_l, alpha: bool = True):
     shape = np.shape(s)
     s_arr = np.asarray(s, dtype=float).reshape(-1)
     s_min = _positive_min(s_arr)
-    h, t, lead, d_gamma = _first_order(p, s_arr, np.asarray(log_l, dtype=float).reshape(-1),
-                                       s_min, alpha)
+    log_l, h, t, lead, d_gamma = _first_order(p, s_arr, s_min, alpha)
     d_alpha = _alpha_partial(p, s_arr, s_min, lead, d_gamma, out=lead) if alpha else None
-    return tuple(None if v is None else v.reshape(shape) for v in (d_alpha, d_gamma, h))
+    return tuple(None if v is None else v.reshape(shape) for v in (log_l, d_alpha, d_gamma, h))
 
 
 def _positive_min(s_arr: np.ndarray) -> float:
     """The least positive entry: the series regions are s below a bound, and
-    at s = 0 the closed forms give the exact zeros."""
+    at s = 0 the closed forms give the exact zeros.  A negative entry raises
+    InvalidParameters, as in :func:`log_laplace`."""
     s_min = float(s_arr.min()) if s_arr.size else math.inf
+    if s_min < 0.0:
+        raise InvalidParameters("Laplace transform argument must be >= 0")
     if s_min == 0.0:
-        s_min = float(np.min(s_arr, where=s_arr > 0.0, initial=math.inf))
+        s_min = float(np.where(s_arr > 0.0, s_arr, math.inf).min())
     return s_min
 
 
-def _first_order(p: AddamsParameters, s_arr: np.ndarray, log_l: np.ndarray, s_min: float,
-                 alpha: bool):
-    """(h, t, lead, d_gamma) of :func:`log_laplace_partials`, flat, with
-    t = -q / ((1 + q) D) = h expm1(x) / alpha and lead = h (expm1(x) - x) /
+def _first_order(p: AddamsParameters, s_arr: np.ndarray, s_min: float, alpha: bool):
+    """(log_l, h, t, lead, d_gamma) of :func:`log_laplace_partials`, flat,
+    with t = -q / ((1 + q) D) = h expm1(x) / alpha and lead = h (expm1(x) - x) /
     alpha^2, or None without ``alpha``."""
     a, g, m = p.alpha, p.gamma, p.mu
     d = a - g
     gamma_limit = _is_gamma_limit(a, g)
+    log_l, terms = _log_laplace_terms(a, g, m, s_arr)
     lead = None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if gamma_limit:
+            gms, = terms
             u = m * s_arr
-            h = 1.0 / (1.0 + g * m * s_arr)
+            h = 1.0 / (1.0 + gms)
             t = u * h
             if alpha:
                 lead = 0.5 * u * t
         else:
-            x = a * m * s_arr
+            x = terms[0]
             if a < 0.0:
-                e = np.expm1(x)
-                h = (g / a) * e
-                h += 1.0
+                _, e, h = terms
+                h += 1.0        # 1 + (g/a) expm1(x)
                 h = np.reciprocal(h, out=h)
                 t = e * h
                 t /= a
@@ -387,9 +412,7 @@ def _first_order(p: AddamsParameters, s_arr: np.ndarray, log_l: np.ndarray, s_mi
                     lead = e - x
                     lead *= h
             else:
-                em = np.expm1(-x)
-                ex = np.exp(-x)
-                one_plus_q = ex - (g / a) * em     # a sum of two terms >= 0
+                _, em, ex, one_plus_q = terms   # 1 + q, a sum of two terms >= 0
                 h = ex / one_plus_q
                 t = em / one_plus_q
                 t /= -a
@@ -419,7 +442,7 @@ def _first_order(p: AddamsParameters, s_arr: np.ndarray, log_l: np.ndarray, s_mi
             v = m * s_arr[small]
             r = -v if gamma_limit else np.expm1(-a * v) / a
             d_gamma[small] = r * r * np.polynomial.polynomial.polyval(d * r, _PSI_SERIES)
-    return h, t, lead, d_gamma
+    return log_l, h, t, lead, d_gamma
 
 
 def _alpha_series_limit(p: AddamsParameters) -> float:
@@ -454,11 +477,11 @@ def _conditional_var(p: AddamsParameters, s_arr: np.ndarray, h: np.ndarray) -> n
     return m * m * h * (a - (a - g) * h)
 
 
-def log_laplace_second_partials(p: AddamsParameters, s, log_l, alpha: bool = True):
-    """First and second partials of log L in (u = mu s, alpha, gamma).
+def log_laplace_second_partials(p: AddamsParameters, s, alpha: bool = True):
+    """log L(s) with its first and second partials in (u = mu s, alpha, gamma).
 
-    Returns ``(first, second)`` at ``log_l = log_laplace(p, s)``:
-    ``first`` is :func:`log_laplace_partials`' ``(d_alpha, d_gamma, h)``
+    Returns ``(first, second)``: ``first`` is :func:`log_laplace_partials`'
+    ``(log_l, d_alpha, d_gamma, h)``
     (d log L / du = -h) and ``second`` is ``(uu, ua, ug, aa, ag, gg)``, each
     shaped like ``s``; without ``alpha`` the entries in alpha are None.
     With t = h expm1(x) / alpha, lead = h (expm1(x) - x) / alpha^2 and
@@ -487,8 +510,7 @@ def log_laplace_second_partials(p: AddamsParameters, s, log_l, alpha: bool = Tru
     d = a - g
     gamma_limit = _is_gamma_limit(a, g)
     s_min = _positive_min(s_arr)
-    h, t, lead, d_gamma = _first_order(p, s_arr, np.asarray(log_l, dtype=float).reshape(-1),
-                                       s_min, alpha)
+    log_l, h, t, lead, d_gamma = _first_order(p, s_arr, s_min, alpha)
     d_alpha = _alpha_partial(p, s_arr, s_min, lead, d_gamma) if alpha else None
     ug = h * t
     ua = aa = ag = None
@@ -581,7 +603,7 @@ def log_laplace_second_partials(p: AddamsParameters, s, log_l, alpha: bool = Tru
                 v = m * s_arr[series]
                 aa[series] = v ** 4 * np.polynomial.polynomial.polyval(
                     v, _alpha_series(a, g, second=True)[1])
-    first = (d_alpha, d_gamma, h)
+    first = (log_l, d_alpha, d_gamma, h)
     second = (uu, ua, ug, aa, ag, gg)
     return tuple(tuple(None if v is None else v.reshape(shape) for v in group)
                  for group in (first, second))

@@ -295,6 +295,59 @@ class BranchRegime:
         elif self.b is not None:
             raise InvalidParameters("b only applies to the binomial regime")
 
+    @property
+    def moves_alpha(self) -> bool:
+        """Whether alpha moves with the link coefficients: under every pin
+        but the gamma limit's."""
+        return self.kind != "gamma"
+
+    def law(self, alpha: float, gamma: float, mu: float) -> AddamsParameters:
+        """The stratum's frailty law at the raw link values, the pin applied.
+
+        A free stratum raises :class:`InvalidRegion` at alpha >= gamma,
+        which only the pins reach.
+        """
+        if self.kind == "gamma":
+            alpha = 0.0
+        elif self.kind == "poisson":
+            alpha = gamma
+        elif self.kind == "binomial":
+            alpha = gamma + 1.0 / self.b
+        elif alpha >= gamma:
+            raise InvalidRegion(
+                f"free regime requires alpha < gamma (alpha={alpha}, gamma={gamma})"
+            )
+        return AddamsParameters(alpha, gamma, mu)
+
+    def jacobian(self, x: np.ndarray, gamma: float, mu: float,
+                 mu_pinned: bool) -> Dict[str, np.ndarray]:
+        """d(alpha, gamma, mu) / d(beta0, zeta, kappa) of :meth:`law` at the
+        stratum's design row ``x``.
+
+        One 3 x p block per coefficient vector, rows (alpha, gamma, mu).  A
+        gamma pin holds alpha at 0, the Poisson and binomial pins move alpha
+        with gamma, and a pinned mu moves with nothing.
+        """
+        beta0, zeta, kappa = np.zeros((3, 3, x.size))
+        if not mu_pinned:
+            beta0[2] = mu * x
+        if self.kind == "free":
+            zeta[0] = x
+        kappa[1] = gamma * x
+        if self.kind in ("poisson", "binomial"):
+            kappa[0] = kappa[1]
+        return {"beta0": beta0, "zeta": zeta, "kappa": kappa}
+
+
+def _link_values(x: np.ndarray, zeta: np.ndarray, kappa: np.ndarray, beta0: np.ndarray,
+                 mu_pinned: bool) -> Tuple[float, float, float]:
+    """(alpha, gamma, mu) = (x' zeta, exp(x' kappa), exp(x' beta0)) at the
+    design row ``x``, with mu = 1 where it is pinned."""
+    alpha = float(x @ zeta)
+    gamma = float(np.exp(x @ kappa))
+    mu = 1.0 if mu_pinned else float(np.exp(x @ beta0))
+    return alpha, gamma, mu
+
 
 @dataclass(frozen=True)
 class FrailtyLink:
@@ -389,13 +442,12 @@ class FrailtyLink:
 
         Plain floats: whether they form a valid law depends on the pin.
         """
-        x = self.row(level)
-        alpha = float(x @ np.asarray(self.zeta))
-        gamma = float(np.exp(x @ np.asarray(self.kappa)))
-        mu = float(np.exp(x @ np.asarray(self.beta0)))
-        if self.pin_reference_mu and level == self.reference:
-            mu = 1.0
-        return alpha, gamma, mu
+        return _link_values(self.row(level), np.asarray(self.zeta), np.asarray(self.kappa),
+                            np.asarray(self.beta0), self.mu_pinned(level))
+
+    def mu_pinned(self, level: str) -> bool:
+        """Whether mu is held at one in ``level``: the reference, when pinned."""
+        return self.pin_reference_mu and level == self.reference
 
 
 @dataclass(frozen=True)
@@ -440,42 +492,14 @@ class ModelSpec:
         return self.baselines[key]
 
     def frailty_params(self, level: str) -> AddamsParameters:
-        """Stratum frailty parameters with the branch regime applied.
-
-        A free stratum raises :class:`InvalidRegion` at alpha >= gamma,
-        which only the pins reach.
-        """
-        alpha, gamma, mu = self.frailty_link.raw_params(level)
-        regime = self.branch_regimes[level]
-        if regime.kind == "gamma":
-            alpha = 0.0
-        elif regime.kind == "poisson":
-            alpha = gamma
-        elif regime.kind == "binomial":
-            alpha = gamma + 1.0 / regime.b
-        elif alpha >= gamma:
-            raise InvalidRegion(
-                f"free regime requires alpha < gamma (alpha={alpha}, gamma={gamma})"
-            )
-        return AddamsParameters(alpha, gamma, mu)
+        """Stratum frailty parameters with the branch regime applied
+        (:meth:`BranchRegime.law`)."""
+        return self.branch_regimes[level].law(*self.frailty_link.raw_params(level))
 
     def frailty_jacobian(self, level: str) -> Dict[str, np.ndarray]:
-        """d(alpha, gamma, mu) / d(beta0, zeta, kappa) of :meth:`frailty_params`.
-
-        One 3 x p block per coefficient vector, rows (alpha, gamma, mu).
-        The regime pins apply: a gamma pin holds alpha at 0, the Poisson
-        and binomial pins move alpha with gamma, and a pinned reference mu
-        moves with nothing.
-        """
+        """d(alpha, gamma, mu) / d(beta0, zeta, kappa) of :meth:`frailty_params`,
+        the regime pins applied (:meth:`BranchRegime.jacobian`)."""
         link = self.frailty_link
-        x = link.row(level)
         _, gamma, mu = link.raw_params(level)
-        kind = self.branch_regimes[level].kind
-        zero = np.zeros_like(x)
-        mu_pinned = link.pin_reference_mu and level == link.reference
-        return {
-            "beta0": np.array([zero, zero, zero if mu_pinned else mu * x]),
-            "zeta": np.array([x if kind == "free" else zero, zero, zero]),
-            "kappa": np.array([gamma * x if kind in ("poisson", "binomial") else zero,
-                               gamma * x, zero]),
-        }
+        return self.branch_regimes[level].jacobian(link.row(level), gamma, mu,
+                                                   link.mu_pinned(level))

@@ -13,24 +13,28 @@ clamped (counted in ``diagnostics``).
 into one flat term layout per stratum level: the level's cells (one per
 dataset row, unit by unit) and a vector of all its inclusion-exclusion
 terms, each with its cluster and sign, tied to the cells by a sparse
-term-by-cell incidence.  A pass takes every s-value from one incidence
-product and makes one ``log_laplace`` call per level, whatever the unit
-sets and event counts; one signed ``bincount`` gives the cluster
+term-by-cell incidence.  A value pass takes every s-value from one
+incidence product and makes one ``log_laplace`` call per level, whatever
+the unit sets and event counts; one signed ``bincount`` gives the cluster
 probabilities.  :meth:`LikelihoodWorkspace.total_loglik` gives the whole
 dataset's log-likelihood, and :func:`cluster_loglik` one cluster's.
 
 :meth:`LikelihoodWorkspace.loglik_and_score` also returns the score
 with respect to the free vector of an ``estimation.ParameterLayout``, from
-the same s-values and Laplace terms.  With sign_A = (-1)^|A|, dP/dLambda
+the same s-values and Laplace terms.  It builds no ModelSpec: each level's
+law and link Jacobian, each rate-linear block's rates and each unit's
+beta come from the layout's ``estimation.ParameterMap``, compiled at the
+workspace's first pass with that layout.  With sign_A = (-1)^|A|, dP/dLambda
 of a cell sums sign_A L'(s_A) over the terms that hold it, one product
 with the transposed incidence; the chain rule then runs through the
 baselines (exactly for rate-linear ones; a Weibull or generalized gamma
 baseline's ``cumulative`` is differenced in its log-parameters by
-``hazard._central_jacobian``) and the covariate effects.  The
-frailty-link coefficients take the closed-form partials of log L(s) in
-(alpha, gamma, mu) from one ``family.log_laplace_partials`` call per
-level, chained through ``ModelSpec.frailty_jacobian``, which applies the
-regime pins; a level whose alpha is pinned computes no alpha partial.
+``hazard._central_jacobian``) and the covariate effects.  One
+``family.log_laplace_partials`` call per level gives log L(s) together
+with its closed-form partials in (alpha, gamma, mu), from the same
+exponentials; the frailty-link coefficients take the partials through the
+map's Jacobian blocks (``BranchRegime.jacobian``, which applies the regime
+pins), and a level pinned to the gamma limit computes no alpha partial.
 
 With ``information=True`` the same pass also returns the observed
 information, the exact negated Hessian that ``estimation.fit`` takes its
@@ -39,13 +43,13 @@ standard errors from (no differenced score passes):
     -H = sum_i w_i g_i g_i' - sum_A (w_i T_A / P_i) (d2 l_A + d l_A d l_A'),
 
 with T_A = sign_A L(s_A), l_A = log L(s_A) and g_i the cluster's score.
-One ``family.log_laplace_second_partials`` call per level gives the
-second partials of l_A in (mu s, alpha, gamma); they are chained through
-the incidence (d s_A sums the d Lambda of A's cells), the baselines
-(a rate-linear one's d2 Lambda / d theta_k^2 is d Lambda / d theta_k, a
-Weibull or generalized gamma one's second differences come from
-``hazard._central_jacobian``), the covariate effects, ``frailty_jacobian``
-and the link's own second derivatives.
+One ``family.log_laplace_second_partials`` call per level gives log L
+and the first and second partials of l_A in (mu s, alpha, gamma); they are
+chained through the incidence (d s_A sums the d Lambda of A's cells), the
+baselines (a rate-linear one's d2 Lambda / d theta_k^2 is
+d Lambda / d theta_k, a Weibull or generalized gamma one's second
+differences come from ``hazard._central_jacobian``), the covariate
+effects, the map's Jacobian blocks and the link's own second derivatives.
 """
 
 from __future__ import annotations
@@ -210,6 +214,7 @@ class LikelihoodWorkspace:
         self.weights = data.weight
         self.cluster_ids = data.cluster_ids
         self.levels: List[_Level] = []
+        self._map = None    # the last layout's ParameterMap
         if self.n_clusters == 0:
             return
         slot, level_names, level = _slots_and_levels(spec, data)
@@ -267,34 +272,31 @@ class LikelihoodWorkspace:
             raise MissingCovariate(f"cluster {data.cluster_ids[pos]!r}, unit {unit!r}: "
                                    f"covariate {covariate!r} missing")
 
-    def _pass(self, level: _Level, spec: ModelSpec):
-        """One level at ``spec``: its frailty parameters, cell hazards, per
-        block (baseline, exposure matrix or None, covariate multipliers or
-        None), the terms' s-values, log L(s) and sign_A L(s_A), the clamped
-        cluster probabilities, and the clamped clusters' mask or None."""
-        params = spec.frailty_params(level.name)
+    def _hazards(self, level: _Level, sources):
+        """One level's cell hazards, per block (rates or baseline, exposure
+        or None, covariate multipliers or None), and the terms' s-values.
+        ``sources`` holds per block (exposure matrix or None, the rates
+        under that exposure or else the baseline, the unit's beta or None)."""
         lam = np.empty(level.incidence.shape[1])
         parts = []
-        for block in level.blocks:
-            baseline = spec.baseline_for(level.name, block.unit)
-            exposure = block.exposure_for(baseline)
-            if exposure is not None:
-                base = exposure @ baseline.rate_vector
-            else:
-                base = baseline.cumulative(block.times)
+        for block, (exposure, value, beta) in zip(level.blocks, sources):
+            base = value.cumulative(block.times) if exposure is None else exposure @ value
             mult = None
-            if block.design is not None:
-                mult = np.exp(block.design @ np.asarray(spec.predictors[block.unit].coefficients))
+            if beta is not None:
+                mult = np.exp(block.design @ beta)
                 base = base * mult
             lam[block.cells] = base
-            parts.append((baseline, exposure, mult))
-        svals = level.incidence @ lam
-        log_l = log_laplace(params, svals)
+            parts.append((value, exposure, mult))
+        return lam, parts, level.incidence @ lam
+
+    def _probabilities(self, level: _Level, log_l: np.ndarray):
+        """sign_A L(s_A) of the terms at their ``log_l``, the clamped cluster
+        probabilities, and the clamped clusters' mask or None."""
         signed = np.exp(log_l) * level.signs
         prob = np.bincount(level.term_cluster, weights=signed, minlength=level.clusters.size)
         bad = prob <= 0.0
         if not np.any(bad):
-            return params, lam, parts, svals, log_l, signed, prob, None
+            return signed, prob, None
         if np.any(prob <= -_CLAMP_TOL):
             worst = int(np.argmin(prob))
             raise NonPositiveProbability(
@@ -302,12 +304,22 @@ class LikelihoodWorkspace:
                 f"inclusion-exclusion sum {prob[worst]}"
             )
         diagnostics.clamped_probabilities += int(bad.sum())
-        return params, lam, parts, svals, log_l, signed, np.where(bad, _CLAMP_VALUE, prob), bad
+        return signed, np.where(bad, _CLAMP_VALUE, prob), bad
 
     def cluster_logliks(self, spec: ModelSpec) -> np.ndarray:
         out = np.empty(self.n_clusters)
         for level in self.levels:
-            out[level.clusters] = np.log(self._pass(level, spec)[6])
+            params = spec.frailty_params(level.name)
+            sources = []
+            for block in level.blocks:
+                baseline = spec.baseline_for(level.name, block.unit)
+                exposure = block.exposure_for(baseline)
+                beta = (None if block.design is None
+                        else np.asarray(spec.predictors[block.unit].coefficients))
+                sources.append((exposure, baseline if exposure is None else baseline.rate_vector,
+                                beta))
+            svals = self._hazards(level, sources)[2]
+            out[level.clusters] = np.log(self._probabilities(level, log_laplace(params, svals))[1])
         return out
 
     def total_loglik(self, spec: ModelSpec) -> float:
@@ -318,27 +330,30 @@ class LikelihoodWorkspace:
         gradient with respect to ``theta_free``; with ``information`` set, also
         the observed information -H, the negated Hessian, from the same pass.
 
-        The value equals :meth:`total_loglik` at the same spec.  Clusters
-        whose probability was clamped contribute nothing to the score or
-        the information.
+        The numbers come from the layout's ``parameter_map`` for this
+        workspace, compiled at the first pass with ``layout`` and kept for
+        the next ones; no spec is built.  The value equals
+        :meth:`total_loglik` at the same spec.  Clusters whose probability
+        was clamped contribute nothing to the score or the information.
         """
-        theta_free = np.asarray(theta_free, dtype=float)
-        spec = layout.build_spec(theta_free)
+        pmap = self._map
+        if pmap is None or pmap.layout is not layout:
+            pmap = self._map = layout.parameter_map(self)
         grad = np.zeros(layout.free_mask.size)
         out = np.empty(self.n_clusters)
         if information:
             info = np.zeros((grad.size, grad.size))
-        for level in self.levels:
-            params, lam, parts, svals, log_l, signed, prob, bad = self._pass(level, spec)
-            out[level.clusters] = np.log(prob)
-            jacobian = spec.frailty_jacobian(level.name)
-            # a pinned alpha (zero rows) skips the alpha partials
-            alpha = any(np.any(block[0] != 0.0) for block in jacobian.values())
+        for level, mapped, (params, jacobian, sources) in zip(
+                self.levels, pmap.levels, pmap(theta_free)):
+            lam, parts, svals = self._hazards(level, sources)
+            alpha = mapped.regime.moves_alpha     # a pinned alpha skips its partials
             if information:
-                (d_alpha, d_gamma, h), second = log_laplace_second_partials(
-                    params, svals, log_l, alpha)
+                (log_l, d_alpha, d_gamma, h), second = log_laplace_second_partials(
+                    params, svals, alpha)
             else:
-                d_alpha, d_gamma, h = log_laplace_partials(params, svals, log_l, alpha)
+                log_l, d_alpha, d_gamma, h = log_laplace_partials(params, svals, alpha)
+            signed, prob, bad = self._probabilities(level, log_l)
+            out[level.clusters] = np.log(prob)
             # d log P = dP / P: each term divided by its cluster's P, then
             # weighted (T_A / P stays finite where a tiny P makes w / P overflow)
             weights = level.term_weights
@@ -349,10 +364,10 @@ class LikelihoodWorkspace:
             # d log L / ds = -mu h and d log L / d mu = -s h
             signed_h = signed * h
             dl_dlam = level.incidence_t @ signed_h * -params.mu
-            for block, (baseline, exposure, mult) in zip(level.blocks, parts):
+            for block, (key, _, _), (value, exposure, mult) in zip(level.blocks, mapped.blocks,
+                                                                   parts):
                 dl = dl_dlam[block.cells]
-                key = (level.name, block.unit) if spec.stratified_baselines else block.unit
-                self._baseline_score(baseline, exposure, block.times, layout.baseline_slices[key].start,
+                self._baseline_score(value, exposure, block.times, layout.baseline_slices[key].start,
                                      dl if mult is None else dl * mult, grad)
                 if block.design is not None:
                     grad[layout.beta_slices[block.unit]] += block.design.T @ (dl * lam[block.cells])
@@ -365,7 +380,7 @@ class LikelihoodWorkspace:
                 if bad is not None:
                     ratio = np.where(bad[level.term_cluster], 0.0, ratio)
                 info += self._level_information(
-                    layout, spec, level, params, jacobian, lam, parts, svals, ratio, signed,
+                    layout, level, mapped, params, jacobian, lam, parts, svals, ratio, signed,
                     dl_dlam, d_frailty, (-h, d_alpha, d_gamma), second)
         value = float(np.sum(self.weights * out))
         free = layout.free_mask
@@ -373,7 +388,7 @@ class LikelihoodWorkspace:
             return value, grad[free]
         return value, grad[free], info[np.ix_(free, free)]
 
-    def _level_information(self, layout, spec, level, params, jacobian, lam, parts, svals,
+    def _level_information(self, layout, level, mapped, params, jacobian, lam, parts, svals,
                            ratio, signed, dl_dlam, d_frailty, first, second) -> np.ndarray:
         """One level's part of the observed information over the full
         parameter vector,
@@ -394,8 +409,7 @@ class LikelihoodWorkspace:
         """
         n_full = layout.free_mask.size
         mu = params.mu
-        keys = [(level.name, block.unit) if spec.stratified_baselines else block.unit
-                for block in level.blocks]
+        keys = [key for key, _, _ in mapped.blocks]
         slices = [layout.baseline_slices[key] for key in keys] + [
             layout.beta_slices[block.unit] for block in level.blocks if block.design is not None]
         cols = sorted({i for sl in slices for i in range(sl.start, sl.stop)})
@@ -414,7 +428,7 @@ class LikelihoodWorkspace:
             bs = where[layout.baseline_slices[key].start]
             dl = dl_dlam[block.cells]
             if exposure is not None:
-                d_base = exposure * baseline.rate_vector
+                d_base = exposure * baseline    # the rates
                 second_base = None      # d2 Lambda / d theta_k^2 = d Lambda / d theta_k
             else:
                 log_params = baseline.log_params
@@ -491,7 +505,7 @@ class LikelihoodWorkspace:
         # the coordinates' own second derivatives: gamma = exp(x' kappa) and
         # mu = exp(x' beta0), and a pinned alpha moves with gamma, so each
         # coordinate's Hessian in an exp-link block is its Jacobian row times x'
-        x = spec.frailty_link.row(level.name)
+        x = mapped.x
         for name in ("kappa", "beta0"):
             sl = layout.link_slices[name]
             info[sl, sl] -= np.outer(d_frailty @ jacobian[name], x)
@@ -501,10 +515,10 @@ class LikelihoodWorkspace:
     def _baseline_score(baseline, exposure: Optional[np.ndarray], times: np.ndarray, start: int,
                         dl_dbase: np.ndarray, grad: np.ndarray) -> None:
         """Adds d loglik / d log-parameters of a block's baseline, whose
-        entries in ``grad`` begin at ``start``."""
+        entries in ``grad`` begin at ``start``; ``baseline`` is the rates of
+        a rate-linear one, under its ``exposure``."""
         if exposure is not None:
-            rates = baseline.rate_vector
-            grad[start:start + rates.size] += rates * (dl_dbase @ exposure)
+            grad[start:start + baseline.size] += baseline * (dl_dbase @ exposure)
             return
         log_params = baseline.log_params
         jac = _central_jacobian(lambda values: baseline.with_log_params(values).cumulative(times),

@@ -196,6 +196,31 @@ def scalar_cluster_loglik(spec, cluster):
     return math.log(prob)
 
 
+def spec_parameter_map(layout, workspace):
+    """An ``estimation.ParameterMap`` whose numbers are read from
+    ``layout.build_spec(theta)``: ``ModelSpec.frailty_params`` and
+    ``frailty_jacobian``, the spec's baselines and its predictors, the
+    route a score pass read them by before the map was compiled."""
+    from addamsfrailty.estimation import ParameterMap
+
+    class SpecParameterMap(ParameterMap):
+        def __call__(self, theta_free):
+            spec = self.layout.build_spec(theta_free)
+            points = []
+            for level in self.levels:
+                sources = []
+                for key, unit, exposure in level.blocks:
+                    baseline, predictor = spec.baselines[key], spec.predictors[unit]
+                    sources.append((
+                        exposure, baseline if exposure is None else baseline.rate_vector,
+                        np.asarray(predictor.coefficients) if predictor.covariate_names else None))
+                points.append((spec.frailty_params(level.name),
+                               spec.frailty_jacobian(level.name), sources))
+            return points
+
+    return SpecParameterMap(layout, workspace)
+
+
 def finite_difference(f, x, h):
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
@@ -295,6 +320,65 @@ def _mp_derivative(f, x, dps):
             if work - lost >= dps + 10:
                 return slope
         work = max(2 * work, lost + dps + 20)
+
+
+def separate_log_laplace_partials(p, s, log_l, alpha=True):
+    """(d_alpha, d_gamma, h) from a log L computed apart, as two kernel
+    calls once took them: ``log_laplace``, then the partials at its value.
+    The reference for the fused ``family.log_laplace_partials``; it
+    recomputes every exponential the fused call shares with log L and
+    uses the library's series only for the regions where they serve."""
+    from addamsfrailty import family
+
+    a, g, m = p.alpha, p.gamma, p.mu
+    d = a - g
+    s_arr = np.asarray(s, dtype=float).reshape(-1)
+    log_l = np.asarray(log_l, dtype=float).reshape(-1)
+    s_min = float(s_arr.min()) if s_arr.size else math.inf
+    if s_min == 0.0:
+        s_min = float(np.min(s_arr, where=s_arr > 0.0, initial=math.inf))
+    gamma_limit = family._is_gamma_limit(a, g)
+    lead = None
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if gamma_limit:
+            u = m * s_arr
+            h = 1.0 / (1.0 + g * m * s_arr)
+            t = u * h
+            if alpha:
+                lead = 0.5 * u * t
+        else:
+            x = a * m * s_arr
+            if a < 0.0:
+                e = np.expm1(x)
+                h = 1.0 / ((g / a) * e + 1.0)
+                t = e * h / a
+                if alpha:
+                    lead = (e - x) * h
+            else:
+                em = np.expm1(-x)
+                ex = np.exp(-x)
+                one_plus_q = ex - (g / a) * em
+                h = ex / one_plus_q
+                t = em / one_plus_q / -a
+                if alpha:
+                    lead = -((x * ex + em) / one_plus_q)
+            if alpha:
+                lead = lead / a / a
+                limit = family._PHI2_SPAN / abs(a) / m
+                if s_min < limit:
+                    small = s_arr < limit
+                    v = m * s_arr[small]
+                    lead[small] = v * v * h[small] * np.polynomial.polynomial.polyval(
+                        a * v, family._PHI2_SERIES)
+        d_gamma = (log_l + t) * (1.0 / d) if d else np.empty_like(s_arr)
+        limit = family._psi_limit(a, g) / m
+        if s_min < limit:
+            small = s_arr < limit
+            v = m * s_arr[small]
+            r = -v if gamma_limit else np.expm1(-a * v) / a
+            d_gamma[small] = r * r * np.polynomial.polynomial.polyval(d * r, family._PSI_SERIES)
+    d_alpha = family._alpha_partial(p, s_arr, s_min, lead, d_gamma) if alpha else None
+    return d_alpha, d_gamma, h
 
 
 def mp_log_laplace_partials(alpha, gamma, mu, s, dps=50):

@@ -39,6 +39,7 @@ from oracles import (
     mp_log_laplace_second_partials,
     naive_laplace_longdouble,
     quad_laplace,
+    separate_log_laplace_partials,
     series_laplace,
 )
 
@@ -371,7 +372,7 @@ class TestDerivativesAndMoments:
 
 def partials(p, s):
     """(d/dalpha, d/dgamma, d/dmu) of log L at ``s`` through the library."""
-    d_alpha, d_gamma, h = log_laplace_partials(p, s, log_laplace(p, s))
+    _, d_alpha, d_gamma, h = log_laplace_partials(p, s)
     return np.array([d_alpha, d_gamma, -s * h])
 
 
@@ -460,12 +461,12 @@ class TestLaplacePartials:
         # d log L / ds = -mu h
         p = AddamsParameters(-0.7, 2.0, 1.3)
         s = np.array([0.0, 0.4, 3.0])
-        d_alpha, d_gamma, h = log_laplace_partials(p, s, log_laplace(p, s))
+        log_l, d_alpha, d_gamma, h = log_laplace_partials(p, s)
         np.testing.assert_allclose(-p.mu * h, laplace_derivative(p, s) / laplace(p, s),
                                    rtol=1e-15)
-        assert d_alpha[0] == d_gamma[0] == 0.0
-        scalar = log_laplace_partials(p, 0.4, log_laplace(p, 0.4))
-        assert [float(v) for v in scalar] == [d_alpha[1], d_gamma[1], h[1]]
+        assert log_l[0] == d_alpha[0] == d_gamma[0] == 0.0
+        scalar = log_laplace_partials(p, 0.4)
+        assert [float(v) for v in scalar] == [log_l[1], d_alpha[1], d_gamma[1], h[1]]
         # an s = 0 entry (the empty subset of a cluster whose every unit had
         # the event) leaves the series at the small positive s in place
         s = np.logspace(-6, 1, 15)
@@ -495,6 +496,55 @@ class TestLaplacePartials:
             assert np.all(np.isfinite(partials(p, s))), (alpha, gamma)
 
 
+# (alpha, gamma) of each member: the gamma limit at alpha = 0 and where
+# gamma / alpha overflows, alpha < 0, 0 < alpha < gamma, the Poisson member
+# alpha = gamma and the binomial alpha = gamma + 1/b, and alpha near the seams
+FUSED_CASES = [
+    (0.0, 3.0), (1e-310, 3.0), (-1e-310, 3.0), (-10.0, 0.5), (-1.0, 2.0), (-4e-7, 3.0),
+    (-1e-300, 3.0), (4e-7, 3.0), (0.3, 0.5), (1.2, 3.0), (2.0 * (1.0 - 1e-10), 2.0),
+    (2.0, 2.0), (0.1, 0.1), (2.0 + 1.0 / 2, 2.0), (2.0 + 1.0 / 1, 2.0), (0.1 + 1.0 / 3, 0.1),
+]
+# s = 0 and 1e-300 to 1e300
+FUSED_S = np.concatenate([[0.0], np.logspace(-300, 300, 61), np.logspace(-6, 3, 37)])
+
+
+class TestFusedKernel:
+    """``log_laplace_partials`` takes log L and its partials from one call:
+    log L is ``log_laplace``'s bit for bit, and the partials are those
+    computed apart from that log L."""
+
+    @pytest.mark.parametrize("alpha,gamma", FUSED_CASES)
+    def test_log_l_is_log_laplace_bit_for_bit(self, alpha, gamma):
+        p = AddamsParameters(alpha, gamma, 0.7)
+        expected = log_laplace(p, FUSED_S)
+        assert expected[0] == 0.0
+        for with_alpha in (True, False):
+            np.testing.assert_array_equal(log_laplace_partials(p, FUSED_S, with_alpha)[0],
+                                          expected)
+            first, _ = log_laplace_second_partials(p, FUSED_S, with_alpha)
+            np.testing.assert_array_equal(first[0], expected)
+        assert float(log_laplace_partials(p, 0.4)[0]) == log_laplace(p, 0.4)
+
+    @pytest.mark.parametrize("alpha,gamma", FUSED_CASES)
+    def test_partials_are_the_separate_ones_bit_for_bit(self, alpha, gamma):
+        p = AddamsParameters(alpha, gamma, 0.7)
+        log_l = log_laplace(p, FUSED_S)
+        for with_alpha in (True, False):
+            got = log_laplace_partials(p, FUSED_S, with_alpha)[1:]
+            expected = separate_log_laplace_partials(p, FUSED_S, log_l, with_alpha)
+            for name, g, e in zip(("d_alpha", "d_gamma", "h"), got, expected):
+                if e is None:
+                    assert g is None, name
+                else:
+                    assert g.tobytes() == e.tobytes(), (name, with_alpha)
+
+    def test_negative_s_raises(self):
+        p = AddamsParameters(-1.0, 2.0, 0.7)
+        for kernel in (log_laplace, log_laplace_partials, log_laplace_second_partials):
+            with pytest.raises(InvalidParameters):
+                kernel(p, np.array([0.3, -1e-12]))
+
+
 # (alpha, gamma): each member, both seams exactly (alpha = 0, alpha = gamma),
 # alpha near 0 on either side, and alpha 1e-10 relative below gamma
 SECOND_PARTIAL_CASES = [
@@ -514,7 +564,7 @@ class TestLaplaceSecondPartials:
         mu = 0.7
         u = np.array(SECOND_PARTIAL_U)
         p = AddamsParameters(alpha, gamma, mu)
-        _, second = log_laplace_second_partials(p, u / mu, log_laplace(p, u / mu))
+        _, second = log_laplace_second_partials(p, u / mu)
         got = np.array(second)
         expected = np.array([mp_log_laplace_second_partials(alpha, gamma, v) for v in u]).T
         # aa sums M - D lead^2, 2 t lead and gg; where it changes sign those
@@ -534,16 +584,16 @@ class TestLaplaceSecondPartials:
         # alpha the alpha entries are None and the others do not change
         p = AddamsParameters(alpha, gamma, 0.7)
         s = np.concatenate([[0.0], np.logspace(-6, 3, 40)])
-        log_l = log_laplace(p, s)
-        first, second = log_laplace_second_partials(p, s, log_l)
-        for got, expected in zip(first, log_laplace_partials(p, s, log_l)):
+        first, second = log_laplace_second_partials(p, s)
+        for got, expected in zip(first, log_laplace_partials(p, s)):
             np.testing.assert_array_equal(got, expected)
-        first_g, second_g = log_laplace_second_partials(p, s, log_l, alpha=False)
-        assert first_g[0] is None and log_laplace_partials(p, s, log_l, alpha=False)[0] is None
+        first_g, second_g = log_laplace_second_partials(p, s, alpha=False)
+        assert first_g[1] is None and log_laplace_partials(p, s, alpha=False)[1] is None
         assert [second_g[i] for i in (1, 3, 4)] == [None] * 3
         for i in (0, 2, 5):
             np.testing.assert_array_equal(second_g[i], second[i])
-        np.testing.assert_array_equal(first_g[1], first[1])
+        for i in (0, 2, 3):
+            np.testing.assert_array_equal(first_g[i], first[i])
         # d2 log L / ds2 = mu^2 uu is the conditional variance
         np.testing.assert_allclose(0.7 ** 2 * second[0], conditional_moments(p, s)[1],
                                    rtol=1e-14)
@@ -552,7 +602,7 @@ class TestLaplaceSecondPartials:
         s = np.logspace(-300, 300, 61)
         for alpha, gamma, _ in PARTIAL_CASES:
             p = AddamsParameters(alpha, gamma, 0.7)
-            _, second = log_laplace_second_partials(p, s, log_laplace(p, s))
+            _, second = log_laplace_second_partials(p, s)
             # aa grows as u^2 in the gamma limit and overflows at u ~ 1e154
             finite = np.isfinite(second)
             assert finite[[0, 1, 2, 4, 5]].all(), (alpha, gamma)

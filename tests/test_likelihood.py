@@ -27,11 +27,24 @@ from addamsfrailty import (
     write_csv,
 )
 from addamsfrailty.hazard import BranchRegime
-from addamsfrailty import likelihood
-from addamsfrailty.errors import FrailtyModelError, MissingCovariate, NonFiniteEvaluation
+from addamsfrailty import estimation, likelihood
+from addamsfrailty.errors import (
+    FrailtyModelError,
+    InvalidParameters,
+    InvalidRegion,
+    MissingCovariate,
+    NonFiniteEvaluation,
+)
+from addamsfrailty.estimation import fit
 
 from conftest import random_triples
-from oracles import numeric_gradient, oracle_cluster_prob, scalar_cluster_loglik, score_hessian
+from oracles import (
+    numeric_gradient,
+    oracle_cluster_prob,
+    scalar_cluster_loglik,
+    score_hessian,
+    spec_parameter_map,
+)
 
 # log P values recomputed by the series/quadrature cluster oracle and frozen;
 # configuration: rates below, J = 2, times (10, 25), events (1, 0)
@@ -436,6 +449,141 @@ class TestScore:
                                    atol=1e-6 * np.abs(reference).max())
 
 
+def clamped_data(rng, n):
+    """``score_data`` and one cluster of two events at hazards ~1e-10,
+    whose 1 - L(a) - L(b) + L(a + b) is lost to round-off and clamped."""
+    degenerate = Cluster("clamped", (UnitRecord("u1", 1e-8, 1), UnitRecord("u2", 1.7e-8, 1)))
+    return CurrentStatusDataset(score_data(rng, n).clusters + (degenerate,))
+
+
+def pass_design(rng, name):
+    """(spec, data) of the compiled-pass tests: every pin, a second stratum
+    whose mu is not pinned, covariates, stratified and Weibull baselines,
+    and a clamped cluster; weights from 0.5 to 2 throughout."""
+    strata = ("f", "m")
+    if name == "free":
+        return score_spec(-1.0, 3.0), score_data(rng, 80)
+    if name == "cure":
+        return score_spec(1.2, 3.0), score_data(rng, 80)
+    if name in ("gamma", "poisson"):
+        return score_spec(3.0 if name == "poisson" else 0.0, 3.0, name), score_data(rng, 80)
+    if name == "binomial:2":
+        return score_spec(3.5, 3.0, "binomial", 2), score_data(rng, 80)
+    if name == "two_strata_free_mu":
+        spec = score_spec(strata=strata)
+        spec = dataclasses.replace(spec, frailty_link=dataclasses.replace(
+            spec.frailty_link, beta0_free=(True, True)))
+        return spec, score_data(rng, 100, strata=strata)
+    if name == "covariates":
+        return score_spec(covariate=True), score_data(rng, 80, covariate=True)
+    if name == "stratified":
+        return score_spec(strata=strata, stratified=True), score_data(rng, 100, strata=strata)
+    if name == "weibull":
+        return (score_spec(baseline=lambda i: WeibullBaseline(1.3 + 0.2 * i, 40.0)),
+                score_data(rng, 80))
+    assert name == "clamped"
+    return score_spec(-1.0, 3.0), clamped_data(rng, 60)
+
+
+PASS_DESIGNS = ["free", "cure", "gamma", "poisson", "binomial:2", "two_strata_free_mu",
+                "covariates", "stratified", "weibull", "clamped"]
+
+
+def outcome(f):
+    """f()'s (value, score) bytes, or the type of the error it raised."""
+    try:
+        value, score = f()[:2]
+    except FrailtyModelError as error:
+        return type(error)
+    return np.float64(value).tobytes(), score.tobytes()
+
+
+class TestCompiledPass:
+    """A score pass reads its numbers from the layout's ``ParameterMap``,
+    compiled once per workspace, with no spec built."""
+
+    @pytest.mark.parametrize("design", PASS_DESIGNS)
+    def test_map_is_the_spec_route_bit_for_bit(self, rng, monkeypatch, design):
+        # the map against the spec route (``oracles.spec_parameter_map``):
+        # the same value and score bytes, at the start points and at
+        # random steps around them
+        spec, data = pass_design(rng, design)
+        layout = ParameterLayout(spec)
+        ws = LikelihoodWorkspace(spec, data)
+        theta = layout.free_vector()
+        thetas = [theta, layout.default_init(data)] + [
+            theta + rng.normal(0.0, 0.15, theta.size) for _ in range(6)]
+        before = likelihood.diagnostics.clamped_probabilities
+        compiled = [outcome(lambda: ws.loglik_and_score(layout, th)) for th in thetas]
+        assert all(isinstance(got, tuple) for got in compiled[:2])
+        assert (likelihood.diagnostics.clamped_probabilities > before) == (design == "clamped")
+        monkeypatch.setattr(ParameterLayout, "parameter_map", spec_parameter_map)
+        reference = LikelihoodWorkspace(spec, data)
+        for th, got in zip(thetas, compiled):
+            assert got == outcome(lambda: reference.loglik_and_score(layout, th))
+            if isinstance(got, tuple):
+                assert got[0] == np.float64(ws.total_loglik(layout.build_spec(th))).tobytes()
+                # the information pass's value and score are the score pass's
+                assert got == outcome(lambda: ws.loglik_and_score(layout, th, information=True))
+
+    def test_map_is_compiled_once_per_layout(self, rng, monkeypatch):
+        spec, data = pass_design(rng, "two_strata_free_mu")
+        layouts = [ParameterLayout(spec), ParameterLayout(spec)]
+        ws = LikelihoodWorkspace(spec, data)
+        compiled = []
+        original = ParameterLayout.parameter_map
+
+        def counted(layout, workspace):
+            compiled.append(layout)
+            return original(layout, workspace)
+
+        monkeypatch.setattr(ParameterLayout, "parameter_map", counted)
+        builds = []
+        build_spec = ParameterLayout.build_spec
+        monkeypatch.setattr(ParameterLayout, "build_spec",
+                            lambda layout, theta: builds.append(1) or build_spec(layout, theta))
+        first = [ws.loglik_and_score(layout, layout.free_vector()) for layout in layouts * 2]
+        assert compiled == layouts + layouts and builds == []
+        for _ in range(3):
+            ws.loglik_and_score(layouts[1], layouts[1].free_vector(), information=True)
+        assert len(compiled) == 4
+        assert first[0][1].tobytes() == first[3][1].tobytes()
+
+    @pytest.mark.parametrize("entry,value,error", [
+        ("baseline[u1].rate[20+]", 800.0, InvalidParameters),     # the rate overflows
+        ("baseline[u1].rate[20+]", -800.0, InvalidParameters),    # the rate is 0
+        ("kappa[0]", 800.0, InvalidParameters),                   # gamma overflows
+        ("zeta[0]", 3.5, InvalidRegion),                          # alpha >= gamma = 3
+    ])
+    def test_infeasible_points(self, rng, entry, value, error):
+        spec = score_spec(-1.0, 3.0)
+        data = score_data(rng, 40)
+        layout = ParameterLayout(spec)
+        theta = layout.free_vector()
+        theta[layout.free_names.index(entry)] = value
+        ws = LikelihoodWorkspace(spec, data)
+        assert issubclass(error, estimation._INFEASIBLE)
+        with np.errstate(over="ignore"):
+            with pytest.raises(error):
+                ws.loglik_and_score(layout, theta)
+            with pytest.raises(error):
+                layout.build_spec(theta).frailty_params("s")
+            # fit's objective reads the point as (inf, 0), so a start there
+            # is refused as non-finite rather than raising the error
+            with pytest.raises(NonFiniteEvaluation):
+                fit(spec, data, init=theta)
+
+    def test_fit_counts_clamps(self):
+        # the free recovery fit's first line search tries log-rate 41.5 for
+        # u1's rate[40+], where 760 of the 3,000 cluster probabilities clamp
+        from test_acceptance import recovery_spec, simulate_from
+
+        data = simulate_from(recovery_spec(), 3000, seed=0)
+        before = likelihood.diagnostics.clamped_probabilities
+        fit(recovery_spec(), data)
+        assert likelihood.diagnostics.clamped_probabilities - before == 760
+
+
 GROUPING_UNITS = ("u1", "u2", "u3", "u4", "u5")
 GROUPING_STRATA = ("f", "m")
 
@@ -552,7 +700,8 @@ class TestEventCountGrouping:
 
     def test_one_kernel_call_per_level_in_a_score_pass(self, rng, monkeypatch):
         # the link coefficients' partials come from the value's terms: no
-        # perturbed transform is evaluated
+        # perturbed transform is evaluated, and log L comes with the
+        # partials from the one fused call
         spec = grouping_spec()
         layout = ParameterLayout(spec)
         assert {"zeta[0]", "zeta[1]", "kappa[0]", "kappa[1]", "beta0[1]"} <= set(layout.free_names)
@@ -560,7 +709,7 @@ class TestEventCountGrouping:
         calls = self.counted(monkeypatch, "log_laplace")
         partials = self.counted(monkeypatch, "log_laplace_partials")
         ws.loglik_and_score(layout, layout.free_vector())
-        assert len(calls) == len(partials) == len(GROUPING_STRATA)
+        assert len(calls) == 0 and len(partials) == len(GROUPING_STRATA)
 
 
 def reference_terms(spec, data):
@@ -814,7 +963,7 @@ class TestInformation:
         calls = {name: TestEventCountGrouping.counted(monkeypatch, name) for name in
                  ("log_laplace", "log_laplace_partials", "log_laplace_second_partials")}
         ws.loglik_and_score(layout, layout.free_vector(), information=True)
-        assert [len(c) for c in calls.values()] == [len(GROUPING_STRATA), 0, len(GROUPING_STRATA)]
+        assert [len(c) for c in calls.values()] == [0, 0, len(GROUPING_STRATA)]
 
 
 class TestPinnedAlpha:
@@ -833,16 +982,15 @@ class TestPinnedAlpha:
         calls = []
         partials = likelihood.log_laplace_partials
 
-        def recorded(params, svals, log_l, alpha=True):
+        def recorded(params, svals, alpha=True):
             calls.append(alpha)
-            return partials(params, svals, log_l, alpha)
+            return partials(params, svals, alpha)
 
         monkeypatch.setattr(likelihood, "log_laplace_partials", recorded)
         for theta in (layout.free_vector(), layout.default_init(data)):
             value, score = ws.loglik_and_score(layout, theta)
             monkeypatch.setattr(likelihood, "log_laplace_partials",
-                                lambda params, svals, log_l, alpha=True:
-                                partials(params, svals, log_l, True))
+                                lambda params, svals, alpha=True: partials(params, svals, True))
             forced = ws.loglik_and_score(layout, theta)
             monkeypatch.setattr(likelihood, "log_laplace_partials", recorded)
             assert value == forced[0] and score.tobytes() == forced[1].tobytes()
@@ -855,9 +1003,9 @@ class TestPinnedAlpha:
         calls = []
         second = likelihood.log_laplace_second_partials
 
-        def recorded(params, svals, log_l, alpha=True):
+        def recorded(params, svals, alpha=True):
             calls.append(alpha)
-            return second(params, svals, log_l, alpha)
+            return second(params, svals, alpha)
 
         monkeypatch.setattr(likelihood, "log_laplace_second_partials", recorded)
         ws.loglik_and_score(layout, layout.free_vector(), information=True)
