@@ -28,6 +28,8 @@ divides by neither alpha nor alpha - gamma, and
 :func:`log_laplace_second_partials` adds the second partials in (mu s,
 alpha, gamma) under the same rule.  The branch arithmetic of log L is
 written once, in ``_log_laplace_terms``, which all three share.
+``_log_laplace_inverse`` solves log L(s) = y for s in closed form, which
+the fit's start uses to match a baseline to an event fraction.
 """
 
 from __future__ import annotations
@@ -248,6 +250,46 @@ def log_laplace(p: AddamsParameters, s):
         raise InvalidParameters("Laplace transform argument must be >= 0")
     out = _log_laplace_terms(p.alpha, p.gamma, p.mu, s_arr.reshape(-1))[0]
     return float(out[0]) if np.isscalar(s) or np.ndim(s) == 0 else out.reshape(s_arr.shape)
+
+
+# where log L(s) = y has no root (below the cure branches' plateau), the
+# inverse returns the s at which exp(-alpha mu s) has fallen to this value
+_NO_ROOT_TAIL = 1e-3
+# math.expm1 overflows a little above this argument
+_EXPM1_MAX = 709.0
+
+
+def _log_laplace_inverse(p: AddamsParameters, y: float) -> float:
+    """The s >= 0 at which log L(s) = y, for a scalar y <= 0.
+
+    In the gamma limit s = expm1(-gamma y) / (gamma mu).  Elsewhere, with
+    D = alpha - gamma and E = expm1(D y) / D, exp(-alpha mu s) = 1 + q with
+    q = alpha E, so s = -log1p(q) / (alpha mu).  It is taken as
+    -E k(q) / mu, k(q) = log1p(q) / q, and E as y expm1(D y) / (D y), with
+    k(0) = 1 and E = y at D y = 0 (the Poisson member), so nothing divides
+    by alpha or D where they vanish.  On the cure branches (alpha > 0)
+    log L falls only to log L(inf) = log(gamma / alpha) / D (-1 / gamma at
+    alpha = gamma); at or below it q <= -1 and there is no root, and the
+    finite s = -log(_NO_ROOT_TAIL) / (alpha mu) is returned instead: there
+    L(s)^D (log L at alpha = gamma) has gone all but 0.1% of the way from
+    its value at s = 0 to its limit.  Where expm1(D y) would overflow,
+    log1p(q) is taken as D y + log(alpha / D + (1 - alpha / D) exp(-D y))
+    for alpha < 0 (for alpha > 0 there is no root), and in the gamma limit
+    an s beyond the float range is inf.
+    """
+    a, g, m = p.alpha, p.gamma, p.mu
+    if _is_gamma_limit(a, g):
+        return math.expm1(-g * y) / (g * m) if -g * y < _EXPM1_MAX else math.inf
+    d = a - g
+    z = d * y
+    if z < _EXPM1_MAX:
+        e = y * (math.expm1(z) / z) if z else y
+        q = a * e
+        if q > -1.0:
+            return -e * (math.log1p(q) / q if q else 1.0) / m
+    elif a < 0.0:
+        return -(z + math.log(a / d + (1.0 - a / d) * math.exp(-z))) / (a * m)
+    return -math.log(_NO_ROOT_TAIL) / (a * m)
 
 
 def laplace(p: AddamsParameters, s):

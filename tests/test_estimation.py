@@ -9,6 +9,7 @@ import pytest
 from scipy import stats
 
 from addamsfrailty import (
+    AddamsParameters,
     Cluster,
     CurrentStatusDataset,
     ExponentialBaseline,
@@ -22,12 +23,13 @@ from addamsfrailty import (
     WeibullBaseline,
     fit,
     hessian,
+    log_laplace,
     lrt,
     pinned_result,
     transformed_ci,
 )
 from addamsfrailty.config import load_config
-from addamsfrailty.estimation import ParameterLayout, delta_method_se
+from addamsfrailty.estimation import _START_GAMMA, ParameterLayout, delta_method_se
 from addamsfrailty.errors import (
     DomainViolation,
     IdentifiabilityError,
@@ -444,24 +446,38 @@ class TestFit:
 
     def test_start_point_check_feeds_the_first_bfgs_call(self, bfgs_calls):
         spec = basic_spec()
-        result = fit(spec, simulated_data(spec, n=200, seed=4))
+        data = simulated_data(spec, n=200, seed=4)
+        result = fit(spec, data)
         attempts = bfgs_calls.calls
         assert result.converged and attempts
-        # each attempt's start point is evaluated once, by the check, and
-        # the covariance takes one information pass after the last attempt
+        assert np.array_equal(attempts[0][0], ParameterLayout(spec).default_init(data))
+        # the default start is evaluated once, by the check, whose pass
+        # serves the first call, and the covariance takes one information
+        # pass after the last attempt
         assert all(inside == res.nfev - 1 for _, res, inside in attempts)
-        assert len(bfgs_calls.passes) == sum(res.nfev for _, res, _ in attempts) + 1
+        assert len(bfgs_calls.passes) == 1 + sum(inside for _, _, inside in attempts) + 1
         assert bfgs_calls.passes[-1] and not any(bfgs_calls.passes[:-1])
 
     def test_stall_restarts_from_the_best_point_without_a_pass(self, bfgs_calls):
         spec = seam_spec(0.5)
-        result = fit(spec, simulate_from(spec, 3000, seed=50009))
+        # a start on the floor rate, where BFGS stalls once before converging
+        init = [-3.592898570679608, -9.210340371976182, -3.88794988477029,
+                -5.1779862729550725, -0.1, -0.6931471805599453]
+        result = fit(spec, simulate_from(spec, 3000, seed=50009), init=init)
         assert result.converged and len(bfgs_calls.calls) == 2
         (_, first, _), (x0, second, _) = bfgs_calls.calls
         assert np.array_equal(x0, first.x) and second.fun < first.fun
         # the restart's first call is served the best point's value and gradient
         nfev = first.nfev + second.nfev
         assert len(bfgs_calls.passes) == nfev - 1 + 1
+
+    def test_interior_truths_converge(self):
+        # the seam set at (alpha, gamma) = (0.5, 1): 12 of these 20 fits
+        # converged from the no-frailty start, 19 from the data-chosen one
+        spec = seam_spec(0.5)
+        converged = sum(fit(spec, simulate_from(spec, 3000, seed=seed)).converged
+                        for seed in range(50000, 50020))
+        assert converged >= 19
 
     def test_unconverged_fit_restarts_only_from_the_best_point(self, bfgs_calls):
         spec = seam_spec(0.9)
@@ -535,8 +551,8 @@ class TestDefaultStart:
         )
         data = generate(SimConfig(spec=spec, n_clusters=4000, seed=1,
                                   stratum_probs={"a": 0.5, "b": 0.5}))
-        start = ParameterLayout(spec).default_init(data)
         # each level's rates start from that level's own clusters
+        start = ParameterLayout(spec).default_init(data)
         assert len(set(np.round(start[:4], 12))) == 4
         result = fit(spec, data)
         assert result.converged
@@ -558,6 +574,62 @@ class TestDefaultStart:
         assert spec.baselines == {"u1": start, "u2": start}
         result = fit(spec, data)
         assert result.converged
+
+
+    @pytest.mark.parametrize("kappa_free", [True, False])
+    def test_rate_matches_the_event_fraction_under_the_start_law(self, kappa_free):
+        # a free kappa intercept starts at ln _START_GAMMA; a pinned one
+        # keeps the spec's value, and the start's law reads it
+        spec = basic_spec()
+        link = dataclasses.replace(spec.frailty_link, kappa=(math.log(3.0),),
+                                   kappa_free=(kappa_free,))
+        spec = dataclasses.replace(spec, frailty_link=link)
+        data = simulated_data(basic_spec(), n=300, seed=2)
+        layout = ParameterLayout(spec)
+        u2 = data.unit == data.unit_names.index("u2")
+        p_hat, t_bar = data.event[u2].mean(), data.time[u2].mean()
+        start = layout.default_init(data)
+        gamma = _START_GAMMA if kappa_free else 3.0
+        assert ("kappa[0]" in layout.free_names) == kappa_free
+        rate = math.exp(start[layout.free_names.index("baseline[u2].rate")])
+        assert log_laplace(AddamsParameters(-0.1, gamma), rate * t_bar) == pytest.approx(
+            math.log1p(-p_hat), rel=1e-12)
+
+    def test_infeasible_start_law_raises(self):
+        # alpha pinned above the start's gamma: the law is off the free region
+        spec = basic_spec()
+        link = dataclasses.replace(spec.frailty_link, zeta=(9.0,), zeta_free=(False,))
+        spec = dataclasses.replace(spec, frailty_link=link)
+        data = simulated_data(basic_spec(), n=100, seed=2)
+        with pytest.raises(NonFiniteEvaluation, match="start point"):
+            ParameterLayout(spec).default_init(data)
+        with pytest.raises(NonFiniteEvaluation, match="start point"):
+            fit(spec, data)
+
+    def test_weights_count_as_copies(self):
+        # a cluster of weight k starts the fit as k copies of it would, bit
+        # for bit, wherever the copies sit
+        data = simulated_data(basic_spec(), n=90, seed=6)
+        clusters = data.clusters
+        weights = [1 + i % 3 for i in range(len(clusters))]
+        weighted = CurrentStatusDataset(
+            dataclasses.replace(c, weight=float(w)) for c, w in zip(clusters, weights))
+        copies = [dataclasses.replace(c, cluster_id=f"{c.cluster_id}#{j}")
+                  for c, w in zip(clusters, weights) for j in range(1, w)]
+        expanded = CurrentStatusDataset(list(clusters) + copies)
+        layout = ParameterLayout(basic_spec(two_strata=True))
+        by_weight, by_copy = layout.default_init(weighted), layout.default_init(expanded)
+        assert by_weight.tobytes() == by_copy.tobytes()
+        assert by_weight.tobytes() != layout.default_init(data).tobytes()
+
+    def test_weight_scale_does_not_move_the_start(self):
+        # weights normalised far below 1 leave the start where unit weights
+        # put it; with a power-of-2 scale every weighted sum scales exactly
+        data = simulated_data(basic_spec(), n=90, seed=6)
+        scaled = CurrentStatusDataset(
+            dataclasses.replace(c, weight=2.0 ** -10) for c in data.clusters)
+        layout = ParameterLayout(basic_spec(two_strata=True))
+        assert layout.default_init(scaled).tobytes() == layout.default_init(data).tobytes()
 
 
 class TestDeltaMethod:

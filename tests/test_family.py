@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from addamsfrailty import (
@@ -25,8 +25,10 @@ from addamsfrailty.errors import (
     OutOfSupport,
 )
 from addamsfrailty.family import (
+    _NO_ROOT_TAIL,
     BranchKind,
     _count_law,
+    _log_laplace_inverse,
     log_laplace_partials,
     log_laplace_second_partials,
 )
@@ -286,6 +288,75 @@ class TestLaplace:
         value = laplace(p, s)
         assert 0.0 <= value <= 1.0
         assert laplace(p, s + 1.0) <= value + 1e-12
+
+
+# (alpha, gamma, mu) on every branch: the gamma limit, alpha < 0, the
+# interior negative binomial, the Poisson and binomial pins, a tiny alpha
+# and alpha 1e-10 relative below gamma
+INVERSE_CASES = [
+    (0.0, 2.0, 1.3), (-1.0, 5.0, 0.7), (-50.0, 0.01, 3.0), (0.5, 1.0, 1.4), (0.3, 4.0, 0.6),
+    (1.0, 1.0, 1.0), (2.0, 2.0, 0.5), (1.5, 1.0, 1.0), (2.0 + 1.0 / 3, 2.0, 0.8),
+    (1e-300, 1.0, 1.0), (1.0 - 1e-10, 1.0, 1.0), (3.0 * (1.0 - 1e-10), 3.0, 0.9),
+]
+
+
+def cure_plateau(alpha, gamma):
+    """log L(inf): finite on the cure branches (alpha > 0), -inf elsewhere."""
+    if alpha <= 0.0:
+        return -math.inf
+    if alpha == gamma:
+        return -1.0 / gamma
+    return math.log(gamma / alpha) / (alpha - gamma)
+
+
+class TestLaplaceInverse:
+    """``_log_laplace_inverse`` gives the s at which log L(s) = y."""
+
+    @pytest.mark.parametrize("alpha,gamma,mu", INVERSE_CASES)
+    def test_round_trip(self, alpha, gamma, mu):
+        p = AddamsParameters(alpha, gamma, mu)
+        # the forward transform keeps its digits for alpha mu s above the
+        # least normal float, which y down to -1e-8 gives at alpha = 1e-300
+        ys = [y for y in -np.logspace(-8, 2, 41) if y > cure_plateau(alpha, gamma)]
+        assert len(ys) > 10
+        for y in ys:
+            s = _log_laplace_inverse(p, y)
+            assert log_laplace(p, s) == pytest.approx(y, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=st.sampled_from(INVERSE_CASES), log10_y=st.floats(-8.0, 2.5))
+    def test_round_trip_property(self, case, log10_y):
+        p = AddamsParameters(*case)
+        y = -10.0 ** log10_y
+        plateau = cure_plateau(p.alpha, p.gamma)
+        assume(abs(y - plateau) > 1e-9 * abs(y))     # the edge, up to rounding
+        s = _log_laplace_inverse(p, y)
+        if y > plateau:
+            assert 0.0 < s < math.inf
+            assert log_laplace(p, s) == pytest.approx(y, rel=1e-12, abs=0.0)
+        else:
+            assert s == -math.log(_NO_ROOT_TAIL) / (p.alpha * p.mu)
+
+    @pytest.mark.parametrize("alpha,gamma,y", [
+        (0.5, 1.0, -2.0), (1.0, 1.0, -1.5), (1.5, 1.0, -3.0),
+        (0.5, 100.0, -10.0),    # expm1((alpha - gamma) y) overflows
+    ])
+    def test_no_root_below_the_cure_mass(self, alpha, gamma, y):
+        # 1 - p below L(inf): no s gives log L(s) = y; the fallback is
+        # finite, and there log L is within about 1e-3 / gamma of its limit
+        p = AddamsParameters(alpha, gamma, 0.8)
+        assert y < cure_plateau(alpha, gamma)
+        s = _log_laplace_inverse(p, y)
+        assert s == -math.log(_NO_ROOT_TAIL) / (alpha * 0.8)
+        assert 0.0 < log_laplace(p, s) - cure_plateau(alpha, gamma) < 2e-3 / gamma
+
+    def test_far_tails(self):
+        # alpha < 0 past expm1's range still has its root; the gamma limit's
+        # s beyond the float range is inf
+        p = AddamsParameters(-50.0, 0.01, 3.0)
+        s = _log_laplace_inverse(p, -20.0)
+        assert log_laplace(p, s) == pytest.approx(-20.0, rel=1e-12)
+        assert _log_laplace_inverse(AddamsParameters(0.0, 100.0), -8.0) == math.inf
 
 
 class TestDerivativesAndMoments:

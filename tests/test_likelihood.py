@@ -574,14 +574,27 @@ class TestCompiledPass:
                 fit(spec, data, init=theta)
 
     def test_fit_counts_clamps(self):
+        # from the no-frailty moment match, with u1's rate[40+] on the floor,
         # the free recovery fit's first line search tries log-rate 41.5 for
-        # u1's rate[40+], where 760 of the 3,000 cluster probabilities clamp
+        # it, where 760 of the 3,000 cluster probabilities clamp
+        from test_acceptance import recovery_spec, simulate_from
+
+        data = simulate_from(recovery_spec(), 3000, seed=0)
+        init = [-3.9640361085664106, -9.210340371976182, -4.316221344316915,
+                -5.272531401314535, -0.1, -0.6931471805599453]
+        before = likelihood.diagnostics.clamped_probabilities
+        fit(recovery_spec(), data, init=init)
+        assert likelihood.diagnostics.clamped_probabilities - before == 760
+
+    def test_default_start_fit_clamps_nothing(self):
+        # the gate-5 seed-0 fit from the default start: no pass of it
+        # goes where a cluster probability clamps
         from test_acceptance import recovery_spec, simulate_from
 
         data = simulate_from(recovery_spec(), 3000, seed=0)
         before = likelihood.diagnostics.clamped_probabilities
-        fit(recovery_spec(), data)
-        assert likelihood.diagnostics.clamped_probabilities - before == 760
+        assert fit(recovery_spec(), data).converged
+        assert likelihood.diagnostics.clamped_probabilities == before
 
 
 GROUPING_UNITS = ("u1", "u2", "u3", "u4", "u5")
