@@ -520,32 +520,79 @@ def read_csv(path) -> CurrentStatusDataset:
     )
 
 
+# rows the writer formats and writes at a time
+_BLOCK_ROWS = 1 << 16
+# the characters for which csv.writer quotes a cell (QUOTE_MINIMAL)
+_CSV_QUOTED = (",", '"', "\r", "\n")
+
+
+def _text_cells(values) -> np.ndarray:
+    """Each text value as csv.writer writes it as a cell, in an object array:
+    a value that holds a comma, a quote or a line break is quoted, its
+    quotes doubled.  The joined text tells whether any value needs it."""
+    cells = np.array(values, dtype=object)
+    joined = "".join(values)
+    if any(c in joined for c in _CSV_QUOTED):
+        for i, value in enumerate(values):
+            if any(c in value for c in _CSV_QUOTED):
+                cells[i] = '"' + value.replace('"', '""') + '"'
+    return cells
+
+
+def _number_cells(values: np.ndarray) -> np.ndarray:
+    """repr of each number, in an object array: a list's repr gives them all
+    at C speed.  (np.float64's repr is "np.float64(...)" in numpy 2.)"""
+    text = repr(values.tolist())[1:-1]
+    return np.array(text.split(", ") if text else [], dtype=object)
+
+
+def _write_rows(fh, text: str) -> None:
+    """Write rows of csv text.  csv.writer refuses a NUL in a cell before
+    Python 3.11 (csv.Error) and writes it as is after, and so does this."""
+    if "\x00" in text:
+        csv.writer(io.StringIO()).writerow([text])
+    fh.write(text)
+
+
 def write_csv(dataset: CurrentStatusDataset, path) -> None:
-    """Emit the dataset in the same format ``read_csv`` ingests."""
-    # np.float64's repr is "np.float64(...)" in numpy 2: format Python floats
-    columns = [
-        [dataset.cluster_ids[c] for c in dataset.cluster.tolist()],
-        [dataset.unit_names[u] for u in dataset.unit.tolist()],
-        [repr(t) for t in dataset.time.tolist()],
-        [str(e) for e in dataset.event.tolist()],
-    ]
+    """Emit the dataset in the same format ``read_csv`` ingests.
+
+    The bytes are those of csv.writer's excel dialect (CRLF line ends,
+    QUOTE_MINIMAL quoting), each float written as its shortest repr.  The
+    rows go out ``_BLOCK_ROWS`` at a time: each column of a block is
+    built by table lookups and one repr per number column, and the block
+    is joined and written at once, so the write holds one block's cells."""
     header = list(REQUIRED_COLUMNS)
-    if np.any(dataset.stratum >= 0):
+    with_strata = np.any(dataset.stratum >= 0)
+    if with_strata:
         header.append("stratum")
-        names = dataset.stratum_names
-        labels = [names[s] if s >= 0 else "" for s in dataset.stratum.tolist()]
-        columns.append([labels[c] for c in dataset.cluster.tolist()])
-    if np.any(dataset.weight != 1.0):
+    with_weights = np.any(dataset.weight != 1.0)
+    if with_weights:
         header.append("weight")
-        weights = [repr(w) for w in dataset.weight.tolist()]
-        columns.append([weights[c] for c in dataset.cluster.tolist()])
     header.extend(dataset.covariate_names)
-    for j in range(len(dataset.covariate_names)):
-        columns.append([
-            repr(v) if p else ""
-            for v, p in zip(dataset.covariates[:, j].tolist(), dataset.present[:, j].tolist())
-        ])
+    units = _text_cells(dataset.unit_names)
+    labels = _text_cells(dataset.stratum_names + ("",))     # stratum code -1 is none
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
+        _write_rows(fh, ",".join(_text_cells(header)) + "\r\n")
+        for a in range(0, dataset.cluster.size, _BLOCK_ROWS):
+            rows = slice(a, a + _BLOCK_ROWS)
+            # rows are stored grouped by cluster code: a block's clusters are a range
+            cluster = dataset.cluster[rows]
+            first, last = cluster[0].item(), cluster[-1].item() + 1
+            cluster = cluster - first
+            columns = [
+                _text_cells(dataset.cluster_ids[first:last])[cluster],
+                units[dataset.unit[rows]],
+                _number_cells(dataset.time[rows]),
+                _number_cells(dataset.event[rows]),
+            ]
+            if with_strata:
+                columns.append(labels[dataset.stratum[first:last]][cluster])
+            if with_weights:
+                columns.append(_number_cells(dataset.weight[first:last])[cluster])
+            for values, present in zip(dataset.covariates[rows].T, dataset.present[rows].T):
+                cells = np.full(present.size, "", dtype=object)
+                cells[present] = _number_cells(values[present])
+                columns.append(cells)
+            _write_rows(fh, "\r\n".join(map(",".join, zip(*map(np.ndarray.tolist, columns))))
+                        + "\r\n")

@@ -519,7 +519,13 @@ def fit(spec: ModelSpec, data: CurrentStatusDataset, init=None,
     else:
         log.warning("Hessian unavailable at the solution; no standard errors")
         cov = np.full((theta_hat.size, theta_hat.size), np.nan)
-    se = np.sqrt(np.clip(np.diag(cov), 0.0, np.inf))
+    variance = np.diag(cov)
+    negative = variance < 0.0
+    if np.any(negative):
+        log.warning("negative variance at the solution (indefinite information); "
+                    "no standard error for %s",
+                    ", ".join(name for name, bad in zip(layout.free_names, negative) if bad))
+    se = np.sqrt(np.where(negative, np.nan, variance))
     ci = _parameter_cis(layout, theta_hat, se)
     fitted_spec = layout.build_spec(theta_hat)
     return FitResult(

@@ -280,7 +280,9 @@ class LikelihoodWorkspace:
         lam = np.empty(level.incidence.shape[1])
         parts = []
         for block, (exposure, value, beta) in zip(level.blocks, sources):
-            base = value.cumulative(block.times) if exposure is None else exposure @ value
+            # np.dot, not @: matmul loops per element over an exponential
+            # baseline's [n, 1] exposure, a view with a zero stride
+            base = value.cumulative(block.times) if exposure is None else np.dot(exposure, value)
             mult = None
             if beta is not None:
                 mult = np.exp(block.design @ beta)
@@ -518,7 +520,7 @@ class LikelihoodWorkspace:
         entries in ``grad`` begin at ``start``; ``baseline`` is the rates of
         a rate-linear one, under its ``exposure``."""
         if exposure is not None:
-            grad[start:start + baseline.size] += baseline * (dl_dbase @ exposure)
+            grad[start:start + baseline.size] += baseline * np.dot(dl_dbase, exposure)
             return
         log_params = baseline.log_params
         jac = _central_jacobian(lambda values: baseline.with_log_params(values).cumulative(times),

@@ -559,3 +559,39 @@ def reference_read_csv(path):
         for cid in order
     ]
     return CurrentStatusDataset(tuple(clusters))
+
+
+def reference_write_csv(dataset, path):
+    """Row-by-row writer through ``csv.writer``; the library's block writer
+    ``write_csv`` must write exactly its bytes, or raise as it does."""
+    import csv
+
+    from addamsfrailty.data import REQUIRED_COLUMNS
+
+    # np.float64's repr is "np.float64(...)" in numpy 2: format Python floats
+    columns = [
+        [dataset.cluster_ids[c] for c in dataset.cluster.tolist()],
+        [dataset.unit_names[u] for u in dataset.unit.tolist()],
+        [repr(t) for t in dataset.time.tolist()],
+        [str(e) for e in dataset.event.tolist()],
+    ]
+    header = list(REQUIRED_COLUMNS)
+    if np.any(dataset.stratum >= 0):
+        header.append("stratum")
+        names = dataset.stratum_names
+        labels = [names[s] if s >= 0 else "" for s in dataset.stratum.tolist()]
+        columns.append([labels[c] for c in dataset.cluster.tolist()])
+    if np.any(dataset.weight != 1.0):
+        header.append("weight")
+        weights = [repr(w) for w in dataset.weight.tolist()]
+        columns.append([weights[c] for c in dataset.cluster.tolist()])
+    header.extend(dataset.covariate_names)
+    for j in range(len(dataset.covariate_names)):
+        columns.append([
+            repr(v) if p else ""
+            for v, p in zip(dataset.covariates[:, j].tolist(), dataset.present[:, j].tolist())
+        ])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*columns))

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from addamsfrailty.errors import (
     NegativeTimeRow,
 )
 
-from oracles import reference_read_csv
+from oracles import reference_read_csv, reference_write_csv
 
 
 def make_cluster(cid="c1", stratum=None, weight=1.0):
@@ -745,3 +746,141 @@ class TestReaderEquivalence:
         data = read_csv(f)
         assert len(data) == n and data.event.size == sizes.sum()
         assert _outcome(read_csv, f) == expected
+
+
+# cells a written text may hold: csv's quoted characters, a tab, a space,
+# non-ASCII text and NUL, which csv.writer refuses before Python 3.11
+_TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", "\t", " ", "\x00", "a", "Z", "\xe9", "\u4e2d"]),
+                max_size=4)
+_FLOATS = st.one_of(st.floats(), st.sampled_from([0.0, 0.1, 1e-300, 5e-324, 1e16]))
+
+
+@st.composite
+def written_datasets(draw):
+    """A dataset built by ``from_rows``: any ``_TEXT`` (or nothing) in its ids,
+    units, stratum labels and covariate names, weights other than 1, any
+    time, flags outside 0/1, absent cells and nan or infinite covariates;
+    it may have no cluster, and a cluster may have no row."""
+    n = draw(st.integers(0, 5))
+    units = draw(st.lists(_TEXT, min_size=1, max_size=3))
+    names = draw(st.lists(_TEXT, max_size=3))
+    rows = draw(st.integers(0, 12)) if n else 0
+
+    def column(elements, size):
+        return draw(st.lists(elements, min_size=size, max_size=size))
+
+    return CurrentStatusDataset.from_rows(
+        column(_TEXT, n), column(st.one_of(st.none(), _TEXT), n),
+        column(st.sampled_from([1.0, 2.5, 0.1, 1e-300]), n),
+        column(st.integers(0, max(n - 1, 0)), rows), units,
+        column(st.integers(0, len(units) - 1), rows), column(_FLOATS, rows),
+        column(st.one_of(st.sampled_from([0, 1]), st.integers(-128, 127)), rows), names,
+        np.reshape(column(_FLOATS, rows * len(names)), (rows, len(names))),
+        np.reshape(column(st.booleans(), rows * len(names)), (rows, len(names))),
+    )
+
+
+def _written(writer, data):
+    """The bytes a writer writes for ``data``, or the type of what it raises."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        try:
+            writer(data, path)
+        except Exception as exc:
+            return type(exc)
+        return path.read_bytes()
+
+
+_CSV_WRITER = csv.writer
+
+
+class _WriterBefore311:
+    """csv.writer as Python 3.10 has it: a cell that holds a NUL raises
+    csv.Error ("need to escape"), after the rows before it are written."""
+
+    def __init__(self, fh):
+        self._writer = _CSV_WRITER(fh)
+
+    def writerow(self, row):
+        row = list(row)
+        if any("\x00" in cell for cell in row):
+            raise csv.Error("need to escape, but no escapechar set")
+        self._writer.writerow(row)
+
+    def writerows(self, rows):
+        for row in rows:
+            self.writerow(row)
+
+
+# csv.writer as installed, and as it was before Python 3.11
+_CSV_WRITERS = pytest.mark.parametrize("csv_writer", [_CSV_WRITER, _WriterBefore311],
+                                       ids=["installed", "before-3.11"])
+
+
+class TestWriterEquivalence:
+    """The block writer writes exactly the bytes of the row-by-row
+    csv.writer reference of the oracles, or raises as it does, under
+    either Python's csv.writer."""
+
+    @_CSV_WRITERS
+    @settings(max_examples=300, deadline=None)
+    @given(data=written_datasets(), block=st.integers(1, 4))
+    def test_matches_reference_writer(self, csv_writer, data, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(csv, "writer", csv_writer)
+            mp.setattr(data_module, "_BLOCK_ROWS", block)
+            assert _written(write_csv, data) == _written(reference_write_csv, data)
+
+    @_CSV_WRITERS
+    def test_nul_in_a_cell(self, monkeypatch, csv_writer):
+        monkeypatch.setattr(csv, "writer", csv_writer)
+        data = equality_dataset()
+        data = CurrentStatusDataset.from_rows(
+            ["c\x001", "c2", "c3"], ["m", "f", None], data.weight, data.cluster,
+            data.unit_names, data.unit, data.time, data.event, data.covariate_names,
+            data.covariates, data.present)
+        written = _written(write_csv, data)
+        assert written == _written(reference_write_csv, data)
+        if csv_writer is _WriterBefore311 or sys.version_info < (3, 11):
+            assert written is csv.Error
+        else:
+            assert written.splitlines()[1].startswith(b"c\x001,")
+
+    @_CSV_WRITERS
+    def test_nul_in_no_written_cell(self, monkeypatch, csv_writer):
+        # a NUL in an unused unit name, in the id, stratum label and
+        # covariate name of a cluster with no row, and in the unit names of a
+        # dataset with no row: none is written, so nothing raises
+        monkeypatch.setattr(csv, "writer", csv_writer)
+        base = equality_dataset()
+        unused = CurrentStatusDataset.from_rows(
+            base.cluster_ids + ("c\x00",), ["m", "f", None, "s\x00"],
+            np.append(base.weight, 1.0), base.cluster, base.unit_names + ("u\x00",),
+            base.unit, base.time, base.event, base.covariate_names, base.covariates,
+            base.present)
+        empty = CurrentStatusDataset.from_rows(
+            ["c\x00"], ["s\x00"], [2.0], [], ["u\x00"], [], [], [], ["x\x00"],
+            np.empty((0, 1)), np.empty((0, 1), dtype=bool))
+        for data in (unused, empty):
+            written = _written(write_csv, data)
+            assert isinstance(written, bytes) and b"\x00" not in written
+            assert written == _written(reference_write_csv, data)
+        assert written == b"cluster_id,unit,time,event,stratum,weight\r\n"
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 1 << 16])
+    def test_many_blocks(self, monkeypatch, block):
+        # 300 clusters of 0-3 rows, every 50th id quoted; blocks cut through clusters
+        rng = np.random.default_rng(block)
+        n = 300
+        sizes = rng.integers(0, 4, n)
+        cluster = np.repeat(np.arange(n), sizes)
+        units = np.concatenate([rng.permutation(3)[:k] for k in sizes])
+        rows = cluster.size
+        present = rng.random((rows, 2)) < 0.7
+        data = CurrentStatusDataset.from_rows(
+            [f"k,{c}" if c % 50 == 0 else f"k{c}" for c in range(n)],
+            rng.choice(["a", "b", None], n).tolist(), rng.choice([1.0, 2.5, 0.75], n),
+            cluster, ["u1", "u2", "u3"], units, rng.uniform(0, 80, rows),
+            rng.integers(0, 2, rows), ["x", "y"], rng.normal(size=(rows, 2)), present)
+        monkeypatch.setattr(data_module, "_BLOCK_ROWS", block)
+        assert _written(write_csv, data) == _written(reference_write_csv, data)

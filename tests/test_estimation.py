@@ -38,6 +38,7 @@ from addamsfrailty.errors import (
     NonFiniteEvaluation,
 )
 from addamsfrailty.hazard import BranchRegime
+from addamsfrailty.report import fit_payload
 from addamsfrailty.simulate import MonitoringLaw, SimConfig, generate
 from oracles import score_hessian
 from test_acceptance import recovery_spec, simulate_from
@@ -535,6 +536,34 @@ class TestFit:
     def test_empty_dataset_rejected(self):
         with pytest.raises(InvalidParameters):
             fit(basic_spec(), CurrentStatusDataset(()))
+
+    def test_negative_variance_gives_no_standard_error(self, monkeypatch, caplog):
+        # a hand-built indefinite information: its inverse has negative
+        # variances for the first two parameters
+        one_pass = LikelihoodWorkspace.loglik_and_score
+
+        def indefinite(ws, layout, theta, information=False):
+            out = one_pass(ws, layout, theta, information=information)
+            if not information:
+                return out
+            info = np.eye(theta.size)
+            info[:2, :2] = [[1.0, 2.0], [2.0, 1.0]]
+            return out[0], out[1], info
+
+        monkeypatch.setattr(LikelihoodWorkspace, "loglik_and_score", indefinite)
+        spec = basic_spec()
+        with caplog.at_level("WARNING", logger="addamsfrailty.estimation"):
+            result = fit(spec, simulated_data(spec, n=200, seed=4))
+        assert np.diag(result.covariance)[:2].tolist() == pytest.approx([-1 / 3, -1 / 3])
+        assert np.isnan(result.se[:2]).all() and np.isfinite(result.se[2:]).all()
+        for name in result.names[:2]:
+            est, lo, hi = result.ci[name]
+            assert math.isfinite(est) and math.isnan(lo) and math.isnan(hi)
+        warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warned) == 1
+        assert warned[0].endswith(f"no standard error for {result.names[0]}, {result.names[1]}")
+        payload = fit_payload(result)["parameters"]
+        assert payload[result.names[0]]["se"] == payload[result.names[1]]["hi"] == "nan"
 
 
 class TestDefaultStart:
