@@ -554,6 +554,26 @@ def _write_rows(fh, text: str) -> None:
     fh.write(text)
 
 
+def _check_writable(dataset: CurrentStatusDataset) -> None:
+    """Raise InvalidParameters for the first cluster with no row or with a
+    unit name in more than one row, from one bincount over the rows."""
+    names = list(dict.fromkeys(dataset.unit_names)) or [""]
+    code = {name: i for i, name in enumerate(names)}
+    name_of = np.array([code[name] for name in dataset.unit_names], dtype=np.int64)
+    counts = np.bincount(dataset.cluster * len(names) + name_of[dataset.unit],
+                         minlength=len(dataset) * len(names)).reshape(len(dataset), len(names))
+    most = counts.max(axis=1, initial=0)
+    bad = np.flatnonzero(most != 1)
+    if bad.size == 0:
+        return
+    pos = int(bad[0])
+    cluster = dataset.cluster_ids[pos]
+    if most[pos] == 0:
+        raise InvalidParameters(f"cluster {cluster!r} has no row")
+    unit = names[int(np.argmax(counts[pos]))]
+    raise InvalidParameters(f"cluster {cluster!r}: unit {unit!r} in {most[pos]} rows")
+
+
 def write_csv(dataset: CurrentStatusDataset, path) -> None:
     """Emit the dataset in the same format ``read_csv`` ingests.
 
@@ -561,7 +581,13 @@ def write_csv(dataset: CurrentStatusDataset, path) -> None:
     QUOTE_MINIMAL quoting), each float written as its shortest repr.  The
     rows go out ``_BLOCK_ROWS`` at a time: each column of a block is
     built by table lookups and one repr per number column, and the block
-    is joined and written at once, so the write holds one block's cells."""
+    is joined and written at once, so the write holds one block's cells.
+
+    A dataset that ``read_csv`` would not read back as itself, one that
+    repeats a (cluster, unit) pair or has a cluster with no row, raises
+    InvalidParameters naming the first such cluster, before the file is
+    opened."""
+    _check_writable(dataset)
     header = list(REQUIRED_COLUMNS)
     with_strata = np.any(dataset.stratum >= 0)
     if with_strata:

@@ -11,7 +11,10 @@ a fixed frailty law (:meth:`ParameterLayout.default_init`).  Fitting
 is BFGS (Wolfe line search) on the negated log-likelihood; each point's
 value and score come from one ``LikelihoodWorkspace.loglik_and_score``
 pass, which reads its numbers from a :class:`ParameterMap` compiled once
-per fit, not from a rebuilt ModelSpec.  Standard errors come from the
+per fit, not from a rebuilt ModelSpec.  The start point's pass also
+gives the per-cluster scores G, and the first BFGS call starts from the
+inverse of their BHHH matrix G' diag(w) G (Berndt, Hall, Hall & Hausman
+1974) in place of the identity.  Standard errors come from the
 observed information at the solution, the exact negated Hessian from one
 more such pass with ``information=True`` (no differenced score passes),
 and confidence intervals use ln / ln(-ln) transforms as appropriate.
@@ -456,12 +459,16 @@ def fit(spec: ModelSpec, data: CurrentStatusDataset, init=None,
     from the values already held by ``spec``, or None for the data-driven
     start of :meth:`ParameterLayout.default_init`; a start point where the
     log-likelihood is not finite raises NonFiniteEvaluation, and the pass
-    that checks it serves BFGS's first call.  ``maxiter`` bounds the iterations of each BFGS
-    call.  A call that stops short of a stationary point (a line-search
-    stall) after at least one iteration, and improved on the best point by
-    more than 1e-10, is followed by a call from the best point, at most
-    ``_MAX_BFGS_CALLS`` calls in all.  The best point found is returned,
-    with ``converged`` reporting whether it is stationary.
+    that checks it serves BFGS's first call.  That pass also gives the
+    per-cluster scores G; where J = G' diag(w) G is finite and it and its
+    inverse have a Cholesky factor, the first call's inverse Hessian
+    starts at J^-1, otherwise at the identity.  ``maxiter`` bounds the
+    iterations of each BFGS call.  A call that stops short of a stationary
+    point (a line-search stall) after at least one iteration, and improved
+    on the best point by more than 1e-10, is followed by a call from the
+    best point, from the identity, at most ``_MAX_BFGS_CALLS`` calls in
+    all.  The best point found is returned, with ``converged`` reporting
+    whether it is stationary.
     """
     layout = ParameterLayout(spec)
     _check_identifiability(layout)
@@ -470,16 +477,12 @@ def fit(spec: ModelSpec, data: CurrentStatusDataset, init=None,
         raise InvalidParameters("cannot fit an empty dataset")
 
     def objective(theta_free) -> Tuple[float, np.ndarray]:
-        """(-log L, -score) from one pass; off the feasible region or at a
-        non-finite value (inf, 0), and (-log L, 0) at a non-finite score."""
-        flat = np.zeros(np.size(theta_free))
+        """(-log L, -score) from one pass (``_negated``); (inf, 0) off the
+        feasible region."""
         try:
-            value, grad = ws.loglik_and_score(layout, theta_free)
+            return _negated(*ws.loglik_and_score(layout, theta_free))
         except _INFEASIBLE:
-            return math.inf, flat
-        if not math.isfinite(value):
-            return math.inf, flat
-        return -value, (-grad if np.all(np.isfinite(grad)) else flat)
+            return math.inf, np.zeros(np.size(theta_free))
 
     if init is None:
         theta0 = layout.default_init(data)
@@ -492,23 +495,25 @@ def fit(spec: ModelSpec, data: CurrentStatusDataset, init=None,
                 f"init has {theta0.size} entries, layout has {layout.n_free} free"
             )
 
-    start, first = theta0, objective(theta0)
-    if not math.isfinite(first[0]):
-        raise NonFiniteEvaluation("objective non-finite at the start point")
+    start = theta0
+    first, hess_inv = _start_pass(ws, layout, start)
     best = None
     for _ in range(_MAX_BFGS_CALLS):
+        options = {"gtol": _gtol(first[0]), "maxiter": maxiter}
+        if hess_inv is not None:
+            options["hess_inv0"] = hess_inv
         res = optimize.minimize(
             _first_call_from(objective, start, first), start, jac=True, method="BFGS",
-            options={"gtol": _gtol(first[0]), "maxiter": maxiter},
+            options=options,
         )
         improved = best is None or res.fun < best.fun - 1e-10
         if best is None or res.fun < best.fun:
             best = res
         # a stall resets BFGS's Hessian approximation; restarting from the
-        # best point pays while it keeps improving
+        # best point, from the identity, pays while it keeps improving
         if _stationary(res) or not improved or res.nit == 0:
             break
-        start, first = np.asarray(best.x, dtype=float), (best.fun, best.jac)
+        start, first, hess_inv = np.asarray(best.x, dtype=float), (best.fun, best.jac), None
 
     theta_hat = np.asarray(best.x, dtype=float)
     ll_hat = -float(best.fun)
@@ -541,6 +546,45 @@ def fit(spec: ModelSpec, data: CurrentStatusDataset, init=None,
         layout=ParameterLayout(fitted_spec),
         spec=fitted_spec,
     )
+
+
+def _negated(value: float, grad: np.ndarray) -> Tuple[float, np.ndarray]:
+    """(-log L, -score) of a pass: (inf, 0) at a non-finite value, and
+    (-log L, 0) at a non-finite score."""
+    if not math.isfinite(value):
+        return math.inf, np.zeros(grad.size)
+    return -value, (-grad if np.all(np.isfinite(grad)) else np.zeros(grad.size))
+
+
+def _start_pass(ws: LikelihoodWorkspace, layout: ParameterLayout, theta0: np.ndarray):
+    """(-log L, -score) at the start point, from a pass that also gives the
+    per-cluster scores, and the inverse of their BHHH matrix or None
+    (:func:`_bhhh_inverse`); a start where log L is not finite raises
+    NonFiniteEvaluation."""
+    try:
+        value, grad, scores = ws.loglik_and_score(layout, theta0, scores=True)
+    except _INFEASIBLE:
+        value = math.inf
+    if not math.isfinite(value):
+        raise NonFiniteEvaluation("objective non-finite at the start point")
+    return _negated(value, grad), _bhhh_inverse(scores, ws.weights)
+
+
+def _bhhh_inverse(scores: np.ndarray, weights: np.ndarray) -> Optional[np.ndarray]:
+    """The inverse of the BHHH matrix J = G' diag(w) G of the per-cluster
+    scores G, exactly symmetric, or None where J is not finite or it or
+    its inverse has no Cholesky factorization (BFGS refuses a seed that is
+    not positive definite)."""
+    bhhh = scores.T @ (scores * weights[:, None])
+    if not np.all(np.isfinite(bhhh)):
+        return None
+    try:
+        inverse = linalg.cho_solve(linalg.cho_factor(bhhh), np.eye(bhhh.shape[0]))
+        inverse = 0.5 * (inverse + inverse.T)
+        linalg.cholesky(inverse)
+    except linalg.LinAlgError:
+        return None
+    return inverse
 
 
 def _gtol(value: float) -> float:
@@ -666,7 +710,8 @@ def delta_method_se(fn, theta, covariance):
 
     One central-difference Jacobian, at steps max(1e-6, 1e-5 |theta_i|),
     serves every entry; each entry's variance is g @ covariance @ g with g
-    its own gradient.
+    its own gradient.  A negative variance, from an indefinite covariance,
+    gives SE nan, and one warning names the entries.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.size == 0:
@@ -674,6 +719,14 @@ def delta_method_se(fn, theta, covariance):
     else:
         jac = _central_jacobian(fn, theta, np.maximum(1e-6, 1e-5 * np.abs(theta)))
         grads = np.ascontiguousarray(jac.reshape(theta.size, -1).T)
-        se = np.array([math.sqrt(max(float(g @ covariance @ g), 0.0)) for g in grads])
+        variances = [float(g @ covariance @ g) for g in grads]
+        se = np.array([math.sqrt(v) if v >= 0.0 else math.nan for v in variances])
         se = se.reshape(jac.shape[1:])
+        negative = [index for index, v in zip(np.ndindex(se.shape), variances) if v < 0.0]
+        if negative:
+            log.warning("negative delta-method variance (indefinite covariance); "
+                        "no standard error for %s",
+                        "the value" if se.ndim == 0 else ", ".join(
+                            f"entry {index[0] if len(index) == 1 else index}"
+                            for index in negative))
     return float(se) if se.ndim == 0 else se

@@ -36,15 +36,25 @@ exponentials; the frailty-link coefficients take the partials through the
 map's Jacobian blocks (``BranchRegime.jacobian``, which applies the regime
 pins), and a level pinned to the gamma limit computes no alpha partial.
 
+With ``scores=True`` the same pass also returns G, the [clusters, free]
+matrix of each cluster's unweighted score g_i, with no further incidence
+product: a cell's d log P_i / d Lambda_j is its entry of the product above
+over its cluster's weight, and a unit block holds at most one cell per
+cluster, so each baseline or beta column adds into G's rows directly; the
+frailty columns chain three per-cluster sums of the terms' partials
+through the Jacobian blocks.  ``estimation.fit`` seeds BFGS with the
+inverse of its BHHH matrix G' diag(w) G.
+
 With ``information=True`` the same pass also returns the observed
 information, the exact negated Hessian that ``estimation.fit`` takes its
 standard errors from (no differenced score passes):
 
     -H = sum_i w_i g_i g_i' - sum_A (w_i T_A / P_i) (d2 l_A + d l_A d l_A'),
 
-with T_A = sign_A L(s_A), l_A = log L(s_A) and g_i the cluster's score.
-One ``family.log_laplace_second_partials`` call per level gives log L
-and the first and second partials of l_A in (mu s, alpha, gamma); they are
+with T_A = sign_A L(s_A), l_A = log L(s_A) and g_i the cluster's score,
+the first sum from G.  One ``family.log_laplace_second_partials`` call
+per level gives log L and the first and second partials of l_A in
+(mu s, alpha, gamma); they are
 chained through the incidence (d s_A sums the d Lambda of A's cells), the
 baselines (a rate-linear one's d2 Lambda / d theta_k^2 is
 d Lambda / d theta_k, a Weibull or generalized gamma one's second
@@ -114,6 +124,7 @@ class _Level:
     incidence: sparse.csr_matrix    # [terms, cells] 0/1
     incidence_t: sparse.csc_matrix  # its transpose, on the same arrays
     term_cluster: np.ndarray    # [terms] index into ``clusters``
+    cell_cluster: np.ndarray    # [cells] each cell's cluster, a position in the dataset
     cluster_terms: np.ndarray   # [clusters + 1] each cluster's first term, then the count
     term_weights: np.ndarray    # [terms] their clusters' weights
     signs: np.ndarray           # [terms] (-1)^|A|
@@ -265,7 +276,8 @@ class LikelihoodWorkspace:
             incidence = sparse.csr_matrix(
                 (np.ones(indices.size), indices, indptr), shape=(term_cluster.size, n_cells))
             self.levels.append(_Level(
-                name, clusters, blocks, incidence, incidence.T, term_cluster, cluster_terms,
+                name, clusters, blocks, incidence, incidence.T, term_cluster,
+                data.cluster[order[first:edges[-1]]].astype(np.int32), cluster_terms,
                 data.weight[clusters][term_cluster], signs))
         if missing:
             pos, _, covariate, unit = min(missing)
@@ -327,24 +339,35 @@ class LikelihoodWorkspace:
     def total_loglik(self, spec: ModelSpec) -> float:
         return float(np.sum(self.weights * self.cluster_logliks(spec)))
 
-    def loglik_and_score(self, layout, theta_free, information: bool = False):
+    def loglik_and_score(self, layout, theta_free, scores: bool = False,
+                         information: bool = False):
         """Weighted log-likelihood at ``layout.build_spec(theta_free)`` and its
-        gradient with respect to ``theta_free``; with ``information`` set, also
-        the observed information -H, the negated Hessian, from the same pass.
+        gradient with respect to ``theta_free``; with ``scores`` set, also G,
+        the [n_clusters, n_free] unweighted per-cluster scores (``weights @ G``
+        is the gradient); with ``information`` set, also the observed
+        information -H, the negated Hessian, from the same pass.  The extras
+        follow the gradient in that order.
 
         The numbers come from the layout's ``parameter_map`` for this
         workspace, compiled at the first pass with ``layout`` and kept for
         the next ones; no spec is built.  The value equals
         :meth:`total_loglik` at the same spec.  Clusters whose probability
-        was clamped contribute nothing to the score or the information.
+        was clamped contribute nothing to the score or the information, and
+        their rows of G are 0.
         """
         pmap = self._map
         if pmap is None or pmap.layout is not layout:
             pmap = self._map = layout.parameter_map(self)
-        grad = np.zeros(layout.free_mask.size)
+        free = layout.free_mask
+        grad = np.zeros(free.size)
         out = np.empty(self.n_clusters)
+        with_scores = scores or information     # the information takes its outer sum from G
+        if with_scores:
+            # each entry's column of G; a pinned entry has none
+            column = np.where(free, np.cumsum(free) - 1, -1)
+            per_cluster = np.zeros((self.n_clusters, layout.n_free), order="F")
         if information:
-            info = np.zeros((grad.size, grad.size))
+            info = np.zeros((free.size, free.size))
         for level, mapped, (params, jacobian, sources) in zip(
                 self.levels, pmap.levels, pmap(theta_free)):
             lam, parts, svals = self._hazards(level, sources)
@@ -378,36 +401,75 @@ class LikelihoodWorkspace:
                                   signed @ d_gamma, -(signed_h @ svals)])
             for name, sl in layout.link_slices.items():
                 grad[sl] += d_frailty @ jacobian[name]
-            if information:
+            if with_scores:
                 if bad is not None:
                     ratio = np.where(bad[level.term_cluster], 0.0, ratio)
-                info += self._level_information(
-                    layout, level, mapped, params, jacobian, lam, parts, svals, ratio, signed,
+                self._level_scores(layout, level, mapped, jacobian, lam, parts, svals, ratio,
+                                   dl_dlam, (h, d_alpha, d_gamma), column, per_cluster)
+            if information:
+                info += self._level_curvature(
+                    layout, level, mapped, params, jacobian, lam, parts, svals, signed,
                     dl_dlam, d_frailty, (-h, d_alpha, d_gamma), second)
-        value = float(np.sum(self.weights * out))
-        free = layout.free_mask
-        if not information:
-            return value, grad[free]
-        return value, grad[free], info[np.ix_(free, free)]
+        extras = [per_cluster] if scores else []
+        if information:
+            # sum_i w_i g_i g_i' from G, and the whole made exactly symmetric
+            info = per_cluster.T @ (per_cluster * self.weights[:, None]) + info[np.ix_(free, free)]
+            extras.append(0.5 * (info + info.T))
+        return (float(np.sum(self.weights * out)), grad[free], *extras)
 
-    def _level_information(self, layout, level, mapped, params, jacobian, lam, parts, svals,
-                           ratio, signed, dl_dlam, d_frailty, first, second) -> np.ndarray:
+    def _level_scores(self, layout, level, mapped, jacobian, lam, parts, svals, ratio, dl_dlam,
+                      first, column, per_cluster) -> None:
+        """Adds one level's rows of G, its clusters' unweighted scores, into
+        the ``column``s of ``per_cluster`` (-1 for a pinned entry), with no
+        incidence product: ``dl_dlam`` already holds each cell's
+        w_i d log P_i / d Lambda_j, and a unit block holds at most one cell
+        per cluster, so each of its columns adds into distinct rows.
+        ``ratio`` is T_A / P_i, 0 on a clamped cluster, and ``first`` the
+        terms' (h, d alpha, d gamma) partials of log L."""
+        dl_cells = dl_dlam / self.weights[level.cell_cluster]
+        for block, (key, _, _), (value, exposure, mult) in zip(level.blocks, mapped.blocks, parts):
+            rows = level.cell_cluster[block.cells]
+            dl = dl_cells[block.cells]
+            d_base = exposure * value if exposure is not None else _parametric_jacobian(
+                value, block.times).T
+            columns = [(layout.baseline_slices[key].start, d_base, dl if mult is None else dl * mult)]
+            if block.design is not None:
+                columns.append((layout.beta_slices[block.unit].start, block.design,
+                                dl * lam[block.cells]))
+            for start, partials, dl_block in columns:
+                for i, col in enumerate(column[start:start + partials.shape[1]].tolist()):
+                    if col >= 0:
+                        per_cluster[rows, col] += dl_block * partials[:, i]
+        # the clusters' d log P / d(alpha, gamma, mu): the terms run in cluster order
+        h, d_alpha, d_gamma = first
+        firsts = level.cluster_terms[:-1]
+        d_frailty = np.zeros((level.clusters.size, 3))
+        if d_alpha is not None:
+            d_frailty[:, 0] = np.add.reduceat(ratio * d_alpha, firsts)
+        d_frailty[:, 1] = np.add.reduceat(ratio * d_gamma, firsts)
+        d_frailty[:, 2] = -np.add.reduceat(ratio * h * svals, firsts)
+        for name, sl in layout.link_slices.items():
+            for col, chain in zip(column[sl].tolist(), jacobian[name].T):
+                if col >= 0:
+                    per_cluster[level.clusters, col] += d_frailty @ chain
+
+    def _level_curvature(self, layout, level, mapped, params, jacobian, lam, parts, svals,
+                         signed, dl_dlam, d_frailty, first, second) -> np.ndarray:
         """One level's part of the observed information over the full
-        parameter vector,
+        parameter vector but the sum_i w_i g_i g_i' term, that is
 
-            -H = sum_i w_i g_i g_i' - sum_A c_A (d2 l_A + d l_A d l_A'),
+            -sum_A c_A (d2 l_A + d l_A d l_A'),
 
-        with g_i the cluster's score sum_A (T_A / P_i) d l_A (``ratio``),
-        c_A = w_i T_A / P_i (``signed``) and l_A = log L(u_A; alpha, gamma),
+        with c_A = w_i T_A / P_i (``signed``) and l_A = log L(u_A; alpha, gamma),
         u_A = mu s_A.  Each term's gradient is f_u du_A + f_alpha d alpha +
         f_gamma d gamma in the natural coordinates z = (u, alpha, gamma), so
         its curvature is sum_ab (f_ab + f_a f_b) dz_a dz_b' + sum_a f_a d2 z_a.
 
-        Both are taken in a basis of k + 3 directions, the k parameters of
+        It is taken in a basis of k + 3 directions, the k parameters of
         the level's cell hazards and then d mu, d alpha and d gamma, where
         du_A = (mu d s_A, s_A, 0, 0).  Every product runs over one basis
-        direction at a time, on vectors of the terms or the clusters: no
-        [terms, p] matrix, and never a [terms, p, p] array.
+        direction at a time, on vectors of the terms: no [terms, p] matrix,
+        and never a [terms, p, p] array.
         """
         n_full = layout.free_mask.size
         mu = params.mu
@@ -433,15 +495,11 @@ class LikelihoodWorkspace:
                 d_base = exposure * baseline    # the rates
                 second_base = None      # d2 Lambda / d theta_k^2 = d Lambda / d theta_k
             else:
-                log_params = baseline.log_params
-                steps = _central_steps(log_params)
-
-                def cumulative(values, baseline=baseline, times=block.times):
-                    return baseline.with_log_params(values).cumulative(times)
-
-                d_base = _central_jacobian(cumulative, log_params, steps).T
+                steps = _central_steps(baseline.log_params)
+                d_base = _parametric_jacobian(baseline, block.times).T
                 second_base = _central_jacobian(
-                    lambda values: _central_jacobian(cumulative, values, steps), log_params, steps)
+                    lambda values, baseline=baseline, times=block.times: _parametric_jacobian(
+                        baseline, times, values, steps), baseline.log_params, steps)
             if mult is not None:
                 d_base = d_base * mult[:, None]
             p = d_base.shape[1]
@@ -486,24 +544,9 @@ class LikelihoodWorkspace:
             curv[:k + 1, k + 1] += [row @ weight for row in d_u]
             curv[k + 1, k + 1] += signed @ (aa + f_alpha * f_alpha)
             curv[k + 1, k + 2] += signed @ (ag + f_alpha * f_gamma)
-        # per-cluster scores g_i in the basis: the terms run in cluster
-        # order, so each direction's cluster sums are one CSR product
-        n_terms, n_clusters = svals.size, level.clusters.size
-        by_cluster = sparse.csr_matrix((ratio * f_u, np.arange(n_terms), level.cluster_terms),
-                                       shape=(n_clusters, n_terms))
-        scores = [by_cluster @ column for column in d_u]
-        scores.append(np.zeros(n_clusters) if f_alpha is None else
-                      np.bincount(level.term_cluster, ratio * f_alpha, n_clusters))
-        scores.append(np.bincount(level.term_cluster, ratio * f_gamma, n_clusters))
-        weights = self.weights[level.clusters]
-        outer = np.zeros((k + 3, k + 3))
-        for j, column in enumerate(scores):
-            weighted = column * weights
-            outer[:j + 1, j] = [row @ weighted for row in scores[:j + 1]]
-        outer -= curv
         upper = np.triu_indices(k + 3, 1)
-        outer[upper[::-1]] = outer[upper]
-        info = basis.T @ outer @ basis
+        curv[upper[::-1]] = curv[upper]
+        info = -(basis.T @ curv @ basis)
         # the coordinates' own second derivatives: gamma = exp(x' kappa) and
         # mu = exp(x' beta0), and a pinned alpha moves with gamma, so each
         # coordinate's Hessian in an exp-link block is its Jacobian row times x'
@@ -522,10 +565,18 @@ class LikelihoodWorkspace:
         if exposure is not None:
             grad[start:start + baseline.size] += baseline * np.dot(dl_dbase, exposure)
             return
-        log_params = baseline.log_params
-        jac = _central_jacobian(lambda values: baseline.with_log_params(values).cumulative(times),
-                                log_params, _central_steps(log_params))
-        grad[start:start + log_params.size] += jac @ dl_dbase
+        grad[start:start + baseline.log_params.size] += (
+            _parametric_jacobian(baseline, times) @ dl_dbase)
+
+
+def _parametric_jacobian(baseline, times: np.ndarray, log_params=None, steps=None) -> np.ndarray:
+    """The [params, times] central differences of a Weibull or generalized
+    gamma ``baseline``'s cumulative hazard at ``times`` in its
+    log-parameters, at ``log_params`` (its own by default) and ``steps``
+    (``_central_steps`` of them by default)."""
+    at = baseline.log_params if log_params is None else log_params
+    return _central_jacobian(lambda values: baseline.with_log_params(values).cumulative(times),
+                             at, _central_steps(at) if steps is None else steps)
 
 
 def cluster_loglik(spec: ModelSpec, cluster: Cluster) -> float:

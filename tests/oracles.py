@@ -563,10 +563,20 @@ def reference_read_csv(path):
 
 def reference_write_csv(dataset, path):
     """Row-by-row writer through ``csv.writer``; the library's block writer
-    ``write_csv`` must write exactly its bytes, or raise as it does."""
+    ``write_csv`` must write exactly its bytes, or raise as it does.  A
+    dataset whose file would not read back as itself, one with a cluster
+    with no row or a unit name in two rows of a cluster, is refused."""
     import csv
 
     from addamsfrailty.data import REQUIRED_COLUMNS
+    from addamsfrailty.errors import InvalidParameters
+
+    units = {c: [] for c in range(len(dataset.cluster_ids))}
+    for c, u in zip(dataset.cluster.tolist(), dataset.unit.tolist()):
+        units[c].append(dataset.unit_names[u])
+    for c, names in units.items():
+        if not names or len(set(names)) < len(names):
+            raise InvalidParameters(f"cluster {dataset.cluster_ids[c]!r}")
 
     # np.float64's repr is "np.float64(...)" in numpy 2: format Python floats
     columns = [

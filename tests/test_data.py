@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -760,20 +761,32 @@ def written_datasets(draw):
     """A dataset built by ``from_rows``: any ``_TEXT`` (or nothing) in its ids,
     units, stratum labels and covariate names, weights other than 1, any
     time, flags outside 0/1, absent cells and nan or infinite covariates;
-    it may have no cluster, and a cluster may have no row."""
+    it may have no cluster.  Half of them are writable, each cluster with
+    one row or more and no unit name twice, rows in any cluster order; in
+    the others, units are drawn at random, so a cluster may have no row or
+    repeat a unit."""
     n = draw(st.integers(0, 5))
-    units = draw(st.lists(_TEXT, min_size=1, max_size=3))
+    writable = draw(st.booleans())
+    units = draw(st.lists(_TEXT, min_size=1, max_size=3, unique=writable))
     names = draw(st.lists(_TEXT, max_size=3))
-    rows = draw(st.integers(0, 12)) if n else 0
 
     def column(elements, size):
         return draw(st.lists(elements, min_size=size, max_size=size))
 
+    if writable:
+        pairs = draw(st.permutations([
+            (c, u) for c in range(n)
+            for u in draw(st.permutations(range(len(units))))[:draw(st.integers(1, len(units)))]]))
+        row_cluster, row_unit = [c for c, _ in pairs], [u for _, u in pairs]
+        rows = len(pairs)
+    else:
+        rows = draw(st.integers(0, 12)) if n else 0
+        row_cluster = column(st.integers(0, max(n - 1, 0)), rows)
+        row_unit = column(st.integers(0, len(units) - 1), rows)
     return CurrentStatusDataset.from_rows(
         column(_TEXT, n), column(st.one_of(st.none(), _TEXT), n),
         column(st.sampled_from([1.0, 2.5, 0.1, 1e-300]), n),
-        column(st.integers(0, max(n - 1, 0)), rows), units,
-        column(st.integers(0, len(units) - 1), rows), column(_FLOATS, rows),
+        row_cluster, units, row_unit, column(_FLOATS, rows),
         column(st.one_of(st.sampled_from([0, 1]), st.integers(-128, 127)), rows), names,
         np.reshape(column(_FLOATS, rows * len(names)), (rows, len(names))),
         np.reshape(column(st.booleans(), rows * len(names)), (rows, len(names))),
@@ -848,31 +861,55 @@ class TestWriterEquivalence:
 
     @_CSV_WRITERS
     def test_nul_in_no_written_cell(self, monkeypatch, csv_writer):
-        # a NUL in an unused unit name, in the id, stratum label and
-        # covariate name of a cluster with no row, and in the unit names of a
-        # dataset with no row: none is written, so nothing raises
+        # a NUL in an unused unit name, and in the unit and covariate names
+        # of a dataset with no cluster: none is written, so nothing raises
         monkeypatch.setattr(csv, "writer", csv_writer)
         base = equality_dataset()
         unused = CurrentStatusDataset.from_rows(
-            base.cluster_ids + ("c\x00",), ["m", "f", None, "s\x00"],
-            np.append(base.weight, 1.0), base.cluster, base.unit_names + ("u\x00",),
-            base.unit, base.time, base.event, base.covariate_names, base.covariates,
-            base.present)
+            base.cluster_ids, ["m", "f", None], base.weight, base.cluster,
+            base.unit_names + ("u\x00",), base.unit, base.time, base.event,
+            base.covariate_names, base.covariates, base.present)
         empty = CurrentStatusDataset.from_rows(
-            ["c\x00"], ["s\x00"], [2.0], [], ["u\x00"], [], [], [], ["x\x00"],
+            [], [], [], [], ["u\x00"], [], [], [], ["x\x00"],
             np.empty((0, 1)), np.empty((0, 1), dtype=bool))
         for data in (unused, empty):
             written = _written(write_csv, data)
             assert isinstance(written, bytes) and b"\x00" not in written
             assert written == _written(reference_write_csv, data)
-        assert written == b"cluster_id,unit,time,event,stratum,weight\r\n"
+        assert written == b"cluster_id,unit,time,event\r\n"
+
+    @pytest.mark.parametrize("case,message", [
+        ("no row", "cluster 'c\\x00' has no row"),
+        ("repeated unit", "cluster 'c2': unit 'u1' in 2 rows"),
+        ("repeated name", "cluster 'c1': unit 'u1' in 2 rows"),
+    ])
+    def test_unreadable_dataset_is_refused_before_the_file_opens(self, tmp_path, case, message):
+        # a file of these would read back as DuplicateUnit problems or as
+        # another dataset; the first offending cluster is named
+        base = equality_dataset()
+        ids, strata, weights = base.cluster_ids, ["m", "f", None], base.weight
+        cluster, units, unit = base.cluster, base.unit_names, base.unit
+        if case == "no row":
+            ids, strata, weights = ids + ("c\x00",), strata + ["s"], np.append(weights, 1.0)
+        elif case == "repeated unit":
+            unit = np.where(cluster == 1, units.index("u1"), unit)
+        else:
+            units = tuple("u1" if name == "u2" else name for name in units)
+        data = CurrentStatusDataset.from_rows(
+            ids, strata, weights, cluster, units, unit, base.time, base.event,
+            base.covariate_names, base.covariates, base.present)
+        f = tmp_path / "d.csv"
+        with pytest.raises(InvalidParameters, match=re.escape(message)):
+            write_csv(data, f)
+        assert not f.exists()
+        assert _written(reference_write_csv, data) is InvalidParameters
 
     @pytest.mark.parametrize("block", [1, 7, 64, 1 << 16])
     def test_many_blocks(self, monkeypatch, block):
-        # 300 clusters of 0-3 rows, every 50th id quoted; blocks cut through clusters
+        # 300 clusters of 1-3 rows, every 50th id quoted; blocks cut through clusters
         rng = np.random.default_rng(block)
         n = 300
-        sizes = rng.integers(0, 4, n)
+        sizes = rng.integers(1, 4, n)
         cluster = np.repeat(np.arange(n), sizes)
         units = np.concatenate([rng.permutation(3)[:k] for k in sizes])
         rows = cluster.size

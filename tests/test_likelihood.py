@@ -26,7 +26,7 @@ from addamsfrailty import (
     read_csv,
     write_csv,
 )
-from addamsfrailty.hazard import BranchRegime
+from addamsfrailty.hazard import BranchRegime, _central_jacobian
 from addamsfrailty import estimation, likelihood
 from addamsfrailty.errors import (
     FrailtyModelError,
@@ -575,8 +575,8 @@ class TestCompiledPass:
 
     def test_fit_counts_clamps(self):
         # from the no-frailty moment match, with u1's rate[40+] on the floor,
-        # the free recovery fit's first line search tries log-rate 41.5 for
-        # it, where 760 of the 3,000 cluster probabilities clamp
+        # the free recovery fit's first line search tries log-rates 42.3 and
+        # 16.5 for it, and at each 763 of the 3,000 cluster probabilities clamp
         from test_acceptance import recovery_spec, simulate_from
 
         data = simulate_from(recovery_spec(), 3000, seed=0)
@@ -584,7 +584,7 @@ class TestCompiledPass:
                 -5.272531401314535, -0.1, -0.6931471805599453]
         before = likelihood.diagnostics.clamped_probabilities
         fit(recovery_spec(), data, init=init)
-        assert likelihood.diagnostics.clamped_probabilities - before == 760
+        assert likelihood.diagnostics.clamped_probabilities - before == 2 * 763
 
     def test_default_start_fit_clamps_nothing(self):
         # the gate-5 seed-0 fit from the default start: no pass of it
@@ -868,6 +868,94 @@ class TestColumnarWorkspace:
         ws.loglik_and_score(layout, layout.free_vector())
         write_csv(fresh, tmp_path / "again.csv")
         assert (tmp_path / "again.csv").read_bytes() == f.read_bytes()
+
+
+class TestClusterScores:
+    """G, the unweighted per-cluster scores of a pass with ``scores=True``,
+    on the score tests' designs (weights from 0.5 to 2 throughout):
+    weights @ G is the pass's gradient, and each column is the central
+    difference of ``cluster_logliks`` in its parameter."""
+
+    def check(self, spec, data, step=1e-4, skip=(), rtol=1e-12):
+        layout = ParameterLayout(spec)
+        theta = layout.free_vector()
+        ws = LikelihoodWorkspace(spec, data)
+        value, score, per_cluster = ws.loglik_and_score(layout, theta, scores=True)
+        # the value and the score are the plain pass's, bit for bit
+        plain = ws.loglik_and_score(layout, theta)
+        assert value == plain[0] and score.tobytes() == plain[1].tobytes()
+        assert per_cluster.shape == (len(data), theta.size)
+        np.testing.assert_allclose(ws.weights @ per_cluster, score, rtol=0.0,
+                                   atol=rtol * np.abs(score).max())
+
+        def logliks(th):
+            return ws.cluster_logliks(layout.build_spec(th))
+
+        # Richardson over the steps h and h/2 of central differences
+        steps = step * np.maximum(1.0, np.abs(theta))
+        reference = (4.0 * _central_jacobian(logliks, theta, steps / 2.0)
+                     - _central_jacobian(logliks, theta, steps)).T / 3.0
+        keep = np.ones(len(data), dtype=bool)
+        keep[list(skip)] = False
+        np.testing.assert_allclose(per_cluster[keep], reference[keep], rtol=0.0,
+                                   atol=1e-6 * np.abs(reference[keep]).max())
+        return layout, per_cluster
+
+    @pytest.mark.parametrize("alpha,gamma,regime,b,step,rtol", [
+        (-1.0, 3.0, "free", None, 1e-4, 1e-12),        # negative branch
+        (1.2, 3.0, "free", None, 1e-4, 1e-12),         # interior, cure fraction
+        (0.0, 3.0, "gamma", None, 1e-4, 1e-12),        # gamma-pinned
+        (3.0, 3.0, "poisson", None, 1e-4, 1e-12),      # poisson-pinned
+        # the binomial law's smallest cluster probabilities (1e-7 here) carry
+        # about 1e-8 relative round-off (TestInformation.test_binomial), so
+        # the differences take a wider step; and the pass's own kappa entry
+        # sums terms T_A / P_i up to 7e6: it is 1.3e-12 of itself off the
+        # exact sum of its float terms, w @ G 3e-13
+        (3.5, 3.0, "binomial", 2, 1e-2, 2e-12),
+    ])
+    def test_every_regime(self, rng, alpha, gamma, regime, b, step, rtol):
+        self.check(score_spec(alpha, gamma, regime, b), score_data(rng, 120), step=step,
+                   rtol=rtol)
+
+    def test_two_strata(self, rng):
+        strata = ("f", "m")
+        layout, _ = self.check(score_spec(strata=strata), score_data(rng, 160, strata=strata))
+        assert {"zeta[1]", "kappa[1]", "beta0[1]"} <= set(layout.free_names)
+
+    def test_pinned_stratum(self, rng):
+        # "m" pins alpha to gamma: kappa moves alpha there, and zeta[1] is
+        # not a column
+        strata = ("f", "m")
+        spec = dataclasses.replace(
+            score_spec(strata=strata),
+            branch_regimes={"f": BranchRegime("free"), "m": BranchRegime("poisson")})
+        layout, _ = self.check(spec, score_data(rng, 160, strata=strata))
+        assert "zeta[1]" not in layout.free_names
+
+    def test_stratified_baselines_and_a_covariate(self, rng):
+        strata = ("f", "m")
+        self.check(score_spec(strata=strata, stratified=True, covariate=True),
+                   score_data(rng, 160, strata=strata, covariate=True))
+
+    def test_weibull_baseline(self, rng):
+        self.check(score_spec(baseline=lambda i: WeibullBaseline(1.3 + 0.2 * i, 40.0),
+                              covariate=True),
+                   score_data(rng, 120, covariate=True))
+
+    def test_clamped_cluster_has_a_zero_row(self, rng):
+        # the clamped cluster of TestScore: its row is 0, and the others
+        # are the rows without it
+        spec = score_spec(alpha=-1.0, gamma=3.0)
+        data = score_data(rng, 80)
+        _, clean = self.check(spec, data)
+        degenerate = Cluster("clamped", (UnitRecord("u1", 1e-8, 1), UnitRecord("u2", 1.7e-8, 1)))
+        before = likelihood.diagnostics.clamped_probabilities
+        _, per_cluster = self.check(
+            spec, CurrentStatusDataset(data.clusters + (degenerate,)), skip=[len(data)])
+        assert likelihood.diagnostics.clamped_probabilities > before
+        assert not per_cluster[-1].any()
+        np.testing.assert_allclose(per_cluster[:-1], clean, rtol=0.0,
+                                   atol=1e-13 * np.abs(clean).max())
 
 
 class TestInformation:
