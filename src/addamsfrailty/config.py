@@ -15,7 +15,7 @@ may hold ``:``, and ``;`` after whitespace opens a comment.  Sections:
                  ``[covariates]`` and ``regime.<level>``, so two unit or level
                  names that differ only in case are an error; a key that
                  matches no parameter is an error.
-``[fit]``        ``maxiter``, the iteration limit (>= 0) of each BFGS call.
+``[fit]``        ``maxiter``, the iteration limit (>= 0) of the fit's trust region.
 ``[simulate] [analyze] [lrt] [output]`` command settings; the ``[fit]``,
                  ``[analyze]`` and ``[lrt]`` ones are checked before any fit.
 

@@ -8,13 +8,13 @@ coefficient is free where its mask is set and its column of
 link columns short of full rank over what the data identify.  The
 default start matches the baselines to the data's event fractions under
 a fixed frailty law (:meth:`ParameterLayout.default_init`).  Fitting
-is BFGS (Wolfe line search) on the negated log-likelihood; each point's
-value and score come from one ``LikelihoodWorkspace.loglik_and_score``
+is one trust-region minimization of the negated log-likelihood (scipy's
+"trust-exact", Moré & Sorensen 1983), whose quadratic model takes the
+BHHH matrix J = G' diag(w) G of the per-cluster scores G (Berndt, Hall,
+Hall & Hausman 1974) in place of the Hessian.  Each point's value,
+score and G come from one ``LikelihoodWorkspace.loglik_and_score``
 pass, which reads its numbers from a :class:`ParameterMap` compiled once
-per fit, not from a rebuilt ModelSpec.  The start point's pass also
-gives the per-cluster scores G, and the first BFGS call starts from the
-inverse of their BHHH matrix G' diag(w) G (Berndt, Hall, Hall & Hausman
-1974) in place of the identity.  Standard errors come from the
+per fit, not from a rebuilt ModelSpec.  Standard errors come from the
 observed information at the solution, the exact negated Hessian from one
 more such pass with ``information=True`` (no differenced score passes),
 and confidence intervals use ln / ln(-ln) transforms as appropriate.
@@ -28,6 +28,7 @@ information, and the delta method's, at its own steps.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -72,8 +73,6 @@ _START_ZETA = -0.1
 _START_GAMMA = 2.0
 # the 0.975 normal quantile, as scipy.stats computes it, for 95% intervals
 _Z = special.ndtri(0.975)
-# BFGS calls per fit: the first, and restarts from the best point
-_MAX_BFGS_CALLS = 20
 # what the likelihood raises outside the feasible region
 _INFEASIBLE = (InvalidRegion, NonPositiveProbability, InvalidParameters, OverflowError)
 
@@ -457,32 +456,24 @@ def fit(spec: ModelSpec, data: CurrentStatusDataset, init=None,
 
     ``init`` may be a free-parameter vector, the string "spec" to start
     from the values already held by ``spec``, or None for the data-driven
-    start of :meth:`ParameterLayout.default_init`; a start point where the
-    log-likelihood is not finite raises NonFiniteEvaluation, and the pass
-    that checks it serves BFGS's first call.  That pass also gives the
-    per-cluster scores G; where J = G' diag(w) G is finite and it and its
-    inverse have a Cholesky factor, the first call's inverse Hessian
-    starts at J^-1, otherwise at the identity.  ``maxiter`` bounds the
-    iterations of each BFGS call.  A call that stops short of a stationary
-    point (a line-search stall) after at least one iteration, and improved
-    on the best point by more than 1e-10, is followed by a call from the
-    best point, from the identity, at most ``_MAX_BFGS_CALLS`` calls in
-    all.  The best point found is returned, with ``converged`` reporting
-    whether it is stationary.
+    start of :meth:`ParameterLayout.default_init`; a start point off the
+    feasible region, or where the log-likelihood or J below is not finite,
+    raises NonFiniteEvaluation, and the pass that checks it serves the
+    first evaluation.  The fit is one
+    trust-region call on the negated log-likelihood, its model Hessian at
+    each point J = G' diag(w) G from the pass that gives the point's value
+    and score (:class:`_Objective`).  It stops where the gradient's norm
+    falls under 1e-6 max(1, |objective at the start|), or after
+    ``maxiter`` iterations (0: the start is returned).  The trust region
+    only moves to a point that lowers the objective, and the last point
+    it moved to is returned, with ``converged`` reporting whether
+    max|gradient| is under that bound there.
     """
     layout = ParameterLayout(spec)
     _check_identifiability(layout)
     ws = LikelihoodWorkspace(spec, data)
     if len(data) == 0:
         raise InvalidParameters("cannot fit an empty dataset")
-
-    def objective(theta_free) -> Tuple[float, np.ndarray]:
-        """(-log L, -score) from one pass (``_negated``); (inf, 0) off the
-        feasible region."""
-        try:
-            return _negated(*ws.loglik_and_score(layout, theta_free))
-        except _INFEASIBLE:
-            return math.inf, np.zeros(np.size(theta_free))
 
     if init is None:
         theta0 = layout.default_init(data)
@@ -495,30 +486,21 @@ def fit(spec: ModelSpec, data: CurrentStatusDataset, init=None,
                 f"init has {theta0.size} entries, layout has {layout.n_free} free"
             )
 
-    start = theta0
-    first, hess_inv = _start_pass(ws, layout, start)
-    best = None
-    for _ in range(_MAX_BFGS_CALLS):
-        options = {"gtol": _gtol(first[0]), "maxiter": maxiter}
-        if hess_inv is not None:
-            options["hess_inv0"] = hess_inv
-        res = optimize.minimize(
-            _first_call_from(objective, start, first), start, jac=True, method="BFGS",
-            options=options,
-        )
-        improved = best is None or res.fun < best.fun - 1e-10
-        if best is None or res.fun < best.fun:
-            best = res
-        # a stall resets BFGS's Hessian approximation; restarting from the
-        # best point, from the identity, pays while it keeps improving
-        if _stationary(res) or not improved or res.nit == 0:
-            break
-        start, first, hess_inv = np.asarray(best.x, dtype=float), (best.fun, best.jac), None
+    objective = _Objective(ws, layout)
+    value0, grad0 = objective(theta0)
+    if not math.isfinite(value0):
+        raise NonFiniteEvaluation("objective non-finite at the start point")
+    # the stationarity bound, scaled by the start's objective
+    gtol = 1e-6 * max(1.0, abs(value0))
+    if maxiter > 0:
+        res = optimize.minimize(objective, theta0, jac=True, hess=objective.bhhh,
+                                method="trust-exact", options={"gtol": gtol, "maxiter": maxiter})
+    else:
+        res = optimize.OptimizeResult(x=theta0, fun=value0, jac=grad0, nit=0)
 
-    theta_hat = np.asarray(best.x, dtype=float)
-    ll_hat = -float(best.fun)
+    theta_hat = np.asarray(res.x, dtype=float)
     # the observed information from one second-order pass at the solution
-    information = ws.loglik_and_score(layout, theta_hat, information=True)[2]
+    information = ws.loglik_and_score(layout, theta_hat, information=True)[3]
     if np.all(np.isfinite(information)):
         cov = _covariance_from_information(information)
     else:
@@ -533,83 +515,55 @@ def fit(spec: ModelSpec, data: CurrentStatusDataset, init=None,
     se = np.sqrt(np.where(negative, np.nan, variance))
     ci = _parameter_cis(layout, theta_hat, se)
     fitted_spec = layout.build_spec(theta_hat)
+    gradient_norm = float(np.max(np.abs(res.jac)))
     return FitResult(
         names=tuple(layout.free_names),
         theta=theta_hat,
-        loglik=ll_hat,
+        loglik=-float(res.fun),
         covariance=cov,
         se=se,
         ci=ci,
-        converged=_stationary(best),
-        iterations=int(best.nit),
-        gradient_norm=float(np.max(np.abs(best.jac))),
+        converged=gradient_norm < gtol,
+        iterations=int(res.nit),
+        gradient_norm=gradient_norm,
         layout=ParameterLayout(fitted_spec),
         spec=fitted_spec,
     )
 
 
-def _negated(value: float, grad: np.ndarray) -> Tuple[float, np.ndarray]:
-    """(-log L, -score) of a pass: (inf, 0) at a non-finite value, and
-    (-log L, 0) at a non-finite score."""
-    if not math.isfinite(value):
-        return math.inf, np.zeros(grad.size)
-    return -value, (-grad if np.all(np.isfinite(grad)) else np.zeros(grad.size))
+class _Objective:
+    """(-log L, -score) of the free vector, and J = G' diag(w) G, all from
+    one ``loglik_and_score`` pass per point: the trust region asks for J
+    at each point it tries, as well as the value, so the last point's
+    numbers are kept.  A point off the feasible region, or whose value or J is not
+    finite, reads (inf, 0), with the identity as a finite stand-in for J;
+    the trust region never moves there."""
 
+    def __init__(self, ws: LikelihoodWorkspace, layout: ParameterLayout):
+        self._ws, self._layout = ws, layout
+        self._theta = None
 
-def _start_pass(ws: LikelihoodWorkspace, layout: ParameterLayout, theta0: np.ndarray):
-    """(-log L, -score) at the start point, from a pass that also gives the
-    per-cluster scores, and the inverse of their BHHH matrix or None
-    (:func:`_bhhh_inverse`); a start where log L is not finite raises
-    NonFiniteEvaluation."""
-    try:
-        value, grad, scores = ws.loglik_and_score(layout, theta0, scores=True)
-    except _INFEASIBLE:
+    def _evaluate(self, theta) -> None:
+        if self._theta is not None and np.array_equal(theta, self._theta):
+            return
+        self._theta = np.array(theta, dtype=float)
         value = math.inf
-    if not math.isfinite(value):
-        raise NonFiniteEvaluation("objective non-finite at the start point")
-    return _negated(value, grad), _bhhh_inverse(scores, ws.weights)
+        with contextlib.suppress(*_INFEASIBLE):
+            value, grad, scores = self._ws.loglik_and_score(self._layout, self._theta)
+            bhhh = scores.T @ (scores * self._ws.weights[:, None])
+        # a finite J has a finite G, and so a finite score
+        if math.isfinite(value) and np.all(np.isfinite(bhhh)):
+            self._out = (-value, -grad), bhhh
+        else:
+            self._out = (math.inf, np.zeros(self._theta.size)), np.eye(self._theta.size)
 
+    def __call__(self, theta) -> Tuple[float, np.ndarray]:
+        self._evaluate(theta)
+        return self._out[0]
 
-def _bhhh_inverse(scores: np.ndarray, weights: np.ndarray) -> Optional[np.ndarray]:
-    """The inverse of the BHHH matrix J = G' diag(w) G of the per-cluster
-    scores G, exactly symmetric, or None where J is not finite or it or
-    its inverse has no Cholesky factorization (BFGS refuses a seed that is
-    not positive definite)."""
-    bhhh = scores.T @ (scores * weights[:, None])
-    if not np.all(np.isfinite(bhhh)):
-        return None
-    try:
-        inverse = linalg.cho_solve(linalg.cho_factor(bhhh), np.eye(bhhh.shape[0]))
-        inverse = 0.5 * (inverse + inverse.T)
-        linalg.cholesky(inverse)
-    except linalg.LinAlgError:
-        return None
-    return inverse
-
-
-def _gtol(value: float) -> float:
-    """The bound on max|gradient| of a stationary point of objective ``value``."""
-    return 1e-6 * max(1.0, abs(value))
-
-
-def _stationary(res) -> bool:
-    """BFGS's own verdict, or max|gradient| under ``_gtol``."""
-    return bool(res.success or np.max(np.abs(res.jac)) < _gtol(res.fun))
-
-
-def _first_call_from(objective, start: np.ndarray, result):
-    """``objective`` whose first call returns ``result`` when it is at ``start``,
-    where ``result`` is already known: from the start-point check, or the
-    best point's value and gradient on a restart."""
-    pending = [result]
-
-    def wrapped(theta):
-        if pending and np.array_equal(theta, start):
-            return pending.pop()
-        pending.clear()
-        return objective(theta)
-
-    return wrapped
+    def bhhh(self, theta) -> np.ndarray:
+        self._evaluate(theta)
+        return self._out[1]
 
 
 def _covariance_from_information(information: np.ndarray) -> np.ndarray:

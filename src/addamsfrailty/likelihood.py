@@ -19,31 +19,28 @@ the unit sets and event counts; one signed ``bincount`` gives the cluster
 probabilities.  :meth:`LikelihoodWorkspace.total_loglik` gives the whole
 dataset's log-likelihood, and :func:`cluster_loglik` one cluster's.
 
-:meth:`LikelihoodWorkspace.loglik_and_score` also returns the score
-with respect to the free vector of an ``estimation.ParameterLayout``, from
-the same s-values and Laplace terms.  It builds no ModelSpec: each level's
-law and link Jacobian, each rate-linear block's rates and each unit's
-beta come from the layout's ``estimation.ParameterMap``, compiled at the
-workspace's first pass with that layout.  With sign_A = (-1)^|A|, dP/dLambda
-of a cell sums sign_A L'(s_A) over the terms that hold it, one product
-with the transposed incidence; the chain rule then runs through the
-baselines (exactly for rate-linear ones; a Weibull or generalized gamma
-baseline's ``cumulative`` is differenced in its log-parameters by
-``hazard._central_jacobian``) and the covariate effects.  One
-``family.log_laplace_partials`` call per level gives log L(s) together
-with its closed-form partials in (alpha, gamma, mu), from the same
-exponentials; the frailty-link coefficients take the partials through the
-map's Jacobian blocks (``BranchRegime.jacobian``, which applies the regime
-pins), and a level pinned to the gamma limit computes no alpha partial.
-
-With ``scores=True`` the same pass also returns G, the [clusters, free]
-matrix of each cluster's unweighted score g_i, with no further incidence
-product: a cell's d log P_i / d Lambda_j is its entry of the product above
-over its cluster's weight, and a unit block holds at most one cell per
-cluster, so each baseline or beta column adds into G's rows directly; the
-frailty columns chain three per-cluster sums of the terms' partials
-through the Jacobian blocks.  ``estimation.fit`` seeds BFGS with the
-inverse of its BHHH matrix G' diag(w) G.
+:meth:`LikelihoodWorkspace.loglik_and_score` also returns G, the
+[clusters, free] matrix of each cluster's unweighted score g_i with
+respect to the free vector of an ``estimation.ParameterLayout``, from the
+same s-values and Laplace terms, and the score sum_i w_i g_i from it.  It
+builds no ModelSpec: each level's law and link Jacobian, each rate-linear
+block's rates and each unit's beta come from the layout's
+``estimation.ParameterMap``, compiled at the workspace's first pass with
+that layout.  With sign_A = (-1)^|A|, d log P_i / d Lambda of a cell sums
+sign_A L'(s_A) / P_i over the terms that hold it, one product with the
+transposed incidence; the chain rule then runs through the baselines
+(exactly for rate-linear ones; a Weibull or generalized gamma baseline's
+``cumulative`` is differenced in its log-parameters by
+``hazard._central_jacobian``) and the covariate effects, and as a unit
+block holds at most one cell per cluster, each baseline or beta column
+adds into G's rows directly.  One ``family.log_laplace_partials`` call
+per level gives log L(s) together with its closed-form partials in
+(alpha, gamma, mu), from the same exponentials; the frailty columns chain
+three per-cluster sums of the terms' partials through the map's Jacobian
+blocks (``BranchRegime.jacobian``, which applies the regime pins), and a
+level pinned to the gamma limit computes no alpha partial.
+``estimation.fit`` steers its trust region with the BHHH matrix
+G' diag(w) G.
 
 With ``information=True`` the same pass also returns the observed
 information, the exact negated Hessian that ``estimation.fit`` takes its
@@ -101,6 +98,7 @@ class _Block:
     """One unit's cells of a level: a contiguous run, clusters ascending."""
     unit: str
     cells: slice
+    rows: object                    # the cells' clusters (``_rows``)
     times: np.ndarray
     design: Optional[np.ndarray]    # [cells, p], or None without covariates
     grid: Optional[tuple]           # the baseline's, for a rate-linear one
@@ -120,12 +118,12 @@ class _Level:
     """The inclusion-exclusion terms of one stratum level's clusters."""
     name: str
     clusters: np.ndarray        # positions in the dataset's cluster order
+    rows: object                # the same (``_rows``)
     blocks: List[_Block]
     incidence: sparse.csr_matrix    # [terms, cells] 0/1
     incidence_t: sparse.csc_matrix  # its transpose, on the same arrays
     term_cluster: np.ndarray    # [terms] index into ``clusters``
     cell_cluster: np.ndarray    # [cells] each cell's cluster, a position in the dataset
-    cluster_terms: np.ndarray   # [clusters + 1] each cluster's first term, then the count
     term_weights: np.ndarray    # [terms] their clusters' weights
     signs: np.ndarray           # [terms] (-1)^|A|
 
@@ -135,6 +133,14 @@ def _grid_key(baseline) -> Optional[tuple]:
     if not hasattr(baseline, "exposure"):
         return None
     return (type(baseline).__name__, getattr(baseline, "cutpoints", ()))
+
+
+def _rows(positions: np.ndarray):
+    """Ascending cluster ``positions`` as a slice where they are consecutive,
+    which G's columns take without a gather, else as they are."""
+    if positions.size and positions[-1] - positions[0] == positions.size - 1:
+        return slice(int(positions[0]), int(positions[-1]) + 1)
+    return positions
 
 
 def _slots_and_levels(spec: ModelSpec, data: CurrentStatusDataset):
@@ -185,8 +191,8 @@ def _template(m: int, k: int):
 
 
 def _terms(counts: np.ndarray, sizes: np.ndarray, firsts: np.ndarray, slotted: np.ndarray):
-    """Each term's cluster and sign, each cluster's first term (and the term
-    count last), and the CSR (indptr, indices) of each term's member cells,
+    """Each term's cluster and sign, and the CSR (indptr, indices) of each
+    term's member cells,
     over clusters of ``counts`` events on ``sizes`` rows whose cells
     ``slotted`` holds from their first rows ``firsts`` on, non-events
     first.  The terms run in cluster order; clusters of one size and event
@@ -206,8 +212,7 @@ def _terms(counts: np.ndarray, sizes: np.ndarray, firsts: np.ndarray, slotted: n
         signs[terms] = template_signs
         indptr[terms + 1] = member_start[idx][:, None] + ends
         indices[member_start[idx][:, None] + np.arange(cols.size)] = slotted[firsts[idx][:, None] + cols]
-    return (np.repeat(np.arange(counts.size, dtype=np.int32), n_terms),
-            np.append(term_start, signs.size), signs, indptr, indices)
+    return np.repeat(np.arange(counts.size, dtype=np.int32), n_terms), signs, indptr, indices
 
 
 class LikelihoodWorkspace:
@@ -269,15 +274,16 @@ class LikelihoodWorkspace:
                     missing.append((absent[0], j, absent[1], unit))
                 baseline = spec.baseline_for(name, unit)
                 grid = _grid_key(baseline)
-                blocks.append(_Block(unit, slice(edges[j] - first, edges[j + 1] - first), times,
-                                     design, grid, baseline.exposure(times) if grid else None))
-            term_cluster, cluster_terms, signs, indptr, indices = _terms(
+                blocks.append(_Block(unit, slice(edges[j] - first, edges[j + 1] - first),
+                                     _rows(data.cluster[rows]), times, design, grid,
+                                     baseline.exposure(times) if grid else None))
+            term_cluster, signs, indptr, indices = _terms(
                 counts[clusters], sizes[clusters], firsts[clusters], slotted)
             incidence = sparse.csr_matrix(
                 (np.ones(indices.size), indices, indptr), shape=(term_cluster.size, n_cells))
             self.levels.append(_Level(
-                name, clusters, blocks, incidence, incidence.T, term_cluster,
-                data.cluster[order[first:edges[-1]]].astype(np.int32), cluster_terms,
+                name, clusters, _rows(clusters), blocks, incidence, incidence.T, term_cluster,
+                data.cluster[order[first:edges[-1]]].astype(np.int32),
                 data.weight[clusters][term_cluster], signs))
         if missing:
             pos, _, covariate, unit = min(missing)
@@ -339,14 +345,12 @@ class LikelihoodWorkspace:
     def total_loglik(self, spec: ModelSpec) -> float:
         return float(np.sum(self.weights * self.cluster_logliks(spec)))
 
-    def loglik_and_score(self, layout, theta_free, scores: bool = False,
-                         information: bool = False):
-        """Weighted log-likelihood at ``layout.build_spec(theta_free)`` and its
-        gradient with respect to ``theta_free``; with ``scores`` set, also G,
-        the [n_clusters, n_free] unweighted per-cluster scores (``weights @ G``
-        is the gradient); with ``information`` set, also the observed
-        information -H, the negated Hessian, from the same pass.  The extras
-        follow the gradient in that order.
+    def loglik_and_score(self, layout, theta_free, information: bool = False):
+        """Weighted log-likelihood at ``layout.build_spec(theta_free)``, its
+        gradient with respect to ``theta_free`` and G, the [n_clusters,
+        n_free] unweighted per-cluster scores, of which the gradient is
+        ``weights @ G``; with ``information`` set, also the observed
+        information -H, the negated Hessian, from the same pass.
 
         The numbers come from the layout's ``parameter_map`` for this
         workspace, compiled at the first pass with ``layout`` and kept for
@@ -359,13 +363,10 @@ class LikelihoodWorkspace:
         if pmap is None or pmap.layout is not layout:
             pmap = self._map = layout.parameter_map(self)
         free = layout.free_mask
-        grad = np.zeros(free.size)
+        # each entry's column of G; a pinned entry has none
+        column = np.where(free, np.cumsum(free) - 1, -1)
+        per_cluster = np.zeros((self.n_clusters, layout.n_free), order="F")
         out = np.empty(self.n_clusters)
-        with_scores = scores or information     # the information takes its outer sum from G
-        if with_scores:
-            # each entry's column of G; a pinned entry has none
-            column = np.where(free, np.cumsum(free) - 1, -1)
-            per_cluster = np.zeros((self.n_clusters, layout.n_free), order="F")
         if information:
             info = np.zeros((free.size, free.size))
         for level, mapped, (params, jacobian, sources) in zip(
@@ -379,56 +380,39 @@ class LikelihoodWorkspace:
                 log_l, d_alpha, d_gamma, h = log_laplace_partials(params, svals, alpha)
             signed, prob, bad = self._probabilities(level, log_l)
             out[level.clusters] = np.log(prob)
-            # d log P = dP / P: each term divided by its cluster's P, then
-            # weighted (T_A / P stays finite where a tiny P makes w / P overflow)
-            weights = level.term_weights
-            if bad is not None:
-                weights = np.where(bad[level.term_cluster], 0.0, weights)
+            # d log P = dP / P: each term's T_A / P_i, 0 on a clamped cluster
             ratio = signed / prob[level.term_cluster]
-            signed = ratio * weights
-            # d log L / ds = -mu h and d log L / d mu = -s h
-            signed_h = signed * h
-            dl_dlam = level.incidence_t @ signed_h * -params.mu
-            for block, (key, _, _), (value, exposure, mult) in zip(level.blocks, mapped.blocks,
-                                                                   parts):
-                dl = dl_dlam[block.cells]
-                self._baseline_score(value, exposure, block.times, layout.baseline_slices[key].start,
-                                     dl if mult is None else dl * mult, grad)
-                if block.design is not None:
-                    grad[layout.beta_slices[block.unit]] += block.design.T @ (dl * lam[block.cells])
-            # d log P / d(alpha, gamma, mu), chained to the link coefficients
-            d_frailty = np.array([0.0 if d_alpha is None else signed @ d_alpha,
-                                  signed @ d_gamma, -(signed_h @ svals)])
-            for name, sl in layout.link_slices.items():
-                grad[sl] += d_frailty @ jacobian[name]
-            if with_scores:
-                if bad is not None:
-                    ratio = np.where(bad[level.term_cluster], 0.0, ratio)
-                self._level_scores(layout, level, mapped, jacobian, lam, parts, svals, ratio,
-                                   dl_dlam, (h, d_alpha, d_gamma), column, per_cluster)
+            if bad is not None:
+                ratio[bad[level.term_cluster]] = 0.0
+            dl_cells, d_frailty = self._level_scores(
+                layout, level, mapped, jacobian, lam, parts, svals, ratio, params.mu,
+                (h, d_alpha, d_gamma), column, per_cluster)
             if information:
                 info += self._level_curvature(
-                    layout, level, mapped, params, jacobian, lam, parts, svals, signed,
-                    dl_dlam, d_frailty, (-h, d_alpha, d_gamma), second)
-        extras = [per_cluster] if scores else []
-        if information:
-            # sum_i w_i g_i g_i' from G, and the whole made exactly symmetric
-            info = per_cluster.T @ (per_cluster * self.weights[:, None]) + info[np.ix_(free, free)]
-            extras.append(0.5 * (info + info.T))
-        return (float(np.sum(self.weights * out)), grad[free], *extras)
+                    layout, level, mapped, params, jacobian, lam, parts, svals,
+                    ratio * level.term_weights, dl_cells * self.weights[level.cell_cluster],
+                    self.weights[level.clusters] @ d_frailty, (-h, d_alpha, d_gamma), second)
+        value, grad = float(np.sum(self.weights * out)), self.weights @ per_cluster
+        if not information:
+            return value, grad, per_cluster
+        # sum_i w_i g_i g_i' from G, and the whole made exactly symmetric
+        info = per_cluster.T @ (per_cluster * self.weights[:, None]) + info[np.ix_(free, free)]
+        return value, grad, per_cluster, 0.5 * (info + info.T)
 
-    def _level_scores(self, layout, level, mapped, jacobian, lam, parts, svals, ratio, dl_dlam,
-                      first, column, per_cluster) -> None:
+    def _level_scores(self, layout, level, mapped, jacobian, lam, parts, svals, ratio, mu,
+                      first, column, per_cluster):
         """Adds one level's rows of G, its clusters' unweighted scores, into
-        the ``column``s of ``per_cluster`` (-1 for a pinned entry), with no
-        incidence product: ``dl_dlam`` already holds each cell's
-        w_i d log P_i / d Lambda_j, and a unit block holds at most one cell
-        per cluster, so each of its columns adds into distinct rows.
-        ``ratio`` is T_A / P_i, 0 on a clamped cluster, and ``first`` the
-        terms' (h, d alpha, d gamma) partials of log L."""
-        dl_cells = dl_dlam / self.weights[level.cell_cluster]
+        the ``column``s of ``per_cluster`` (-1 for a pinned entry), and
+        returns each cell's d log P_i / d Lambda_j and the [clusters, 3]
+        d log P_i / d(alpha, gamma, mu).  ``ratio`` is T_A / P_i, 0 on a
+        clamped cluster, and ``first`` the terms' (h, d alpha, d gamma)
+        partials of log L.  A unit block holds at most one cell per
+        cluster, so each of its columns adds into distinct rows."""
+        h, d_alpha, d_gamma = first
+        ratio_h = ratio * h
+        # d log L / ds = -mu h, and d s_A / d Lambda_j = 1 for each cell j of A
+        dl_cells = level.incidence_t @ ratio_h * -mu
         for block, (key, _, _), (value, exposure, mult) in zip(level.blocks, mapped.blocks, parts):
-            rows = level.cell_cluster[block.cells]
             dl = dl_cells[block.cells]
             d_base = exposure * value if exposure is not None else _parametric_jacobian(
                 value, block.times).T
@@ -439,19 +423,18 @@ class LikelihoodWorkspace:
             for start, partials, dl_block in columns:
                 for i, col in enumerate(column[start:start + partials.shape[1]].tolist()):
                     if col >= 0:
-                        per_cluster[rows, col] += dl_block * partials[:, i]
-        # the clusters' d log P / d(alpha, gamma, mu): the terms run in cluster order
-        h, d_alpha, d_gamma = first
-        firsts = level.cluster_terms[:-1]
+                        per_cluster[block.rows, col] += dl_block * partials[:, i]
+        # the clusters' d log P / d(alpha, gamma, mu), with d log L / d mu = -s h
         d_frailty = np.zeros((level.clusters.size, 3))
-        if d_alpha is not None:
-            d_frailty[:, 0] = np.add.reduceat(ratio * d_alpha, firsts)
-        d_frailty[:, 1] = np.add.reduceat(ratio * d_gamma, firsts)
-        d_frailty[:, 2] = -np.add.reduceat(ratio * h * svals, firsts)
+        for j, partial in enumerate((d_alpha, d_gamma, -svals * h)):
+            if partial is not None:
+                d_frailty[:, j] = np.bincount(level.term_cluster, weights=ratio * partial,
+                                              minlength=level.clusters.size)
         for name, sl in layout.link_slices.items():
             for col, chain in zip(column[sl].tolist(), jacobian[name].T):
                 if col >= 0:
-                    per_cluster[level.clusters, col] += d_frailty @ chain
+                    per_cluster[level.rows, col] += d_frailty @ chain
+        return dl_cells, d_frailty
 
     def _level_curvature(self, layout, level, mapped, params, jacobian, lam, parts, svals,
                          signed, dl_dlam, d_frailty, first, second) -> np.ndarray:
@@ -555,18 +538,6 @@ class LikelihoodWorkspace:
             sl = layout.link_slices[name]
             info[sl, sl] -= np.outer(d_frailty @ jacobian[name], x)
         return info
-
-    @staticmethod
-    def _baseline_score(baseline, exposure: Optional[np.ndarray], times: np.ndarray, start: int,
-                        dl_dbase: np.ndarray, grad: np.ndarray) -> None:
-        """Adds d loglik / d log-parameters of a block's baseline, whose
-        entries in ``grad`` begin at ``start``; ``baseline`` is the rates of
-        a rate-linear one, under its ``exposure``."""
-        if exposure is not None:
-            grad[start:start + baseline.size] += baseline * np.dot(dl_dbase, exposure)
-            return
-        grad[start:start + baseline.log_params.size] += (
-            _parametric_jacobian(baseline, times) @ dl_dbase)
 
 
 def _parametric_jacobian(baseline, times: np.ndarray, log_params=None, steps=None) -> np.ndarray:
