@@ -13,11 +13,11 @@ is one trust-region minimization of the negated log-likelihood (scipy's
 BHHH matrix J = G' diag(w) G of the per-cluster scores G (Berndt, Hall,
 Hall & Hausman 1974) in place of the Hessian.  Each point's value,
 score and G come from one ``LikelihoodWorkspace.loglik_and_score``
-pass, which reads its numbers from a :class:`ParameterMap` compiled once
-per fit, not from a rebuilt ModelSpec.  Standard errors come from the
-observed information at the solution, the exact negated Hessian from one
-more such pass with ``information=True`` (no differenced score passes),
-and confidence intervals use ln / ln(-ln) transforms as appropriate.
+pass, which reads its numbers from the free vector, not from a rebuilt
+ModelSpec.  Standard errors come from the observed information at the
+solution, the exact negated Hessian from one more such pass with
+``information=True`` (no differenced score passes), and confidence
+intervals use ln / ln(-ln) transforms as appropriate.
 ``FitResult.aic`` is -2 log L + 2 n_free.
 
 ``hazard._central_jacobian`` takes the derivatives that are differenced
@@ -48,12 +48,11 @@ from .errors import (
     NonPositiveProbability,
 )
 from .family import _log_laplace_inverse
-from .hazard import BranchRegime, ModelSpec, _central_jacobian, _central_steps, _link_values
+from .hazard import ModelSpec, _central_jacobian, _central_steps
 from .likelihood import LikelihoodWorkspace
 
 __all__ = [
     "ParameterLayout",
-    "ParameterMap",
     "FitResult",
     "fit",
     "pinned_result",
@@ -182,11 +181,6 @@ class ParameterLayout:
             self.spec0, baselines=baselines, predictors=predictors, frailty_link=link
         )
 
-    def parameter_map(self, workspace: LikelihoodWorkspace) -> "ParameterMap":
-        """The numbers a pass over ``workspace`` reads at a free vector of
-        this layout, compiled once (:class:`ParameterMap`)."""
-        return ParameterMap(self, workspace)
-
     # ------------------------------------------------------------------
     def default_init(self, data: CurrentStatusDataset) -> np.ndarray:
         """Data-driven starting point.
@@ -209,11 +203,9 @@ class ParameterLayout:
             values = [intercept] + [0.0] * (sl.stop - sl.start - 1)
             full[sl] = np.where(self.free_mask[sl], values, full[sl])
         link = self.spec0.frailty_link
-        zeta, kappa, beta0 = (full[self.link_slices[name]] for name in ("zeta", "kappa", "beta0"))
+        start = self.build_spec(full[self.free_mask])
         try:
-            laws = {level: self.spec0.branch_regimes[level].law(*_link_values(
-                        link.row(level), zeta, kappa, beta0, link.mu_pinned(level)))
-                    for level in link.levels}
+            laws = {level: start.frailty_params(level) for level in link.levels}
         except _INFEASIBLE as exc:
             raise NonFiniteEvaluation(f"frailty law infeasible at the start point: {exc}") from exc
         # each stratum code's level, code -1 last; an empty stratum is the reference
@@ -229,76 +221,6 @@ class ParameterLayout:
             full[sl] = _baseline_init(self.spec0.baselines[key], laws[level or link.reference],
                                       data.time[sel], data.event[sel], row_weight[sel])
         return full[self.free_mask]
-
-
-class _MappedLevel(NamedTuple):
-    name: str
-    x: np.ndarray               # the level's design row
-    regime: BranchRegime
-    mu_pinned: bool
-    # per unit block: (baseline key, unit, exposure matrix or None)
-    blocks: List[Tuple[object, str, Optional[np.ndarray]]]
-
-
-class ParameterMap:
-    """What a likelihood pass over one workspace reads at a free vector of
-    one layout, without building a ModelSpec.
-
-    Compiled once per (workspace, layout) from the layout's structure: per
-    stratum level of the workspace, its design row, regime and mu pin, and
-    per unit block, its baseline key and the exposure matrix of the
-    layout's rate-linear baseline (``_Block.exposure_for``: the
-    workspace's own, or afresh on another grid).  A call gives, per level,
-    ``(params, jacobian, sources)``: the frailty law with the regime pin
-    applied (``BranchRegime.law``), its 3 x p link-Jacobian blocks
-    (``BranchRegime.jacobian``) and, per block, (exposure or None, the
-    rates exp(theta) under it or else the baseline, the unit's beta or
-    None).  It checks what :meth:`ParameterLayout.build_spec` checks: a rate
-    that is not finite or is 0 raises InvalidParameters, a Weibull or
-    generalized gamma baseline is its ``with_log_params`` object, and the
-    law's own checks run.
-    """
-
-    def __init__(self, layout: ParameterLayout, workspace: LikelihoodWorkspace):
-        spec = layout.spec0
-        link = spec.frailty_link
-        self.layout = layout
-        self._baselines = [(key, sl, spec.baselines[key], hasattr(spec.baselines[key], "exposure"))
-                           for key, sl in layout.baseline_slices.items()]
-        self._betas = [(unit, sl) for unit, sl in layout.beta_slices.items() if sl.stop > sl.start]
-        self.levels: List[_MappedLevel] = []
-        for level in workspace.levels:
-            blocks = []
-            for block in level.blocks:
-                key = (level.name, block.unit) if spec.stratified_baselines else block.unit
-                blocks.append((key, block.unit, block.exposure_for(spec.baselines[key])))
-            self.levels.append(_MappedLevel(
-                level.name, link.row(level.name), spec.branch_regimes[level.name],
-                link.mu_pinned(level.name), blocks))
-
-    def __call__(self, theta_free) -> list:
-        layout = self.layout
-        full = layout.full_from_free(theta_free)
-        values = {}
-        for key, sl, baseline, rate_linear in self._baselines:
-            if rate_linear:
-                rates = np.exp(full[sl])
-                if not all(0.0 < rate < math.inf for rate in rates.tolist()):
-                    raise InvalidParameters(f"baseline {key!r}: rates must be finite and > 0")
-                values[key] = rates
-            else:
-                values[key] = baseline.with_log_params(full[sl])
-        betas = {unit: full[sl] for unit, sl in self._betas}
-        zeta, kappa, beta0 = (full[layout.link_slices[name]] for name in ("zeta", "kappa", "beta0"))
-        points = []
-        for level in self.levels:
-            alpha, gamma, mu = _link_values(level.x, zeta, kappa, beta0, level.mu_pinned)
-            points.append((
-                level.regime.law(alpha, gamma, mu),
-                level.regime.jacobian(level.x, gamma, mu, level.mu_pinned),
-                [(exposure, values[key], betas.get(unit)) for key, unit, exposure in level.blocks],
-            ))
-        return points
 
 
 def _with_values(obj, **values):

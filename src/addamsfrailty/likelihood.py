@@ -23,20 +23,20 @@ dataset's log-likelihood, and :func:`cluster_loglik` one cluster's.
 [clusters, free] matrix of each cluster's unweighted score g_i with
 respect to the free vector of an ``estimation.ParameterLayout``, from the
 same s-values and Laplace terms, and the score sum_i w_i g_i from it.  It
-builds no ModelSpec: each level's law and link Jacobian, each rate-linear
-block's rates and each unit's beta come from the layout's
-``estimation.ParameterMap``, compiled at the workspace's first pass with
-that layout.  With sign_A = (-1)^|A|, d log P_i / d Lambda of a cell sums
-sign_A L'(s_A) / P_i over the terms that hold it, one product with the
-transposed incidence; the chain rule then runs through the baselines
-(exactly for rate-linear ones; a Weibull or generalized gamma baseline's
-``cumulative`` is differenced in its log-parameters by
-``hazard._central_jacobian``) and the covariate effects, and as a unit
-block holds at most one cell per cluster, each baseline or beta column
-adds into G's rows directly.  One ``family.log_laplace_partials`` call
+builds no ModelSpec: at every pass, each level's law and link Jacobian,
+each rate-linear block's rates and each unit's beta are read from the
+layout's free vector and its ``spec0``, block by block through the
+``_sources`` that serves a value pass with a spec's own numbers.  With
+sign_A = (-1)^|A|, d log P_i / d Lambda of a cell sums sign_A L'(s_A) / P_i
+over the terms that hold it, one product with the transposed incidence;
+the chain rule then runs through the baselines (exactly for rate-linear
+ones; a Weibull or generalized gamma baseline's ``cumulative`` is
+differenced in its log-parameters by ``hazard._central_jacobian``) and
+the covariate effects, and as a unit block holds at most one cell per
+cluster, each baseline or beta column adds into G's rows directly.  One ``family.log_laplace_partials`` call
 per level gives log L(s) together with its closed-form partials in
 (alpha, gamma, mu), from the same exponentials; the frailty columns chain
-three per-cluster sums of the terms' partials through the map's Jacobian
+three per-cluster sums of the terms' partials through the link Jacobian
 blocks (``BranchRegime.jacobian``, which applies the regime pins), and a
 level pinned to the gamma limit computes no alpha partial.
 ``estimation.fit`` steers its trust region with the BHHH matrix
@@ -56,11 +56,12 @@ chained through the incidence (d s_A sums the d Lambda of A's cells), the
 baselines (a rate-linear one's d2 Lambda / d theta_k^2 is
 d Lambda / d theta_k, a Weibull or generalized gamma one's second
 differences come from ``hazard._central_jacobian``), the covariate
-effects, the map's Jacobian blocks and the link's own second derivatives.
+effects, the link Jacobian blocks and the link's own second derivatives.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional
@@ -69,9 +70,9 @@ import numpy as np
 from scipy import sparse
 
 from .data import Cluster, CurrentStatusDataset
-from .errors import MissingCovariate, NonPositiveProbability
+from .errors import InvalidParameters, MissingCovariate, NonPositiveProbability
 from .family import log_laplace, log_laplace_partials, log_laplace_second_partials
-from .hazard import ModelSpec, _central_jacobian, _central_steps
+from .hazard import ModelSpec, _central_jacobian, _central_steps, _link_values
 
 __all__ = [
     "cluster_loglik",
@@ -141,6 +142,19 @@ def _rows(positions: np.ndarray):
     if positions.size and positions[-1] - positions[0] == positions.size - 1:
         return slice(int(positions[0]), int(positions[-1]) + 1)
     return positions
+
+
+def _sources(level: _Level, spec: ModelSpec, values: dict, betas: dict) -> list:
+    """Per unit block of ``level``: (baseline key, exposure matrix under the
+    key's baseline in ``spec`` or None, ``values[key]``, ``betas.get(unit)``).
+    ``values`` holds each key's rates, for a rate-linear baseline, or else
+    its baseline object; ``betas`` each unit's beta where it has covariates."""
+    sources = []
+    for block in level.blocks:
+        key = (level.name, block.unit) if spec.stratified_baselines else block.unit
+        sources.append((key, block.exposure_for(spec.baselines[key]), values[key],
+                        betas.get(block.unit)))
+    return sources
 
 
 def _slots_and_levels(spec: ModelSpec, data: CurrentStatusDataset):
@@ -230,7 +244,6 @@ class LikelihoodWorkspace:
         self.weights = data.weight
         self.cluster_ids = data.cluster_ids
         self.levels: List[_Level] = []
-        self._map = None    # the last layout's ParameterMap
         if self.n_clusters == 0:
             return
         slot, level_names, level = _slots_and_levels(spec, data)
@@ -291,13 +304,12 @@ class LikelihoodWorkspace:
                                    f"covariate {covariate!r} missing")
 
     def _hazards(self, level: _Level, sources):
-        """One level's cell hazards, per block (rates or baseline, exposure
-        or None, covariate multipliers or None), and the terms' s-values.
-        ``sources`` holds per block (exposure matrix or None, the rates
-        under that exposure or else the baseline, the unit's beta or None)."""
+        """One level's cell hazards, per block (baseline key, rates or
+        baseline, exposure or None, covariate multipliers or None), and the
+        terms' s-values, from the level's ``_sources``."""
         lam = np.empty(level.incidence.shape[1])
         parts = []
-        for block, (exposure, value, beta) in zip(level.blocks, sources):
+        for block, (key, exposure, value, beta) in zip(level.blocks, sources):
             # np.dot, not @: matmul loops per element over an exponential
             # baseline's [n, 1] exposure, a view with a zero stride
             base = value.cumulative(block.times) if exposure is None else np.dot(exposure, value)
@@ -306,7 +318,7 @@ class LikelihoodWorkspace:
                 mult = np.exp(block.design @ beta)
                 base = base * mult
             lam[block.cells] = base
-            parts.append((value, exposure, mult))
+            parts.append((key, value, exposure, mult))
         return lam, parts, level.incidence @ lam
 
     def _probabilities(self, level: _Level, log_l: np.ndarray):
@@ -327,23 +339,51 @@ class LikelihoodWorkspace:
         return signed, np.where(bad, _CLAMP_VALUE, prob), bad
 
     def cluster_logliks(self, spec: ModelSpec) -> np.ndarray:
+        values = {key: baseline if _grid_key(baseline) is None else baseline.rate_vector
+                  for key, baseline in spec.baselines.items()}
+        betas = {unit: np.asarray(pred.coefficients)
+                 for unit, pred in spec.predictors.items() if pred.covariate_names}
         out = np.empty(self.n_clusters)
         for level in self.levels:
             params = spec.frailty_params(level.name)
-            sources = []
-            for block in level.blocks:
-                baseline = spec.baseline_for(level.name, block.unit)
-                exposure = block.exposure_for(baseline)
-                beta = (None if block.design is None
-                        else np.asarray(spec.predictors[block.unit].coefficients))
-                sources.append((exposure, baseline if exposure is None else baseline.rate_vector,
-                                beta))
-            svals = self._hazards(level, sources)[2]
+            svals = self._hazards(level, _sources(level, spec, values, betas))[2]
             out[level.clusters] = np.log(self._probabilities(level, log_laplace(params, svals))[1])
         return out
 
     def total_loglik(self, spec: ModelSpec) -> float:
         return float(np.sum(self.weights * self.cluster_logliks(spec)))
+
+    def _point(self, layout, theta_free) -> list:
+        """What a pass reads at the free vector ``theta_free`` of ``layout``,
+        per level: (regime, design row, law with the regime pin applied, its
+        3 x p link-Jacobian blocks, ``_sources``), with no spec built.
+
+        Its checks are :meth:`ParameterLayout.build_spec`'s: a rate that is
+        not finite or is 0 raises InvalidParameters, a Weibull or
+        generalized gamma baseline is its ``with_log_params`` object, and
+        the law's own checks run (``BranchRegime.law``).
+        """
+        spec, link = layout.spec0, layout.spec0.frailty_link
+        full = layout.full_from_free(theta_free)
+        values = {}
+        for key, sl in layout.baseline_slices.items():
+            if _grid_key(spec.baselines[key]) is None:
+                values[key] = spec.baselines[key].with_log_params(full[sl])
+                continue
+            values[key] = np.exp(full[sl])
+            if not all(0.0 < rate < math.inf for rate in values[key].tolist()):
+                raise InvalidParameters(f"baseline {key!r}: rates must be finite and > 0")
+        betas = {unit: full[sl] for unit, sl in layout.beta_slices.items() if sl.stop > sl.start}
+        zeta, kappa, beta0 = (full[layout.link_slices[name]] for name in ("zeta", "kappa", "beta0"))
+        points = []
+        for level in self.levels:
+            regime, x, pinned = (spec.branch_regimes[level.name], link.row(level.name),
+                                 link.mu_pinned(level.name))
+            alpha, gamma, mu = _link_values(x, zeta, kappa, beta0, pinned)
+            points.append((regime, x, regime.law(alpha, gamma, mu),
+                           regime.jacobian(x, gamma, mu, pinned),
+                           _sources(level, spec, values, betas)))
+        return points
 
     def loglik_and_score(self, layout, theta_free, information: bool = False):
         """Weighted log-likelihood at ``layout.build_spec(theta_free)``, its
@@ -352,16 +392,11 @@ class LikelihoodWorkspace:
         ``weights @ G``; with ``information`` set, also the observed
         information -H, the negated Hessian, from the same pass.
 
-        The numbers come from the layout's ``parameter_map`` for this
-        workspace, compiled at the first pass with ``layout`` and kept for
-        the next ones; no spec is built.  The value equals
-        :meth:`total_loglik` at the same spec.  Clusters whose probability
+        The numbers are read from ``theta_free`` by :meth:`_point`; no spec
+        is built.  The value equals :meth:`total_loglik` at the same spec.  Clusters whose probability
         was clamped contribute nothing to the score or the information, and
         their rows of G are 0.
         """
-        pmap = self._map
-        if pmap is None or pmap.layout is not layout:
-            pmap = self._map = layout.parameter_map(self)
         free = layout.free_mask
         # each entry's column of G; a pinned entry has none
         column = np.where(free, np.cumsum(free) - 1, -1)
@@ -369,10 +404,10 @@ class LikelihoodWorkspace:
         out = np.empty(self.n_clusters)
         if information:
             info = np.zeros((free.size, free.size))
-        for level, mapped, (params, jacobian, sources) in zip(
-                self.levels, pmap.levels, pmap(theta_free)):
+        for level, (regime, x, params, jacobian, sources) in zip(
+                self.levels, self._point(layout, theta_free)):
             lam, parts, svals = self._hazards(level, sources)
-            alpha = mapped.regime.moves_alpha     # a pinned alpha skips its partials
+            alpha = regime.moves_alpha     # a pinned alpha skips its partials
             if information:
                 (log_l, d_alpha, d_gamma, h), second = log_laplace_second_partials(
                     params, svals, alpha)
@@ -385,11 +420,11 @@ class LikelihoodWorkspace:
             if bad is not None:
                 ratio[bad[level.term_cluster]] = 0.0
             dl_cells, d_frailty = self._level_scores(
-                layout, level, mapped, jacobian, lam, parts, svals, ratio, params.mu,
+                layout, level, jacobian, lam, parts, svals, ratio, params.mu,
                 (h, d_alpha, d_gamma), column, per_cluster)
             if information:
                 info += self._level_curvature(
-                    layout, level, mapped, params, jacobian, lam, parts, svals,
+                    layout, level, x, params, jacobian, lam, parts, svals,
                     ratio * level.term_weights, dl_cells * self.weights[level.cell_cluster],
                     self.weights[level.clusters] @ d_frailty, (-h, d_alpha, d_gamma), second)
         value, grad = float(np.sum(self.weights * out)), self.weights @ per_cluster
@@ -399,7 +434,7 @@ class LikelihoodWorkspace:
         info = per_cluster.T @ (per_cluster * self.weights[:, None]) + info[np.ix_(free, free)]
         return value, grad, per_cluster, 0.5 * (info + info.T)
 
-    def _level_scores(self, layout, level, mapped, jacobian, lam, parts, svals, ratio, mu,
+    def _level_scores(self, layout, level, jacobian, lam, parts, svals, ratio, mu,
                       first, column, per_cluster):
         """Adds one level's rows of G, its clusters' unweighted scores, into
         the ``column``s of ``per_cluster`` (-1 for a pinned entry), and
@@ -412,7 +447,7 @@ class LikelihoodWorkspace:
         ratio_h = ratio * h
         # d log L / ds = -mu h, and d s_A / d Lambda_j = 1 for each cell j of A
         dl_cells = level.incidence_t @ ratio_h * -mu
-        for block, (key, _, _), (value, exposure, mult) in zip(level.blocks, mapped.blocks, parts):
+        for block, (key, value, exposure, mult) in zip(level.blocks, parts):
             dl = dl_cells[block.cells]
             d_base = exposure * value if exposure is not None else _parametric_jacobian(
                 value, block.times).T
@@ -436,7 +471,7 @@ class LikelihoodWorkspace:
                     per_cluster[level.rows, col] += d_frailty @ chain
         return dl_cells, d_frailty
 
-    def _level_curvature(self, layout, level, mapped, params, jacobian, lam, parts, svals,
+    def _level_curvature(self, layout, level, x, params, jacobian, lam, parts, svals,
                          signed, dl_dlam, d_frailty, first, second) -> np.ndarray:
         """One level's part of the observed information over the full
         parameter vector but the sum_i w_i g_i g_i' term, that is
@@ -456,8 +491,7 @@ class LikelihoodWorkspace:
         """
         n_full = layout.free_mask.size
         mu = params.mu
-        keys = [key for key, _, _ in mapped.blocks]
-        slices = [layout.baseline_slices[key] for key in keys] + [
+        slices = [layout.baseline_slices[part[0]] for part in parts] + [
             layout.beta_slices[block.unit] for block in level.blocks if block.design is not None]
         cols = sorted({i for sl in slices for i in range(sl.start, sl.stop)})
         k = len(cols)
@@ -471,7 +505,7 @@ class LikelihoodWorkspace:
         # above its diagonal
         d_lam = [np.zeros(lam.size) for _ in range(k)]
         curv = np.zeros((k + 3, k + 3))
-        for block, key, (baseline, exposure, mult) in zip(level.blocks, keys, parts):
+        for block, (key, baseline, exposure, mult) in zip(level.blocks, parts):
             bs = where[layout.baseline_slices[key].start]
             dl = dl_dlam[block.cells]
             if exposure is not None:
@@ -533,7 +567,6 @@ class LikelihoodWorkspace:
         # the coordinates' own second derivatives: gamma = exp(x' kappa) and
         # mu = exp(x' beta0), and a pinned alpha moves with gamma, so each
         # coordinate's Hessian in an exp-link block is its Jacobian row times x'
-        x = mapped.x
         for name in ("kappa", "beta0"):
             sl = layout.link_slices[name]
             info[sl, sl] -= np.outer(d_frailty @ jacobian[name], x)

@@ -196,29 +196,25 @@ def scalar_cluster_loglik(spec, cluster):
     return math.log(prob)
 
 
-def spec_parameter_map(layout, workspace):
-    """An ``estimation.ParameterMap`` whose numbers are read from
-    ``layout.build_spec(theta)``: ``ModelSpec.frailty_params`` and
-    ``frailty_jacobian``, the spec's baselines and its predictors, the
-    route a score pass read them by before the map was compiled."""
-    from addamsfrailty.estimation import ParameterMap
-
-    class SpecParameterMap(ParameterMap):
-        def __call__(self, theta_free):
-            spec = self.layout.build_spec(theta_free)
-            points = []
-            for level in self.levels:
-                sources = []
-                for key, unit, exposure in level.blocks:
-                    baseline, predictor = spec.baselines[key], spec.predictors[unit]
-                    sources.append((
-                        exposure, baseline if exposure is None else baseline.rate_vector,
-                        np.asarray(predictor.coefficients) if predictor.covariate_names else None))
-                points.append((spec.frailty_params(level.name),
-                               spec.frailty_jacobian(level.name), sources))
-            return points
-
-    return SpecParameterMap(layout, workspace)
+def spec_point(workspace, layout, theta_free):
+    """What ``LikelihoodWorkspace._point`` reads at ``theta_free``, taken
+    from ``layout.build_spec(theta_free)`` instead: ``ModelSpec.frailty_params``
+    and ``frailty_jacobian``, the spec's baselines and its predictors."""
+    spec = layout.build_spec(theta_free)
+    points = []
+    for level in workspace.levels:
+        sources = []
+        for block in level.blocks:
+            key = (level.name, block.unit) if spec.stratified_baselines else block.unit
+            baseline, predictor = spec.baselines[key], spec.predictors[block.unit]
+            exposure = block.exposure_for(layout.spec0.baselines[key])
+            sources.append((
+                key, exposure, baseline if exposure is None else baseline.rate_vector,
+                np.asarray(predictor.coefficients) if predictor.covariate_names else None))
+        points.append((spec.branch_regimes[level.name], spec.frailty_link.row(level.name),
+                       spec.frailty_params(level.name), spec.frailty_jacobian(level.name),
+                       sources))
+    return points
 
 
 def finite_difference(f, x, h):

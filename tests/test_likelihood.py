@@ -43,7 +43,7 @@ from oracles import (
     oracle_cluster_prob,
     scalar_cluster_loglik,
     score_hessian,
-    spec_parameter_map,
+    spec_point,
 )
 
 # log P values recomputed by the series/quadrature cluster oracle and frozen;
@@ -499,12 +499,12 @@ def outcome(f):
 
 
 class TestCompiledPass:
-    """A score pass reads its numbers from the layout's ``ParameterMap``,
-    compiled once per workspace, with no spec built."""
+    """A score pass reads its numbers from the layout's free vector
+    (``LikelihoodWorkspace._point``), with no spec built."""
 
     @pytest.mark.parametrize("design", PASS_DESIGNS)
     def test_map_is_the_spec_route_bit_for_bit(self, rng, monkeypatch, design):
-        # the map against the spec route (``oracles.spec_parameter_map``):
+        # the reader against the spec route (``oracles.spec_point``):
         # the same value and score bytes, at the start points and at
         # random steps around them
         spec, data = pass_design(rng, design)
@@ -517,7 +517,7 @@ class TestCompiledPass:
         compiled = [outcome(lambda: ws.loglik_and_score(layout, th)) for th in thetas]
         assert all(isinstance(got, tuple) for got in compiled[:2])
         assert (likelihood.diagnostics.clamped_probabilities > before) == (design == "clamped")
-        monkeypatch.setattr(ParameterLayout, "parameter_map", spec_parameter_map)
+        monkeypatch.setattr(LikelihoodWorkspace, "_point", spec_point)
         reference = LikelihoodWorkspace(spec, data)
         for th, got in zip(thetas, compiled):
             assert got == outcome(lambda: reference.loglik_and_score(layout, th))
@@ -526,28 +526,30 @@ class TestCompiledPass:
                 # the information pass's value and score are the score pass's
                 assert got == outcome(lambda: ws.loglik_and_score(layout, th, information=True))
 
-    def test_map_is_compiled_once_per_layout(self, rng, monkeypatch):
-        spec, data = pass_design(rng, "two_strata_free_mu")
-        layouts = [ParameterLayout(spec), ParameterLayout(spec)]
-        ws = LikelihoodWorkspace(spec, data)
-        compiled = []
-        original = ParameterLayout.parameter_map
-
-        def counted(layout, workspace):
-            compiled.append(layout)
-            return original(layout, workspace)
-
-        monkeypatch.setattr(ParameterLayout, "parameter_map", counted)
+    def test_one_workspace_serves_every_regime(self, rng, monkeypatch):
+        # a workspace built for the free spec evaluates layouts of the gamma,
+        # Poisson and binomial pins, in turn and back again, bit for bit as
+        # a workspace built for each spec does, and builds no spec to do so
+        data = score_data(rng, 80)
+        specs = [score_spec(-1.0, 3.0), score_spec(0.0, 3.0, "gamma"),
+                 score_spec(3.0, 3.0, "poisson"), score_spec(3.5, 3.0, "binomial", 2)]
+        ws = LikelihoodWorkspace(specs[0], data)
         builds = []
         build_spec = ParameterLayout.build_spec
         monkeypatch.setattr(ParameterLayout, "build_spec",
                             lambda layout, theta: builds.append(1) or build_spec(layout, theta))
-        first = [ws.loglik_and_score(layout, layout.free_vector()) for layout in layouts * 2]
-        assert compiled == layouts + layouts and builds == []
-        for _ in range(3):
-            ws.loglik_and_score(layouts[1], layouts[1].free_vector(), information=True)
-        assert len(compiled) == 4
-        assert first[0][1].tobytes() == first[3][1].tobytes()
+        for spec in specs + specs[::-1]:
+            layout = ParameterLayout(spec)
+            fresh = LikelihoodWorkspace(spec, data)
+            theta = layout.free_vector() + rng.normal(0.0, 0.1, layout.n_free)
+            for information in (False, True):
+                got = ws.loglik_and_score(layout, theta, information=information)
+                want = fresh.loglik_and_score(layout, theta, information=information)
+                assert [np.asarray(part).tobytes() for part in got] == [
+                    np.asarray(part).tobytes() for part in want]
+            assert (np.float64(ws.total_loglik(spec)).tobytes()
+                    == np.float64(fresh.total_loglik(spec)).tobytes())
+        assert builds == []
 
     @pytest.mark.parametrize("entry,value,error", [
         ("baseline[u1].rate[20+]", 800.0, InvalidParameters),     # the rate overflows
