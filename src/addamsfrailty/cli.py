@@ -7,7 +7,8 @@ Reports are written to files under ``[output] dir``; stderr carries only
 diagnostics, and nothing is printed to stdout.
 
 Exit codes: 0 success, 1 malformed dataset or a file that cannot be
-read or written, 2 non-convergence, 3 configuration error.
+read or written, 2 non-convergence or a non-finite trust-region step,
+3 configuration error or a dataset unit the model does not declare.
 """
 
 from __future__ import annotations
@@ -63,32 +64,37 @@ def _outdir(config: RunConfig) -> Path:
     return out
 
 
-def _run_fit(config: RunConfig):
-    data = _read_data(config)
-    spec = config.build_spec()
+def _run_fit(config: RunConfig, data, regimes=None, name: str = "fit"):
+    spec = config.build_spec(regimes=regimes)
     init = "spec" if config.params and not config.pin_all else None
     result = ml_fit(spec, data, init=init, maxiter=config.fit_maxiter)
     if not result.converged:
         raise NonConvergence(
-            f"gradient norm {result.gradient_norm:.3g} after "
+            f"{name}: gradient norm {result.gradient_norm:.3g} after "
             f"{result.iterations} iterations"
         )
     return result
 
 
+def _write_fit_reports(config: RunConfig, command: str, result, **extra) -> Path:
+    """Write the files fit and analyze share; ``extra`` joins report.json."""
+    out = _outdir(config)
+    rfv_table = rfv_parameter_table(result)
+    rep.write_json_report(out / "report.json", {
+        "command": command,
+        "fit": rep.fit_payload(result),
+        "rfv_params": rep.rfv_params_payload(rfv_table),
+        **extra,
+    })
+    rep.write_params_csv(out / "params.csv", result)
+    rep.write_rfv_params_csv(out / "rfv_params.csv", rfv_table)
+    return out
+
+
 def cmd_fit(args) -> int:
     config = _load(args)
-    result = _run_fit(config)
-    out = _outdir(config)
-    table = rfv_parameter_table(result)
-    payload = {
-        "command": "fit",
-        "fit": rep.fit_payload(result),
-        "rfv_params": rep.rfv_params_payload(table),
-    }
-    rep.write_json_report(out / "report.json", payload)
-    rep.write_params_csv(out / "params.csv", result)
-    rep.write_rfv_params_csv(out / "rfv_params.csv", table)
+    result = _run_fit(config, _read_data(config))
+    _write_fit_reports(config, "fit", result)
     log.info("fit converged: loglik %.6g, %d free parameters",
              result.loglik, result.n_free)
     return EXIT_OK
@@ -124,8 +130,7 @@ def cmd_analyze(args) -> int:
             loglik = float("nan")
         result = pinned_result(spec, loglik)
     else:
-        result = _run_fit(config)
-    out = _outdir(config)
+        result = _run_fit(config, _read_data(config))
     k_max = config.analyze_k_max
     discrete = [
         lvl for lvl in result.spec.frailty_link.levels
@@ -133,22 +138,13 @@ def cmd_analyze(args) -> int:
     ]
     table = rc_table(result, strata=discrete, k_max=k_max)
     hr_rows = hr_within_table(result, k_max=k_max)
-    rfv_table = rfv_parameter_table(result)
     curves = []
     units = list(config.analyze_units or result.spec.units)
     for lvl in result.spec.frailty_link.levels:
         curves.extend(
             trajectories(result, lvl, units=units, times=config.analyze_time_grid)
         )
-    payload = {
-        "command": "analyze",
-        "fit": rep.fit_payload(result),
-        "rfv_params": rep.rfv_params_payload(rfv_table),
-        "rc_table": rep.rc_table_payload(table),
-    }
-    rep.write_json_report(out / "report.json", payload)
-    rep.write_params_csv(out / "params.csv", result)
-    rep.write_rfv_params_csv(out / "rfv_params.csv", rfv_table)
+    out = _write_fit_reports(config, "analyze", result, rc_table=rep.rc_table_payload(table))
     rep.write_rc_table_csv(out / "rc_table.csv", table)
     rep.write_hr_within_csv(out / "hr_within.csv", hr_rows)
     rep.write_trajectories_csv(out / "trajectories.csv", curves)
@@ -158,23 +154,17 @@ def cmd_analyze(args) -> int:
 def cmd_lrt(args) -> int:
     config = _load(args)
     data = _read_data(config)
-    init = "spec" if config.params and not config.pin_all else None
-    fits = {}
-    for label in ("null", "alt"):
-        spec = config.build_spec(regimes=config.regimes_for(label))
-        result = ml_fit(spec, data, init=init, maxiter=config.fit_maxiter)
-        if not result.converged:
-            raise NonConvergence(f"{label} model did not converge")
-        fits[label] = result
+    fits = {
+        label: _run_fit(config, data, config.regimes_for(label), f"{label} model")
+        for label in ("null", "alt")
+    }
     stat, p_value = lr_test(fits["null"], fits["alt"])
     df = fits["alt"].n_free - fits["null"].n_free
     out = _outdir(config)
     payload = {
         "command": "lrt",
-        "null": {"regime": config.lrt_regimes["null"],
-                 "fit": rep.fit_payload(fits["null"])},
-        "alt": {"regime": config.lrt_regimes["alt"],
-                "fit": rep.fit_payload(fits["alt"])},
+        **{label: {"regime": config.lrt_regimes[label], "fit": rep.fit_payload(result)}
+           for label, result in fits.items()},
         "lrt": {
             "statistic": rep.fmt(stat),
             "df": str(df),

@@ -49,6 +49,10 @@ class UnknownStratum(FrailtyModelError):
     """Stratum level not present in the frailty-link design."""
 
 
+class UnknownUnit(FrailtyModelError):
+    """A dataset unit that is not among the model's units."""
+
+
 class IdentifiabilityError(FrailtyModelError):
     """Aliased configuration: free link coefficients the data cannot tell apart."""
 

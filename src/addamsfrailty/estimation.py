@@ -415,19 +415,20 @@ def fit(spec: ModelSpec, data: CurrentStatusDataset, init=None,
     # the stationarity bound, scaled by the start's objective
     gtol = 1e-6 * max(1.0, abs(value0))
     if maxiter > 0:
-        res = optimize.minimize(objective, theta0, jac=True, hess=objective.bhhh,
-                                method="trust-exact", options={"gtol": gtol, "maxiter": maxiter})
+        try:
+            res = optimize.minimize(objective, theta0, jac=True, hess=objective.bhhh,
+                                    method="trust-exact",
+                                    options={"gtol": gtol, "maxiter": maxiter})
+        except ValueError as exc:
+            # scipy's trust-region subproblem refuses a step it solved to non-finite values
+            raise NonFiniteEvaluation(f"trust-region step not finite: {exc}") from exc
     else:
         res = optimize.OptimizeResult(x=theta0, fun=value0, jac=grad0, nit=0)
 
     theta_hat = np.asarray(res.x, dtype=float)
     # the observed information from one second-order pass at the solution
     information = ws.loglik_and_score(layout, theta_hat, information=True)[3]
-    if np.all(np.isfinite(information)):
-        cov = _covariance_from_information(information)
-    else:
-        log.warning("Hessian unavailable at the solution; no standard errors")
-        cov = np.full((theta_hat.size, theta_hat.size), np.nan)
+    cov = _covariance_from_information(information, layout.free_names)
     variance = np.diag(cov)
     negative = variance < 0.0
     if np.any(negative):
@@ -488,11 +489,22 @@ class _Objective:
         return self._out[1]
 
 
-def _covariance_from_information(information: np.ndarray) -> np.ndarray:
+def _covariance_from_information(information: np.ndarray, names) -> np.ndarray:
+    """The symmetrized inverse of the observed information; all nan, with a
+    warning, where the information is not finite or is singular.  A
+    singular one's warning names the parameters its null space moves."""
+    if not np.all(np.isfinite(information)):
+        log.warning("Hessian unavailable at the solution; no standard errors")
+        return np.full(information.shape, np.nan)
     try:
         cov = np.linalg.inv(information)
     except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(information)
+        _, sv, vt = np.linalg.svd(information)
+        null = vt[sv <= max(sv[-1], sv[0] * sv.size * np.finfo(float).eps)]
+        moved = np.any(np.abs(null) > 1e-6, axis=0)
+        log.warning("singular information at the solution, the data do not inform %s; "
+                    "no standard errors", ", ".join(n for n, m in zip(names, moved) if m))
+        return np.full(information.shape, np.nan)
     return 0.5 * (cov + cov.T)
 
 

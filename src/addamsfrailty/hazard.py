@@ -234,13 +234,18 @@ class GeneralizedGammaBaseline:
             raise InvalidParameters("all generalized-gamma parameters must be > 0")
 
     def cumulative(self, t):
-        t_arr = _check_times(t)
-        y = (t_arr / self.scale) ** self.power
-        surv = special.gammaincc(self.k, y)
-        return _as_output(t, -np.log(surv))
+        # -log Q(k, y) is -log1p(-P) while P = 1 - Q <= 1/2: the log of Q
+        # itself loses every digit as Q nears 1, at small hazards
+        y = (_check_times(t) / self.scale) ** self.power
+        p = special.gammainc(self.k, y)
+        lower = -np.log1p(-np.minimum(p, 0.5))
+        return _as_output(t, np.where(p <= 0.5, lower, -np.log(special.gammaincc(self.k, y))))
 
     def invert(self, target):
-        y = special.gammainccinv(self.k, np.exp(-_check_targets(target)))
+        h = _check_targets(target)
+        p = -np.expm1(-h)
+        y = np.where(p <= 0.5, special.gammaincinv(self.k, np.minimum(p, 0.5)),
+                     special.gammainccinv(self.k, np.exp(-h)))
         return _as_output(target, self.scale * np.power(y, 1.0 / self.power))
 
     @property

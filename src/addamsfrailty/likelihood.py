@@ -33,7 +33,8 @@ the chain rule then runs through the baselines (exactly for rate-linear
 ones; a Weibull or generalized gamma baseline's ``cumulative`` is
 differenced in its log-parameters by ``hazard._central_jacobian``) and
 the covariate effects, and as a unit block holds at most one cell per
-cluster, each baseline or beta column adds into G's rows directly.  One ``family.log_laplace_partials`` call
+cluster (the workspace refuses a dataset whose cluster repeats a unit,
+with DuplicateUnit), each baseline or beta column adds into G's rows directly.  One ``family.log_laplace_partials`` call
 per level gives log L(s) together with its closed-form partials in
 (alpha, gamma, mu), from the same exponentials; the frailty columns chain
 three per-cluster sums of the terms' partials through the link Jacobian
@@ -70,7 +71,8 @@ import numpy as np
 from scipy import sparse
 
 from .data import Cluster, CurrentStatusDataset
-from .errors import InvalidParameters, MissingCovariate, NonPositiveProbability
+from .errors import (DuplicateUnit, InvalidParameters, MissingCovariate, NonPositiveProbability,
+                     UnknownUnit)
 from .family import log_laplace, log_laplace_partials, log_laplace_second_partials
 from .hazard import ModelSpec, _central_jacobian, _central_steps, _link_values
 
@@ -160,12 +162,15 @@ def _sources(level: _Level, spec: ModelSpec, values: dict, betas: dict) -> list:
 def _slots_and_levels(spec: ModelSpec, data: CurrentStatusDataset):
     """Each row's slot in ``spec.units``, the stratum levels, and each
     cluster's level code; a cluster without a stratum is in the reference
-    level.  A unit the spec does not have raises KeyError, at its first row."""
+    level.  A unit the spec does not have raises UnknownUnit, at its first row."""
     unit_order = {u: i for i, u in enumerate(spec.units)}
     slot_of = np.array([unit_order.get(u, -1) for u in data.unit_names], dtype=np.int64)
     slot = slot_of[data.unit]
     if np.any(slot < 0):
-        raise KeyError(data.unit_names[data.unit[np.argmax(slot < 0)]])
+        row = int(np.argmax(slot < 0))
+        raise UnknownUnit(f"cluster {data.cluster_ids[data.cluster[row]]!r}: unit "
+                          f"{data.unit_names[data.unit[row]]!r} is not one of the model's "
+                          f"units {', '.join(spec.units)}")
     names = (spec.frailty_link.reference,) + data.stratum_names   # code -1 first
     levels = list(dict.fromkeys(names))
     level = np.array([levels.index(nm) for nm in names])[data.stratum + 1]
@@ -267,7 +272,7 @@ class LikelihoodWorkspace:
         bounds = np.concatenate([[0], np.cumsum(np.bincount(key, minlength=len(level_names) * n_units))])
         # the rows' level cells, in each cluster's reordered rows
         slotted = np.empty(order.size, dtype=np.int32)
-        missing = []
+        missing, repeated = [], []
         for code, name in enumerate(level_names):
             clusters = np.flatnonzero(level == code)
             if clusters.size == 0:
@@ -281,6 +286,11 @@ class LikelihoodWorkspace:
                 rows = order[edges[j]:edges[j + 1]]
                 if rows.size == 0:
                     continue
+                positions = data.cluster[rows]
+                # a unit block holds one cell per cluster, its clusters ascending
+                repeat = positions[1:] == positions[:-1]
+                if repeat.any():
+                    repeated.append((int(positions[1:][repeat][0]), j, unit))
                 times = data.time[rows]
                 design, absent = _design(spec, data, unit, rows)
                 if absent is not None:
@@ -288,7 +298,7 @@ class LikelihoodWorkspace:
                 baseline = spec.baseline_for(name, unit)
                 grid = _grid_key(baseline)
                 blocks.append(_Block(unit, slice(edges[j] - first, edges[j + 1] - first),
-                                     _rows(data.cluster[rows]), times, design, grid,
+                                     _rows(positions), times, design, grid,
                                      baseline.exposure(times) if grid else None))
             term_cluster, signs, indptr, indices = _terms(
                 counts[clusters], sizes[clusters], firsts[clusters], slotted)
@@ -298,6 +308,9 @@ class LikelihoodWorkspace:
                 name, clusters, _rows(clusters), blocks, incidence, incidence.T, term_cluster,
                 data.cluster[order[first:edges[-1]]].astype(np.int32),
                 data.weight[clusters][term_cluster], signs))
+        if repeated:
+            pos, _, unit = min(repeated)
+            raise DuplicateUnit(data.cluster_ids[pos], unit)
         if missing:
             pos, _, covariate, unit = min(missing)
             raise MissingCovariate(f"cluster {data.cluster_ids[pos]!r}, unit {unit!r}: "

@@ -5,6 +5,8 @@ byte-identical, but the fit's ``gradient_norm`` takes %.2g: its further
 digits move with summation order.  Infinities print as "inf"/"-inf"; the
 undefined 0/0 hazard ratio prints as "undef"; missing values (no CI
 available, field not applicable) are empty in CSV and omitted from JSON.
+The params, rfv_params and rc_table tables each format their cells once,
+as CSV rows; the JSON payload of each nests the same cells.
 """
 
 from __future__ import annotations
@@ -43,16 +45,6 @@ def fmt(value) -> Optional[str]:
     return "%.6g" % value
 
 
-def _est_dict(est: Optional[Estimate]) -> Optional[Dict[str, str]]:
-    if est is None:
-        return None
-    out = {"estimate": fmt(est.value)}
-    if est.lo is not None:
-        out["lo"] = fmt(est.lo)
-        out["hi"] = fmt(est.hi)
-    return out
-
-
 def _prune(obj):
     if isinstance(obj, dict):
         return {k: _prune(v) for k, v in obj.items() if v is not None}
@@ -75,25 +67,36 @@ def _write_rows(path, header: Sequence[str], rows: List[Sequence]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(["" if cell is None else cell for cell in row])
+        writer.writerows(rows)
 
 
-def _natural_entries(result: FitResult):
-    """(name, estimate, natural-scale se, lo, hi) per free parameter."""
-    transforms = result.layout.free_transforms
-    for name, se, transform in zip(result.names, result.se, transforms):
+def _cells(est: Optional[Estimate], absent: Optional[str] = None) -> list:
+    """The (estimate, lo, hi) cells of one Estimate; ``absent``, None, None without one."""
+    return [absent, None, None] if est is None else [fmt(est.value), fmt(est.lo), fmt(est.hi)]
+
+
+def _nest(row: list, i: int):
+    """The JSON of the three cells from ``row[i]``; an empty or "undef" cell stays itself."""
+    if row[i] in (None, UNDEF):
+        return row[i]
+    return {"estimate": row[i], "lo": row[i + 1], "hi": row[i + 2]}
+
+
+_PARAMS_HEADER = ["name", "estimate", "se", "lo", "hi"]
+
+
+def _params_rows(result: FitResult) -> List[list]:
+    """One row per free parameter; a log-scale one's SE is on the natural scale."""
+    rows = []
+    for name, se, transform in zip(result.names, result.se, result.layout.free_transforms):
         est, lo, hi = result.ci[name]
-        yield name, est, est * se if transform == "log" else se, lo, hi
+        se = est * se if transform == "log" else se
+        rows.append([name, fmt(est), fmt(se), fmt(lo), fmt(hi)])
+    return rows
 
 
 def fit_payload(result: FitResult) -> dict:
     """JSON-ready summary of a maximum-likelihood fit."""
-    params = {}
-    for name, est, se, lo, hi in _natural_entries(result):
-        params[name] = {
-            "estimate": fmt(est), "se": fmt(se), "lo": fmt(lo), "hi": fmt(hi),
-        }
     return {
         "loglik": fmt(result.loglik),
         "aic": fmt(result.aic),
@@ -101,102 +104,78 @@ def fit_payload(result: FitResult) -> dict:
         "converged": str(bool(result.converged)).lower(),
         "iterations": str(result.iterations),
         "gradient_norm": fmt(float("%.2g" % result.gradient_norm)),
-        "parameters": params,
+        "parameters": {
+            row[0]: dict(zip(_PARAMS_HEADER[1:], row[1:])) for row in _params_rows(result)
+        },
     }
 
 
 def write_params_csv(path, result: FitResult) -> None:
-    rows = []
-    for name, est, se, lo, hi in _natural_entries(result):
-        rows.append([name, fmt(est), fmt(se), fmt(lo), fmt(hi)])
-    _write_rows(path, ["name", "estimate", "se", "lo", "hi"], rows)
+    _write_rows(path, _PARAMS_HEADER, _params_rows(result))
 
 
 _RFV_COLUMNS = ("alpha", "gamma", "mu", "psi", "nu", "pi", "b", "lambda_star")
 
 
+def _rfv_rows(table: Dict[str, Dict[str, Optional[Estimate]]]) -> List[list]:
+    """One row per stratum: its name, then three cells per frailty-law quantity."""
+    return [
+        [stratum] + [cell for col in _RFV_COLUMNS for cell in _cells(row.get(col))]
+        for stratum, row in table.items()
+    ]
+
+
 def write_rfv_params_csv(path, table: Dict[str, Dict[str, Optional[Estimate]]]) -> None:
     """One row per stratum, estimate and CI bounds per frailty-law quantity."""
-    header = ["stratum"]
-    for col in _RFV_COLUMNS:
-        header += [col, f"{col}_lo", f"{col}_hi"]
-    rows = []
-    for stratum, row in table.items():
-        cells = [stratum]
-        for col in _RFV_COLUMNS:
-            est = row.get(col)
-            if est is None:
-                cells += [None, None, None]
-            else:
-                cells += [fmt(est.value), fmt(est.lo), fmt(est.hi)]
-        rows.append(cells)
-    _write_rows(path, header, rows)
+    header = ["stratum"] + [col + end for col in _RFV_COLUMNS for end in ("", "_lo", "_hi")]
+    _write_rows(path, header, _rfv_rows(table))
 
 
 def rfv_params_payload(table: Dict[str, Dict[str, Optional[Estimate]]]) -> dict:
     return {
-        stratum: {col: _est_dict(row.get(col)) for col in _RFV_COLUMNS}
-        for stratum, row in table.items()
+        row[0]: {col: _nest(row, 1 + 3 * i) for i, col in enumerate(_RFV_COLUMNS)}
+        for row in _rfv_rows(table)
     }
 
 
-def write_rc_table_csv(path, table: RCTable) -> None:
+def _rc_rows(table: RCTable) -> List[list]:
+    """Support rows, then pair rows; a 0/0 ``hr_across`` reads "undef"."""
     rows = []
     for r in table.rows:
-        rows.append([
-            "support", r.stratum, table.reference, str(r.k),
-            fmt(r.z.value), fmt(r.z.lo), fmt(r.z.hi),
-            fmt(r.prob),
-            fmt(r.cum_prob.value), fmt(r.cum_prob.lo), fmt(r.cum_prob.hi),
-            None, None, None,
-        ])
+        rows.append(["support", r.stratum, table.reference, str(r.k)]
+                    + _cells(r.z) + [fmt(r.prob)] + _cells(r.cum_prob) + [None] * 3)
     for p in table.pairs:
-        hr = p.hr_across
-        rows.append([
-            "pair", p.stratum, p.reference, str(p.k),
-            None, None, None, None,
-            fmt(p.cum_prob_ratio.value), fmt(p.cum_prob_ratio.lo), fmt(p.cum_prob_ratio.hi),
-            UNDEF if hr is None else fmt(hr.value),
-            None if hr is None else fmt(hr.lo),
-            None if hr is None else fmt(hr.hi),
-        ])
+        rows.append(["pair", p.stratum, p.reference, str(p.k)] + [None] * 4
+                    + _cells(p.cum_prob_ratio) + _cells(p.hr_across, UNDEF))
+    return rows
+
+
+def write_rc_table_csv(path, table: RCTable) -> None:
     _write_rows(
         path,
         ["row", "stratum", "reference", "k",
          "z", "z_lo", "z_hi", "prob",
          "cum_prob", "cum_prob_lo", "cum_prob_hi",
          "hr_across", "hr_across_lo", "hr_across_hi"],
-        rows,
+        _rc_rows(table),
     )
 
 
 def rc_table_payload(table: RCTable) -> dict:
-    support = [
-        {
-            "stratum": r.stratum, "k": str(r.k),
-            "z": _est_dict(r.z), "prob": fmt(r.prob),
-            "cum_prob": _est_dict(r.cum_prob),
-        }
-        for r in table.rows
-    ]
-    pairs = [
-        {
-            "stratum": p.stratum, "reference": p.reference, "k": str(p.k),
-            "cum_prob_ratio": _est_dict(p.cum_prob_ratio),
-            "hr_across": UNDEF if p.hr_across is None else _est_dict(p.hr_across),
-        }
-        for p in table.pairs
-    ]
+    support, pairs = [], []
+    for row in _rc_rows(table):
+        if row[0] == "support":
+            support.append({"stratum": row[1], "k": row[3], "z": _nest(row, 4),
+                            "prob": row[7], "cum_prob": _nest(row, 8)})
+        else:
+            pairs.append({"stratum": row[1], "reference": row[2], "k": row[3],
+                          "cum_prob_ratio": _nest(row, 8), "hr_across": _nest(row, 11)})
     return {"reference": table.reference, "support": support, "pairs": pairs}
 
 
 def write_hr_within_csv(path, entries: List[dict]) -> None:
     """Adjacent-RC hazard ratios; entries hold stratum, k, and an Estimate."""
-    rows = []
-    for e in entries:
-        est = e["hr"]
-        rows.append([e["stratum"], str(e["k"]),
-                     fmt(est.value), fmt(est.lo), fmt(est.hi)])
+    rows = [[e["stratum"], str(e["k"])] + _cells(e["hr"]) for e in entries]
     _write_rows(path, ["stratum", "k", "hr_within", "lo", "hi"], rows)
 
 

@@ -6,16 +6,20 @@ import os
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from addamsfrailty import estimation
 from addamsfrailty import report as rep
 from addamsfrailty.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NONCONVERGENCE, EXIT_OK, main
 from addamsfrailty.config import load_config
-from addamsfrailty.data import read_csv
+from addamsfrailty.data import read_csv, write_csv
 from addamsfrailty.errors import ConfigError, DatasetError, MalformedRow
 from addamsfrailty.hazard import BranchRegime
 from addamsfrailty.likelihood import LikelihoodWorkspace
+from addamsfrailty.simulate import MonitoringLaw
+
+from test_likelihood import pass_design
 
 BASE_CONFIG = """\
 [data]
@@ -296,6 +300,15 @@ class TestConfig:
         assert code == EXIT_CONFIG
         assert any("fit.maxiter" in rec.getMessage() for rec in caplog.records)
 
+    def test_grid_monitoring(self, tmp_path):
+        # every simulated unit is monitored at one of the grid's ages
+        cfg = write_config(tmp_path)
+        grid = ["--set", "simulate.monitoring=grid:10, 25,60", "--set", "simulate.n_clusters=50"]
+        assert load_config(cfg, [grid[1]]).sim_monitoring == MonitoringLaw(
+            "grid", times=(10.0, 25.0, 60.0))
+        assert main(["simulate", "--config", str(cfg), *grid]) == EXIT_OK
+        assert set(read_csv(tmp_path / "data.csv").time.tolist()) <= {10.0, 25.0, 60.0}
+
 
 class TestIngest:
     def test_reports_every_problem(self, tmp_path):
@@ -369,6 +382,16 @@ class TestIngest:
             code = main(["fit", "--config", str(cfg), "--set", f"data.path={bad}"])
         assert code == EXIT_DATA
         assert any("line 3" in rec.getMessage() for rec in caplog.records)
+
+    def test_unit_the_config_does_not_declare_exits_3(self, tmp_path, caplog):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("cluster_id,unit,time,event\nc1,u1,5.0,1\nc2,u1,8.0,0\nc2,u3,9.0,1\n")
+        cfg = write_config(tmp_path)
+        with caplog.at_level("ERROR", logger="addamsfrailty"):
+            code = main(["fit", "--config", str(cfg), "--set", f"data.path={bad}"])
+        assert code == EXIT_CONFIG
+        assert any("'c2': unit 'u3'" in rec.getMessage() for rec in caplog.records)
+        assert not (tmp_path / "out" / "report.json").exists()
 
 
 @pytest.fixture(scope="module")
@@ -511,6 +534,55 @@ class TestPipeline:
         kinds = {line.split(",")[0] for line in traj[1:]}
         assert kinds == {"rfv", "cond_mean", "prevalence"}
 
+    def test_report_json_holds_the_csv_cells(self, tmp_path):
+        # each table's CSV cells and its report.json entries are the same
+        # text; an empty cell is an absent key.  Both strata of this design
+        # have a cure fraction, so a pair's hr_across reads "undef"
+        cfg = tmp_path / "strata.ini"
+        cfg.write_text(STRATA_CONFIG.format(data=tmp_path / "data.csv", out=tmp_path / "out")
+                       .replace("zeta = -1.0, 0.0", "zeta = 0.5, 0.3")
+                       .replace("n_clusters = 1000", "n_clusters = 3000"))
+        assert main(["simulate", "--config", str(cfg)]) == EXIT_OK
+        assert main(["analyze", "--config", str(cfg)]) == EXIT_OK
+        out = tmp_path / "out"
+        report = json.loads((out / "report.json").read_text())
+
+        def rows(name):
+            with open(out / name, newline="") as fh:
+                return list(csv.DictReader(fh))
+
+        def nested(row, col, entry):
+            cells = {"estimate": row[col], "lo": row[f"{col}_lo"], "hi": row[f"{col}_hi"]}
+            assert entry == ({k: v for k, v in cells.items() if v} or None)
+
+        for row in rows("params.csv"):
+            name = row.pop("name")
+            assert report["fit"]["parameters"][name] == {k: v for k, v in row.items() if v}
+        for row in rows("rfv_params.csv"):
+            for col in ("alpha", "gamma", "mu", "psi", "nu", "pi", "b", "lambda_star"):
+                nested(row, col, report["rfv_params"][row["stratum"]].get(col))
+        table = report["rc_table"]
+        support = [r for r in rows("rc_table.csv") if r["row"] == "support"]
+        pairs = [r for r in rows("rc_table.csv") if r["row"] == "pair"]
+        assert len(support) == len(table["support"]) > 0
+        assert len(pairs) == len(table["pairs"]) > 0
+        for row, entry in zip(support, table["support"]):
+            assert (row["stratum"], row["reference"], row["k"], row["prob"]) == (
+                entry["stratum"], table["reference"], entry["k"], entry["prob"])
+            nested(row, "z", entry["z"])
+            nested(row, "cum_prob", entry["cum_prob"])
+        undefined = 0
+        for row, entry in zip(pairs, table["pairs"]):
+            assert (row["stratum"], row["reference"], row["k"]) == (
+                entry["stratum"], entry["reference"], entry["k"])
+            nested(row, "cum_prob", entry["cum_prob_ratio"])
+            if row["hr_across"] == "undef":
+                assert entry["hr_across"] == "undef"
+                undefined += 1
+            else:
+                nested(row, "hr_across", entry["hr_across"])
+        assert undefined > 0
+
     def test_lrt_report(self, artifacts, tmp_path):
         _, cfg = artifacts
         out = tmp_path / "lrt"
@@ -537,6 +609,40 @@ class TestPipeline:
         cfg.write_text(model)
         assert main(["fit", "--config", str(cfg)]) == EXIT_NONCONVERGENCE
         assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_non_finite_trust_region_step_exits_2(self, tmp_path, caplog):
+        # the compiled-pass design on which scipy's trust-exact subproblem
+        # refuses a non-finite step, fitted from the default start
+        _, data = pass_design(np.random.default_rng(7), "binomial:2")
+        write_csv(data, tmp_path / "data.csv")
+        cfg = tmp_path / "fit.ini"
+        cfg.write_text(f"[data]\npath = {tmp_path / 'data.csv'}\n"
+                       "[model]\nunits = u1, u2, u3\nstratum_levels = s\n"
+                       "cutpoints = 0, 20, 45\nregime.s = binomial:2\n"
+                       f"[output]\ndir = {tmp_path / 'out'}\n")
+        with caplog.at_level("ERROR", logger="addamsfrailty"):
+            assert main(["fit", "--config", str(cfg)]) == EXIT_NONCONVERGENCE
+        assert any("trust-region step not finite" in rec.getMessage()
+                   for rec in caplog.records)
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_rate_no_row_informs_gets_no_standard_error(self, tmp_path, caplog):
+        # monitoring stops at 80, so no row reaches the 90+ rates: the
+        # information is singular, and no parameter gets a standard error
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[data]\npath = {tmp_path / 'data.csv'}\n"
+                       "[model]\nunits = u1, u2\ncutpoints = 0, 40, 90\n"
+                       "[simulate]\nn_clusters = 1500\nseed = 3\nmonitoring = uniform:1,80\n"
+                       f"[output]\ndir = {tmp_path / 'out'}\n")
+        assert main(["simulate", "--config", str(cfg)]) == EXIT_OK
+        with caplog.at_level("WARNING", logger="addamsfrailty"):
+            assert main(["fit", "--config", str(cfg)]) == EXIT_OK
+        warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warned) == 1
+        assert "do not inform baseline[u1].rate[90+], baseline[u2].rate[90+];" in warned[0]
+        with open(tmp_path / "out" / "params.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["se"], r["lo"], r["hi"]) for r in rows] == [("nan", "nan", "nan")] * 8
 
 
 class TestAnalyzePinned:

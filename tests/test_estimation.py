@@ -42,6 +42,7 @@ from addamsfrailty.report import fit_payload
 from addamsfrailty.simulate import MonitoringLaw, SimConfig, generate
 from oracles import score_hessian
 from test_acceptance import recovery_spec, simulate_from
+from test_likelihood import pass_design
 
 
 def basic_spec(two_strata=False):
@@ -615,6 +616,37 @@ class TestFit:
         assert warned[0].endswith(f"no standard error for {result.names[0]}, {result.names[1]}")
         payload = fit_payload(result)["parameters"]
         assert payload[result.names[0]]["se"] == payload[result.names[1]]["hi"] == "nan"
+
+
+    def test_singular_information_gives_no_standard_errors(self, monkeypatch, caplog):
+        # a hand-built singular information: the second parameter's row and
+        # column are 0, as for a rate whose interval no monitoring time reaches
+        one_pass = LikelihoodWorkspace.loglik_and_score
+
+        def singular(ws, layout, theta, information=False):
+            out = one_pass(ws, layout, theta, information=information)
+            if not information:
+                return out
+            info = np.eye(theta.size)
+            info[1, 1] = 0.0
+            return (*out[:3], info)
+
+        monkeypatch.setattr(LikelihoodWorkspace, "loglik_and_score", singular)
+        spec = basic_spec()
+        with caplog.at_level("WARNING", logger="addamsfrailty.estimation"):
+            result = fit(spec, simulated_data(spec, n=200, seed=4))
+        assert np.isnan(result.covariance).all() and np.isnan(result.se).all()
+        warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warned) == 1
+        assert f"do not inform {result.names[1]};" in warned[0]
+        assert fit_payload(result)["parameters"][result.names[0]]["se"] == "nan"
+
+    def test_non_finite_trust_region_step_raises(self):
+        # on this compiled-pass design scipy's trust-exact subproblem solves
+        # a step to non-finite values and refuses it with a bare ValueError
+        spec, data = pass_design(np.random.default_rng(7), "binomial:2")
+        with pytest.raises(NonFiniteEvaluation, match="trust-region step not finite"):
+            fit(spec, data)
 
 
 # log L of the pinned cure-branch fits below, as the BFGS fit of commit

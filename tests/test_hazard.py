@@ -107,6 +107,22 @@ class TestParametricBaselines:
                 -math.log(dist.sf(t)), rel=1e-9
             )
 
+    @pytest.mark.parametrize("power, k, scale", [(2.0, 2.0, 40.0), (1.4, 2.3, 9.0),
+                                                 (0.7, 0.5, 3.0), (3.0, 0.8, 60.0)])
+    def test_generalized_gamma_keeps_its_digits_at_small_hazards(self, power, k, scale):
+        # -log Q(k, (t/scale)^power) at 50 digits, from hazards near 1e-19 up;
+        # -log Q itself loses every digit as Q nears 1
+        import mpmath
+
+        base = GeneralizedGammaBaseline(power, k, scale)
+        ts = np.geomspace(1e-3, 1e2, 16)
+        with mpmath.workdps(50):
+            exact = [-mpmath.log(mpmath.gammainc(k, (mpmath.mpf(t) / scale) ** power,
+                                                 regularized=True)) for t in ts]
+        np.testing.assert_allclose(base.cumulative(ts), [float(h) for h in exact], rtol=1e-12)
+        for t, h in zip(ts, exact):
+            assert base.invert(float(h)) == pytest.approx(t, rel=1e-10)
+
     def test_generalized_gamma_nests_weibull(self):
         gg = GeneralizedGammaBaseline(1.8, 1.0, 10.0)
         wb = WeibullBaseline(1.8, 10.0)

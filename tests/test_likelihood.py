@@ -29,11 +29,13 @@ from addamsfrailty import (
 from addamsfrailty.hazard import BranchRegime, _central_jacobian
 from addamsfrailty import estimation, likelihood
 from addamsfrailty.errors import (
+    DuplicateUnit,
     FrailtyModelError,
     InvalidParameters,
     InvalidRegion,
     MissingCovariate,
     NonFiniteEvaluation,
+    UnknownUnit,
 )
 from addamsfrailty.estimation import fit
 
@@ -836,6 +838,25 @@ class TestColumnarWorkspace:
         data = CurrentStatusDataset([cluster("c1", {"x": 1.0}, "f"), cluster("c5", {}, "m"),
                                      cluster("c2", {}, "f")])
         with pytest.raises(MissingCovariate, match="'c5', unit 'u2'"):
+            LikelihoodWorkspace(spec, data)
+
+    def test_repeated_unit_in_a_cluster_is_refused(self):
+        # from_rows checks nothing: c1 holds u2 twice and c2 holds u1 twice.
+        # A unit block holds one cell per cluster, so the score would come
+        # out wrong; the first cluster that repeats a unit is named
+        spec = single_stratum_spec(-1.0, 3.0)
+        data = CurrentStatusDataset.from_rows(
+            ["c0", "c1", "c2"], [None] * 3, [1.0] * 3, [0, 0, 1, 1, 1, 2, 2],
+            ["u1", "u2"], [0, 1, 0, 1, 1, 0, 0], [10.0, 20.0, 15.0, 30.0, 40.0, 25.0, 35.0],
+            [1, 0, 0, 1, 1, 0, 1], [], np.empty((7, 0)), np.empty((7, 0), dtype=bool))
+        with pytest.raises(DuplicateUnit, match="'c1': duplicate unit 'u2'"):
+            LikelihoodWorkspace(spec, data)
+
+    def test_unit_the_model_lacks_is_named(self):
+        spec = single_stratum_spec(-1.0, 3.0, units=("u1",))
+        data = CurrentStatusDataset([cluster_of((10.0,), (1,), cid="c0"),
+                                     cluster_of((10.0, 20.0), (0, 1), cid="c1")])
+        with pytest.raises(UnknownUnit, match="'c1': unit 'u2'"):
             LikelihoodWorkspace(spec, data)
 
     @pytest.mark.parametrize("baselines", [
