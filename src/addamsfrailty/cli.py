@@ -7,7 +7,8 @@ Reports are written to files under ``[output] dir``; stderr carries only
 diagnostics, and nothing is printed to stdout.
 
 Exit codes: 0 success, 1 malformed dataset or a file that cannot be
-read or written, 2 non-convergence or a non-finite trust-region step,
+read or written, 2 non-convergence or a start point whose log-likelihood
+is not finite,
 3 configuration error or a dataset unit the model does not declare.
 """
 

@@ -8,10 +8,12 @@ coefficient is free where its mask is set and its column of
 link columns short of full rank over what the data identify.  The
 default start matches the baselines to the data's event fractions under
 a fixed frailty law (:meth:`ParameterLayout.default_init`).  Fitting
-is one trust-region minimization of the negated log-likelihood (scipy's
-"trust-exact", Moré & Sorensen 1983), whose quadratic model takes the
-BHHH matrix J = G' diag(w) G of the per-cluster scores G (Berndt, Hall,
-Hall & Hausman 1974) in place of the Hessian.  Each point's value,
+is one trust-region minimization of the negated log-likelihood
+(``optimize.minimize`` with :func:`_trust_region` as its method), whose
+quadratic model takes the BHHH matrix J = G' diag(w) G of the
+per-cluster scores G (Berndt, Hall, Hall & Hausman 1974) in place of
+the Hessian; each step is solved exactly from one eigendecomposition of
+J (Moré & Sorensen 1983; Nocedal & Wright 2006, Alg. 4.3).  Each point's value,
 score and G come from one ``LikelihoodWorkspace.loglik_and_score``
 pass, which reads its numbers from the free vector, not from a rebuilt
 ModelSpec.  Standard errors come from the observed information at the
@@ -233,7 +235,8 @@ def _with_values(obj, **values):
 
 def _product_sum(values: np.ndarray, weights: np.ndarray) -> float:
     """sum(values * weights), rounded once from the exact sum of the exact
-    products (Dekker's two-product, then ``math.fsum``)."""
+    products (Dekker's two-product, then ``math.fsum`` over the products and
+    the error terms that are not 0: all of them are 0 under unit weights)."""
     product = values * weights
     v_hi, v_lo = _split(values)
     w_hi, w_lo = _split(weights)
@@ -241,7 +244,7 @@ def _product_sum(values: np.ndarray, weights: np.ndarray) -> float:
     error += v_hi * w_lo
     error += v_lo * w_hi
     error += v_lo * w_lo
-    return math.fsum(product.tolist() + error.tolist())
+    return math.fsum(product.tolist() + error[error != 0.0].tolist())
 
 
 def _split(x: np.ndarray):
@@ -364,8 +367,12 @@ def _check_identifiability(layout: ParameterLayout) -> None:
     }
     for name, sl in layout.link_slices.items():
         free = layout.free_mask[sl]
+        block = np.reshape(identified[name], (-1, free.size))[:, free]
+        # the rank at null_space's tolerance; its SVD runs only to name the aliased
+        if np.linalg.matrix_rank(block) == block.shape[1]:
+            continue
         # each null direction is a combination of free coefficients the data do not see
-        null = linalg.null_space(np.reshape(identified[name], (-1, free.size))[:, free])
+        null = linalg.null_space(block)
         aliased = np.array(layout.names[sl])[free][np.any(np.abs(null) > 1e-10, axis=1)]
         if aliased.size:
             raise IdentifiabilityError(f"link coefficients {', '.join(aliased)} are aliased; "
@@ -382,11 +389,12 @@ def fit(spec: ModelSpec, data: CurrentStatusDataset, init=None,
     feasible region, or where the log-likelihood or J below is not finite,
     raises NonFiniteEvaluation, and the pass that checks it serves the
     first evaluation.  The fit is one
-    trust-region call on the negated log-likelihood, its model Hessian at
-    each point J = G' diag(w) G from the pass that gives the point's value
-    and score (:class:`_Objective`).  It stops where the gradient's norm
-    falls under 1e-6 max(1, |objective at the start|), or after
-    ``maxiter`` iterations (0: the start is returned).  The trust region
+    trust-region call (:func:`_trust_region`) on the negated
+    log-likelihood, its model Hessian at each point J = G' diag(w) G from
+    the pass that gives the point's value and score (:class:`_Objective`).
+    It stops where the gradient's norm falls under 1e-6 max(1, |objective
+    at the start|), or after ``maxiter`` iterations (0: the start is
+    returned).  The trust region
     only moves to a point that lowers the objective, and the last point
     it moved to is returned, with ``converged`` reporting whether
     max|gradient| is under that bound there.
@@ -415,13 +423,9 @@ def fit(spec: ModelSpec, data: CurrentStatusDataset, init=None,
     # the stationarity bound, scaled by the start's objective
     gtol = 1e-6 * max(1.0, abs(value0))
     if maxiter > 0:
-        try:
-            res = optimize.minimize(objective, theta0, jac=True, hess=objective.bhhh,
-                                    method="trust-exact",
-                                    options={"gtol": gtol, "maxiter": maxiter})
-        except ValueError as exc:
-            # scipy's trust-region subproblem refuses a step it solved to non-finite values
-            raise NonFiniteEvaluation(f"trust-region step not finite: {exc}") from exc
+        res = optimize.minimize(objective, theta0, jac=True, hess=objective.bhhh,
+                                method=_trust_region,
+                                options={"gtol": gtol, "maxiter": maxiter})
     else:
         res = optimize.OptimizeResult(x=theta0, fun=value0, jac=grad0, nit=0)
 
@@ -452,6 +456,82 @@ def fit(spec: ModelSpec, data: CurrentStatusDataset, init=None,
         layout=ParameterLayout(fitted_spec),
         spec=fitted_spec,
     )
+
+
+def _trust_region(fun, x0, jac, hess, gtol, maxiter, **_):
+    """``optimize.minimize``'s method: scipy's trust-region iteration on the
+    model Hessian ``hess``, each step solved exactly by
+    :func:`_trust_region_step`.
+
+    The radius starts at 1, is quartered where the ratio rho of actual to
+    predicted reduction is under 1/4 and doubled (to at most 1000) where
+    rho > 3/4 and the step reached the boundary; a step with rho > 0.15 is
+    taken.  The iteration stops when the gradient's 2-norm is under
+    ``gtol``, when a step predicts no reduction, or after ``maxiter``
+    trial steps.  Each point tried is read whole, its value, gradient and
+    model Hessian from one pass, so ``nfev``, ``njev`` and ``nhev`` are
+    each nit + 1.
+    """
+    def point(x):
+        return x, fun(x), jac(x), hess(x)
+
+    x, value, grad, model = point(np.asarray(x0, dtype=float).flatten())
+    radius, nit = 1.0, 0
+    while nit < maxiter and np.linalg.norm(grad) >= gtol:
+        step, on_boundary = _trust_region_step(model, grad, radius)
+        # f - m(s) as scipy forms it: a step whose model change is lost in
+        # f's rounding predicts no reduction
+        predicted = value - (value + grad @ step + 0.5 * step @ model @ step)
+        if predicted <= 0.0:
+            break
+        trial = point(x + step)
+        rho = (value - trial[1]) / predicted
+        if rho < 0.25:
+            radius *= 0.25
+        elif rho > 0.75 and on_boundary:
+            radius = min(2.0 * radius, 1000.0)
+        if rho > 0.15:
+            x, value, grad, model = trial
+        nit += 1
+    return optimize.OptimizeResult(x=x, fun=value, jac=grad, nit=nit,
+                                   nfev=nit + 1, njev=nit + 1, nhev=nit + 1)
+
+
+def _trust_region_step(model: np.ndarray, grad: np.ndarray,
+                       radius: float) -> Tuple[np.ndarray, bool]:
+    """The step s minimizing g's + s'Bs/2 over |s| <= ``radius``, B = ``model``
+    positive semidefinite, and whether it lies on the boundary.
+
+    From one eigendecomposition B = Q diag(l) Q': the Newton step
+    -Q (c / l), c = Q'g, where it lies inside the radius, else
+    s(m) = -Q (c / (l + m)) with the shift m > 0 where |s(m)| = radius,
+    found by Newton's iteration on 1/radius - 1/|s(m)| (Nocedal & Wright,
+    Alg. 4.3).  That function is concave in m, so from its lower bound
+    max_i (|c_i| / radius - l_i) the iterates rise to the root without
+    passing it.  An eigenvalue is read as at least p eps max(l), the
+    rounding of B's; a B of 0 gives the steepest-descent step to the
+    boundary.
+    """
+    curvature, basis = np.linalg.eigh(model)
+    if not curvature[-1] > 0.0:
+        return -radius / np.linalg.norm(grad) * grad, True
+    curvature = np.maximum(curvature, grad.size * np.finfo(float).eps * curvature[-1])
+    coeff = basis.T @ grad
+    shifted = coeff / curvature
+    if np.linalg.norm(shifted) <= radius:
+        return -basis @ shifted, False
+    shift = max(np.max(np.abs(coeff) / radius - curvature), 0.0)
+    for _ in range(100):
+        shifted = coeff / (curvature + shift)
+        norm = np.linalg.norm(shifted)
+        if norm <= radius * (1.0 + 1e-10):
+            break
+        rise = norm ** 2 / np.sum(shifted ** 2 / (curvature + shift)) * (norm - radius) / radius
+        if not shift + rise > shift:
+            break
+        shift += rise
+    step = -basis @ shifted
+    return step * min(1.0, radius / np.linalg.norm(step)), True
 
 
 class _Objective:
@@ -598,8 +678,10 @@ def delta_method_se(fn, theta, covariance):
 
     One central-difference Jacobian, at steps max(1e-6, 1e-5 |theta_i|),
     serves every entry; each entry's variance is g @ covariance @ g with g
-    its own gradient.  A negative variance, from an indefinite covariance,
-    gives SE nan, and one warning names the entries.
+    its own gradient, over the entries where g is not 0 when the full
+    product is nan: an entry that moves with no parameter whose covariance
+    is unknown has a known variance.  A negative variance, from an
+    indefinite covariance, gives SE nan, and one warning names the entries.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.size == 0:
@@ -607,7 +689,7 @@ def delta_method_se(fn, theta, covariance):
     else:
         jac = _central_jacobian(fn, theta, np.maximum(1e-6, 1e-5 * np.abs(theta)))
         grads = np.ascontiguousarray(jac.reshape(theta.size, -1).T)
-        variances = [float(g @ covariance @ g) for g in grads]
+        variances = [_variance(g, covariance) for g in grads]
         se = np.array([math.sqrt(v) if v >= 0.0 else math.nan for v in variances])
         se = se.reshape(jac.shape[1:])
         negative = [index for index, v in zip(np.ndindex(se.shape), variances) if v < 0.0]
@@ -618,3 +700,11 @@ def delta_method_se(fn, theta, covariance):
                             f"entry {index[0] if len(index) == 1 else index}"
                             for index in negative))
     return float(se) if se.ndim == 0 else se
+
+
+def _variance(grad: np.ndarray, covariance: np.ndarray) -> float:
+    variance = float(grad @ covariance @ grad)
+    if math.isnan(variance):
+        moved = grad != 0.0
+        variance = float(grad[moved] @ covariance[np.ix_(moved, moved)] @ grad[moved])
+    return variance

@@ -28,6 +28,9 @@ __all__ = [
     "write_rc_table_csv",
     "write_hr_within_csv",
     "write_trajectories_csv",
+    "fit_payload",
+    "rfv_params_payload",
+    "rc_table_payload",
 ]
 
 UNDEF = "undef"

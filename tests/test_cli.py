@@ -610,9 +610,10 @@ class TestPipeline:
         assert main(["fit", "--config", str(cfg)]) == EXIT_NONCONVERGENCE
         assert not (tmp_path / "out" / "report.json").exists()
 
-    def test_non_finite_trust_region_step_exits_2(self, tmp_path, caplog):
-        # the compiled-pass design on which scipy's trust-exact subproblem
-        # refuses a non-finite step, fitted from the default start
+    def test_rates_running_to_zero_exit_0(self, tmp_path, caplog):
+        # the compiled-pass design on which piecewise rates run toward 0,
+        # fitted from the default start: the fit stops on that ridge and
+        # reports it, with no standard error where the information is indefinite
         _, data = pass_design(np.random.default_rng(7), "binomial:2")
         write_csv(data, tmp_path / "data.csv")
         cfg = tmp_path / "fit.ini"
@@ -620,11 +621,13 @@ class TestPipeline:
                        "[model]\nunits = u1, u2, u3\nstratum_levels = s\n"
                        "cutpoints = 0, 20, 45\nregime.s = binomial:2\n"
                        f"[output]\ndir = {tmp_path / 'out'}\n")
-        with caplog.at_level("ERROR", logger="addamsfrailty"):
-            assert main(["fit", "--config", str(cfg)]) == EXIT_NONCONVERGENCE
-        assert any("trust-region step not finite" in rec.getMessage()
+        with caplog.at_level("WARNING", logger="addamsfrailty"):
+            assert main(["fit", "--config", str(cfg)]) == EXIT_OK
+        assert any("negative variance at the solution" in rec.getMessage()
                    for rec in caplog.records)
-        assert not (tmp_path / "out" / "report.json").exists()
+        with open(tmp_path / "out" / "params.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 10 and "nan" in [r["se"] for r in rows]
 
     def test_rate_no_row_informs_gets_no_standard_error(self, tmp_path, caplog):
         # monitoring stops at 80, so no row reaches the 90+ rates: the
@@ -643,6 +646,22 @@ class TestPipeline:
         with open(tmp_path / "out" / "params.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [(r["se"], r["lo"], r["hi"]) for r in rows] == [("nan", "nan", "nan")] * 8
+
+    def test_pinned_mean_keeps_its_interval_without_a_covariance(self, tmp_path):
+        # the singular information above leaves every covariance entry nan;
+        # the reference mu, pinned at 1, moves with no parameter, so its
+        # interval is still [1, 1]
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[data]\npath = {tmp_path / 'data.csv'}\n"
+                       "[model]\nunits = u1, u2\ncutpoints = 0, 40, 90\n"
+                       "[simulate]\nn_clusters = 1500\nseed = 3\nmonitoring = uniform:1,80\n"
+                       f"[output]\ndir = {tmp_path / 'out'}\n")
+        assert main(["simulate", "--config", str(cfg)]) == EXIT_OK
+        assert main(["fit", "--config", str(cfg)]) == EXIT_OK
+        with open(tmp_path / "out" / "rfv_params.csv", newline="") as fh:
+            row, = csv.DictReader(fh)
+        assert (row["mu"], row["mu_lo"], row["mu_hi"]) == ("1", "1", "1")
+        assert (row["gamma_lo"], row["gamma_hi"]) == ("nan", "nan")
 
 
 class TestAnalyzePinned:

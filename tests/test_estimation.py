@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from addamsfrailty import (
@@ -29,7 +31,13 @@ from addamsfrailty import (
     transformed_ci,
 )
 from addamsfrailty.config import load_config
-from addamsfrailty.estimation import _START_GAMMA, ParameterLayout, delta_method_se
+from addamsfrailty.estimation import (
+    _START_GAMMA,
+    ParameterLayout,
+    _trust_region,
+    _trust_region_step,
+    delta_method_se,
+)
 from addamsfrailty.errors import (
     DomainViolation,
     IdentifiabilityError,
@@ -454,7 +462,7 @@ class TestFit:
         data = simulated_data(spec, n=200, seed=4)
         result = fit(spec, data)
         (x0, res, inside, kwargs), = fit_calls.calls
-        assert result.converged and kwargs["method"] == "trust-exact"
+        assert result.converged and kwargs["method"] is _trust_region
         assert np.array_equal(x0, ParameterLayout(spec).default_init(data))
         # the default start is evaluated once, by the check, whose pass
         # serves the first evaluation; every other point the trust region
@@ -641,12 +649,70 @@ class TestFit:
         assert f"do not inform {result.names[1]};" in warned[0]
         assert fit_payload(result)["parameters"][result.names[0]]["se"] == "nan"
 
-    def test_non_finite_trust_region_step_raises(self):
-        # on this compiled-pass design scipy's trust-exact subproblem solves
-        # a step to non-finite values and refuses it with a bare ValueError
+    def test_rates_running_to_zero_stop_on_their_ridge(self):
+        # on this compiled-pass design piecewise rates run toward 0, where
+        # log L flattens; every step is finite, and the fit stops on that
+        # ridge, higher than its start, with max|g| under the bound
         spec, data = pass_design(np.random.default_rng(7), "binomial:2")
-        with pytest.raises(NonFiniteEvaluation, match="trust-region step not finite"):
-            fit(spec, data)
+        layout = ParameterLayout(spec)
+        start = LikelihoodWorkspace(spec, data).loglik_and_score(
+            layout, layout.default_init(data))[0]
+        result = fit(spec, data)
+        assert result.converged and np.isfinite(result.theta).all()
+        assert result.loglik > start
+        assert result.theta.min() < -40.0
+
+
+@st.composite
+def step_problems(draw):
+    """(kind, B, g, radius): B = Q diag(l) Q' positive semidefinite, of full
+    rank (l from 1e-3 to 1e3 times one scale), rank-deficient with g in its
+    range, or 0 with g not 0."""
+    kind = draw(st.sampled_from(["full", "deficient", "zero"]))
+    size = draw(st.integers(2 if kind == "deficient" else 1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    basis = np.linalg.qr(rng.normal(size=(size, size)))[0]
+    curvature = 10.0 ** (rng.uniform(-3.0, 3.0, size) + draw(st.floats(-4.0, 4.0)))
+    if kind == "deficient":
+        curvature[:draw(st.integers(1, size - 1))] = 0.0
+    elif kind == "zero":
+        curvature[:] = 0.0
+    model = (basis * curvature) @ basis.T
+    model = 0.5 * (model + model.T)
+    grad = model @ rng.normal(size=size) if kind == "deficient" else rng.normal(size=size)
+    return (kind, model, grad * 10.0 ** draw(st.floats(-4.0, 4.0)),
+            10.0 ** draw(st.floats(-4.0, 4.0)))
+
+
+class TestTrustRegionStep:
+    @settings(max_examples=300, deadline=None)
+    @given(step_problems())
+    def test_step_solves_the_subproblem(self, problem):
+        kind, model, grad, radius = problem
+        step, on_boundary = _trust_region_step(model, grad, radius)
+        assert np.isfinite(step).all()
+        assert np.linalg.norm(step) <= radius * (1.0 + 1e-12)
+
+        def no_worse(s, other):
+            # the model's change at s is at most its change at other, up to
+            # a margin over the rounding of the sums that form them
+            change = [grad @ x + 0.5 * x @ model @ x for x in (s, other)]
+            scale = [np.abs(grad) @ np.abs(x) + np.abs(x) @ np.abs(model) @ np.abs(x)
+                     for x in (s, other)]
+            return change[0] <= change[1] + 1e-10 * sum(scale)
+
+        # the Cauchy point: the model's least value along -g inside the radius
+        norm, curving = np.linalg.norm(grad), grad @ model @ grad
+        tau = 1.0 if curving <= 0.0 else min(1.0, norm ** 3 / (radius * curving))
+        assert no_worse(step, -tau * radius / norm * grad)
+        # the Newton step -B^+ g, where it lies inside: equal to it at full
+        # rank; with B singular, one of the model's least values
+        newton = -np.linalg.pinv(model) @ grad
+        if kind != "zero" and np.linalg.norm(newton) <= radius * (1.0 - 1e-8):
+            assert no_worse(step, newton)
+            if kind == "full":
+                assert not on_boundary
+                assert np.linalg.norm(step - newton) <= 1e-8 * np.linalg.norm(newton)
 
 
 # log L of the pinned cure-branch fits below, as the BFGS fit of commit
