@@ -441,6 +441,12 @@ def fit(spec: ModelSpec, data: CurrentStatusDataset, init=None,
                     ", ".join(name for name, bad in zip(layout.free_names, negative) if bad))
     se = np.sqrt(np.where(negative, np.nan, variance))
     ci = _parameter_cis(layout, theta_hat, se)
+    # a log-scale interval saturates at z SE > 700 (``transformed_ci``)
+    unbounded = [name for name, transform in zip(layout.free_names, layout.free_transforms)
+                 if transform == "log" and ci[name][2] == math.inf]
+    if unbounded:
+        log.warning("95%% interval runs to infinity (log-scale z SE > 700) for %s",
+                    ", ".join(unbounded))
     fitted_spec = layout.build_spec(theta_hat)
     gradient_norm = float(np.max(np.abs(res.jac)))
     return FitResult(

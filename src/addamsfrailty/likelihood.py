@@ -13,11 +13,16 @@ clamped (counted in ``diagnostics``).
 into one flat term layout per stratum level: the level's cells (one per
 dataset row, unit by unit) and a vector of all its inclusion-exclusion
 terms, each with its cluster and sign, tied to the cells by a sparse
-term-by-cell incidence.  A value pass takes every s-value from one
-incidence product and makes one ``log_laplace`` call per level, whatever
-the unit sets and event counts; one signed ``bincount`` gives the cluster
-probabilities.  :meth:`LikelihoodWorkspace.total_loglik` gives the whole
-dataset's log-likelihood, and :func:`cluster_loglik` one cluster's.
+term-by-cell incidence.  A cluster whose records are all events has the
+term of the empty A, with s = 0, whose L(0) = 1 holds at every
+parameter point: it is left out of the layout, and the level's
+``constant`` (1 for such a cluster, 0 elsewhere) stands in for it.  A
+value pass takes every s-value from one incidence product and makes one
+``log_laplace`` call per level, whatever the unit sets and event counts;
+the signed terms added to the ``constant``, in term order, give the
+cluster probabilities.
+:meth:`LikelihoodWorkspace.total_loglik` gives the whole dataset's
+log-likelihood, and :func:`cluster_loglik` one cluster's.
 
 :meth:`LikelihoodWorkspace.loglik_and_score` also returns G, the
 [clusters, free] matrix of each cluster's unweighted score g_i with
@@ -129,6 +134,7 @@ class _Level:
     cell_cluster: np.ndarray    # [cells] each cell's cluster, a position in the dataset
     term_weights: np.ndarray    # [terms] their clusters' weights
     signs: np.ndarray           # [terms] (-1)^|A|
+    constant: np.ndarray        # [clusters] 1.0 where the empty term is left out, else 0.0
 
 
 def _grid_key(baseline) -> Optional[tuple]:
@@ -197,11 +203,14 @@ def _design(spec: ModelSpec, data: CurrentStatusDataset, unit: str, rows: np.nda
 @lru_cache(maxsize=None)
 def _template(m: int, k: int):
     """Term i of a cluster of m cells, non-events first and then k events,
-    holds the non-events and the events whose bits spell i.  Returns every
-    term's members as positions among the cells, one term after the other,
-    the terms' ends in that list and their signs (-1)^|A|."""
+    holds the non-events and the events whose bits spell i.  A cluster of
+    events only (m == k) leaves out term 0, the empty set, whose L(0) = 1
+    is its level's ``constant``.  Returns every term's members as positions
+    among the cells, one term after the other, the terms' ends in that list
+    and their signs (-1)^|A|."""
     members = np.hstack([np.ones((1 << k, m - k), dtype=bool),
                          (np.arange(1 << k)[:, None] >> np.arange(k) & 1).astype(bool)])
+    members = members[int(m == k):]
     lengths = members.sum(axis=1)
     template = np.nonzero(members)[1], np.cumsum(lengths), np.where((lengths - m + k) % 2, -1.0, 1.0)
     for array in template:
@@ -214,11 +223,14 @@ def _terms(counts: np.ndarray, sizes: np.ndarray, firsts: np.ndarray, slotted: n
     term's member cells,
     over clusters of ``counts`` events on ``sizes`` rows whose cells
     ``slotted`` holds from their first rows ``firsts`` on, non-events
-    first.  The terms run in cluster order; clusters of one size and event
-    count share a ``_template``."""
-    n_terms = np.left_shift(1, counts)
+    first.  The terms run in cluster order, 2^k - [k = m] of them for a
+    cluster of k events on m rows (a cluster of events only has no empty
+    term); clusters of one size and event count share a ``_template``."""
+    subsets = np.left_shift(1, counts)
+    n_terms = subsets - (counts == sizes)
     # each non-event is in every term of its cluster, each event in half
-    n_members = n_terms * (sizes - counts) + counts * n_terms // 2
+    # the subsets, and a left-out empty term holds neither
+    n_members = n_terms * (sizes - counts) + counts * subsets // 2
     term_start, member_start = np.cumsum(n_terms) - n_terms, np.cumsum(n_members) - n_members
     signs = np.empty(int(n_terms.sum()))
     indptr = np.zeros(signs.size + 1, dtype=np.int32)
@@ -307,7 +319,8 @@ class LikelihoodWorkspace:
             self.levels.append(_Level(
                 name, clusters, _rows(clusters), blocks, incidence, incidence.T, term_cluster,
                 data.cluster[order[first:edges[-1]]].astype(np.int32),
-                data.weight[clusters][term_cluster], signs))
+                data.weight[clusters][term_cluster], signs,
+                (counts[clusters] == sizes[clusters]).astype(float)))
         if repeated:
             pos, _, unit = min(repeated)
             raise DuplicateUnit(data.cluster_ids[pos], unit)
@@ -338,7 +351,10 @@ class LikelihoodWorkspace:
         """sign_A L(s_A) of the terms at their ``log_l``, the clamped cluster
         probabilities, and the clamped clusters' mask or None."""
         signed = np.exp(log_l) * level.signs
-        prob = np.bincount(level.term_cluster, weights=signed, minlength=level.clusters.size)
+        # the constant, then each term in order: bit for bit the sum of a
+        # layout that kept the empty terms
+        prob = level.constant.copy()
+        np.add.at(prob, level.term_cluster, signed)
         bad = prob <= 0.0
         if not np.any(bad):
             return signed, prob, None

@@ -662,6 +662,21 @@ class TestFit:
         assert result.loglik > start
         assert result.theta.min() < -40.0
 
+    def test_intervals_running_to_infinity_are_named(self, caplog):
+        # on the same ridge three log-rates end at -89, -272 and -141 with
+        # log-scale SEs of 2e18, 8e57 and 3e29: z SE > 700, so their
+        # intervals run to infinity, and one warning after the negative
+        # variance's names all three
+        spec, data = pass_design(np.random.default_rng(7), "binomial:2")
+        with caplog.at_level("WARNING", logger="addamsfrailty.estimation"):
+            result = fit(spec, data)
+        unbounded = ["baseline[u1].rate[20+]", "baseline[u1].rate[45+]", "baseline[u2].rate[20+]"]
+        assert [name for name in result.names if result.ci[name][2] == math.inf] == unbounded
+        warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warned) == 2 and "negative variance" in warned[0]
+        assert warned[1].endswith("runs to infinity (log-scale z SE > 700) for "
+                                  + ", ".join(unbounded))
+
 
 @st.composite
 def step_problems(draw):

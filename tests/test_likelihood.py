@@ -23,6 +23,7 @@ from addamsfrailty import (
     WeibullBaseline,
     cluster_loglik,
     laplace,
+    log_laplace,
     read_csv,
     write_csv,
 )
@@ -741,7 +742,8 @@ class TestEventCountGrouping:
 def reference_terms(spec, data):
     """{level: sorted terms} built from the cluster view, a term being
     (cluster position, (-1)^|A|, sorted member (unit, time, covariates))
-    for each subset A of the cluster's events; and each level's cluster
+    for each subset A of the cluster's events but the empty subset of a
+    cluster whose records are all events; and each level's cluster
     positions in order."""
     terms, members = {}, {}
     for pos, c in enumerate(data.clusters):
@@ -751,7 +753,7 @@ def reference_terms(spec, data):
                  for r in c.records]
         events = [cell for cell, r in zip(cells, c.records) if r.event == 1]
         rest = [cell for cell, r in zip(cells, c.records) if r.event != 1]
-        for size in range(len(events) + 1):
+        for size in range(0 if rest else 1, len(events) + 1):
             for subset in itertools.combinations(events, size):
                 terms.setdefault(level, []).append(
                     (pos, (-1.0) ** size, tuple(sorted(rest + list(subset)))))
@@ -790,10 +792,15 @@ class TestColumnarWorkspace:
             assert level.term_cluster.size == level.incidence.shape[0] == level.signs.size
             got = workspace_terms(level)
             assert got == reference[level.name]
-            # 2^k terms per cluster of k events
+            # 2^k - [k = m] terms per cluster of k events on m rows, and
+            # the constant 1 stands in for an all-event cluster's empty term
             per_cluster = np.bincount(level.term_cluster, minlength=level.clusters.size)
-            events = [sum(r.event for r in data.clusters[pos].records) for pos in members[level.name]]
-            assert per_cluster.tolist() == [1 << k for k in events]
+            records = [data.clusters[pos].records for pos in members[level.name]]
+            events = [sum(r.event for r in rs) for rs in records]
+            all_events = [k == len(rs) for k, rs in zip(events, records)]
+            assert per_cluster.tolist() == [(1 << k) - e for k, e in zip(events, all_events)]
+            assert level.constant.dtype == float
+            assert level.constant.tolist() == [float(e) for e in all_events]
         return ws
 
     def test_terms_match_reference(self, rng):
@@ -900,6 +907,87 @@ class TestColumnarWorkspace:
         ws.loglik_and_score(layout, layout.free_vector())
         write_csv(fresh, tmp_path / "again.csv")
         assert (tmp_path / "again.csv").read_bytes() == f.read_bytes()
+
+
+def all_event_data(rng, n):
+    """Clusters of one to three units, nine in ten records events, so that
+    most clusters are all events, weights from 0.5 to 2; then one all-event
+    cluster whose first event is at time 0, so that a kept term has s = 0
+    (its sum is exactly 0 and clamps), and ``clamped_data``'s clamped cluster."""
+    clusters = []
+    for i in range(n):
+        units = [u for u in ("u1", "u2", "u3") if rng.random() < 0.7] or ["u1"]
+        records = tuple(UnitRecord(u, float(rng.uniform(1.0, 70.0)), int(rng.random() < 0.9))
+                        for u in units)
+        clusters.append(Cluster(f"c{i}", records, weight=float(rng.uniform(0.5, 2.0))))
+    at_zero = Cluster("at_zero", (UnitRecord("u1", 0.0, 1), UnitRecord("u2", 30.0, 1),
+                                  UnitRecord("u3", 12.0, 1)))
+    clamped = clamped_data(rng, 0).clusters
+    return CurrentStatusDataset(tuple(clusters) + (at_zero,) + clamped)
+
+
+class TestAllEventClusters:
+    """A cluster whose records are all events keeps no empty term: its sum
+    starts from the level's constant 1.0, on a design where most clusters
+    are all events."""
+
+    # high exponential rates, to suit the events: each cell's Lambda is
+    # one product, rate * t
+    spec = score_spec(baseline=lambda i: ExponentialBaseline(0.06 + 0.02 * i))
+
+    def reference_logliks(self, data):
+        """log of each cluster's sum in ``_template`` order, from 1.0 for a
+        cluster of events only, over s-values summed cell by cell."""
+        rates = {u: self.spec.baselines[u].rate for u in self.spec.units}
+        svals, terms = [], []
+        for c in data.clusters:
+            rest = [rates[r.unit] * r.time for r in c.records if r.event == 0]
+            events = [rates[r.unit] * r.time for r in c.records if r.event == 1]
+            terms.append([])
+            for i in range(0 if rest else 1, 1 << len(events)):
+                s = 0.0
+                for lam in rest + [lam for j, lam in enumerate(events) if i >> j & 1]:
+                    s += lam
+                terms[-1].append((len(svals), -1.0 if bin(i).count("1") % 2 else 1.0))
+                svals.append(s)
+        values = np.exp(log_laplace(self.spec.frailty_params("s"), np.array(svals)))
+        probs = []
+        for c, cluster_terms in zip(data.clusters, terms):
+            prob = 1.0 if all(r.event == 1 for r in c.records) else 0.0
+            for t, sign in cluster_terms:
+                prob += float(values[t] * sign)
+            probs.append(prob)
+        return np.log(np.where(np.array(probs) <= 0.0, 1e-300, probs)), np.array(probs)
+
+    def test_sums_start_from_one(self, rng):
+        data = all_event_data(rng, 150)
+        ws = LikelihoodWorkspace(self.spec, data)
+        (level,) = ws.levels
+        assert level.constant.mean() > 0.5
+        assert level.term_cluster.size == sum(
+            (1 << sum(r.event for r in c.records)) - all(r.event for r in c.records)
+            for c in data.clusters)
+        reference, probs = self.reference_logliks(data)
+        before = likelihood.diagnostics.clamped_probabilities
+        got = ws.cluster_logliks(self.spec)
+        assert got.tobytes() == reference.tobytes()
+        # the time-0 cluster's sum is exactly 0, and the clamped one is lost
+        # to round-off: both clamp, and both are counted
+        assert probs[-2] == 0.0 and probs[-1] <= 0.0
+        assert (probs <= 0.0).sum() == 2
+        assert likelihood.diagnostics.clamped_probabilities - before == 2
+
+    def test_score_and_information(self, rng):
+        data = all_event_data(rng, 150)
+        TestScore().check(self.spec, data)
+        # the clamped cluster's sum stops clamping within the information
+        # reference's stencil (``TestInformation.test_clamped_cluster_contributes_nothing``):
+        # the design is checked without it, and it adds nothing
+        layout, clean = TestInformation().check(
+            self.spec, CurrentStatusDataset(data.clusters[:-1]))
+        info = LikelihoodWorkspace(self.spec, data).loglik_and_score(
+            layout, layout.free_vector(), information=True)[3]
+        np.testing.assert_allclose(info, clean, rtol=0.0, atol=1e-13 * np.abs(clean).max())
 
 
 class TestClusterScores:
