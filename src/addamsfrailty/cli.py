@@ -71,8 +71,8 @@ def _run_fit(config: RunConfig, data, regimes=None, name: str = "fit"):
     result = ml_fit(spec, data, init=init, maxiter=config.fit_maxiter)
     if not result.converged:
         raise NonConvergence(
-            f"{name}: gradient norm {result.gradient_norm:.3g} after "
-            f"{result.iterations} iterations"
+            f"{name}: stopped at {result.stop}, gradient norm "
+            f"{result.gradient_norm:.3g} after {result.iterations} iterations"
         )
     return result
 

@@ -411,6 +411,7 @@ def _block(cells, plain, refused, col, covariates, tables, line):
         (~(time < math.inf),
          lambda i: MalformedRow(line + i, f"(time {time[i].item()!r} is not finite)")),
         (bad_flag, lambda i: BadEventFlag(line + i, flags[i])),
+        (event & (time == 0.0), lambda i: MalformedRow(line + i, "(event at time 0)")),
         (bad_cov.any(axis=1), lambda i: MalformedRow(
             line + i, f"(non-numeric {covariates[bad_cov[i].argmax()][0]!r})")),
         (weight_text, lambda i: MalformedRow(line + i, f"({_number(cells[i_weight][i])})")),
@@ -458,11 +459,12 @@ def read_csv(path) -> CurrentStatusDataset:
     whole columns, in this order: csv.reader can read the row (no cell
     over its field size limit), no cell holds a NUL, its bytes are UTF-8,
     the id and unit are not empty, the time is a number, finite and >= 0,
-    the event flag is 0 or 1, each covariate is a number or empty, the
-    weight is a number and > 0.  A row's problem is the first rule it
-    fails, and a rejected row is reported with its line number (counting
-    the header as line 1 and skipping blank lines); a NUL in the header
-    rejects the file at line 1.  Then, over the rows that pass: a cluster takes
+    the event flag is 0 or 1, no event is at time 0 (a cluster holding one
+    has probability 0 under every model), each covariate is a number or
+    empty, the weight is a number and > 0.  A row's problem is the first
+    rule it fails, and a rejected row is reported with its line number
+    (counting the header as line 1 and skipping blank lines); a NUL in the
+    header rejects the file at line 1.  Then, over the rows that pass: a cluster takes
     its stratum and weight from its first such row, a row whose stratum
     or weight differs is rejected, and so is a (cluster, unit) pair that
     an earlier accepted row holds.

@@ -13,13 +13,16 @@ is one trust-region minimization of the negated log-likelihood
 quadratic model takes the BHHH matrix J = G' diag(w) G of the
 per-cluster scores G (Berndt, Hall, Hall & Hausman 1974) in place of
 the Hessian; each step is solved exactly from one eigendecomposition of
-J (Moré & Sorensen 1983; Nocedal & Wright 2006, Alg. 4.3).  Each point's value,
-score and G come from one ``LikelihoodWorkspace.loglik_and_score``
-pass, which reads its numbers from the free vector, not from a rebuilt
-ModelSpec.  Standard errors come from the observed information at the
-solution, the exact negated Hessian from one more such pass with
-``information=True`` (no differenced score passes), and confidence
-intervals use ln / ln(-ln) transforms as appropriate.
+J (Moré & Sorensen 1983; Nocedal & Wright 2006, Alg. 4.3).  The trust
+region reads each point from one ``evaluate(x) -> (value, gradient, J)``,
+one ``LikelihoodWorkspace.loglik_and_score`` pass, which reads its
+numbers from the free vector, not from a rebuilt ModelSpec.  It stops
+at a small gradient, at a step that predicts no reduction, or at the
+iteration limit, and ``FitResult.stop`` names which.  Standard errors
+come from the observed information at the solution, the exact negated
+Hessian from one more such pass with ``information=True`` (no
+differenced score passes), and confidence intervals use ln / ln(-ln)
+transforms as appropriate.
 ``FitResult.aic`` is -2 log L + 2 n_free.
 
 ``hazard._central_jacobian`` takes the derivatives that are differenced
@@ -34,7 +37,7 @@ import contextlib
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Literal, NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy import linalg, optimize, special, stats
@@ -76,6 +79,8 @@ _START_GAMMA = 2.0
 _Z = special.ndtri(0.975)
 # what the likelihood raises outside the feasible region
 _INFEASIBLE = (InvalidRegion, NonPositiveProbability, InvalidParameters, OverflowError)
+# why the trust region stopped (see ``_trust_region``)
+Stop = Literal["gradient", "no_reduction", "maxiter"]
 
 
 @dataclass(frozen=True)
@@ -327,6 +332,7 @@ class FitResult:
     gradient_norm: float
     layout: ParameterLayout
     spec: ModelSpec
+    stop: Optional[Stop]    # why the trust region stopped; None when nothing is fitted
 
     @property
     def n_free(self) -> int:
@@ -347,7 +353,7 @@ def pinned_result(spec: ModelSpec, loglik: float = math.nan) -> FitResult:
     return FitResult(
         names=(), theta=np.zeros(0), loglik=loglik, covariance=empty,
         se=np.zeros(0), ci={}, converged=True, iterations=0,
-        gradient_norm=0.0, layout=ParameterLayout.pinned(spec), spec=spec,
+        gradient_norm=0.0, layout=ParameterLayout.pinned(spec), spec=spec, stop=None,
     )
 
 
@@ -385,18 +391,18 @@ def fit(spec: ModelSpec, data: CurrentStatusDataset, init=None,
 
     ``init`` may be a free-parameter vector, the string "spec" to start
     from the values already held by ``spec``, or None for the data-driven
-    start of :meth:`ParameterLayout.default_init`; a start point off the
-    feasible region, or where the log-likelihood or J below is not finite,
-    raises NonFiniteEvaluation, and the pass that checks it serves the
-    first evaluation.  The fit is one
-    trust-region call (:func:`_trust_region`) on the negated
-    log-likelihood, its model Hessian at each point J = G' diag(w) G from
-    the pass that gives the point's value and score (:class:`_Objective`).
-    It stops where the gradient's norm falls under 1e-6 max(1, |objective
-    at the start|), or after ``maxiter`` iterations (0: the start is
-    returned).  The trust region
-    only moves to a point that lowers the objective, and the last point
-    it moved to is returned, with ``converged`` reporting whether
+    start of :meth:`ParameterLayout.default_init`.  The fit is one
+    trust-region call (:func:`_trust_region`) on ``evaluate(theta) ->
+    (-log L, -score, J)``, all three from one ``loglik_and_score`` pass,
+    J = G' diag(w) G the model Hessian.  A point off the feasible region,
+    or where the value or J is not finite, reads (inf, 0, I): the trust
+    region never moves there, and a start point that reads so raises
+    NonFiniteEvaluation.  The iteration stops where the gradient's 2-norm
+    falls under 1e-6 max(1, |objective at the start|), where a step
+    predicts no reduction, or after ``maxiter`` iterations (0: the start
+    is returned); ``FitResult.stop`` says which.  The trust region only
+    moves to a point that lowers the objective, and the last point it
+    moved to is returned, with ``converged`` reporting whether
     max|gradient| is under that bound there.
     """
     layout = ParameterLayout(spec)
@@ -416,19 +422,18 @@ def fit(spec: ModelSpec, data: CurrentStatusDataset, init=None,
                 f"init has {theta0.size} entries, layout has {layout.n_free} free"
             )
 
-    objective = _Objective(ws, layout)
-    value0, grad0 = objective(theta0)
-    if not math.isfinite(value0):
-        raise NonFiniteEvaluation("objective non-finite at the start point")
-    # the stationarity bound, scaled by the start's objective
-    gtol = 1e-6 * max(1.0, abs(value0))
-    if maxiter > 0:
-        res = optimize.minimize(objective, theta0, jac=True, hess=objective.bhhh,
-                                method=_trust_region,
-                                options={"gtol": gtol, "maxiter": maxiter})
-    else:
-        res = optimize.OptimizeResult(x=theta0, fun=value0, jac=grad0, nit=0)
+    def evaluate(theta) -> Tuple[float, np.ndarray, np.ndarray]:
+        value = math.inf
+        with contextlib.suppress(*_INFEASIBLE):
+            value, grad, scores = ws.loglik_and_score(layout, theta)
+            bhhh = scores.T @ (scores * ws.weights[:, None])
+        # a finite J has a finite G, and so a finite score
+        if math.isfinite(value) and np.all(np.isfinite(bhhh)):
+            return -value, -grad, bhhh
+        return math.inf, np.zeros(theta.size), np.eye(theta.size)
 
+    res = optimize.minimize(evaluate, theta0, method=_trust_region,
+                            options={"maxiter": maxiter})
     theta_hat = np.asarray(res.x, dtype=float)
     # the observed information from one second-order pass at the solution
     information = ws.loglik_and_score(layout, theta_hat, information=True)[3]
@@ -456,32 +461,35 @@ def fit(spec: ModelSpec, data: CurrentStatusDataset, init=None,
         covariance=cov,
         se=se,
         ci=ci,
-        converged=gradient_norm < gtol,
+        converged=gradient_norm < res.gtol,
         iterations=int(res.nit),
         gradient_norm=gradient_norm,
+        stop=res.stop,
         layout=ParameterLayout(fitted_spec),
         spec=fitted_spec,
     )
 
 
-def _trust_region(fun, x0, jac, hess, gtol, maxiter, **_):
-    """``optimize.minimize``'s method: scipy's trust-region iteration on the
-    model Hessian ``hess``, each step solved exactly by
-    :func:`_trust_region_step`.
+def _trust_region(fun, x0, maxiter, **_):
+    """``optimize.minimize``'s method: scipy's trust-region iteration on
+    ``fun(x) -> (value, gradient, model Hessian)``, each step solved
+    exactly by :func:`_trust_region_step`.
 
-    The radius starts at 1, is quartered where the ratio rho of actual to
-    predicted reduction is under 1/4 and doubled (to at most 1000) where
-    rho > 3/4 and the step reached the boundary; a step with rho > 0.15 is
-    taken.  The iteration stops when the gradient's 2-norm is under
-    ``gtol``, when a step predicts no reduction, or after ``maxiter``
-    trial steps.  Each point tried is read whole, its value, gradient and
-    model Hessian from one pass, so ``nfev``, ``njev`` and ``nhev`` are
-    each nit + 1.
+    The start is read first; a value there that is not finite raises
+    NonFiniteEvaluation, and the stationarity bound ``gtol`` is
+    1e-6 max(1, |value at the start|).  The radius starts at 1, is
+    quartered where the ratio rho of actual to predicted reduction is
+    under 1/4 and doubled (to at most 1000) where rho > 3/4 and the step
+    reached the boundary; a step with rho > 0.15 is taken.  The iteration
+    stops, and ``stop`` says why, when the gradient's 2-norm is under
+    ``gtol`` ("gradient"), when a step predicts no reduction
+    ("no_reduction"), or after ``maxiter`` trial steps ("maxiter").
     """
-    def point(x):
-        return x, fun(x), jac(x), hess(x)
-
-    x, value, grad, model = point(np.asarray(x0, dtype=float).flatten())
+    x = np.asarray(x0, dtype=float).flatten()
+    value, grad, model = fun(x)
+    if not math.isfinite(value):
+        raise NonFiniteEvaluation("objective non-finite at the start point")
+    gtol = 1e-6 * max(1.0, abs(value))
     radius, nit = 1.0, 0
     while nit < maxiter and np.linalg.norm(grad) >= gtol:
         step, on_boundary = _trust_region_step(model, grad, radius)
@@ -489,8 +497,9 @@ def _trust_region(fun, x0, jac, hess, gtol, maxiter, **_):
         # f's rounding predicts no reduction
         predicted = value - (value + grad @ step + 0.5 * step @ model @ step)
         if predicted <= 0.0:
+            stop = "no_reduction"
             break
-        trial = point(x + step)
+        trial = (x + step, *fun(x + step))
         rho = (value - trial[1]) / predicted
         if rho < 0.25:
             radius *= 0.25
@@ -499,8 +508,9 @@ def _trust_region(fun, x0, jac, hess, gtol, maxiter, **_):
         if rho > 0.15:
             x, value, grad, model = trial
         nit += 1
-    return optimize.OptimizeResult(x=x, fun=value, jac=grad, nit=nit,
-                                   nfev=nit + 1, njev=nit + 1, nhev=nit + 1)
+    else:
+        stop = "gradient" if np.linalg.norm(grad) < gtol else "maxiter"
+    return optimize.OptimizeResult(x=x, fun=value, jac=grad, nit=nit, gtol=gtol, stop=stop)
 
 
 def _trust_region_step(model: np.ndarray, grad: np.ndarray,
@@ -538,41 +548,6 @@ def _trust_region_step(model: np.ndarray, grad: np.ndarray,
         shift += rise
     step = -basis @ shifted
     return step * min(1.0, radius / np.linalg.norm(step)), True
-
-
-class _Objective:
-    """(-log L, -score) of the free vector, and J = G' diag(w) G, all from
-    one ``loglik_and_score`` pass per point: the trust region asks for J
-    at each point it tries, as well as the value, so the last point's
-    numbers are kept.  A point off the feasible region, or whose value or J is not
-    finite, reads (inf, 0), with the identity as a finite stand-in for J;
-    the trust region never moves there."""
-
-    def __init__(self, ws: LikelihoodWorkspace, layout: ParameterLayout):
-        self._ws, self._layout = ws, layout
-        self._theta = None
-
-    def _evaluate(self, theta) -> None:
-        if self._theta is not None and np.array_equal(theta, self._theta):
-            return
-        self._theta = np.array(theta, dtype=float)
-        value = math.inf
-        with contextlib.suppress(*_INFEASIBLE):
-            value, grad, scores = self._ws.loglik_and_score(self._layout, self._theta)
-            bhhh = scores.T @ (scores * self._ws.weights[:, None])
-        # a finite J has a finite G, and so a finite score
-        if math.isfinite(value) and np.all(np.isfinite(bhhh)):
-            self._out = (-value, -grad), bhhh
-        else:
-            self._out = (math.inf, np.zeros(self._theta.size)), np.eye(self._theta.size)
-
-    def __call__(self, theta) -> Tuple[float, np.ndarray]:
-        self._evaluate(theta)
-        return self._out[0]
-
-    def bhhh(self, theta) -> np.ndarray:
-        self._evaluate(theta)
-        return self._out[1]
 
 
 def _covariance_from_information(information: np.ndarray, names) -> np.ndarray:

@@ -192,8 +192,8 @@ class WeibullBaseline:
     scale: float
 
     def __post_init__(self):
-        if not (self.shape > 0 and self.scale > 0):
-            raise InvalidParameters("shape and scale must be > 0")
+        if not all(0 < v < math.inf for v in (self.shape, self.scale)):
+            raise InvalidParameters("shape and scale must be finite and > 0")
 
     def cumulative(self, t):
         t_arr = _check_times(t)
@@ -230,8 +230,8 @@ class GeneralizedGammaBaseline:
     scale: float
 
     def __post_init__(self):
-        if not (self.power > 0 and self.k > 0 and self.scale > 0):
-            raise InvalidParameters("all generalized-gamma parameters must be > 0")
+        if not all(0 < v < math.inf for v in (self.power, self.k, self.scale)):
+            raise InvalidParameters("all generalized-gamma parameters must be finite and > 0")
 
     def cumulative(self, t):
         # -log Q(k, y) is -log1p(-P) while P = 1 - Q <= 1/2: the log of Q

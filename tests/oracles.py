@@ -506,6 +506,9 @@ def reference_read_csv(path):
                 if raw_event not in ("0", "1"):
                     problems.append(BadEventFlag(lineno, raw_event))
                     continue
+                if raw_event == "1" and time == 0.0:
+                    problems.append(MalformedRow(lineno, "(event at time 0)"))
+                    continue
                 covs = {}
                 bad_cov = False
                 for c in covariate_cols:

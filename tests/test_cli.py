@@ -383,6 +383,34 @@ class TestIngest:
         assert code == EXIT_DATA
         assert any("line 3" in rec.getMessage() for rec in caplog.records)
 
+    def test_event_at_time_0_is_a_dataset_problem(self, tmp_path, caplog):
+        # its cluster has probability 0 under every model
+        bad = tmp_path / "bad.csv"
+        bad.write_text("cluster_id,unit,time,event\nc1,u1,5.0,1\nc1,u2,0,1\nc2,u1,0,0\n")
+        cfg = write_config(tmp_path)
+        with caplog.at_level("ERROR", logger="addamsfrailty"):
+            code = main(["fit", "--config", str(cfg), "--set", f"data.path={bad}"])
+        assert code == EXIT_DATA
+        assert [rec.getMessage() for rec in caplog.records] == [
+            "dataset rejected:", "  line 3: malformed row (event at time 0)"]
+
+    @pytest.mark.parametrize("baseline, params", [
+        ("weibull", "inf, 25"), ("gengamma", "1.2, 1.1, inf"),
+    ])
+    @pytest.mark.parametrize("command", ["simulate", "fit"])
+    def test_infinite_baseline_parameter_exits_3(self, tmp_path, caplog, baseline, params,
+                                                 command):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[data]\npath = {tmp_path / 'data.csv'}\n"
+                       f"[model]\nunits = u1, u2\nbaseline = {baseline}\n"
+                       f"[params]\nparams.u1 = {params}\n"
+                       f"params.u2 = {'1.1, 40' if baseline == 'weibull' else '1.1, 0.8, 40'}\n"
+                       f"[simulate]\nn_clusters = 50\nseed = 3\n[output]\ndir = {tmp_path}\n")
+        (tmp_path / "data.csv").write_text("cluster_id,unit,time,event\nc1,u1,5.0,1\n")
+        with caplog.at_level("ERROR", logger="addamsfrailty"):
+            assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+        assert any("must be finite and > 0" in rec.getMessage() for rec in caplog.records)
+
     def test_unit_the_config_does_not_declare_exits_3(self, tmp_path, caplog):
         bad = tmp_path / "bad.csv"
         bad.write_text("cluster_id,unit,time,event\nc1,u1,5.0,1\nc2,u1,8.0,0\nc2,u3,9.0,1\n")
@@ -594,7 +622,7 @@ class TestPipeline:
         assert report["lrt"]["df"] == "1"
         assert 0.0 <= float(report["lrt"]["p_value"]) <= 1.0
 
-    def test_unconverged_fit_exits_2_without_reports(self, tmp_path):
+    def test_unconverged_fit_exits_2_without_reports(self, tmp_path, caplog):
         # the recovery gate's design at (alpha, gamma) = (0.9, 1), next to the
         # seam where the law's support changes, fitted from the default start
         model = (f"[data]\npath = {tmp_path / 'data.csv'}\n"
@@ -607,8 +635,19 @@ class TestPipeline:
         assert main(["simulate", "--config", str(truth)]) == EXIT_OK
         cfg = tmp_path / "fit.ini"
         cfg.write_text(model)
-        assert main(["fit", "--config", str(cfg)]) == EXIT_NONCONVERGENCE
+        with caplog.at_level("ERROR", logger="addamsfrailty"):
+            assert main(["fit", "--config", str(cfg)]) == EXIT_NONCONVERGENCE
         assert not (tmp_path / "out" / "report.json").exists()
+        # the message names why the trust region stopped
+        assert any(rec.getMessage().startswith("no convergence: fit: stopped at no_reduction, ")
+                   for rec in caplog.records)
+        # an iteration limit of 1 stops it sooner, and says so
+        caplog.clear()
+        with caplog.at_level("ERROR", logger="addamsfrailty"):
+            assert main(["fit", "--config", str(cfg), "--set", "fit.maxiter=1"]) == \
+                EXIT_NONCONVERGENCE
+        assert any("stopped at maxiter" in rec.getMessage() and "after 1 iterations"
+                   in rec.getMessage() for rec in caplog.records)
 
     def test_rates_running_to_zero_exit_0(self, tmp_path, caplog):
         # the compiled-pass design on which piecewise rates run toward 0,

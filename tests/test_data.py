@@ -620,6 +620,8 @@ class TestReaderEquivalence:
         ("c1,u2,nan,0,a,2.0,", MalformedRow),            # time not finite
         ("c1,u2,1.0,2,a,2.0,", BadEventFlag),
         ("c1,u2,1.0,,a,2.0,", BadEventFlag),
+        ("c1,u2,0,1,a,2.0,", MalformedRow),              # event at time 0
+        ("c1,u2,-0.0,1,a,2.0,", MalformedRow),           # event at time 0
         ("c1,u2,1.0,0,a,2.0,oops", MalformedRow),        # non-numeric covariate
         ("c1,u2,1.0,0,a,heavy,", MalformedRow),          # non-numeric weight
         ("c3,u2,1.0,0,a,-2,", MalformedRow),             # weight <= 0

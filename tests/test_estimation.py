@@ -81,12 +81,13 @@ def seam_spec(alpha):
 @pytest.fixture
 def fit_calls(monkeypatch):
     """Records every ``loglik_and_score`` pass in ``passes`` (True for an
-    information pass) and its value in ``values``, and each
-    ``optimize.minimize`` call of ``fit`` in ``calls`` as (x0, result,
-    passes inside the call, its keywords)."""
+    information pass) and its value in ``values``, each ``optimize.minimize``
+    call of ``fit`` in ``calls`` as (x0, result, passes inside the call, its
+    keywords), each point its objective reads in ``points`` as (x, its
+    output), and the last call's objective in ``evaluate``."""
     from addamsfrailty import estimation
 
-    record = SimpleNamespace(passes=[], values=[], calls=[])
+    record = SimpleNamespace(passes=[], values=[], calls=[], points=[], evaluate=None)
     one_pass = LikelihoodWorkspace.loglik_and_score
 
     def counted(ws, layout, theta, information=False):
@@ -98,8 +99,15 @@ def fit_calls(monkeypatch):
     minimize = estimation.optimize.minimize
 
     def recorded(fun, x0, **kwargs):
+        record.evaluate = fun
+
+        def read(x):
+            out = fun(x)
+            record.points.append((np.array(x), out))
+            return out
+
         before = len(record.passes)
-        res = minimize(fun, x0, **kwargs)
+        res = minimize(read, x0, **kwargs)
         record.calls.append((np.array(x0), res, len(record.passes) - before, kwargs))
         return res
 
@@ -462,14 +470,17 @@ class TestFit:
         data = simulated_data(spec, n=200, seed=4)
         result = fit(spec, data)
         (x0, res, inside, kwargs), = fit_calls.calls
-        assert result.converged and kwargs["method"] is _trust_region
+        # one objective, read whole at each point: no jac or hess callbacks
+        assert kwargs == {"method": _trust_region, "options": {"maxiter": 500}}
+        assert result.converged and result.stop == res.stop == "gradient"
         assert np.array_equal(x0, ParameterLayout(spec).default_init(data))
-        # the default start is evaluated once, by the check, whose pass
-        # serves the first evaluation; every other point the trust region
-        # tries costs one pass, its value and J together, and the
-        # covariance takes one information pass after the call
-        assert inside == res.nfev - 1 and res.nhev == res.nfev
-        assert len(fit_calls.passes) == 1 + inside + 1
+        # the start's pass is the first evaluation, and its value is the
+        # check; every other point the trust region tries costs one pass,
+        # its value, score and J together, and the covariance takes one
+        # information pass after the call
+        assert np.array_equal(fit_calls.points[0][0], x0)
+        assert inside == len(fit_calls.points) == res.nit + 1
+        assert len(fit_calls.passes) == inside + 1
         assert fit_calls.passes[-1] and not any(fit_calls.passes[:-1])
 
     def test_trust_region_pass_count(self, fit_calls):
@@ -485,18 +496,20 @@ class TestFit:
 
     def test_each_point_is_steered_by_its_bhhh_matrix(self, fit_calls):
         # the trust region's model Hessian at a point is J = G' W G of that
-        # point's pass
+        # point's pass, and its value and gradient are that pass's, negated
         spec = basic_spec(two_strata=True)
         data = simulated_data(spec, n=300, seed=5)
-        fit(spec, data, maxiter=7)
-        (x0, res, _, kwargs), = fit_calls.calls
+        result = fit(spec, data, maxiter=7)
+        (_, res, _, kwargs), = fit_calls.calls
         assert kwargs["options"]["maxiter"] == 7
+        assert result.stop == "maxiter" and res.nit == 7 and len(fit_calls.points) == 8
         layout = ParameterLayout(spec)
         ws = LikelihoodWorkspace(spec, data)
-        for theta in (x0, res.x):
-            per_cluster = ws.loglik_and_score(layout, theta)[2]
+        for theta, (value, grad, model) in fit_calls.points:
+            loglik, score, per_cluster = ws.loglik_and_score(layout, theta)
             bhhh = per_cluster.T @ (per_cluster * data.weight[:, None])
-            assert kwargs["hess"](theta).tobytes() == bhhh.tobytes()
+            assert model.tobytes() == bhhh.tobytes()
+            assert value == -loglik and grad.tobytes() == (-score).tobytes()
 
     def test_singular_bhhh_matrix_at_the_start_still_converges(self, monkeypatch):
         # a G of zeros at the start: J = 0 there, and the trust region's
@@ -517,21 +530,18 @@ class TestFit:
         assert fit(spec, data).converged
         assert np.array_equal(passes[0], ParameterLayout(spec).default_init(data))
 
-    def test_infeasible_point_reads_inf_with_a_finite_stand_in(self):
-        # off the feasible region the objective is (inf, 0), and J's
+    def test_infeasible_point_reads_inf_with_a_finite_stand_in(self, fit_calls):
+        # off the feasible region the objective reads (inf, 0), and J's
         # stand-in is the identity, finite for the trust region's checks
-        from addamsfrailty.estimation import _Objective
-
         spec = basic_spec()
         layout = ParameterLayout(spec)
-        objective = _Objective(LikelihoodWorkspace(spec, simulated_data(spec, n=50, seed=2)),
-                               layout)
+        fit(spec, simulated_data(spec, n=50, seed=2), maxiter=0)
         theta = layout.free_vector()
         theta[layout.free_names.index("kappa[0]")] = 800.0
         with np.errstate(over="ignore"):
-            value, grad = objective(theta)
+            value, grad, model = fit_calls.evaluate(theta)
         assert value == math.inf and not grad.any()
-        assert objective.bhhh(theta).tobytes() == np.eye(theta.size).tobytes()
+        assert model.tobytes() == np.eye(theta.size).tobytes()
 
     def test_interior_truths_converge(self):
         # the seam set at (alpha, gamma) = (0.5, 1): 12 of these 20 fits
@@ -772,6 +782,68 @@ def test_pinned_cure_branch_fits_reach_the_recorded_maxima():
             if result.converged and np.isnan(result.se).any():
                 failures.append(f"{kind} {b} seed {seed}: converged with NaN SEs")
     assert not failures, failures
+
+
+def analyze_design_fit(seed):
+    """The free fit of a two-stratum design (m: alpha -1, gamma 5, mu 1; f:
+    alpha -2, gamma 8, mu 0.5; exponential rates 0.04 and 0.02), n = 500,
+    monitoring uniform on [1, 80), strata drawn 0.5 / 0.5."""
+    link = FrailtyLink.for_factor(["m", "f"], zeta0=-1.0, kappa0=math.log(5.0))
+    link = dataclasses.replace(link, zeta=(-1.0, -1.0),
+                               kappa=(math.log(5.0), math.log(8.0 / 5.0)),
+                               beta0=(0.0, math.log(0.5)))
+    spec = ModelSpec(
+        units=("u1", "u2"),
+        baselines={"u1": ExponentialBaseline(0.04), "u2": ExponentialBaseline(0.02)},
+        frailty_link=link,
+    )
+    data = generate(SimConfig(spec=spec, n_clusters=500, seed=seed,
+                              monitoring=MonitoringLaw("uniform", a=1.0, b=80.0),
+                              stratum_probs={"m": 0.5, "f": 0.5}))
+    return fit(spec, data)
+
+
+class TestStop:
+    """``FitResult.stop``: why the trust region stopped."""
+
+    def test_small_gradient(self):
+        result = analyze_design_fit(1835504127)
+        assert result.stop == "gradient" and result.converged
+        assert result.iterations == 10
+
+    def test_iteration_limit(self):
+        # a ridge: both rates run to about e^15 and stratum f's mu to 2e-8
+        result = analyze_design_fit(2834126987)
+        assert result.stop == "maxiter" and not result.converged
+        assert result.iterations == 500
+        assert result.gradient_norm == pytest.approx(199.0, abs=0.5)
+
+    def test_no_reduction(self):
+        # stratum f ends at the alpha = gamma wall, where every step the
+        # radius allows predicts a decrease lost in rounding
+        result = analyze_design_fit(1490961094)
+        assert result.stop == "no_reduction" and not result.converged
+        assert result.iterations == 53
+        assert result.gradient_norm == pytest.approx(0.083, abs=5e-4)
+        law = result.spec.frailty_params("f")
+        assert 0.0 < law.gamma - law.alpha < 1e-9
+
+    def test_gradient_is_read_before_the_iteration_limit(self):
+        # this fit meets the bound at its 12th iteration: a limit of 12 reads
+        # "gradient", one of 11 "maxiter", and a limit of 0 returns the start
+        spec = basic_spec()
+        data = simulated_data(spec, n=200, seed=4)
+        assert fit(spec, data).iterations == 12
+        at_limit = fit(spec, data, maxiter=12)
+        assert at_limit.stop == "gradient" and at_limit.converged
+        short = fit(spec, data, maxiter=11)
+        assert short.stop == "maxiter" and not short.converged and short.iterations == 11
+        start = fit(spec, data, maxiter=0)
+        assert start.stop == "maxiter" and start.iterations == 0
+        assert np.array_equal(start.theta, ParameterLayout(spec).default_init(data))
+
+    def test_nothing_fitted_has_no_stop(self):
+        assert pinned_result(basic_spec()).stop is None
 
 
 class TestDefaultStart:

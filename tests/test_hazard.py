@@ -150,6 +150,18 @@ class TestParametricBaselines:
         np.testing.assert_allclose(rebuilt.cumulative(ts), base.cumulative(ts))
         assert len(base.param_names) == base.log_params.size
 
+    @pytest.mark.parametrize("make", [
+        lambda v: WeibullBaseline(v, 25.0),
+        lambda v: WeibullBaseline(1.2, v),
+        lambda v: GeneralizedGammaBaseline(v, 1.0, 25.0),
+        lambda v: GeneralizedGammaBaseline(1.0, v, 25.0),
+        lambda v: GeneralizedGammaBaseline(1.0, 1.0, v),
+    ])
+    def test_infinite_parameter_rejected(self, make):
+        # an infinite Weibull shape read Lambda = [0, inf] at times 10 and 30
+        with pytest.raises(InvalidParameters):
+            make(math.inf)
+
 
 EVERY_BASELINE = [
     PiecewiseConstantBaseline((0.0, 2.0, 5.0, 9.0), (0.5, 0.2, 0.1, 0.3)),
