@@ -93,6 +93,11 @@ class Cluster:
                 raise InvalidParameters(
                     f"cluster {self.cluster_id!r}: event must be 0 or 1"
                 )
+            if r.event == 1 and r.time == 0.0:
+                # probability 0 under every model, as ``read_csv`` refuses it
+                raise InvalidParameters(
+                    f"cluster {self.cluster_id!r}: unit {r.unit!r} has an event at time 0"
+                )
 
 
 def _frozen(values, dtype) -> np.ndarray:

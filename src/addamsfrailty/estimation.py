@@ -81,6 +81,9 @@ _Z = special.ndtri(0.975)
 _INFEASIBLE = (InvalidRegion, NonPositiveProbability, InvalidParameters, OverflowError)
 # why the trust region stopped (see ``_trust_region``)
 Stop = Literal["gradient", "no_reduction", "maxiter"]
+# gamma - alpha under this fraction of gamma: a free level at the alpha =
+# gamma wall, beyond which its trial points read +inf
+_WALL_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -342,6 +345,16 @@ class FitResult:
     def aic(self) -> float:
         return -2.0 * self.loglik + 2.0 * self.n_free
 
+    @property
+    def at_wall(self) -> bool:
+        """Whether a free level ends at the alpha = gamma wall, with
+        |gamma - alpha| under ``_WALL_RTOL`` gamma."""
+        for level, regime in self.spec.branch_regimes.items():
+            law = self.spec.frailty_params(level)
+            if regime.kind == "free" and abs(law.gamma - law.alpha) < _WALL_RTOL * law.gamma:
+                return True
+        return False
+
 
 def pinned_result(spec: ModelSpec, loglik: float = math.nan) -> FitResult:
     """FitResult wrapper around fully known parameters (nothing estimated).
@@ -425,8 +438,7 @@ def fit(spec: ModelSpec, data: CurrentStatusDataset, init=None,
     def evaluate(theta) -> Tuple[float, np.ndarray, np.ndarray]:
         value = math.inf
         with contextlib.suppress(*_INFEASIBLE):
-            value, grad, scores = ws.loglik_and_score(layout, theta)
-            bhhh = scores.T @ (scores * ws.weights[:, None])
+            value, grad, bhhh = ws.loglik_and_score(layout, theta)
         # a finite J has a finite G, and so a finite score
         if math.isfinite(value) and np.all(np.isfinite(bhhh)):
             return -value, -grad, bhhh

@@ -27,13 +27,19 @@ alpha, gamma, mu and s, from the same exponentials and in one form that
 divides by neither alpha nor alpha - gamma, and
 :func:`log_laplace_second_partials` adds the second partials in (mu s,
 alpha, gamma) under the same rule.  The branch arithmetic of log L is
-written once, in ``_log_laplace_terms``, which all three share.
+written once, in ``_log_laplace_terms``, which all three share.  Each of
+the three takes ``out``, a list of work arrays that it writes into and
+keeps for the next call (``_arrays``): a caller that passes one list to
+every call, as each level of a ``LikelihoodWorkspace`` does, allocates on
+its first calls only, and the results are among the list's arrays until
+the next call.  Without it every array is new, with the same numbers.
 ``_log_laplace_inverse`` solves log L(s) = y for s in closed form, which
 the fit's start uses to match a baseline to an event fraction.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -194,36 +200,63 @@ def classify_branch(p: AddamsParameters) -> FrailtyBranch:
 # Laplace transform
 # ---------------------------------------------------------------------------
 
-def _log_laplace_terms(a: float, g: float, m: float, s_arr: np.ndarray):
+def _arrays(out, n: int, keep=()):
+    """The kernels' work arrays of ``n`` floats, one per ``next``: those of
+    the list ``out`` in turn, but any that holds one of the arrays ``keep``
+    (None entries aside), with new ones appended to it where it runs short;
+    or new arrays where ``out`` is None.  A caller that passes the same list
+    to every call allocates on its first calls only."""
+    if out is None:
+        return map(np.empty, itertools.repeat(n))
+    return _kept_arrays(out, n, [k for k in keep if k is not None])
+
+
+def _kept_arrays(out: list, n: int, keep: list):
+    """:func:`_arrays` of a list ``out``."""
+    for i in itertools.count():
+        if i == len(out):
+            out.append(np.empty(n))
+        elif out[i].shape != (n,):
+            out[i] = np.empty(n)
+        if not any(np.may_share_memory(out[i], k) for k in keep):
+            yield out[i]
+
+
+def _log_laplace_terms(a: float, g: float, m: float, s_arr: np.ndarray, arrays):
     """log L at the flat ``s_arr``, with L(0) = 1 exactly, and the terms of
     its branch that :func:`_first_order` reuses: (g m s,) in the gamma
     limit, and with x = alpha mu s, (x, expm1(x), (g/a) expm1(x)) for
     alpha < 0 and (x, expm1(-x), exp(-x), 1 + q) for alpha > 0,
-    1 + q = exp(-x) - (g/a) expm1(-x)."""
+    1 + q = exp(-x) - (g/a) expm1(-x).  Every array is the result of a
+    ufunc whose ``out`` is taken from ``arrays`` (:func:`_arrays`, or None
+    for a new array)."""
     if _is_gamma_limit(a, g):
-        gms = g * m * s_arr
-        out = np.log1p(gms)
+        gms = np.multiply(s_arr, g * m, out=next(arrays))
+        out = np.log1p(gms, out=next(arrays))
         out /= -g
         terms = (gms,)
     else:
-        x = a * m * s_arr
+        x = np.multiply(s_arr, a * m, out=next(arrays))
         if a < 0:
             # A = exp(-x) (1 + (g/a) expm1(x)) with x <= 0: exp(-x) may
             # overflow, so take log A = -x + log1p((g/a) expm1(x)), a sum of
             # two terms >= 0 that loses nothing at any x
-            e = np.expm1(x)
-            y = (g / a) * e
-            out = np.log1p(y)
+            e = np.expm1(x, out=next(arrays))
+            y = np.multiply(e, g / a, out=next(arrays))
+            out = np.log1p(y, out=next(arrays))
             out -= x
             out /= a - g
             terms = (x, e, y)
         else:
-            em = np.expm1(-x)
-            ex = np.exp(-x)
-            one_plus_q = ex - (g / a) * em
+            em = np.negative(x, out=next(arrays))
+            np.expm1(em, out=em)
+            ex = np.negative(x, out=next(arrays))
+            np.exp(ex, out=ex)
+            one_plus_q = np.multiply(em, g / a, out=next(arrays))
+            np.subtract(ex, one_plus_q, out=one_plus_q)
             terms = (x, em, ex, one_plus_q)
             if a == g:
-                out = em / g    # the Poisson member
+                out = np.divide(em, g, out=next(arrays))    # the Poisson member
             else:
                 # A = 1 + c with c = ((a - g)/a) expm1(-x): where c is small,
                 # log1p keeps the digits that log(A) loses at small x and that
@@ -231,25 +264,34 @@ def _log_laplace_terms(a: float, g: float, m: float, s_arr: np.ndarray):
                 # |c| < 0.5, as (log1p(c) - c) / (a - g) + expm1(-x) / a, and no
                 # subnormal c (near a = g at tiny s) is divided; beyond, the
                 # log of the sum of positive terms, 1 + q, loses nothing
-                correction = ((a - g) / a) * em
-                near = np.log1p(correction)
+                correction = np.multiply(em, (a - g) / a, out=next(arrays))
+                near = np.log1p(correction, out=next(arrays))
                 near -= correction
                 near /= a - g
-                near += em / a
-                out = np.log(one_plus_q)
+                out = np.divide(em, a, out=next(arrays))
+                near += out
+                out = np.log(one_plus_q, out=out)
                 out /= a - g
-                np.copyto(out, near, where=np.abs(correction) < 0.5)
+                np.copyto(out, near, where=np.abs(correction, out=correction) < 0.5)
     out[s_arr == 0.0] = 0.0     # L(0) = 1 exactly
     return out, terms
 
 
-def log_laplace(p: AddamsParameters, s):
-    """log L(s) of the family, valid for scalar or array ``s >= 0``."""
+def log_laplace(p: AddamsParameters, s, out=None):
+    """log L(s) of the family, valid for scalar or array ``s >= 0``.
+
+    ``out``, a list, holds the work arrays (:func:`_arrays`) and keeps them
+    for the next call; the result is one of them, which that call
+    overwrites.  Without it every array is new.
+    """
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr < 0):
         raise InvalidParameters("Laplace transform argument must be >= 0")
-    out = _log_laplace_terms(p.alpha, p.gamma, p.mu, s_arr.reshape(-1))[0]
-    return float(out[0]) if np.isscalar(s) or np.ndim(s) == 0 else out.reshape(s_arr.shape)
+    # without ``out`` each ufunc makes its own array (out=None), which
+    # costs less than np.empty in the analysis' many calls on a few entries
+    arrays = itertools.repeat(None) if out is None else _arrays(out, s_arr.size)
+    log_l = _log_laplace_terms(p.alpha, p.gamma, p.mu, s_arr.reshape(-1), arrays)[0]
+    return float(log_l[0]) if np.isscalar(s) or np.ndim(s) == 0 else log_l.reshape(s_arr.shape)
 
 
 # where log L(s) = y has no root (below the cure branches' plateau), the
@@ -337,6 +379,17 @@ _ALPHA_SERIES_X_SPAN = 0.1
 _ALPHA_SERIES_TERMS = 10
 
 
+def _polyval(x: np.ndarray, coefficients: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.polynomial.polynomial.polyval(x, coefficients)`` into ``out``,
+    by the same Horner steps and so bit for bit."""
+    np.multiply(x, 0, out=out)
+    out += coefficients[-1]
+    for c in coefficients[-2::-1]:
+        out *= x
+        out += c
+    return out
+
+
 def _alpha_series(a: float, g: float, second: bool = False):
     """c with d log L / d alpha = u^3 sum_n c_n u^n, u = mu s, and with
     ``second`` set also c2 with d^2 log L / d alpha^2 = u^4 sum_n c2_n u^n.
@@ -376,7 +429,7 @@ def _psi_limit(a: float, g: float) -> float:
     return -math.log1p(-c) / a if c < 1.0 else math.inf
 
 
-def log_laplace_partials(p: AddamsParameters, s, alpha: bool = True):
+def log_laplace_partials(p: AddamsParameters, s, alpha: bool = True, out=None):
     """log L(s) with its partials in alpha and gamma, and h, which gives those in mu and s.
 
     Returns ``(log_l, d_alpha, d_gamma, h)`` shaped like ``s``: ``log_l`` is
@@ -403,12 +456,13 @@ def log_laplace_partials(p: AddamsParameters, s, alpha: bool = True):
     is O(u^3) while its two terms are O(u^2), as the power series of
     :func:`_alpha_series` where gamma u <= 1e-2 and |alpha| u <= 0.1.
     Without ``alpha`` (a caller whose alpha does not move), d_alpha is None
-    and is not computed.
+    and is not computed.  ``out`` is :func:`log_laplace`'s.
     """
     shape = np.shape(s)
     s_arr = np.asarray(s, dtype=float).reshape(-1)
     s_min = _positive_min(s_arr)
-    log_l, h, t, lead, d_gamma = _first_order(p, s_arr, s_min, alpha)
+    arrays = _arrays(out, s_arr.size)
+    log_l, h, t, lead, d_gamma, _ = _first_order(p, s_arr, s_min, alpha, arrays)
     d_alpha = _alpha_partial(p, s_arr, s_min, lead, d_gamma, out=lead) if alpha else None
     return tuple(None if v is None else v.reshape(shape) for v in (log_l, d_alpha, d_gamma, h))
 
@@ -425,42 +479,46 @@ def _positive_min(s_arr: np.ndarray) -> float:
     return s_min
 
 
-def _first_order(p: AddamsParameters, s_arr: np.ndarray, s_min: float, alpha: bool):
-    """(log_l, h, t, lead, d_gamma) of :func:`log_laplace_partials`, flat,
-    with t = -q / ((1 + q) D) = h expm1(x) / alpha and lead = h (expm1(x) - x) /
-    alpha^2, or None without ``alpha``."""
+def _first_order(p: AddamsParameters, s_arr: np.ndarray, s_min: float, alpha: bool, arrays):
+    """(log_l, h, t, lead, d_gamma, terms) of :func:`log_laplace_partials`,
+    flat, with t = -q / ((1 + q) D) = h expm1(x) / alpha, lead = h (expm1(x)
+    - x) / alpha^2, or None without ``alpha``, and the ``terms`` of
+    :func:`_log_laplace_terms` but in the gamma limit, where its one term
+    has become h; every array is taken from ``arrays``."""
     a, g, m = p.alpha, p.gamma, p.mu
     d = a - g
     gamma_limit = _is_gamma_limit(a, g)
-    log_l, terms = _log_laplace_terms(a, g, m, s_arr)
+    log_l, terms = _log_laplace_terms(a, g, m, s_arr, arrays)
     lead = None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if gamma_limit:
-            gms, = terms
-            u = m * s_arr
-            h = 1.0 / (1.0 + gms)
-            t = u * h
+            h, = terms      # 1 / (1 + g m s)
+            h += 1.0
+            np.divide(1.0, h, out=h)
+            u = np.multiply(s_arr, m, out=next(arrays))
+            t = np.multiply(u, h, out=next(arrays))
             if alpha:
-                lead = 0.5 * u * t
+                lead = np.multiply(u, 0.5, out=next(arrays))
+                lead *= t
         else:
             x = terms[0]
             if a < 0.0:
                 _, e, h = terms
                 h += 1.0        # 1 + (g/a) expm1(x)
                 h = np.reciprocal(h, out=h)
-                t = e * h
+                t = np.multiply(e, h, out=next(arrays))
                 t /= a
                 if alpha:
-                    lead = e - x
+                    lead = np.subtract(e, x, out=next(arrays))
                     lead *= h
             else:
                 _, em, ex, one_plus_q = terms   # 1 + q, a sum of two terms >= 0
-                h = ex / one_plus_q
-                t = em / one_plus_q
+                h = np.divide(ex, one_plus_q, out=next(arrays))
+                t = np.divide(em, one_plus_q, out=next(arrays))
                 t /= -a
                 if alpha:
                     # h (expm1(x) - x) = -(expm1(-x) + x exp(-x)) / (1 + q)
-                    lead = x * ex
+                    lead = np.multiply(x, ex, out=next(arrays))
                     lead += em
                     lead /= one_plus_q
                     lead *= -1.0
@@ -473,18 +531,17 @@ def _first_order(p: AddamsParameters, s_arr: np.ndarray, s_min: float, alpha: bo
                     v = m * s_arr[small]
                     lead[small] = v * v * h[small] * np.polynomial.polynomial.polyval(
                         a * v, _PHI2_SERIES)
+        d_gamma = next(arrays)
         if d:
-            d_gamma = log_l + t
+            np.add(log_l, t, out=d_gamma)
             d_gamma *= 1.0 / d
-        else:
-            d_gamma = np.empty_like(s_arr)
         limit = _psi_limit(a, g) / m
         if s_min < limit:
             small = s_arr < limit
             v = m * s_arr[small]
             r = -v if gamma_limit else np.expm1(-a * v) / a
             d_gamma[small] = r * r * np.polynomial.polynomial.polyval(d * r, _PSI_SERIES)
-    return log_l, h, t, lead, d_gamma
+    return log_l, h, t, lead, d_gamma, terms
 
 
 def _alpha_series_limit(p: AddamsParameters) -> float:
@@ -519,7 +576,7 @@ def _conditional_var(p: AddamsParameters, s_arr: np.ndarray, h: np.ndarray) -> n
     return m * m * h * (a - (a - g) * h)
 
 
-def log_laplace_second_partials(p: AddamsParameters, s, alpha: bool = True):
+def log_laplace_second_partials(p: AddamsParameters, s, alpha: bool = True, out=None):
     """log L(s) with its first and second partials in (u = mu s, alpha, gamma).
 
     Returns ``(first, second)``: ``first`` is :func:`log_laplace_partials`'
@@ -545,6 +602,7 @@ def log_laplace_second_partials(p: AddamsParameters, s, alpha: bool = True):
     while their difference stays bounded, so beyond the series M - D lead^2
     is taken as (h / alpha^2)^2 B, B = alpha (2 x e^x - expm1(2x)) +
     gamma (x e^x x - expm1(x)^2), which is D at x = -inf.
+    ``out`` is :func:`log_laplace`'s.
     """
     shape = np.shape(s)
     s_arr = np.asarray(s, dtype=float).reshape(-1)
@@ -552,99 +610,126 @@ def log_laplace_second_partials(p: AddamsParameters, s, alpha: bool = True):
     d = a - g
     gamma_limit = _is_gamma_limit(a, g)
     s_min = _positive_min(s_arr)
-    log_l, h, t, lead, d_gamma = _first_order(p, s_arr, s_min, alpha)
-    d_alpha = _alpha_partial(p, s_arr, s_min, lead, d_gamma) if alpha else None
-    ug = h * t
+    arrays = _arrays(out, s_arr.size)
+    log_l, h, t, lead, d_gamma, terms = _first_order(p, s_arr, s_min, alpha, arrays)
+    d_alpha = _alpha_partial(p, s_arr, s_min, lead, d_gamma, out=next(arrays)) if alpha else None
+    ug = np.multiply(h, t, out=next(arrays))
+    work = next(arrays)     # each product's factor before it is applied
     ua = aa = ag = None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        gg = next(arrays)
         if d:
-            gg = 2.0 * d_gamma
-            gg -= t * t
+            np.multiply(d_gamma, 2.0, out=gg)
+            gg -= np.multiply(t, t, out=work)
             gg /= d
-        else:
-            gg = np.empty_like(s_arr)
+        # each series region's series is summed over every entry, in ``v``,
+        # ``y`` and ``series``, and kept where s is in the region: the same
+        # numbers as over the region alone, in arrays of the full size
+        v, y, series = next(arrays), next(arrays), next(arrays)
         limit = _psi_limit(a, g) / m
         if s_min < limit:
-            small = s_arr < limit
-            v = m * s_arr[small]
-            r = -v if gamma_limit else np.expm1(-a * v) / a
-            gg[small] = r * r * r * np.polynomial.polynomial.polyval(d * r, _KPP_SERIES)
+            r = np.multiply(s_arr, m, out=v)
+            if gamma_limit:
+                np.negative(r, out=r)
+            else:
+                np.expm1(np.multiply(r, -a, out=r), out=r)
+                r /= a
+            _polyval(np.multiply(r, d, out=y), _KPP_SERIES, series)
+            np.multiply(r, r, out=y)
+            y *= r
+            y *= series
+            np.copyto(gg, y, where=s_arr < limit)
         if gamma_limit:
-            uu = g * h * h
+            uu = np.multiply(h, g, out=next(arrays))
+            uu *= h
             if alpha:
                 # M = -u^2 t / 3 and lead = u t / 2
-                u = m * s_arr
-                ua = 0.5 * g * t * t
-                aa = u * u
+                u = np.multiply(s_arr, m, out=next(arrays))
+                ua = np.multiply(t, 0.5 * g, out=next(arrays))
+                ua *= t
+                aa = np.multiply(u, u, out=u)
                 aa *= t
-                aa *= -(1.0 / 3.0 + 0.25 * d * t)
+                np.multiply(t, 0.25 * d, out=work)
+                work += 1.0 / 3.0
+                aa *= np.negative(work, out=work)
         else:
-            x = a * m * s_arr
+            x = terms[0]    # alpha mu s
             if a < 0.0:
-                ex = np.exp(x)
-                g_hh = h * h
+                e = terms[1]    # expm1(x)
+                ex = np.exp(x, out=next(arrays))
+                g_hh = np.multiply(h, h, out=next(arrays))
                 g_hh *= g
-                uu = g_hh * ex
+                uu = np.multiply(g_hh, ex, out=next(arrays))
                 if alpha:
-                    e = np.expm1(x)
-                    xe = x * ex
-                    ua = xe - e
+                    xe = np.multiply(x, ex, out=ex)
+                    ua = np.subtract(xe, e, out=next(arrays))
                     ua *= g_hh
-                    aa = 2.0 * xe
-                    aa -= np.expm1(2.0 * x)
+                    aa = np.multiply(xe, 2.0, out=next(arrays))
+                    aa -= np.expm1(np.multiply(x, 2.0, out=work), out=work)
                     aa *= a
                     xe *= x
-                    xe -= e * e
+                    xe -= np.multiply(e, e, out=work)
                     xe *= g
                     aa += xe
-                    hc = h / a
+                    hc = np.divide(h, a, out=g_hh)
                     hc /= a
                     aa *= hc
                     aa *= hc
             else:
-                uu = h * (a - d * h)
+                np.multiply(h, d, out=work)
+                uu = np.multiply(h, np.subtract(a, work, out=work), out=next(arrays))
                 if alpha:
-                    em = np.expm1(-x)
-                    ex = np.exp(-x)
-                    ua = x + em
+                    _, em, ex, _ = terms    # expm1(-x), exp(-x)
+                    ua = np.add(x, em, out=next(arrays))
                     ua *= uu
-                    aa = x * ex
-                    aa *= x + 2.0
-                    aa += 2.0 * em
-                    aa /= ex - (g / a) * em
+                    aa = np.multiply(x, ex, out=next(arrays))
+                    aa *= np.add(x, 2.0, out=work)
+                    aa += np.multiply(em, 2.0, out=work)
+                    np.multiply(em, g / a, out=work)
+                    aa /= np.subtract(ex, work, out=work)
                     aa /= a     # thrice: alpha^3 underflows for |alpha| < 1e-103
                     aa /= a
                     aa /= a
-                    aa -= d * lead * lead
+                    np.multiply(lead, d, out=work)
+                    work *= lead
+                    aa -= work
             if alpha:
                 ua /= a
                 ua /= a
                 limit = _PHI2_SPAN / abs(a) / m
                 if s_min < limit:
-                    small = s_arr < limit
-                    v = m * s_arr[small]
-                    ua[small] = uu[small] * v * v * np.polynomial.polynomial.polyval(
-                        -a * v, _PHI2_SERIES)
+                    np.multiply(s_arr, m, out=v)
+                    _polyval(np.multiply(v, -a, out=y), _PHI2_SERIES, series)
+                    np.multiply(uu, v, out=y)
+                    y *= v
+                    y *= series
+                    np.copyto(ua, y, where=s_arr < limit)
                 limit = _E1PP_SPAN / abs(a) / m
                 if s_min < limit:
-                    small = s_arr < limit
-                    v = m * s_arr[small]
-                    lead_small = lead[small]
-                    aa[small] = -(v * v * v) * h[small] * np.exp(a * v) * \
-                        np.polynomial.polynomial.polyval(-a * v, _E1PP_SERIES) \
-                        - d * lead_small * lead_small
+                    np.multiply(s_arr, m, out=v)
+                    _polyval(np.multiply(v, -a, out=y), _E1PP_SERIES, series)
+                    np.multiply(v, v, out=y)
+                    y *= v
+                    np.negative(y, out=y)
+                    y *= h
+                    y *= np.exp(np.multiply(v, a, out=work), out=work)
+                    y *= series
+                    np.multiply(lead, d, out=work)
+                    work *= lead
+                    y -= work
+                    np.copyto(aa, y, where=s_arr < limit)
         if alpha:
-            ag = t * lead
-            aa += 2.0 * ag
+            ag = np.multiply(t, lead, out=t)    # t's last use
+            aa += np.multiply(ag, 2.0, out=work)
             aa += gg
             ag += gg
             ag *= -1.0
             limit = _alpha_series_limit(p)
             if s_min <= limit:
-                series = s_arr <= limit
-                v = m * s_arr[series]
-                aa[series] = v ** 4 * np.polynomial.polynomial.polyval(
-                    v, _alpha_series(a, g, second=True)[1])
+                np.multiply(s_arr, m, out=v)
+                _polyval(v, _alpha_series(a, g, second=True)[1], series)
+                series *= np.power(v, 4, out=y)
+                np.copyto(aa, series, where=s_arr <= limit)
     first = (log_l, d_alpha, d_gamma, h)
     second = (uu, ua, ug, aa, ag, gg)
     return tuple(tuple(None if v is None else v.reshape(shape) for v in group)

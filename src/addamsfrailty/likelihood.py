@@ -24,15 +24,17 @@ cluster probabilities.
 :meth:`LikelihoodWorkspace.total_loglik` gives the whole dataset's
 log-likelihood, and :func:`cluster_loglik` one cluster's.
 
-:meth:`LikelihoodWorkspace.loglik_and_score` also returns G, the
+:meth:`LikelihoodWorkspace.loglik_and_score` also forms G, the
 [clusters, free] matrix of each cluster's unweighted score g_i with
 respect to the free vector of an ``estimation.ParameterLayout``, from the
-same s-values and Laplace terms, and the score sum_i w_i g_i from it.  It
-builds no ModelSpec: at every pass, each level's law and link Jacobian,
-each rate-linear block's rates and each unit's beta are read from the
-layout's free vector and its ``spec0``, block by block through the
-``_sources`` that serves a value pass with a spec's own numbers.  With
-sign_A = (-1)^|A|, d log P_i / d Lambda of a cell sums sign_A L'(s_A) / P_i
+same s-values and Laplace terms, and returns the score sum_i w_i g_i and
+the BHHH matrix J = G' diag(w) G from it, with which ``estimation.fit``
+steers its trust region.  It builds no ModelSpec: at every pass, each
+level's law and link Jacobian, each rate-linear block's rates and each
+unit's beta are read from the layout's free vector and its ``spec0``,
+block by block through the ``_sources`` that serves a value pass with a
+spec's own numbers.  With sign_A = (-1)^|A|, d log P_i / d Lambda of a
+cell sums sign_A L'(s_A) / P_i
 over the terms that hold it, one product with the transposed incidence;
 the chain rule then runs through the baselines (exactly for rate-linear
 ones; a Weibull or generalized gamma baseline's ``cumulative`` is
@@ -45,8 +47,6 @@ per level gives log L(s) together with its closed-form partials in
 three per-cluster sums of the terms' partials through the link Jacobian
 blocks (``BranchRegime.jacobian``, which applies the regime pins), and a
 level pinned to the gamma limit computes no alpha partial.
-``estimation.fit`` steers its trust region with the BHHH matrix
-G' diag(w) G.
 
 With ``information=True`` the same pass also returns the observed
 information, the exact negated Hessian that ``estimation.fit`` takes its
@@ -55,7 +55,7 @@ standard errors from (no differenced score passes):
     -H = sum_i w_i g_i g_i' - sum_A (w_i T_A / P_i) (d2 l_A + d l_A d l_A'),
 
 with T_A = sign_A L(s_A), l_A = log L(s_A) and g_i the cluster's score,
-the first sum from G.  One ``family.log_laplace_second_partials`` call
+the first sum the pass's J.  One ``family.log_laplace_second_partials`` call
 per level gives log L and the first and second partials of l_A in
 (mu s, alpha, gamma); they are
 chained through the incidence (d s_A sums the d Lambda of A's cells), the
@@ -63,22 +63,42 @@ baselines (a rate-linear one's d2 Lambda / d theta_k^2 is
 d Lambda / d theta_k, a Weibull or generalized gamma one's second
 differences come from ``hazard._central_jacobian``), the covariate
 effects, the link Jacobian blocks and the link's own second derivatives.
+
+A pass allocates no float array of the data's size, but a Weibull or
+generalized gamma baseline's differenced hazards (bool masks are an
+eighth of the size).  Each level owns its work arrays by name
+(``_Level.buffer``): the cells' hazards and d log P / d Lambda, the
+terms' s-values, the cluster probabilities and d log P / d(alpha, gamma,
+mu), and work arrays of the cells and the terms.  The ``family`` kernels
+write log L and its first and second partials into the level's list of
+arrays (``_Level.laplace``), and the signed terms and T_A / P_i take log
+L's place; an information pass takes its k du_A directions and its term
+weights from the list's arrays that hold no result, and the cells'
+d Lambda along one direction at a time.  The workspace owns G and its
+weighted copy.  Each array is made by np.empty on the first pass that
+needs it, so a value-only workspace never holds a score array.  The
+incidence products add into those arrays through scipy's own kernels of
+``incidence @ x`` and ``incidence.T @ x``, so they add in the same order
+as the products.  A pass returns new arrays only for what its caller
+keeps: the gradient, J and -H.  G stays readable as the read-only
+:attr:`LikelihoodWorkspace.scores` until the next pass overwrites it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import List, Optional
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from .data import Cluster, CurrentStatusDataset
 from .errors import (DuplicateUnit, InvalidParameters, MissingCovariate, NonPositiveProbability,
                      UnknownUnit)
-from .family import log_laplace, log_laplace_partials, log_laplace_second_partials
+from .family import _arrays, log_laplace, log_laplace_partials, log_laplace_second_partials
 from .hazard import ModelSpec, _central_jacobian, _central_steps, _link_values
 
 __all__ = [
@@ -123,18 +143,66 @@ class _Block:
 
 @dataclass
 class _Level:
-    """The inclusion-exclusion terms of one stratum level's clusters."""
+    """The inclusion-exclusion terms of one stratum level's clusters, and
+    the work arrays of its passes."""
     name: str
     clusters: np.ndarray        # positions in the dataset's cluster order
     rows: object                # the same (``_rows``)
     blocks: List[_Block]
     incidence: sparse.csr_matrix    # [terms, cells] 0/1
-    incidence_t: sparse.csc_matrix  # its transpose, on the same arrays
+    # the two index arrays are np.intp, which np.add.at and np.take take uncast
     term_cluster: np.ndarray    # [terms] index into ``clusters``
     cell_cluster: np.ndarray    # [cells] each cell's cluster, a position in the dataset
     term_weights: np.ndarray    # [terms] their clusters' weights
     signs: np.ndarray           # [terms] (-1)^|A|
     constant: np.ndarray        # [clusters] 1.0 where the empty term is left out, else 0.0
+    # the pass's arrays by name, and the ``family`` kernels' list of them
+    buffers: dict = field(default_factory=dict, repr=False)
+    laplace: list = field(default_factory=list, repr=False)
+
+    def buffer(self, name, shape, order: str = "C") -> np.ndarray:
+        return _buffer(self.buffers, name, shape, order)
+
+    def term_sums(self, cell_values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``incidence @ cell_values``, each term's sum over its cells, into
+        ``out``: scipy's own kernel of that product, which adds into the
+        array it is given, in member order."""
+        return self._product(_sparsetools.csr_matvec, self.incidence.shape, cell_values, out)
+
+    def cell_sums(self, term_values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``incidence.T @ term_values``, each cell's sum over the terms
+        that hold it, into ``out``, by the kernel of that product."""
+        return self._product(_sparsetools.csc_matvec, self.incidence.shape[::-1], term_values,
+                             out)
+
+    def _product(self, kernel, shape, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # the kernel trusts its sizes, so they are checked here
+        if values.shape != shape[1:] or out.shape != shape[:1]:
+            raise ValueError(f"incidence product of shape {shape}: values {values.shape}, "
+                             f"out {out.shape}")
+        out.fill(0.0)
+        inc = self.incidence
+        kernel(*shape, inc.indptr, inc.indices, inc.data, values, out)
+        return out
+
+
+def _buffer(buffers: dict, name, shape, order: str = "C") -> np.ndarray:
+    """The work array ``name`` of ``buffers``, of ``shape`` and memory
+    ``order``, made by np.empty on its first use; every pass after that
+    writes into the same array."""
+    array = buffers.get(name)
+    if array is None or array.shape != shape:
+        array = buffers[name] = np.empty(shape, order=order)
+    return array
+
+
+def _add_rows(scores: np.ndarray, rows, col: int, values: np.ndarray):
+    """Adds ``values`` into G's column ``col`` at the clusters ``rows``
+    (``_rows``: a slice, or distinct positions)."""
+    if isinstance(rows, slice):
+        scores[rows, col] += values
+    else:
+        np.add.at(scores[:, col], rows, values)
 
 
 def _grid_key(baseline) -> Optional[tuple]:
@@ -243,7 +311,7 @@ def _terms(counts: np.ndarray, sizes: np.ndarray, firsts: np.ndarray, slotted: n
         signs[terms] = template_signs
         indptr[terms + 1] = member_start[idx][:, None] + ends
         indices[member_start[idx][:, None] + np.arange(cols.size)] = slotted[firsts[idx][:, None] + cols]
-    return np.repeat(np.arange(counts.size, dtype=np.int32), n_terms), signs, indptr, indices
+    return np.repeat(np.arange(counts.size, dtype=np.intp), n_terms), signs, indptr, indices
 
 
 class LikelihoodWorkspace:
@@ -261,6 +329,7 @@ class LikelihoodWorkspace:
         self.weights = data.weight
         self.cluster_ids = data.cluster_ids
         self.levels: List[_Level] = []
+        self._buffers = {}      # the pass's workspace-wide arrays, by name (``_buffer``)
         if self.n_clusters == 0:
             return
         slot, level_names, level = _slots_and_levels(spec, data)
@@ -317,8 +386,8 @@ class LikelihoodWorkspace:
             incidence = sparse.csr_matrix(
                 (np.ones(indices.size), indices, indptr), shape=(term_cluster.size, n_cells))
             self.levels.append(_Level(
-                name, clusters, _rows(clusters), blocks, incidence, incidence.T, term_cluster,
-                data.cluster[order[first:edges[-1]]].astype(np.int32),
+                name, clusters, _rows(clusters), blocks, incidence, term_cluster,
+                data.cluster[order[first:edges[-1]]],
                 data.weight[clusters][term_cluster], signs,
                 (counts[clusters] == sizes[clusters]).astype(float)))
         if repeated:
@@ -332,28 +401,36 @@ class LikelihoodWorkspace:
     def _hazards(self, level: _Level, sources):
         """One level's cell hazards, per block (baseline key, rates or
         baseline, exposure or None, covariate multipliers or None), and the
-        terms' s-values, from the level's ``_sources``."""
-        lam = np.empty(level.incidence.shape[1])
+        terms' s-values, from the level's ``_sources``, in its arrays."""
+        n_terms, n_cells = level.incidence.shape
+        lam = level.buffer("lam", (n_cells,))
         parts = []
         for block, (key, exposure, value, beta) in zip(level.blocks, sources):
+            cells = lam[block.cells]
             # np.dot, not @: matmul loops per element over an exponential
             # baseline's [n, 1] exposure, a view with a zero stride
-            base = value.cumulative(block.times) if exposure is None else np.dot(exposure, value)
+            if exposure is None:
+                cells[:] = value.cumulative(block.times)
+            else:
+                np.dot(exposure, value, out=cells)
             mult = None
             if beta is not None:
-                mult = np.exp(block.design @ beta)
-                base = base * mult
-            lam[block.cells] = base
+                mult = level.buffer("mult", (n_cells,))[block.cells]
+                np.exp(np.matmul(block.design, beta, out=mult), out=mult)
+                cells *= mult
             parts.append((key, value, exposure, mult))
-        return lam, parts, level.incidence @ lam
+        return lam, parts, level.term_sums(lam, level.buffer("svals", (n_terms,)))
 
     def _probabilities(self, level: _Level, log_l: np.ndarray):
-        """sign_A L(s_A) of the terms at their ``log_l``, the clamped cluster
-        probabilities, and the clamped clusters' mask or None."""
-        signed = np.exp(log_l) * level.signs
+        """sign_A L(s_A) of the terms at their ``log_l``, in place of
+        ``log_l``, the clamped cluster probabilities, in the level's array,
+        and the clamped clusters' mask or None."""
+        signed = np.exp(log_l, out=log_l)
+        signed *= level.signs
         # the constant, then each term in order: bit for bit the sum of a
         # layout that kept the empty terms
-        prob = level.constant.copy()
+        prob = level.buffer("prob", level.constant.shape)
+        np.copyto(prob, level.constant)
         np.add.at(prob, level.term_cluster, signed)
         bad = prob <= 0.0
         if not np.any(bad):
@@ -365,7 +442,8 @@ class LikelihoodWorkspace:
                 f"inclusion-exclusion sum {prob[worst]}"
             )
         diagnostics.clamped_probabilities += int(bad.sum())
-        return signed, np.where(bad, _CLAMP_VALUE, prob), bad
+        prob[bad] = _CLAMP_VALUE
+        return signed, prob, bad
 
     def cluster_logliks(self, spec: ModelSpec) -> np.ndarray:
         values = {key: baseline if _grid_key(baseline) is None else baseline.rate_vector
@@ -376,11 +454,22 @@ class LikelihoodWorkspace:
         for level in self.levels:
             params = spec.frailty_params(level.name)
             svals = self._hazards(level, _sources(level, spec, values, betas))[2]
-            out[level.clusters] = np.log(self._probabilities(level, log_laplace(params, svals))[1])
+            prob = self._probabilities(level, log_laplace(params, svals, out=level.laplace))[1]
+            out[level.clusters] = np.log(prob, out=prob)
         return out
 
     def total_loglik(self, spec: ModelSpec) -> float:
         return float(np.sum(self.weights * self.cluster_logliks(spec)))
+
+    @property
+    def scores(self) -> np.ndarray:
+        """G of the last score pass, [n_clusters, n_free], as a read-only
+        view of the workspace's array, which the next pass overwrites."""
+        if "scores" not in self._buffers:
+            raise AttributeError("no score pass has run on this workspace")
+        view = self._buffers["scores"].view()
+        view.flags.writeable = False
+        return view
 
     def _point(self, layout, theta_free) -> list:
         """What a pass reads at the free vector ``theta_free`` of ``layout``,
@@ -416,21 +505,29 @@ class LikelihoodWorkspace:
 
     def loglik_and_score(self, layout, theta_free, information: bool = False):
         """Weighted log-likelihood at ``layout.build_spec(theta_free)``, its
-        gradient with respect to ``theta_free`` and G, the [n_clusters,
-        n_free] unweighted per-cluster scores, of which the gradient is
-        ``weights @ G``; with ``information`` set, also the observed
-        information -H, the negated Hessian, from the same pass.
+        gradient with respect to ``theta_free`` and the BHHH matrix
+        J = G' diag(w) G of G, the [n_clusters, n_free] unweighted
+        per-cluster scores, of which the gradient is ``weights @ G``; with
+        ``information`` set, also the observed information -H, the negated
+        Hessian, from the same pass.
 
         The numbers are read from ``theta_free`` by :meth:`_point`; no spec
-        is built.  The value equals :meth:`total_loglik` at the same spec.  Clusters whose probability
-        was clamped contribute nothing to the score or the information, and
-        their rows of G are 0.
+        is built.  The value equals :meth:`total_loglik` at the same spec.
+        Clusters whose probability was clamped contribute nothing to the
+        score or the information, and their rows of G are 0.
+
+        The pass writes into arrays that the workspace and its levels own,
+        made on the first pass of each kind, and returns new arrays only for
+        what its caller keeps: the gradient, J and -H.  G is one of the
+        owned arrays: :attr:`scores` reads it until the next pass.
         """
         free = layout.free_mask
         # each entry's column of G; a pinned entry has none
         column = np.where(free, np.cumsum(free) - 1, -1)
-        per_cluster = np.zeros((self.n_clusters, layout.n_free), order="F")
-        out = np.empty(self.n_clusters)
+        shape = (self.n_clusters, layout.n_free)
+        per_cluster = _buffer(self._buffers, "scores", shape, "F")
+        per_cluster.fill(0.0)
+        out = _buffer(self._buffers, "logliks", (self.n_clusters,))
         if information:
             info = np.zeros((free.size, free.size))
         for level, (regime, x, params, jacobian, sources) in zip(
@@ -439,65 +536,99 @@ class LikelihoodWorkspace:
             alpha = regime.moves_alpha     # a pinned alpha skips its partials
             if information:
                 (log_l, d_alpha, d_gamma, h), second = log_laplace_second_partials(
-                    params, svals, alpha)
+                    params, svals, alpha, out=level.laplace)
             else:
-                log_l, d_alpha, d_gamma, h = log_laplace_partials(params, svals, alpha)
+                log_l, d_alpha, d_gamma, h = log_laplace_partials(
+                    params, svals, alpha, out=level.laplace)
             signed, prob, bad = self._probabilities(level, log_l)
-            out[level.clusters] = np.log(prob)
-            # d log P = dP / P: each term's T_A / P_i, 0 on a clamped cluster
-            ratio = signed / prob[level.term_cluster]
+            # d log P = dP / P: each term's T_A / P_i, 0 on a clamped cluster,
+            # in place of T_A
+            ratio = np.divide(signed, np.take(prob, level.term_cluster, out=level.buffer(
+                "term_work", signed.shape)), out=signed)
             if bad is not None:
                 ratio[bad[level.term_cluster]] = 0.0
+            out[level.clusters] = np.log(prob, out=prob)
             dl_cells, d_frailty = self._level_scores(
                 layout, level, jacobian, lam, parts, svals, ratio, params.mu,
                 (h, d_alpha, d_gamma), column, per_cluster)
             if information:
+                # w_i dl_j, in place of dl_j
+                dl_cells *= np.take(self.weights, level.cell_cluster,
+                                    out=level.buffer("cell_work", dl_cells.shape))
                 info += self._level_curvature(
                     layout, level, x, params, jacobian, lam, parts, svals,
-                    ratio * level.term_weights, dl_cells * self.weights[level.cell_cluster],
-                    self.weights[level.clusters] @ d_frailty, (-h, d_alpha, d_gamma), second)
-        value, grad = float(np.sum(self.weights * out)), self.weights @ per_cluster
+                    np.multiply(ratio, level.term_weights, out=ratio), dl_cells,
+                    self.weights[level.rows] @ d_frailty,
+                    (np.negative(h, out=h), d_alpha, d_gamma), second)
+        value = float(np.sum(np.multiply(self.weights, out, out=out)))
+        grad = self.weights @ per_cluster
+        # J = G' diag(w) G, its product taken as G.T @ (G * w[:, None])
+        weighted = np.multiply(per_cluster, self.weights[:, None],
+                               out=_buffer(self._buffers, "weighted_scores", shape, "F"))
+        bhhh = per_cluster.T @ weighted
         if not information:
-            return value, grad, per_cluster
+            return value, grad, bhhh
         # sum_i w_i g_i g_i' from G, and the whole made exactly symmetric
-        info = per_cluster.T @ (per_cluster * self.weights[:, None]) + info[np.ix_(free, free)]
-        return value, grad, per_cluster, 0.5 * (info + info.T)
+        info = bhhh + info[np.ix_(free, free)]
+        return value, grad, bhhh, 0.5 * (info + info.T)
 
     def _level_scores(self, layout, level, jacobian, lam, parts, svals, ratio, mu,
                       first, column, per_cluster):
         """Adds one level's rows of G, its clusters' unweighted scores, into
         the ``column``s of ``per_cluster`` (-1 for a pinned entry), and
         returns each cell's d log P_i / d Lambda_j and the [clusters, 3]
-        d log P_i / d(alpha, gamma, mu).  ``ratio`` is T_A / P_i, 0 on a
-        clamped cluster, and ``first`` the terms' (h, d alpha, d gamma)
-        partials of log L.  A unit block holds at most one cell per
-        cluster, so each of its columns adds into distinct rows."""
+        d log P_i / d(alpha, gamma, mu), in the level's arrays.  ``ratio``
+        is T_A / P_i, 0 on a clamped cluster, and ``first`` the terms' (h,
+        d alpha, d gamma) partials of log L.  A unit block holds at most one
+        cell per cluster, so each of its columns adds into distinct rows."""
         h, d_alpha, d_gamma = first
-        ratio_h = ratio * h
+        n_cells = lam.size
+        terms = np.multiply(ratio, h, out=level.buffer("term_work", ratio.shape))
         # d log L / ds = -mu h, and d s_A / d Lambda_j = 1 for each cell j of A
-        dl_cells = level.incidence_t @ ratio_h * -mu
+        dl_cells = level.cell_sums(terms, level.buffer("dl_cells", (n_cells,)))
+        dl_cells *= -mu
+        factors, products = (level.buffer(name, (n_cells,)) for name in ("cell_work", "products"))
         for block, (key, value, exposure, mult) in zip(level.blocks, parts):
-            dl = dl_cells[block.cells]
-            d_base = exposure * value if exposure is not None else _parametric_jacobian(
-                value, block.times).T
-            columns = [(layout.baseline_slices[key].start, d_base, dl if mult is None else dl * mult)]
+            dl, product = dl_cells[block.cells], products[block.cells]
+            dl_base = dl if mult is None else np.multiply(dl, mult, out=factors[block.cells])
+            # each column's d Lambda / d theta_k: the exposure times the rate
+            # for a rate-linear baseline
+            d_base = None if exposure is not None else _parametric_jacobian(value, block.times).T
+            start = layout.baseline_slices[key].start
+            n_params = (exposure if d_base is None else d_base).shape[1]
+            for i, col in enumerate(column[start:start + n_params].tolist()):
+                if col < 0:
+                    continue
+                if d_base is None:
+                    np.multiply(exposure[:, i], value[i], out=product)
+                    product *= dl_base
+                else:
+                    np.multiply(dl_base, d_base[:, i], out=product)
+                _add_rows(per_cluster, block.rows, col, product)
             if block.design is not None:
-                columns.append((layout.beta_slices[block.unit].start, block.design,
-                                dl * lam[block.cells]))
-            for start, partials, dl_block in columns:
-                for i, col in enumerate(column[start:start + partials.shape[1]].tolist()):
+                dl_beta = np.multiply(dl, lam[block.cells], out=factors[block.cells])
+                start = layout.beta_slices[block.unit].start
+                for i, col in enumerate(column[start:start + block.design.shape[1]].tolist()):
                     if col >= 0:
-                        per_cluster[block.rows, col] += dl_block * partials[:, i]
-        # the clusters' d log P / d(alpha, gamma, mu), with d log L / d mu = -s h
-        d_frailty = np.zeros((level.clusters.size, 3))
-        for j, partial in enumerate((d_alpha, d_gamma, -svals * h)):
+                        _add_rows(per_cluster, block.rows, col,
+                                  np.multiply(dl_beta, block.design[:, i], out=product))
+        # the clusters' d log P / d(alpha, gamma, mu), with d log L / d mu = -s h;
+        # each column adds its terms in order, as np.bincount would
+        d_frailty = level.buffer("d_frailty", (level.clusters.size, 3))
+        d_frailty.fill(0.0)
+        for j, partial in enumerate((d_alpha, d_gamma)):
             if partial is not None:
-                d_frailty[:, j] = np.bincount(level.term_cluster, weights=ratio * partial,
-                                              minlength=level.clusters.size)
+                np.add.at(d_frailty[:, j], level.term_cluster,
+                          np.multiply(ratio, partial, out=terms))
+        d_mu = np.negative(svals, out=terms)
+        d_mu *= h
+        np.add.at(d_frailty[:, 2], level.term_cluster, np.multiply(ratio, d_mu, out=d_mu))
+        chained = level.buffer("chained", (level.clusters.size,))
         for name, sl in layout.link_slices.items():
             for col, chain in zip(column[sl].tolist(), jacobian[name].T):
                 if col >= 0:
-                    per_cluster[level.rows, col] += d_frailty @ chain
+                    _add_rows(per_cluster, level.rows, col,
+                              np.matmul(d_frailty, chain, out=chained))
         return dl_cells, d_frailty
 
     def _level_curvature(self, layout, level, x, params, jacobian, lam, parts, svals,
@@ -515,8 +646,8 @@ class LikelihoodWorkspace:
         It is taken in a basis of k + 3 directions, the k parameters of
         the level's cell hazards and then d mu, d alpha and d gamma, where
         du_A = (mu d s_A, s_A, 0, 0).  Every product runs over one basis
-        direction at a time, on vectors of the terms: no [terms, p] matrix,
-        and never a [terms, p, p] array.
+        direction at a time, on vectors of the terms, in the level's
+        arrays: no [terms, p] matrix, and never a [terms, p, p] array.
         """
         n_full = layout.free_mask.size
         mu = params.mu
@@ -529,16 +660,32 @@ class LikelihoodWorkspace:
         basis[np.arange(k), cols] = 1.0
         for name, sl in layout.link_slices.items():
             basis[k:, sl] = jacobian[name][[2, 0, 1]]
-        # each cell's d Lambda, one basis direction at a time, and
+        # the kernel's arrays that hold none of its results serve as the
+        # terms' work arrays: du_A by direction, then two for the weights
+        n_terms, n_cells = level.incidence.shape
+        spare = _arrays(level.laplace, n_terms, keep=first + second + (signed,))
+        d_u = [next(spare) for _ in range(k)] + [svals]     # s_A = incidence @ Lambda
+        weight, weighted = next(spare), next(spare)
+        # the cells' d Lambda along one basis direction at a time, 0 off
+        # the direction's block
+        d_lam = level.buffer("cell_work", (n_cells,))
+
+        def direction(r):
+            # d2 u_A holds d mu d s_A' (below), with sum_A c_A f_u d s_A =
+            # d Lambda' dl / mu; and du_A = mu d s_A
+            curv[r, k] += dl_dlam @ d_lam / mu
+            level.term_sums(np.multiply(d_lam, mu, out=d_lam), d_u[r])
+
         # sum_j dl_j d2 Lambda_j with dl = dl_dlam; ``curv`` is filled on and
         # above its diagonal
-        d_lam = [np.zeros(lam.size) for _ in range(k)]
         curv = np.zeros((k + 3, k + 3))
-        for block, (key, baseline, exposure, mult) in zip(level.blocks, parts):
+        for j, (block, (key, baseline, exposure, mult)) in enumerate(zip(level.blocks, parts)):
             bs = where[layout.baseline_slices[key].start]
             dl = dl_dlam[block.cells]
             if exposure is not None:
-                d_base = exposure * baseline    # the rates
+                # the rates, in the exposure's own layout
+                d_base = np.multiply(exposure, baseline, out=level.buffer(
+                    ("d_base", j), exposure.shape, "F" if np.isfortran(exposure) else "C"))
                 second_base = None      # d2 Lambda / d theta_k^2 = d Lambda / d theta_k
             else:
                 steps = _central_steps(baseline.log_params)
@@ -547,10 +694,12 @@ class LikelihoodWorkspace:
                     lambda values, baseline=baseline, times=block.times: _parametric_jacobian(
                         baseline, times, values, steps), baseline.log_params, steps)
             if mult is not None:
-                d_base = d_base * mult[:, None]
+                d_base *= mult[:, None]
             p = d_base.shape[1]
             for i in range(p):
-                d_lam[bs + i][block.cells] = d_base[:, i]
+                d_lam.fill(0.0)
+                d_lam[block.cells] = d_base[:, i]
+                direction(bs + i)
             if second_base is None:
                 curv[range(bs, bs + p), range(bs, bs + p)] += dl @ d_base
             else:
@@ -560,36 +709,41 @@ class LikelihoodWorkspace:
                 design, cells_lam = block.design, lam[block.cells]
                 q = design.shape[1]
                 for i in range(q):
-                    d_lam[bb + i][block.cells] = design[:, i] * cells_lam
-                curv[bb:bb + q, bb:bb + q] += design.T @ (design * (dl * cells_lam)[:, None])
-                curv[bs:bs + p, bb:bb + q] += (dl[:, None] * d_base).T @ design
-        # sum_a f_a d2 z_a: d2 u_A = mu d2 s_A + d mu d s_A' + d s_A d mu' + s_A d2 mu,
-        # with sum_A c_A f_u d s_A = d Lambda' dl / mu
-        curv[:k, k] += [dl_dlam @ row / mu for row in d_lam]
-        # du_A by direction; s_A = incidence @ Lambda is ``svals``
-        d_u = [level.incidence @ (mu * row) for row in d_lam] + [svals]
+                    d_lam.fill(0.0)
+                    np.multiply(design[:, i], cells_lam, out=d_lam[block.cells])
+                    direction(bb + i)
+                dl_lam = np.multiply(dl, cells_lam, out=d_lam[block.cells])
+                curv[bb:bb + q, bb:bb + q] += design.T @ np.multiply(
+                    design, dl_lam[:, None], out=level.buffer(("design", j), design.shape))
+                dl_base = np.multiply(dl[:, None], d_base, out=d_base)
+                curv[bs:bs + p, bb:bb + q] += dl_base.T @ design
+        # sum_a f_a d2 z_a, d2 u_A = mu d2 s_A + d mu d s_A' + d s_A d mu' + s_A d2 mu,
+        # holds the first term (the loop) and the second (``direction``)
         f_u, f_alpha, f_gamma = first
         uu, ua, ug, aa, ag, gg = second
         # sum_A c_A (f_ab + f_a f_b) dz_a dz_b'; the alpha entries stay 0
         # when alpha does not move
-        weight = f_u * f_u
+        np.multiply(f_u, f_u, out=weight)
         weight += uu
         weight *= signed
         for j, column in enumerate(d_u):
-            weighted = column * weight
+            np.multiply(column, weight, out=weighted)
             curv[:j + 1, j] += [row @ weighted for row in d_u[:j + 1]]
-        weight = f_u * f_gamma
+        np.multiply(f_u, f_gamma, out=weight)
         weight += ug
         weight *= signed
         curv[:k + 1, k + 2] += [row @ weight for row in d_u]
-        curv[k + 2, k + 2] += signed @ (gg + f_gamma * f_gamma)
+        np.multiply(f_gamma, f_gamma, out=weighted)
+        curv[k + 2, k + 2] += signed @ np.add(gg, weighted, out=weighted)
         if f_alpha is not None:
-            weight = f_u * f_alpha
+            np.multiply(f_u, f_alpha, out=weight)
             weight += ua
             weight *= signed
             curv[:k + 1, k + 1] += [row @ weight for row in d_u]
-            curv[k + 1, k + 1] += signed @ (aa + f_alpha * f_alpha)
-            curv[k + 1, k + 2] += signed @ (ag + f_alpha * f_gamma)
+            np.multiply(f_alpha, f_alpha, out=weighted)
+            curv[k + 1, k + 1] += signed @ np.add(aa, weighted, out=weighted)
+            np.multiply(f_alpha, f_gamma, out=weighted)
+            curv[k + 1, k + 2] += signed @ np.add(ag, weighted, out=weighted)
         upper = np.triu_indices(k + 3, 1)
         curv[upper[::-1]] = curv[upper]
         info = -(basis.T @ curv @ basis)

@@ -52,6 +52,19 @@ class TestContainers:
         with pytest.raises(InvalidParameters):
             make_cluster(weight=0.0)
 
+    def test_event_at_time_zero_rejected(self, tmp_path):
+        # such a cluster has probability 0 under every model, and read_csv
+        # refuses the row: so no Cluster holds one, and write_csv writes no
+        # file that read_csv refuses
+        for time in (0.0, -0.0):
+            with pytest.raises(InvalidParameters, match="event at time 0"):
+                Cluster("c1", (UnitRecord("u1", time, 1), UnitRecord("u2", 3.0, 0)))
+        # a record at time 0 without an event is one like any other
+        data = CurrentStatusDataset(
+            (Cluster("c1", (UnitRecord("u1", 0.0, 0), UnitRecord("u2", 3.0, 1))),))
+        write_csv(data, tmp_path / "d.csv")
+        assert read_csv(tmp_path / "d.csv") == data
+
     @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
     def test_non_finite_time_rejected(self, time):
         with pytest.raises(InvalidParameters, match="must be finite"):

@@ -506,13 +506,15 @@ class TestFit:
         layout = ParameterLayout(spec)
         ws = LikelihoodWorkspace(spec, data)
         for theta, (value, grad, model) in fit_calls.points:
-            loglik, score, per_cluster = ws.loglik_and_score(layout, theta)
-            bhhh = per_cluster.T @ (per_cluster * data.weight[:, None])
+            loglik, score, bhhh = ws.loglik_and_score(layout, theta)
+            per_cluster = ws.scores.copy(order="K")
             assert model.tobytes() == bhhh.tobytes()
+            weighted = per_cluster * data.weight[:, None]
+            assert bhhh.tobytes() == (per_cluster.T @ weighted).tobytes()
             assert value == -loglik and grad.tobytes() == (-score).tobytes()
 
     def test_singular_bhhh_matrix_at_the_start_still_converges(self, monkeypatch):
-        # a G of zeros at the start: J = 0 there, and the trust region's
+        # a J of zeros at the start, as from a G of zeros, and the trust region's
         # first step runs to its radius along the negated gradient
         one_pass = LikelihoodWorkspace.loglik_and_score
         passes = []
@@ -810,6 +812,7 @@ class TestStop:
         result = analyze_design_fit(1835504127)
         assert result.stop == "gradient" and result.converged
         assert result.iterations == 10
+        assert not result.at_wall
 
     def test_iteration_limit(self):
         # a ridge: both rates run to about e^15 and stratum f's mu to 2e-8
@@ -827,6 +830,7 @@ class TestStop:
         assert result.gradient_norm == pytest.approx(0.083, abs=5e-4)
         law = result.spec.frailty_params("f")
         assert 0.0 < law.gamma - law.alpha < 1e-9
+        assert result.at_wall
 
     def test_gradient_is_read_before_the_iteration_limit(self):
         # this fit meets the bound at its 12th iteration: a limit of 12 reads
@@ -844,6 +848,13 @@ class TestStop:
 
     def test_nothing_fitted_has_no_stop(self):
         assert pinned_result(basic_spec()).stop is None
+        assert not pinned_result(basic_spec()).at_wall
+
+    def test_a_pinned_level_is_not_at_the_wall(self):
+        # a level pinned to the Poisson member has alpha = gamma by its pin
+        spec = dataclasses.replace(basic_spec(), branch_regimes={"a": BranchRegime("poisson")})
+        assert spec.frailty_params("a").alpha == spec.frailty_params("a").gamma
+        assert not pinned_result(spec).at_wall
 
 
 class TestDefaultStart:

@@ -25,10 +25,15 @@ from addamsfrailty.errors import (
     OutOfSupport,
 )
 from addamsfrailty.family import (
+    _E1PP_SERIES,
+    _KPP_SERIES,
     _NO_ROOT_TAIL,
+    _PHI2_SERIES,
     BranchKind,
+    _alpha_series,
     _count_law,
     _log_laplace_inverse,
+    _polyval,
     log_laplace_partials,
     log_laplace_second_partials,
 )
@@ -678,6 +683,69 @@ class TestLaplaceSecondPartials:
             finite = np.isfinite(second)
             assert finite[[0, 1, 2, 4, 5]].all(), (alpha, gamma)
             assert not np.isnan(second[3]).any(), (alpha, gamma)
+
+
+# (alpha, gamma, mu, alpha moves) of the ``out`` tests: the gamma limit, each
+# sign of alpha, the Poisson member, a binomial one, the alpha = 0 seam from
+# either side and the alpha = gamma seam from below (only binomial members
+# lie above it), and a pinned alpha
+OUT_CASES = [
+    (0.0, 2.0, 1.0, True), (-1.0, 5.0, 0.7, True), (1.2, 3.0, 0.8, True),
+    (3.0, 3.0, 1.0, True), (3.5, 3.0, 1.0, True), (-1e-9, 3.0, 1.0, True),
+    (1e-9, 3.0, 1.0, True), (3.0 * (1.0 - 1e-7), 3.0, 1.0, True),
+    (-1.0, 5.0, 0.7, False), (0.0, 2.0, 1.0, False), (3.0, 3.0, 1.0, False),
+]
+# s = 0 entries, and s in every series region and beyond
+OUT_S = np.array([0.0, 1e-300, 1e-12, 1e-6, 1e-3, 4e-3, 0.01, 0.03, 0.2, 0.6, 2.0, 7.0,
+                  0.0, 40.0, 300.0, 1e5])
+
+
+class TestOutArrays:
+    """The kernels write into the arrays of an ``out`` list, appending
+    arrays only where it runs short, and give the allocating calls' numbers
+    bit for bit."""
+
+    @classmethod
+    def flat(cls, result):
+        """The arrays of a kernel's (nested) result tuple, in order."""
+        if isinstance(result, tuple):
+            return [v for part in result for v in cls.flat(part)]
+        return [result]
+
+    def test_same_bits_as_the_allocating_calls(self):
+        out = []     # one list through every case, as a workspace level keeps it
+        for alpha, gamma, mu, moves in OUT_CASES:
+            p = AddamsParameters(alpha, gamma, mu)
+            for s in (OUT_S, OUT_S[::-1] * 3.0):
+                for kernel, args in ((log_laplace, ()), (log_laplace_partials, (moves,)),
+                                     (log_laplace_second_partials, (moves,))):
+                    expected = kernel(p, s, *args)
+                    got = kernel(p, s, *args, out=out)
+                    for e, g in zip(self.flat(expected), self.flat(got), strict=True):
+                        if e is None:
+                            assert g is None
+                            continue
+                        assert g.tobytes() == e.tobytes(), (kernel.__name__, alpha, gamma)
+                        # the result is one of the list's arrays
+                        assert any(np.shares_memory(g, a) for a in out)
+
+    def test_a_kept_list_allocates_nothing_more(self):
+        out = []
+        p = AddamsParameters(-1.0, 5.0, 0.7)
+        log_laplace_second_partials(p, OUT_S, out=out)
+        arrays = [id(a) for a in out]
+        for kernel in (log_laplace, log_laplace_partials, log_laplace_second_partials):
+            kernel(p, OUT_S * 2.0, out=out)
+        assert [id(a) for a in out] == arrays
+
+    def test_series_sums_are_numpys_bit_for_bit(self):
+        # the second partials' series are Horner sums written into an
+        # array, each against numpy's polyval, which they replace
+        x = np.concatenate([OUT_S, -OUT_S])
+        for c in (_KPP_SERIES, _PHI2_SERIES, _E1PP_SERIES,
+                  _alpha_series(-1.0, 5.0, second=True)[1]):
+            want = np.polynomial.polynomial.polyval(x, c)
+            assert _polyval(x, c, np.empty_like(x)).tobytes() == want.tobytes()
 
 
 class TestSupport:

@@ -909,21 +909,34 @@ class TestColumnarWorkspace:
         assert (tmp_path / "again.csv").read_bytes() == f.read_bytes()
 
 
-def all_event_data(rng, n):
-    """Clusters of one to three units, nine in ten records events, so that
-    most clusters are all events, weights from 0.5 to 2; then one all-event
-    cluster whose first event is at time 0, so that a kept term has s = 0
-    (its sum is exactly 0 and clamps), and ``clamped_data``'s clamped cluster."""
+def all_event_clusters(rng, n):
+    """(id, records, weight) of clusters of one to three units, nine in ten
+    records events, so that most clusters are all events, weights from 0.5
+    to 2; then one all-event cluster whose first event is at time 0, so that
+    a kept term has s = 0 (its sum is exactly 0 and clamps), and
+    ``clamped_data``'s clamped cluster."""
     clusters = []
     for i in range(n):
         units = [u for u in ("u1", "u2", "u3") if rng.random() < 0.7] or ["u1"]
         records = tuple(UnitRecord(u, float(rng.uniform(1.0, 70.0)), int(rng.random() < 0.9))
                         for u in units)
-        clusters.append(Cluster(f"c{i}", records, weight=float(rng.uniform(0.5, 2.0))))
-    at_zero = Cluster("at_zero", (UnitRecord("u1", 0.0, 1), UnitRecord("u2", 30.0, 1),
-                                  UnitRecord("u3", 12.0, 1)))
-    clamped = clamped_data(rng, 0).clusters
-    return CurrentStatusDataset(tuple(clusters) + (at_zero,) + clamped)
+        clusters.append((f"c{i}", records, float(rng.uniform(0.5, 2.0))))
+    at_zero = ("at_zero", (UnitRecord("u1", 0.0, 1), UnitRecord("u2", 30.0, 1),
+                           UnitRecord("u3", 12.0, 1)), 1.0)
+    clamped = [(c.cluster_id, c.records, c.weight) for c in clamped_data(rng, 0).clusters]
+    return clusters + [at_zero] + clamped
+
+
+def column_dataset(clusters):
+    """The dataset of (id, records, weight) ``clusters``, built from its
+    columns: ``Cluster`` refuses the time-0 event that ``from_rows`` keeps."""
+    units = ("u1", "u2", "u3")
+    rows = [(code, r) for code, (_, records, _) in enumerate(clusters) for r in records]
+    return CurrentStatusDataset.from_rows(
+        [cid for cid, _, _ in clusters], [None] * len(clusters), [w for _, _, w in clusters],
+        [code for code, _ in rows], units, [units.index(r.unit) for _, r in rows],
+        [r.time for _, r in rows], [r.event for _, r in rows], (),
+        np.zeros((len(rows), 0)), np.zeros((len(rows), 0), dtype=bool))
 
 
 class TestAllEventClusters:
@@ -935,14 +948,14 @@ class TestAllEventClusters:
     # one product, rate * t
     spec = score_spec(baseline=lambda i: ExponentialBaseline(0.06 + 0.02 * i))
 
-    def reference_logliks(self, data):
+    def reference_logliks(self, clusters):
         """log of each cluster's sum in ``_template`` order, from 1.0 for a
         cluster of events only, over s-values summed cell by cell."""
         rates = {u: self.spec.baselines[u].rate for u in self.spec.units}
         svals, terms = [], []
-        for c in data.clusters:
-            rest = [rates[r.unit] * r.time for r in c.records if r.event == 0]
-            events = [rates[r.unit] * r.time for r in c.records if r.event == 1]
+        for _, records, _ in clusters:
+            rest = [rates[r.unit] * r.time for r in records if r.event == 0]
+            events = [rates[r.unit] * r.time for r in records if r.event == 1]
             terms.append([])
             for i in range(0 if rest else 1, 1 << len(events)):
                 s = 0.0
@@ -952,22 +965,22 @@ class TestAllEventClusters:
                 svals.append(s)
         values = np.exp(log_laplace(self.spec.frailty_params("s"), np.array(svals)))
         probs = []
-        for c, cluster_terms in zip(data.clusters, terms):
-            prob = 1.0 if all(r.event == 1 for r in c.records) else 0.0
+        for (_, records, _), cluster_terms in zip(clusters, terms):
+            prob = 1.0 if all(r.event == 1 for r in records) else 0.0
             for t, sign in cluster_terms:
                 prob += float(values[t] * sign)
             probs.append(prob)
         return np.log(np.where(np.array(probs) <= 0.0, 1e-300, probs)), np.array(probs)
 
     def test_sums_start_from_one(self, rng):
-        data = all_event_data(rng, 150)
-        ws = LikelihoodWorkspace(self.spec, data)
+        clusters = all_event_clusters(rng, 150)
+        ws = LikelihoodWorkspace(self.spec, column_dataset(clusters))
         (level,) = ws.levels
         assert level.constant.mean() > 0.5
         assert level.term_cluster.size == sum(
-            (1 << sum(r.event for r in c.records)) - all(r.event for r in c.records)
-            for c in data.clusters)
-        reference, probs = self.reference_logliks(data)
+            (1 << sum(r.event for r in records)) - all(r.event for r in records)
+            for _, records, _ in clusters)
+        reference, probs = self.reference_logliks(clusters)
         before = likelihood.diagnostics.clamped_probabilities
         got = ws.cluster_logliks(self.spec)
         assert got.tobytes() == reference.tobytes()
@@ -978,13 +991,13 @@ class TestAllEventClusters:
         assert likelihood.diagnostics.clamped_probabilities - before == 2
 
     def test_score_and_information(self, rng):
-        data = all_event_data(rng, 150)
+        clusters = all_event_clusters(rng, 150)
+        data = column_dataset(clusters)
         TestScore().check(self.spec, data)
         # the clamped cluster's sum stops clamping within the information
         # reference's stencil (``TestInformation.test_clamped_cluster_contributes_nothing``):
         # the design is checked without it, and it adds nothing
-        layout, clean = TestInformation().check(
-            self.spec, CurrentStatusDataset(data.clusters[:-1]))
+        layout, clean = TestInformation().check(self.spec, column_dataset(clusters[:-1]))
         info = LikelihoodWorkspace(self.spec, data).loglik_and_score(
             layout, layout.free_vector(), information=True)[3]
         np.testing.assert_allclose(info, clean, rtol=0.0, atol=1e-13 * np.abs(clean).max())
@@ -1000,12 +1013,16 @@ class TestClusterScores:
         layout = ParameterLayout(spec)
         theta = layout.free_vector()
         ws = LikelihoodWorkspace(spec, data)
-        value, score, per_cluster = ws.loglik_and_score(layout, theta)
-        # the value, the score and G are the information pass's, bit for bit
+        value, score, bhhh = ws.loglik_and_score(layout, theta)
+        # G lives in the workspace until the next pass: a copy outlives it
+        per_cluster = ws.scores.copy(order="K")
+        assert per_cluster.shape == (len(data), theta.size)
+        assert bhhh.tobytes() == (per_cluster.T @ (per_cluster * ws.weights[:, None])).tobytes()
+        # the value, the score, G and J are the information pass's, bit for bit
         rich = ws.loglik_and_score(layout, theta, information=True)
         assert value == rich[0] and score.tobytes() == rich[1].tobytes()
-        assert per_cluster.tobytes() == rich[2].tobytes()
-        assert per_cluster.shape == (len(data), theta.size)
+        assert per_cluster.tobytes() == ws.scores.tobytes()
+        assert bhhh.tobytes() == rich[2].tobytes()
         np.testing.assert_allclose(ws.weights @ per_cluster, score, rtol=0.0,
                                    atol=rtol * np.abs(score).max())
 
@@ -1188,6 +1205,74 @@ class TestInformation:
         assert [len(c) for c in calls.values()] == [0, 0, len(GROUPING_STRATA)]
 
 
+def owned_arrays(ws):
+    """The ids of every work array a workspace and its levels hold."""
+    arrays = list(ws._buffers.values())
+    for level in ws.levels:
+        arrays += list(level.buffers.values()) + level.laplace
+    return {id(a) for a in arrays}
+
+
+class TestPassArrays:
+    """A pass writes into arrays that the workspace owns, made on the first
+    pass of each kind, and returns new arrays for what its caller keeps."""
+
+    @pytest.mark.parametrize("name", PASS_DESIGNS)
+    def test_returned_arrays_outlive_the_next_pass(self, name):
+        spec, data = pass_design(np.random.default_rng(5), name)
+        layout = ParameterLayout(spec)
+        ws = LikelihoodWorkspace(spec, data)
+        theta, other = layout.free_vector(), layout.default_init(data)
+        for information in (False, True):
+            first = ws.loglik_and_score(layout, theta, information=information)
+            kept = [np.array(a, copy=True) for a in first[1:]]
+            scores = ws.scores.copy(order="K")
+            logliks = ws.cluster_logliks(spec)
+            kept_logliks = logliks.copy()
+            second = ws.loglik_and_score(layout, other, information=information)
+            ws.cluster_logliks(layout.build_spec(other))
+            assert second[0] != first[0]
+            # the gradient, J and -H are the caller's: the next pass left them be
+            for got, copy in zip(first[1:], kept):
+                assert got.tobytes() == copy.tobytes()
+            assert logliks.tobytes() == kept_logliks.tobytes()
+            # G is the workspace's, and the next pass overwrote it
+            assert not np.array_equal(ws.scores, scores)
+            again = ws.loglik_and_score(layout, theta, information=information)
+            assert ws.scores.tobytes() == scores.tobytes()
+            for got, copy in zip(again[1:], kept):
+                assert got.tobytes() == copy.tobytes()
+
+    def test_scores_are_read_only(self, rng):
+        spec = score_spec()
+        layout = ParameterLayout(spec)
+        ws = LikelihoodWorkspace(spec, score_data(rng, 40))
+        with pytest.raises(AttributeError):
+            ws.scores
+        ws.loglik_and_score(layout, layout.free_vector())
+        with pytest.raises(ValueError):
+            ws.scores[0, 0] = 1.0
+
+    def test_arrays_are_made_on_the_first_pass_of_each_kind(self, rng):
+        spec = score_spec()
+        layout = ParameterLayout(spec)
+        theta = layout.free_vector()
+        ws = LikelihoodWorkspace(spec, score_data(rng, 60))
+        assert owned_arrays(ws) == set()
+        held = set()
+        for run in (lambda th: ws.total_loglik(layout.build_spec(th)),
+                    lambda th: ws.loglik_and_score(layout, th),
+                    lambda th: ws.loglik_and_score(layout, th, information=True)):
+            run(theta)
+            made = owned_arrays(ws)
+            # each kind of pass adds arrays, and a value pass holds no
+            # score arrays
+            assert made > held
+            run(theta * 1.01)
+            assert owned_arrays(ws) == made
+            held = made
+
+
 class TestPinnedAlpha:
     """A gamma-pinned stratum's alpha rows of ``frailty_jacobian`` are zero,
     so its passes compute no alpha partial."""
@@ -1204,15 +1289,16 @@ class TestPinnedAlpha:
         calls = []
         partials = likelihood.log_laplace_partials
 
-        def recorded(params, svals, alpha=True):
+        def recorded(params, svals, alpha=True, out=None):
             calls.append(alpha)
-            return partials(params, svals, alpha)
+            return partials(params, svals, alpha, out=out)
 
         monkeypatch.setattr(likelihood, "log_laplace_partials", recorded)
         for theta in (layout.free_vector(), layout.default_init(data)):
             value, score, _ = ws.loglik_and_score(layout, theta)
             monkeypatch.setattr(likelihood, "log_laplace_partials",
-                                lambda params, svals, alpha=True: partials(params, svals, True))
+                                lambda params, svals, alpha=True, out=None: partials(
+                                    params, svals, True, out=out))
             forced = ws.loglik_and_score(layout, theta)
             monkeypatch.setattr(likelihood, "log_laplace_partials", recorded)
             assert value == forced[0] and score.tobytes() == forced[1].tobytes()
@@ -1225,9 +1311,9 @@ class TestPinnedAlpha:
         calls = []
         second = likelihood.log_laplace_second_partials
 
-        def recorded(params, svals, alpha=True):
+        def recorded(params, svals, alpha=True, out=None):
             calls.append(alpha)
-            return second(params, svals, alpha)
+            return second(params, svals, alpha, out=out)
 
         monkeypatch.setattr(likelihood, "log_laplace_second_partials", recorded)
         ws.loglik_and_score(layout, layout.free_vector(), information=True)
