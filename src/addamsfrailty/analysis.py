@@ -284,15 +284,13 @@ def rc_table(fit: FitResult, strata: Optional[Sequence[str]] = None,
     return RCTable(reference=reference, rows=tuple(rows), pairs=tuple(pairs))
 
 
-def hr_within_table(fit: FitResult, strata: Optional[Sequence[str]] = None,
-                    k_max: int = 5) -> List[Dict]:
+def hr_within_table(fit: FitResult, k_max: int = 5) -> List[Dict]:
     """Adjacent-RC hazard ratios (k+1 vs k) per stratum with delta CIs.
 
     Continuous (gamma-limit) strata are skipped; the infinite ratio at
     k = 1 under a cure fraction is reported without a CI.
     """
-    link = fit.spec.frailty_link
-    strata = list(strata) if strata is not None else list(link.levels)
+    strata = list(fit.spec.frailty_link.levels)
     branches = _branches(fit.spec, strata)
     keys = [(lvl, k) for lvl in strata if branches[lvl].is_discrete
             for k in range(1, min(k_max, branches[lvl].n_support))]
@@ -314,8 +312,7 @@ _RFV_DOMAINS = {
 }
 
 
-def rfv_parameter_table(fit: FitResult,
-                        strata: Optional[Sequence[str]] = None) -> Dict[str, Dict[str, Optional[Estimate]]]:
+def rfv_parameter_table(fit: FitResult) -> Dict[str, Dict[str, Optional[Estimate]]]:
     """Frailty-law parameters per stratum with delta-method CIs.
 
     Rows hold alpha, gamma, mu plus the branch-derived scale (psi),
@@ -323,8 +320,7 @@ def rfv_parameter_table(fit: FitResult,
     trials (b) and Poisson rate (lambda_star).  Entries that do not
     apply to a branch are None.
     """
-    link = fit.spec.frailty_link
-    strata = list(strata) if strata is not None else list(link.levels)
+    strata = list(fit.spec.frailty_link.levels)
     branches = _branches(fit.spec, strata)
     entries = {
         (lvl, name): domain for lvl in strata for name, domain in _RFV_DOMAINS.items()

@@ -650,11 +650,10 @@ def transformed_ci(estimate: float, se: float, domain: str) -> Tuple[float, floa
     raise DomainViolation(f"unknown CI domain {domain!r}")
 
 
-def lrt(fit_null: FitResult, fit_alt: FitResult,
-        df: Optional[int] = None) -> Tuple[float, float]:
-    """Likelihood-ratio test of a pin-nested model pair."""
-    if df is None:
-        df = fit_alt.n_free - fit_null.n_free
+def lrt(fit_null: FitResult, fit_alt: FitResult) -> Tuple[float, float]:
+    """Likelihood-ratio test of a pin-nested model pair, on the difference
+    of their free-parameter counts."""
+    df = fit_alt.n_free - fit_null.n_free
     if df < 1:
         raise InvalidParameters("LRT needs at least one constrained parameter")
     stat = 2.0 * (fit_alt.loglik - fit_null.loglik)

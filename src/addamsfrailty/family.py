@@ -28,11 +28,11 @@ divides by neither alpha nor alpha - gamma, and
 :func:`log_laplace_second_partials` adds the second partials in (mu s,
 alpha, gamma) under the same rule.  The branch arithmetic of log L is
 written once, in ``_log_laplace_terms``, which all three share.  Each of
-the three takes ``out``, a list of work arrays that it writes into and
-keeps for the next call (``_arrays``): a caller that passes one list to
-every call, as each level of a ``LikelihoodWorkspace`` does, allocates on
-its first calls only, and the results are among the list's arrays until
-the next call.  Without it every array is new, with the same numbers.
+the three takes ``out``, an iterator of work arrays of the size of ``s``,
+and writes every array it returns or works in into the next of them: it
+only calls ``next`` on ``out``, so the caller owns the arrays, as each
+level of a ``LikelihoodWorkspace`` owns those of its passes.  Without it
+every array is new, with the same numbers.
 ``_log_laplace_inverse`` solves log L(s) = y for s in closed form, which
 the fit's start uses to match a baseline to an event fraction.
 """
@@ -200,36 +200,14 @@ def classify_branch(p: AddamsParameters) -> FrailtyBranch:
 # Laplace transform
 # ---------------------------------------------------------------------------
 
-def _arrays(out, n: int, keep=()):
-    """The kernels' work arrays of ``n`` floats, one per ``next``: those of
-    the list ``out`` in turn, but any that holds one of the arrays ``keep``
-    (None entries aside), with new ones appended to it where it runs short;
-    or new arrays where ``out`` is None.  A caller that passes the same list
-    to every call allocates on its first calls only."""
-    if out is None:
-        return map(np.empty, itertools.repeat(n))
-    return _kept_arrays(out, n, [k for k in keep if k is not None])
-
-
-def _kept_arrays(out: list, n: int, keep: list):
-    """:func:`_arrays` of a list ``out``."""
-    for i in itertools.count():
-        if i == len(out):
-            out.append(np.empty(n))
-        elif out[i].shape != (n,):
-            out[i] = np.empty(n)
-        if not any(np.may_share_memory(out[i], k) for k in keep):
-            yield out[i]
-
-
 def _log_laplace_terms(a: float, g: float, m: float, s_arr: np.ndarray, arrays):
     """log L at the flat ``s_arr``, with L(0) = 1 exactly, and the terms of
     its branch that :func:`_first_order` reuses: (g m s,) in the gamma
     limit, and with x = alpha mu s, (x, expm1(x), (g/a) expm1(x)) for
     alpha < 0 and (x, expm1(-x), exp(-x), 1 + q) for alpha > 0,
     1 + q = exp(-x) - (g/a) expm1(-x).  Every array is the result of a
-    ufunc whose ``out`` is taken from ``arrays`` (:func:`_arrays`, or None
-    for a new array)."""
+    ufunc whose ``out`` is the next of ``arrays`` (a work array, or None for
+    a new array)."""
     if _is_gamma_limit(a, g):
         gms = np.multiply(s_arr, g * m, out=next(arrays))
         out = np.log1p(gms, out=next(arrays))
@@ -280,16 +258,16 @@ def _log_laplace_terms(a: float, g: float, m: float, s_arr: np.ndarray, arrays):
 def log_laplace(p: AddamsParameters, s, out=None):
     """log L(s) of the family, valid for scalar or array ``s >= 0``.
 
-    ``out``, a list, holds the work arrays (:func:`_arrays`) and keeps them
-    for the next call; the result is one of them, which that call
-    overwrites.  Without it every array is new.
+    ``out``, an iterator of work arrays of the size of ``s``, gives every
+    array the call writes, the result among them; without it every array
+    is new.
     """
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr < 0):
         raise InvalidParameters("Laplace transform argument must be >= 0")
     # without ``out`` each ufunc makes its own array (out=None), which
     # costs less than np.empty in the analysis' many calls on a few entries
-    arrays = itertools.repeat(None) if out is None else _arrays(out, s_arr.size)
+    arrays = itertools.repeat(None) if out is None else out
     log_l = _log_laplace_terms(p.alpha, p.gamma, p.mu, s_arr.reshape(-1), arrays)[0]
     return float(log_l[0]) if np.isscalar(s) or np.ndim(s) == 0 else log_l.reshape(s_arr.shape)
 
@@ -461,7 +439,7 @@ def log_laplace_partials(p: AddamsParameters, s, alpha: bool = True, out=None):
     shape = np.shape(s)
     s_arr = np.asarray(s, dtype=float).reshape(-1)
     s_min = _positive_min(s_arr)
-    arrays = _arrays(out, s_arr.size)
+    arrays = map(np.empty, itertools.repeat(s_arr.size)) if out is None else out
     log_l, h, t, lead, d_gamma, _ = _first_order(p, s_arr, s_min, alpha, arrays)
     d_alpha = _alpha_partial(p, s_arr, s_min, lead, d_gamma, out=lead) if alpha else None
     return tuple(None if v is None else v.reshape(shape) for v in (log_l, d_alpha, d_gamma, h))
@@ -537,10 +515,19 @@ def _first_order(p: AddamsParameters, s_arr: np.ndarray, s_min: float, alpha: bo
             d_gamma *= 1.0 / d
         limit = _psi_limit(a, g) / m
         if s_min < limit:
+            # the series over the region's entries, in the heads of two work
+            # arrays: at alpha = gamma the region is every entry
             small = s_arr < limit
-            v = m * s_arr[small]
-            r = -v if gamma_limit else np.expm1(-a * v) / a
-            d_gamma[small] = r * r * np.polynomial.polynomial.polyval(d * r, _PSI_SERIES)
+            r = s_arr[small]
+            r *= m
+            if gamma_limit:
+                np.negative(r, out=r)
+            else:
+                np.expm1(np.multiply(r, -a, out=r), out=r)
+                r /= a
+            y, series = (next(arrays)[:r.size] for _ in range(2))
+            _polyval(np.multiply(r, d, out=y), _PSI_SERIES, series)
+            d_gamma[small] = np.multiply(np.multiply(r, r, out=y), series, out=y)
     return log_l, h, t, lead, d_gamma, terms
 
 
@@ -610,7 +597,7 @@ def log_laplace_second_partials(p: AddamsParameters, s, alpha: bool = True, out=
     d = a - g
     gamma_limit = _is_gamma_limit(a, g)
     s_min = _positive_min(s_arr)
-    arrays = _arrays(out, s_arr.size)
+    arrays = map(np.empty, itertools.repeat(s_arr.size)) if out is None else out
     log_l, h, t, lead, d_gamma, terms = _first_order(p, s_arr, s_min, alpha, arrays)
     d_alpha = _alpha_partial(p, s_arr, s_min, lead, d_gamma, out=next(arrays)) if alpha else None
     ug = np.multiply(h, t, out=next(arrays))

@@ -64,28 +64,32 @@ d Lambda / d theta_k, a Weibull or generalized gamma one's second
 differences come from ``hazard._central_jacobian``), the covariate
 effects, the link Jacobian blocks and the link's own second derivatives.
 
-A pass allocates no float array of the data's size, but a Weibull or
-generalized gamma baseline's differenced hazards (bool masks are an
-eighth of the size).  Each level owns its work arrays by name
-(``_Level.buffer``): the cells' hazards and d log P / d Lambda, the
-terms' s-values, the cluster probabilities and d log P / d(alpha, gamma,
-mu), and work arrays of the cells and the terms.  The ``family`` kernels
-write log L and its first and second partials into the level's list of
-arrays (``_Level.laplace``), and the signed terms and T_A / P_i take log
-L's place; an information pass takes its k du_A directions and its term
-weights from the list's arrays that hold no result, and the cells'
-d Lambda along one direction at a time.  The workspace owns G and its
-weighted copy.  Each array is made by np.empty on the first pass that
-needs it, so a value-only workspace never holds a score array.  The
-incidence products add into those arrays through scipy's own kernels of
-``incidence @ x`` and ``incidence.T @ x``, so they add in the same order
-as the products.  A pass returns new arrays only for what its caller
-keeps: the gradient, J and -H.  G stays readable as the read-only
-:attr:`LikelihoodWorkspace.scores` until the next pass overwrites it.
+Each level owns the arrays its passes write, by name (``_Level.buffer``):
+the cells' hazards and d log P / d Lambda, each rate-linear block's
+d Lambda / d theta, the terms' s-values, the cluster probabilities and
+d log P / d(alpha, gamma, mu), and work arrays of the cells and the terms.
+The terms' work arrays ("terms", 0), ("terms", 1), ... come one per
+``next`` from ``_Level.arrays()``, the ``out`` of the pass's ``family``
+kernel, which writes log L and its partials into them; the signed terms
+and T_A / P_i take log L's place, and an information pass draws its k
+du_A directions and two weight arrays from the same iterator after the
+kernel returns, so none of them holds a kernel result.  The workspace
+owns G and its weighted copy.  Each array is made by np.empty on the
+first pass that needs it, so a value-only workspace never holds a score
+array.  A pass still makes some arrays of the data's size anew: a Weibull
+or generalized gamma baseline's differenced hazards, and the entries of
+the kernels' series regions, gathered (the psi region is every term at
+alpha = gamma); bool masks are an eighth of the size.  The incidence products add into the level's arrays through
+scipy's own kernels of ``incidence @ x`` and ``incidence.T @ x``, so they
+add in the same order as the products.  A pass returns new arrays only
+for what its caller keeps: the gradient, J and -H.  G stays readable as
+the read-only :attr:`LikelihoodWorkspace.scores` until the next pass
+overwrites it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -98,7 +102,7 @@ from scipy.sparse import _sparsetools
 from .data import Cluster, CurrentStatusDataset
 from .errors import (DuplicateUnit, InvalidParameters, MissingCovariate, NonPositiveProbability,
                      UnknownUnit)
-from .family import _arrays, log_laplace, log_laplace_partials, log_laplace_second_partials
+from .family import log_laplace, log_laplace_partials, log_laplace_second_partials
 from .hazard import ModelSpec, _central_jacobian, _central_steps, _link_values
 
 __all__ = [
@@ -153,15 +157,19 @@ class _Level:
     # the two index arrays are np.intp, which np.add.at and np.take take uncast
     term_cluster: np.ndarray    # [terms] index into ``clusters``
     cell_cluster: np.ndarray    # [cells] each cell's cluster, a position in the dataset
-    term_weights: np.ndarray    # [terms] their clusters' weights
     signs: np.ndarray           # [terms] (-1)^|A|
     constant: np.ndarray        # [clusters] 1.0 where the empty term is left out, else 0.0
-    # the pass's arrays by name, and the ``family`` kernels' list of them
-    buffers: dict = field(default_factory=dict, repr=False)
-    laplace: list = field(default_factory=list, repr=False)
+    buffers: dict = field(default_factory=dict, repr=False)     # the pass's arrays by name
 
     def buffer(self, name, shape, order: str = "C") -> np.ndarray:
         return _buffer(self.buffers, name, shape, order)
+
+    def arrays(self):
+        """The level's term work arrays ("terms", 0), ("terms", 1), ...,
+        one per ``next``: the ``out`` of a ``family`` kernel, from which an
+        information pass goes on drawing its own."""
+        shape = self.incidence.shape[:1]
+        return (self.buffer(("terms", i), shape) for i in itertools.count())
 
     def term_sums(self, cell_values: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``incidence @ cell_values``, each term's sum over its cells, into
@@ -198,7 +206,8 @@ def _buffer(buffers: dict, name, shape, order: str = "C") -> np.ndarray:
 
 def _add_rows(scores: np.ndarray, rows, col: int, values: np.ndarray):
     """Adds ``values`` into G's column ``col`` at the clusters ``rows``
-    (``_rows``: a slice, or distinct positions)."""
+    (``_rows``: a slice, or distinct positions, where ``np.add.at`` takes
+    half the time of ``scores[rows, col] += values``, with the same bits)."""
     if isinstance(rows, slice):
         scores[rows, col] += values
     else:
@@ -387,8 +396,7 @@ class LikelihoodWorkspace:
                 (np.ones(indices.size), indices, indptr), shape=(term_cluster.size, n_cells))
             self.levels.append(_Level(
                 name, clusters, _rows(clusters), blocks, incidence, term_cluster,
-                data.cluster[order[first:edges[-1]]],
-                data.weight[clusters][term_cluster], signs,
+                data.cluster[order[first:edges[-1]]], signs,
                 (counts[clusters] == sizes[clusters]).astype(float)))
         if repeated:
             pos, _, unit = min(repeated)
@@ -454,7 +462,7 @@ class LikelihoodWorkspace:
         for level in self.levels:
             params = spec.frailty_params(level.name)
             svals = self._hazards(level, _sources(level, spec, values, betas))[2]
-            prob = self._probabilities(level, log_laplace(params, svals, out=level.laplace))[1]
+            prob = self._probabilities(level, log_laplace(params, svals, out=level.arrays()))[1]
             out[level.clusters] = np.log(prob, out=prob)
         return out
 
@@ -534,32 +542,33 @@ class LikelihoodWorkspace:
                 self.levels, self._point(layout, theta_free)):
             lam, parts, svals = self._hazards(level, sources)
             alpha = regime.moves_alpha     # a pinned alpha skips its partials
+            arrays = level.arrays()
             if information:
                 (log_l, d_alpha, d_gamma, h), second = log_laplace_second_partials(
-                    params, svals, alpha, out=level.laplace)
+                    params, svals, alpha, out=arrays)
             else:
-                log_l, d_alpha, d_gamma, h = log_laplace_partials(
-                    params, svals, alpha, out=level.laplace)
+                log_l, d_alpha, d_gamma, h = log_laplace_partials(params, svals, alpha, out=arrays)
             signed, prob, bad = self._probabilities(level, log_l)
             # d log P = dP / P: each term's T_A / P_i, 0 on a clamped cluster,
             # in place of T_A
-            ratio = np.divide(signed, np.take(prob, level.term_cluster, out=level.buffer(
-                "term_work", signed.shape)), out=signed)
+            term_work = level.buffer("term_work", signed.shape)
+            ratio = np.divide(signed, np.take(prob, level.term_cluster, out=term_work), out=signed)
             if bad is not None:
                 ratio[bad[level.term_cluster]] = 0.0
             out[level.clusters] = np.log(prob, out=prob)
-            dl_cells, d_frailty = self._level_scores(
+            dl_cells, d_frailty, d_bases = self._level_scores(
                 layout, level, jacobian, lam, parts, svals, ratio, params.mu,
                 (h, d_alpha, d_gamma), column, per_cluster)
             if information:
-                # w_i dl_j, in place of dl_j
+                # w_i dl_j and w_i T_A / P_i, in place of dl_j and T_A / P_i
+                weights = self.weights[level.rows]
                 dl_cells *= np.take(self.weights, level.cell_cluster,
                                     out=level.buffer("cell_work", dl_cells.shape))
+                ratio *= np.take(weights, level.term_cluster, out=term_work)
                 info += self._level_curvature(
-                    layout, level, x, params, jacobian, lam, parts, svals,
-                    np.multiply(ratio, level.term_weights, out=ratio), dl_cells,
-                    self.weights[level.rows] @ d_frailty,
-                    (np.negative(h, out=h), d_alpha, d_gamma), second)
+                    layout, level, x, params, jacobian, lam, parts, d_bases, svals, ratio,
+                    dl_cells, weights @ d_frailty, (np.negative(h, out=h), d_alpha, d_gamma),
+                    second, arrays)
         value = float(np.sum(np.multiply(self.weights, out, out=out)))
         grad = self.weights @ per_cluster
         # J = G' diag(w) G, its product taken as G.T @ (G * w[:, None])
@@ -577,10 +586,12 @@ class LikelihoodWorkspace:
         """Adds one level's rows of G, its clusters' unweighted scores, into
         the ``column``s of ``per_cluster`` (-1 for a pinned entry), and
         returns each cell's d log P_i / d Lambda_j and the [clusters, 3]
-        d log P_i / d(alpha, gamma, mu), in the level's arrays.  ``ratio``
-        is T_A / P_i, 0 on a clamped cluster, and ``first`` the terms' (h,
-        d alpha, d gamma) partials of log L.  A unit block holds at most one
-        cell per cluster, so each of its columns adds into distinct rows."""
+        d log P_i / d(alpha, gamma, mu), in the level's arrays, and per unit
+        block its cells' [cells, params] d Lambda / d theta of the
+        baseline's log-parameters.  ``ratio`` is T_A / P_i, 0 on a clamped
+        cluster, and ``first`` the terms' (h, d alpha, d gamma) partials of
+        log L.  A unit block holds at most one cell per cluster, so each of
+        its columns adds into distinct rows."""
         h, d_alpha, d_gamma = first
         n_cells = lam.size
         terms = np.multiply(ratio, h, out=level.buffer("term_work", ratio.shape))
@@ -588,23 +599,25 @@ class LikelihoodWorkspace:
         dl_cells = level.cell_sums(terms, level.buffer("dl_cells", (n_cells,)))
         dl_cells *= -mu
         factors, products = (level.buffer(name, (n_cells,)) for name in ("cell_work", "products"))
-        for block, (key, value, exposure, mult) in zip(level.blocks, parts):
+        d_bases = []
+        for j, (block, (key, value, exposure, mult)) in enumerate(zip(level.blocks, parts)):
             dl, product = dl_cells[block.cells], products[block.cells]
             dl_base = dl if mult is None else np.multiply(dl, mult, out=factors[block.cells])
-            # each column's d Lambda / d theta_k: the exposure times the rate
-            # for a rate-linear baseline
-            d_base = None if exposure is not None else _parametric_jacobian(value, block.times).T
+            # d Lambda / d theta: the exposure times the rates, a column at
+            # a time, for a rate-linear baseline, in the exposure's own layout
+            if exposure is None:
+                d_base = _parametric_jacobian(value, block.times).T
+            else:
+                d_base = level.buffer(("d_base", j), exposure.shape,
+                                      "F" if np.isfortran(exposure) else "C")
+            d_bases.append(d_base)
             start = layout.baseline_slices[key].start
-            n_params = (exposure if d_base is None else d_base).shape[1]
-            for i, col in enumerate(column[start:start + n_params].tolist()):
-                if col < 0:
-                    continue
-                if d_base is None:
-                    np.multiply(exposure[:, i], value[i], out=product)
-                    product *= dl_base
-                else:
-                    np.multiply(dl_base, d_base[:, i], out=product)
-                _add_rows(per_cluster, block.rows, col, product)
+            for i, col in enumerate(column[start:start + d_base.shape[1]].tolist()):
+                if exposure is not None:
+                    np.multiply(exposure[:, i], value[i], out=d_base[:, i])
+                if col >= 0:
+                    _add_rows(per_cluster, block.rows, col,
+                              np.multiply(dl_base, d_base[:, i], out=product))
             if block.design is not None:
                 dl_beta = np.multiply(dl, lam[block.cells], out=factors[block.cells])
                 start = layout.beta_slices[block.unit].start
@@ -629,10 +642,10 @@ class LikelihoodWorkspace:
                 if col >= 0:
                     _add_rows(per_cluster, level.rows, col,
                               np.matmul(d_frailty, chain, out=chained))
-        return dl_cells, d_frailty
+        return dl_cells, d_frailty, d_bases
 
-    def _level_curvature(self, layout, level, x, params, jacobian, lam, parts, svals,
-                         signed, dl_dlam, d_frailty, first, second) -> np.ndarray:
+    def _level_curvature(self, layout, level, x, params, jacobian, lam, parts, d_bases, svals,
+                         signed, dl_dlam, d_frailty, first, second, arrays) -> np.ndarray:
         """One level's part of the observed information over the full
         parameter vector but the sum_i w_i g_i g_i' term, that is
 
@@ -647,7 +660,11 @@ class LikelihoodWorkspace:
         the level's cell hazards and then d mu, d alpha and d gamma, where
         du_A = (mu d s_A, s_A, 0, 0).  Every product runs over one basis
         direction at a time, on vectors of the terms, in the level's
-        arrays: no [terms, p] matrix, and never a [terms, p, p] array.
+        arrays: no [terms, p] matrix, and never a [terms, p, p] array.  The
+        terms' work arrays are the next of ``arrays``, the iterator whose
+        earlier arrays hold the kernel's results; ``d_bases`` are
+        :meth:`_level_scores`' d Lambda / d theta, which this pass scales in
+        place.
         """
         n_full = layout.free_mask.size
         mu = params.mu
@@ -660,15 +677,12 @@ class LikelihoodWorkspace:
         basis[np.arange(k), cols] = 1.0
         for name, sl in layout.link_slices.items():
             basis[k:, sl] = jacobian[name][[2, 0, 1]]
-        # the kernel's arrays that hold none of its results serve as the
-        # terms' work arrays: du_A by direction, then two for the weights
-        n_terms, n_cells = level.incidence.shape
-        spare = _arrays(level.laplace, n_terms, keep=first + second + (signed,))
-        d_u = [next(spare) for _ in range(k)] + [svals]     # s_A = incidence @ Lambda
-        weight, weighted = next(spare), next(spare)
+        # the terms' work arrays: du_A by direction, then two for the weights
+        d_u = [next(arrays) for _ in range(k)] + [svals]    # s_A = incidence @ Lambda
+        weight, weighted = next(arrays), next(arrays)
         # the cells' d Lambda along one basis direction at a time, 0 off
         # the direction's block
-        d_lam = level.buffer("cell_work", (n_cells,))
+        d_lam = level.buffer("cell_work", lam.shape)
 
         def direction(r):
             # d2 u_A holds d mu d s_A' (below), with sum_A c_A f_u d s_A =
@@ -679,17 +693,14 @@ class LikelihoodWorkspace:
         # sum_j dl_j d2 Lambda_j with dl = dl_dlam; ``curv`` is filled on and
         # above its diagonal
         curv = np.zeros((k + 3, k + 3))
-        for j, (block, (key, baseline, exposure, mult)) in enumerate(zip(level.blocks, parts)):
+        for j, (block, (key, baseline, exposure, mult), d_base) in enumerate(
+                zip(level.blocks, parts, d_bases)):
             bs = where[layout.baseline_slices[key].start]
             dl = dl_dlam[block.cells]
             if exposure is not None:
-                # the rates, in the exposure's own layout
-                d_base = np.multiply(exposure, baseline, out=level.buffer(
-                    ("d_base", j), exposure.shape, "F" if np.isfortran(exposure) else "C"))
                 second_base = None      # d2 Lambda / d theta_k^2 = d Lambda / d theta_k
             else:
                 steps = _central_steps(baseline.log_params)
-                d_base = _parametric_jacobian(baseline, block.times).T
                 second_base = _central_jacobian(
                     lambda values, baseline=baseline, times=block.times: _parametric_jacobian(
                         baseline, times, values, steps), baseline.log_params, steps)

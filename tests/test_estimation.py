@@ -349,12 +349,6 @@ class TestLrtAic:
         assert stat == pytest.approx(6.0)
         assert p == pytest.approx(stats.chi2.sf(6.0, 2), rel=1e-12)
 
-    def test_explicit_df(self):
-        null = self._result(-103.0, 3)
-        alt = self._result(-100.0, 5)
-        stat, p = lrt(null, alt, df=1)
-        assert p == pytest.approx(stats.chi2.sf(6.0, 1), rel=1e-12)
-
     def test_negative_statistic_rejected(self):
         null = self._result(-100.0, 3)
         alt = self._result(-103.0, 5)

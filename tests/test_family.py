@@ -1,5 +1,6 @@
 """Frailty family: branch classification, Laplace transform, moments."""
 
+import itertools
 import math
 
 import numpy as np
@@ -29,6 +30,7 @@ from addamsfrailty.family import (
     _KPP_SERIES,
     _NO_ROOT_TAIL,
     _PHI2_SERIES,
+    _PSI_SERIES,
     BranchKind,
     _alpha_series,
     _count_law,
@@ -701,9 +703,18 @@ OUT_S = np.array([0.0, 1e-300, 1e-12, 1e-6, 1e-3, 4e-3, 0.01, 0.03, 0.2, 0.6, 2.
 
 
 class TestOutArrays:
-    """The kernels write into the arrays of an ``out`` list, appending
-    arrays only where it runs short, and give the allocating calls' numbers
-    bit for bit."""
+    """The kernels write into the work arrays that an ``out`` iterator
+    gives them, and give the allocating calls' numbers bit for bit."""
+
+    @staticmethod
+    def owned(arrays, n):
+        """The arrays of the list ``arrays`` in turn, one per ``next``, with
+        a new one of ``n`` floats appended where it runs short: a level's
+        ``arrays()`` over a list."""
+        for i in itertools.count():
+            if i == len(arrays):
+                arrays.append(np.empty(n))
+            yield arrays[i]
 
     @classmethod
     def flat(cls, result):
@@ -720,7 +731,7 @@ class TestOutArrays:
                 for kernel, args in ((log_laplace, ()), (log_laplace_partials, (moves,)),
                                      (log_laplace_second_partials, (moves,))):
                     expected = kernel(p, s, *args)
-                    got = kernel(p, s, *args, out=out)
+                    got = kernel(p, s, *args, out=self.owned(out, s.size))
                     for e, g in zip(self.flat(expected), self.flat(got), strict=True):
                         if e is None:
                             assert g is None
@@ -732,17 +743,20 @@ class TestOutArrays:
     def test_a_kept_list_allocates_nothing_more(self):
         out = []
         p = AddamsParameters(-1.0, 5.0, 0.7)
-        log_laplace_second_partials(p, OUT_S, out=out)
+        log_laplace_second_partials(p, OUT_S, out=self.owned(out, OUT_S.size))
         arrays = [id(a) for a in out]
         for kernel in (log_laplace, log_laplace_partials, log_laplace_second_partials):
-            kernel(p, OUT_S * 2.0, out=out)
+            kernel(p, OUT_S * 2.0, out=self.owned(out, OUT_S.size))
         assert [id(a) for a in out] == arrays
+        # the kernels only call ``next``: a plain iterator over those arrays serves
+        got = log_laplace_second_partials(p, OUT_S * 2.0, out=iter(list(out)))
+        assert all(any(np.shares_memory(v, a) for a in out) for v in self.flat(got))
 
     def test_series_sums_are_numpys_bit_for_bit(self):
-        # the second partials' series are Horner sums written into an
-        # array, each against numpy's polyval, which they replace
+        # the partials' series are Horner sums written into an array, each
+        # against numpy's polyval, which they replace
         x = np.concatenate([OUT_S, -OUT_S])
-        for c in (_KPP_SERIES, _PHI2_SERIES, _E1PP_SERIES,
+        for c in (_PSI_SERIES, _KPP_SERIES, _PHI2_SERIES, _E1PP_SERIES,
                   _alpha_series(-1.0, 5.0, second=True)[1]):
             want = np.polynomial.polynomial.polyval(x, c)
             assert _polyval(x, c, np.empty_like(x)).tobytes() == want.tobytes()

@@ -484,12 +484,15 @@ def pass_design(rng, name):
     if name == "weibull":
         return (score_spec(baseline=lambda i: WeibullBaseline(1.3 + 0.2 * i, 40.0)),
                 score_data(rng, 80))
+    if name == "gengamma":
+        return (score_spec(baseline=lambda i: GeneralizedGammaBaseline(1.2 + 0.1 * i, 1.1, 40.0)),
+                score_data(rng, 80))
     assert name == "clamped"
     return score_spec(-1.0, 3.0), clamped_data(rng, 60)
 
 
 PASS_DESIGNS = ["free", "cure", "gamma", "poisson", "binomial:2", "two_strata_free_mu",
-                "covariates", "stratified", "weibull", "clamped"]
+                "covariates", "stratified", "weibull", "gengamma", "clamped"]
 
 
 def outcome(f):
@@ -1209,7 +1212,7 @@ def owned_arrays(ws):
     """The ids of every work array a workspace and its levels hold."""
     arrays = list(ws._buffers.values())
     for level in ws.levels:
-        arrays += list(level.buffers.values()) + level.laplace
+        arrays += list(level.buffers.values())
     return {id(a) for a in arrays}
 
 
@@ -1271,6 +1274,24 @@ class TestPassArrays:
             run(theta * 1.01)
             assert owned_arrays(ws) == made
             held = made
+
+    @pytest.mark.parametrize("name,n_params", [("weibull", 2), ("gengamma", 3)])
+    def test_a_parametric_block_is_differenced_once_per_pass(self, monkeypatch, name, n_params):
+        # the score pass's d Lambda / d theta of a block serves the
+        # information pass too, which differences it 2p times more
+        spec, data = pass_design(np.random.default_rng(5), name)
+        layout = ParameterLayout(spec)
+        ws = LikelihoodWorkspace(spec, data)
+        calls = []
+        jacobian = likelihood._parametric_jacobian
+        monkeypatch.setattr(likelihood, "_parametric_jacobian",
+                            lambda *args: calls.append(1) or jacobian(*args))
+        n_blocks = sum(len(level.blocks) for level in ws.levels)
+        ws.loglik_and_score(layout, layout.free_vector())
+        assert len(calls) == n_blocks
+        calls.clear()
+        ws.loglik_and_score(layout, layout.free_vector(), information=True)
+        assert len(calls) == (2 * n_params + 1) * n_blocks
 
 
 class TestPinnedAlpha:
